@@ -5,6 +5,18 @@ mv x mv augmented covariance in one of two ways: direct rearrangement
 into a Toeplitz-like matrix, or spatial smoothing over the mv coarray
 subarrays. Both share the same noise subspace on exact data, so MUSIC
 applied to either yields the same asymptotic behavior.
+
+On the virtual uniform array the MUSIC null spectrum
+a(phi)^H E_n E_n^H a(phi) is a real trigonometric polynomial of
+degree mv - 1 in the phase phi,
+
+    d(phi) = c_0 + 2 Re sum_{l=1}^{mv-1} c_l exp(j l phi),
+
+where c_l sums the l-th superdiagonal of P = E_n E_n^H (the
+observation behind root-MUSIC). :func:`estimate_doas` forms the mv
+coefficients once per call and evaluates d in that form, both for the
+grid scan (one product with a cached table of exp(j l phi)) and for
+the sub-grid refinement, which runs on all kept peaks at once.
 """
 
 from __future__ import annotations
@@ -22,8 +34,9 @@ __all__ = [
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
-# Grid steering matrices keyed by (mv, step, d0 / wavelength); entries
-# are read-only and shared across trials.
+# Grid angles with their phase tables exp(j l phi), l = 1 .. mv - 1,
+# keyed by (mv, step, d0 / wavelength); entries are read-only and
+# shared across trials.
 _GRID_CACHE = {}
 
 
@@ -149,18 +162,43 @@ def _virtual_steering(mv, phi):
     return np.exp(1j * np.outer(np.arange(mv), phi))
 
 
-def _grid_matrix(mv, step, ratio):
-    """Cached grid angles and steering matrix for the virtual ULA."""
+def _phase_table(mv, phi):
+    """exp(j * l * phi) for l = 1 .. mv - 1, one column per phase."""
+    return np.exp(np.arange(1, mv)[:, None] * (1j * phi))
+
+
+def _grid_table(mv, step, ratio):
+    """Cached grid angles and their phase table."""
     key = (mv, float(step), float(ratio))
     hit = _GRID_CACHE.get(key)
     if hit is None:
         grid = np.arange(-np.pi / 2 + step, np.pi / 2, step)
-        a = _virtual_steering(mv, 2.0 * np.pi * ratio * np.sin(grid))
+        table = _phase_table(mv, 2.0 * np.pi * ratio * np.sin(grid))
         grid.setflags(write=False)
-        a.setflags(write=False)
-        hit = (grid, a)
+        table.setflags(write=False)
+        hit = (grid, table)
         _GRID_CACHE[key] = hit
     return hit
+
+
+def _null_polynomial(en):
+    """Coefficients (c_0, 2 c_1 .. 2 c_{mv-1}) of the null spectrum.
+
+    c_l is the sum of the l-th superdiagonal of P = E_n E_n^H. P is
+    written into the left half of an mv x 2 mv buffer; reading the
+    same memory with rows one entry longer shifts row m left by m, so
+    P[m, m + l] lands in column l.
+    """
+    mv = en.shape[0]
+    buf = np.zeros(mv * (2 * mv + 1), dtype=complex)
+    buf[:2 * mv * mv].reshape(mv, 2 * mv)[:, :mv] = en @ en.conj().T
+    coef = buf.reshape(mv, 2 * mv + 1)[:, :mv].sum(axis=0)
+    return coef[0].real, 2.0 * coef[1:]
+
+
+def _null_eval(c0, w, table):
+    """Null spectrum d = c_0 + Re(w @ table) at the phases of a phase table."""
+    return c0 + (w @ table).real
 
 
 def music_spectrum(en, grid, d0=0.5, wavelength=1.0):
@@ -183,58 +221,53 @@ def music_spectrum(en, grid, d0=0.5, wavelength=1.0):
     return 1.0 / np.maximum(d, np.finfo(float).tiny)
 
 
-def _null_power(en, theta, rate):
-    """Noise-subspace energy a(theta)^H E_n E_n^H a(theta)."""
-    a = np.exp(1j * rate * np.sin(theta) * np.arange(en.shape[0]))
-    e = en.conj().T @ a
-    return float(np.real(e @ e.conj()))
-
-
 def _parabola_vertex(x_mid, h, y0, y1, y2):
-    """Vertex of the parabola through (x_mid - h, y0), (x_mid, y1), (x_mid + h, y2)."""
-    den = y0 - 2.0 * y1 + y2
-    if den <= 0:
-        return None
-    vertex = x_mid - 0.5 * h * (y2 - y0) / den
-    if abs(vertex - x_mid) > h:
-        return None
-    return vertex
+    """Vertices of the parabolas through three equally spaced points.
 
-
-def _refine_peak(dfun, theta, step, d_left, d_mid, d_right, iters):
-    """Sub-grid peak refinement inside one grid cell.
-
-    Quadratic interpolation on the grid triple seeds the candidate,
-    then a golden-section search over the cell with a final parabolic
-    fit polishes it. Returns (angle, refined_flag).
+    The points are (x_mid - h, y0), (x_mid, y1) and (x_mid + h, y2),
+    elementwise over arrays. Returns (vertex, valid) where ``valid``
+    marks an upward parabola whose vertex lies within h of x_mid.
     """
-    candidates = [(d_mid, theta)]
-    vertex = _parabola_vertex(theta, step, d_left, d_mid, d_right)
-    if vertex is not None:
-        candidates.append((dfun(vertex), vertex))
+    den = y0 - 2.0 * y1 + y2
+    up = den > 0
+    vertex = x_mid - 0.5 * h * (y2 - y0) / np.where(up, den, 1.0)
+    return vertex, up & (np.abs(vertex - x_mid) <= h)
+
+
+def _refine_peaks(dfun, theta, step, d_left, d_mid, d_right, iters):
+    """Sub-grid refinement of every kept peak inside its grid cell.
+
+    Quadratic interpolation on the grid triple seeds a candidate, then a
+    golden-section search over the cell with a final parabolic fit
+    polishes it; the candidate with the smallest (null power, angle)
+    wins. All peaks advance together, so each step makes one call of
+    ``dfun`` on an array of angles. Returns (angles, refined_flags).
+    """
+    vertex, vertex_ok = _parabola_vertex(theta, step, d_left, d_mid, d_right)
     a, b = theta - step, theta + step
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc, fd = dfun(c), dfun(d)
+    f_vertex, fc, fd = dfun(np.concatenate((vertex, c, d))).reshape(3, -1)
     for _ in range(max(int(iters), 0)):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = dfun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = dfun(d)
-    candidates.append((fc, c))
-    candidates.append((fd, d))
+        # keep the interior point with the smaller null power, shrink
+        # the bracket around it and probe the mirrored golden point
+        left = fc <= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        keep, f_keep = np.where(left, c, d), np.where(left, fc, fd)
+        t = _INV_PHI * (b - a)
+        new = np.where(left, b - t, a + t)
+        f_new = dfun(new)
+        c, d = np.where(left, new, keep), np.where(left, keep, new)
+        fc, fd = np.where(left, f_new, f_keep), np.where(left, f_keep, f_new)
     mid, h = 0.5 * (a + b), 0.5 * (b - a)
-    if h > 0:
-        y0, y1, y2 = dfun(mid - h), dfun(mid), dfun(mid + h)
-        candidates.append((y1, mid))
-        polish = _parabola_vertex(mid, h, y0, y1, y2)
-        if polish is not None:
-            candidates.append((dfun(polish), polish))
-    best_val, best_theta = min(candidates, key=lambda it: (it[0], it[1]))
+    y0, y1, y2 = dfun(np.concatenate((mid - h, mid, mid + h))).reshape(3, -1)
+    polish, polish_ok = _parabola_vertex(mid, h, y0, y1, y2)
+    values = np.array((d_mid, np.where(vertex_ok, f_vertex, np.inf), fc, fd,
+                       np.where(h > 0, y1, np.inf),
+                       np.where(polish_ok, dfun(polish), np.inf)))
+    angles = np.array((theta, vertex, c, d, mid, polish))
+    best = np.lexsort((angles, values), axis=0)[0]
+    best_theta = angles[best, np.arange(theta.shape[0])]
     return best_theta, best_theta != theta
 
 
@@ -276,23 +309,21 @@ def estimate_doas(rv, k, grid_step=np.deg2rad(0.1), refine_iters=5,
         rv = rv.rv
     rv = np.asarray(rv)
     mv = rv.shape[0]
-    en = noise_subspace(rv, k)
+    c0, w = _null_polynomial(noise_subspace(rv, k))
     ratio = d0 / wavelength
     rate = 2.0 * np.pi * ratio
-    grid, a_grid = _grid_matrix(mv, grid_step, ratio)
-    d = np.sum(np.abs(en.conj().T @ a_grid) ** 2, axis=0)
+    grid, table = _grid_table(mv, grid_step, ratio)
+    d = _null_eval(c0, w, table)
     peaks = _find_peaks(d)
     order = np.lexsort((grid[peaks], d[peaks]))
     kept = peaks[order[:k]]
     resolved = kept.shape[0] == k
 
-    dfun = lambda theta: _null_power(en, theta, rate)
-    angles = np.empty(kept.shape[0])
-    refined = np.empty(kept.shape[0], dtype=bool)
-    for j, idx in enumerate(kept):
-        angles[j], refined[j] = _refine_peak(
-            dfun, grid[idx], grid_step, d[idx - 1], d[idx], d[idx + 1],
-            refine_iters)
+    dfun = lambda theta: _null_eval(
+        c0, w, _phase_table(mv, rate * np.sin(theta)))
+    angles, refined = _refine_peaks(
+        dfun, grid[kept], grid_step, d[kept - 1], d[kept], d[kept + 1],
+        refine_iters)
     order = np.argsort(angles)
     est = DoaEstimate(
         angles=angles[order], resolved=resolved, refined=refined[order],

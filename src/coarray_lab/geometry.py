@@ -250,13 +250,13 @@ def selection_matrix(co):
     Returns:
         Real matrix of shape (2 * mv - 1, M ** 2), returned read-only.
     """
-    m_sensors = co.geometry.n_sensors
     mv = co.mv
-    f = np.zeros((2 * mv - 1, m_sensors * m_sensors))
-    for p in range(m_sensors):
-        for q in range(m_sensors):
-            lag = int(co.diff_matrix[p, q])
-            if -(mv - 1) <= lag <= mv - 1:
-                f[lag + mv - 1, p + q * m_sensors] = 1.0 / co.weights[lag]
+    # Column p + q * M holds diff[p, q]: the column-major ravel.
+    lags = co.diff_matrix.ravel(order='F')
+    cols = np.nonzero(np.abs(lags) <= mv - 1)[0]
+    rows = lags[cols] + mv - 1
+    f = np.zeros((2 * mv - 1, lags.shape[0]))
+    # the number of entries in a row is the weight of its lag
+    f[rows, cols] = 1.0 / np.bincount(rows, minlength=2 * mv - 1)[rows]
     f.setflags(write=False)
     return f

@@ -20,6 +20,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -44,6 +45,11 @@ _K_MODES = ('one', 'm')
 
 # Eleven equal-power sources, evenly placed over a 123.75 degree fan.
 _DEFAULT_VERIFY_DOAS_DEG = tuple(np.linspace(-67.5, 56.25, 11))
+
+
+def _is_count(value):
+    """True for an integer, numpy ones included; bools are not counts."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class ConfigError(ValueError):
@@ -146,8 +152,12 @@ class ExperimentConfig:
             raise ConfigError('snr_db must be a non-empty list of finite values')
         if not self.n_snapshots or any(int(n) < 1 for n in self.n_snapshots):
             raise ConfigError('n_snapshots entries must be >= 1')
-        if int(self.n_trials) < 1:
-            raise ConfigError('n_trials must be >= 1')
+        if not _is_count(self.n_trials) or self.n_trials < 1:
+            raise ConfigError(f'n_trials must be an integer >= 1, got '
+                              f'{self.n_trials!r}')
+        if not _is_count(self.seed) or self.seed < 0:
+            raise ConfigError(f'seed must be a non-negative integer, got '
+                              f'{self.seed!r}')
         if not self.grid_step_deg > 0:
             raise ConfigError('grid_step_deg must be positive')
         if not self.power > 0:

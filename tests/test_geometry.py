@@ -159,7 +159,8 @@ def test_selection_matrix_toy_array_exact():
 
 def test_selection_matrix_against_brute_force():
     for geom in (geometry.ula(3), geometry.coprime(2), geometry.mra(5),
-                 geometry.nested(2, 3), geometry.coprime(3, 5)):
+                 geometry.nested(2, 3), geometry.coprime(3, 5),
+                 geometry.mra(10), geometry.custom([0, 2, 3, 7, 20])):
         co = geometry.difference_coarray(geom)
         np.testing.assert_allclose(geometry.selection_matrix(co),
                                    brute_selection(geom.positions),

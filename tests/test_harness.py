@@ -28,8 +28,12 @@ def test_config_validation():
         ExperimentConfig(kind='frobnicate')
     with pytest.raises(harness.ConfigError):
         ExperimentConfig(kind='verify_mse', method='music')
-    with pytest.raises(harness.ConfigError):
-        ExperimentConfig(kind='verify_mse', n_trials=0)
+    for bad in (0, 2.7, True):
+        with pytest.raises(harness.ConfigError):
+            ExperimentConfig(kind='verify_mse', n_trials=bad)
+    for bad in (-1, 1.5, True):
+        with pytest.raises(harness.ConfigError):
+            ExperimentConfig(kind='verify_mse', seed=bad)
     with pytest.raises(harness.ConfigError):
         ExperimentConfig(kind='verify_mse', arrays=('spiral:4',))
     with pytest.raises(harness.ConfigError):
