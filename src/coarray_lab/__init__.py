@@ -67,11 +67,7 @@ from .harness import (
     fifty_percent_crossing,
     load_config,
     run,
-    run_efficiency,
-    run_resolution,
-    run_scaling,
     run_trials,
-    run_verify_mse,
 )
 
 __all__ = [
@@ -89,7 +85,5 @@ __all__ = [
     'delta_r_moment_oracle', 'limiting_mse', 'model_jacobian', 'fim', 'crb',
     'efficiency_kappa', 'resolution_predict', 'resolution_threshold',
     'ExperimentConfig', 'TrialRecord', 'ConfigError', 'load_config',
-    'run', 'run_trials', 'run_verify_mse', 'run_resolution',
-    'run_efficiency', 'run_scaling', 'emit_outputs',
-    'fifty_percent_crossing',
+    'run', 'run_trials', 'emit_outputs', 'fifty_percent_crossing',
 ]

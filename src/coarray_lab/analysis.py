@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import difference_coarray, selection_matrix
-from .model import steering_matrix, true_covariance, unvec, vec
+from .model import (_phase_rate, _steering, steering_matrix, true_covariance,
+                    unvec, vec)
 
 __all__ = [
     'ErrorTerms', 'CrbReport', 'NumericalFailure', 'CrbUndefined',
@@ -93,16 +94,6 @@ class CrbReport:
         return self.crb is not None
 
 
-def _virtual_manifold(geom, scenario, mv):
-    """Virtual-ULA steering matrix and its DOA derivative (mv x K)."""
-    rate = 2.0 * np.pi * geom.d0 / geom.wavelength
-    theta = np.asarray(scenario.doas)
-    lags = np.arange(mv)
-    av = np.exp(1j * rate * np.outer(lags, np.sin(theta)))
-    av_dot = 1j * rate * np.cos(theta)[None, :] * lags[:, None] * av
-    return av, av_dot
-
-
 def error_terms(geom, scenario):
     """First-order error functionals for every source in a scenario.
 
@@ -119,7 +110,8 @@ def error_terms(geom, scenario):
     k = scenario.n_sources
     if k >= mv:
         raise ValueError(f'need K < mv = {mv} sources, got K = {k}')
-    av, av_dot = _virtual_manifold(geom, scenario, mv)
+    # virtual-ULA steering matrix and its derivative, mv x K
+    av, av_dot = _steering(np.arange(mv), scenario.doas, _phase_rate(geom))
     av_pinv = np.linalg.pinv(av, rcond=_RANK_RCOND)
     alpha = -av_pinv
     beta = av_dot - av @ (av_pinv @ av_dot)

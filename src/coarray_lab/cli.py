@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__
 from . import analysis, geometry, model
 from .estimator import run_music
-from .harness import ConfigError, emit_outputs, load_config, run, _parse_array
+from .harness import (ConfigError, emit_outputs, load_config, run,
+                      _analyze_table, _csv_text, _parse_array, _write_text)
 
 
 def _load_scenario(path):
@@ -117,55 +118,12 @@ def _cmd_estimate(args):
 
 
 def _cmd_analyze(args):
-    cfg = load_config(args.config)
-    rows = []
-    any_defined = False
-    for spec in cfg.arrays:
-        geom = _parse_array(spec)
-        for k in cfg.k_sources:
-            if cfg.doas_deg is not None:
-                doas = tuple(np.deg2rad(d) for d in cfg.doas_deg)
-                k = len(doas)
-            elif k == 1:
-                doas = (0.0,)
-            else:
-                doas = tuple(np.deg2rad(np.linspace(-60.0, 60.0, k)))
-            for snr in cfg.snr_db:
-                for n in cfg.n_snapshots:
-                    scenario = model.SourceScenario.with_snr(doas, snr,
-                                                             cfg.power)
-                    mse = analysis.analytical_mse(geom, scenario, n)
-                    report = analysis.crb(geom, scenario, n)
-                    if report.defined:
-                        any_defined = True
-                        kappa = analysis.efficiency_kappa(report, mse)
-                        trace = float(np.trace(report.crb))
-                    else:
-                        kappa = float('nan')
-                        trace = float('nan')
-                    for i, theta in enumerate(scenario.doas):
-                        eps = float(mse[i, i])
-                        rows.append((geom.name, len(doas), float(snr),
-                                     int(n), i,
-                                     float(np.rad2deg(theta)), eps,
-                                     float(eps * np.rad2deg(1.0) ** 2),
-                                     trace, kappa, int(report.defined)))
-            if cfg.doas_deg is not None:
-                break
-    out = open(args.out, 'w', encoding='utf-8', newline='') if args.out \
-        else sys.stdout
-    try:
-        writer = csv.writer(out, lineterminator='\n')
-        writer.writerow(('array', 'k', 'snr_db', 'n_snapshots', 'source',
-                         'theta_deg', 'eps_rad2', 'eps_deg2',
-                         'crb_trace_rad2', 'kappa', 'crb_defined'))
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else str(v)
-                             for v in row])
-    finally:
-        if args.out:
-            out.close()
-    if rows and not any_defined:
+    table = _analyze_table(load_config(args.config))
+    if args.out:
+        _write_text(args.out, _csv_text(table))
+    else:
+        sys.stdout.write(_csv_text(table))
+    if table.rows and not any(row[-1] for row in table.rows):  # crb_defined
         print('CRB undefined at every requested point', file=sys.stderr)
         return 3
     return 0

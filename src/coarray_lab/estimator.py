@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _steering
+
 __all__ = [
     'AugmentedCovariance', 'DoaEstimate',
     'subarray_select', 'gamma_stack', 'augment_direct',
@@ -157,11 +159,6 @@ def noise_subspace(rv, k):
     return vecs[:, :mv - k]
 
 
-def _virtual_steering(mv, phi):
-    """Virtual-ULA response at phase phi: exp(j * l * phi), l = 0..mv-1."""
-    return np.exp(1j * np.outer(np.arange(mv), phi))
-
-
 def _phase_table(mv, phi):
     """exp(j * l * phi) for l = 1 .. mv - 1, one column per phase."""
     return np.exp(np.arange(1, mv)[:, None] * (1j * phi))
@@ -172,7 +169,7 @@ def _grid_table(mv, step, ratio):
     key = (mv, float(step), float(ratio))
     hit = _GRID_CACHE.get(key)
     if hit is None:
-        grid = np.arange(-np.pi / 2 + step, np.pi / 2, step)
+        grid = default_grid(step)
         table = _phase_table(mv, 2.0 * np.pi * ratio * np.sin(grid))
         grid.setflags(write=False)
         table.setflags(write=False)
@@ -215,8 +212,8 @@ def music_spectrum(en, grid, d0=0.5, wavelength=1.0):
     """
     en = np.asarray(en)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    phi = 2.0 * np.pi * (d0 / wavelength) * np.sin(grid)
-    a = _virtual_steering(en.shape[0], phi)
+    a, _ = _steering(np.arange(en.shape[0]), grid,
+                     2.0 * np.pi * d0 / wavelength)
     d = np.sum(np.abs(en.conj().T @ a) ** 2, axis=0)
     return 1.0 / np.maximum(d, np.finfo(float).tiny)
 

@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import numbers
@@ -33,9 +34,8 @@ from .estimator import run_music
 
 __all__ = [
     'ConfigError', 'ExperimentConfig', 'TrialRecord', 'Table',
-    'load_config', 'config_digest', 'run', 'run_trials',
-    'run_verify_mse', 'run_resolution', 'run_efficiency', 'run_scaling',
-    'emit_outputs', 'fifty_percent_crossing',
+    'load_config', 'config_digest', 'run', 'run_trials', 'emit_outputs',
+    'fifty_percent_crossing',
 ]
 
 _KINDS = ('verify_mse', 'resolution', 'efficiency', 'scaling')
@@ -92,7 +92,18 @@ class ExperimentConfig:
     """Declarative description of one experiment sweep.
 
     Angles are in degrees and SNRs in dB; conversion to radians happens
-    inside the runners. Fields not used by the chosen kind are ignored.
+    inside the sweep. Every kind reads ``seed``, ``n_trials``,
+    ``method``, ``grid_step_deg``, ``power`` and ``out_dir``; beyond
+    those each kind reads only its own fields and ignores the rest:
+
+    - ``verify_mse``: ``arrays``, ``snr_db``, ``n_snapshots``,
+      ``doas_deg``.
+    - ``resolution``: ``arrays``, ``snr_db``, ``n_snapshots``,
+      ``center_deg``, ``delta_deg``.
+    - ``efficiency``: ``arrays``, ``snr_db``, ``n_snapshots``,
+      ``k_sources`` (or ``doas_deg``), ``empirical``.
+    - ``scaling``: ``families``, ``k_modes``, ``q_range``, the first
+      ``snr_db`` and ``n_snapshots`` entries, ``empirical``.
 
     Attributes:
         kind: One of ``verify_mse``, ``resolution``, ``efficiency``,
@@ -104,12 +115,14 @@ class ExperimentConfig:
         seed: Master seed; all trial streams derive from it.
         method: ``'da'``, ``'ss'``, or ``'both'``.
         out_dir: Output directory for :func:`emit_outputs`.
-        doas_deg: Source placement for ``verify_mse``; None selects the
-            default eleven-source fan.
+        doas_deg: Source placement for ``verify_mse`` (None: the
+            default eleven-source fan) and ``efficiency`` (None: one fan
+            per ``k_sources`` entry).
         center_deg: Pair center for ``resolution``.
         delta_deg: Separation grid for ``resolution``; None selects
             0.3..3.0 degrees in 19 steps.
-        k_sources: Source counts for ``efficiency``.
+        k_sources: Source counts for ``efficiency``; k sources sit at
+            broadside for k = 1 and evenly over -60..60 degrees else.
         q_range: Family size parameters for ``scaling``.
         families: Array families for ``scaling``.
         k_modes: ``'one'`` (single source at broadside) and/or ``'m'``
@@ -150,7 +163,11 @@ class ExperimentConfig:
             _parse_array(spec)
         if not self.snr_db or not all(math.isfinite(s) for s in self.snr_db):
             raise ConfigError('snr_db must be a non-empty list of finite values')
-        if not self.n_snapshots or any(int(n) < 1 for n in self.n_snapshots):
+        for name in ('n_snapshots', 'k_sources', 'q_range'):
+            if not all(_is_count(v) for v in getattr(self, name)):
+                raise ConfigError(f'{name} entries must be integers, got '
+                                  f'{getattr(self, name)!r}')
+        if not self.n_snapshots or any(n < 1 for n in self.n_snapshots):
             raise ConfigError('n_snapshots entries must be >= 1')
         if not _is_count(self.n_trials) or self.n_trials < 1:
             raise ConfigError(f'n_trials must be an integer >= 1, got '
@@ -340,143 +357,11 @@ def _mse_stats(ok_records):
     return mse, se
 
 
-def run_verify_mse(cfg, threads=1):
-    """Closed-form MSE against simulation on a fixed source fan."""
-    doas_deg = cfg.doas_deg if cfg.doas_deg is not None else _DEFAULT_VERIFY_DOAS_DEG
-    doas = tuple(np.deg2rad(d) for d in doas_deg)
-    methods = _methods(cfg.method)
-    grid_step = np.deg2rad(cfg.grid_step_deg)
-    gate = _failure_gate(doas)
-    rows = []
-    combo = 0
-    for spec in cfg.arrays:
-        geom = _parse_array(spec)
-        for snr in cfg.snr_db:
-            for n in cfg.n_snapshots:
-                scenario = model.SourceScenario.with_snr(doas, snr, cfg.power)
-                mse_an = float(np.mean(np.diag(
-                    analysis.analytical_mse(geom, scenario, n))))
-                records = run_trials(geom, scenario, n, methods, cfg.seed,
-                                     combo, cfg.n_trials, grid_step, threads)
-                for method in methods:
-                    ok = _successes(records, method, gate)
-                    mse_em, se = _mse_stats(ok)
-                    rel = abs(mse_an - mse_em) / mse_em if ok else float('nan')
-                    rows.append((geom.name, method, float(snr), int(n),
-                                 cfg.n_trials, mse_an, mse_em, rel, se,
-                                 cfg.n_trials - len(ok)))
-                combo += 1
-    header = ('array', 'method', 'snr_db', 'n_snapshots', 'trials',
-              'mse_an_rad2', 'mse_em_rad2', 'rel_err', 'mse_em_se_rad2',
-              'failed_trials')
-    return {'verify_mse': Table(header, tuple(rows))}
-
-
-def run_resolution(cfg, threads=1):
-    """Probability of resolving a close pair against the predicted cutoff.
-
-    A trial succeeds when the estimator returns two peaks and both fall
-    within half the separation of their sources.
-    """
-    deltas = (cfg.delta_deg if cfg.delta_deg is not None
-              else tuple(np.linspace(0.3, 3.0, 19)))
-    center = np.deg2rad(cfg.center_deg)
-    methods = _methods(cfg.method)
-    grid_step = np.deg2rad(cfg.grid_step_deg)
-    rows = []
-    combo = 0
-    for spec in cfg.arrays:
-        geom = _parse_array(spec)
-        for snr in cfg.snr_db:
-            noise = cfg.power * 10.0 ** (-float(snr) / 10.0)
-            for n in cfg.n_snapshots:
-                threshold = analysis.resolution_threshold(
-                    geom, n, center=center, power=cfg.power,
-                    noise_power=noise)
-                for delta_deg in deltas:
-                    delta = np.deg2rad(delta_deg)
-                    scenario = model.SourceScenario(
-                        (center - delta / 2, center + delta / 2),
-                        (cfg.power, cfg.power), noise)
-                    records = run_trials(geom, scenario, n, methods,
-                                         cfg.seed, combo, cfg.n_trials,
-                                         grid_step, threads)
-                    for method in methods:
-                        ok = _successes(records, method, delta / 2)
-                        p = len(ok) / cfg.n_trials
-                        se = math.sqrt(p * (1.0 - p) / cfg.n_trials)
-                        rows.append((geom.name, method, float(snr), int(n),
-                                     float(delta_deg), cfg.n_trials, p, se,
-                                     float(np.rad2deg(threshold))))
-                    combo += 1
-    header = ('array', 'method', 'snr_db', 'n_snapshots', 'delta_deg',
-              'trials', 'p_resolve', 'p_resolve_se',
-              'predicted_threshold_deg')
-    return {'resolution': Table(header, tuple(rows))}
-
-
-def _efficiency_doas(k):
-    """Source fan for a k-source efficiency point."""
+def _fan(k):
+    """Default source fan: one source at broadside, else -60..60 degrees."""
     if k == 1:
         return (0.0,)
     return tuple(np.deg2rad(np.linspace(-60.0, 60.0, k)))
-
-
-def run_efficiency(cfg, threads=1):
-    """CRB-to-MSE ratio across source counts and SNRs.
-
-    Points whose CRB is undefined (rank-deficient model) are flagged
-    with ``crb_defined = 0`` and excluded from the ratio.
-    """
-    methods = _methods(cfg.method)
-    grid_step = np.deg2rad(cfg.grid_step_deg)
-    rows = []
-    combo = 0
-    for spec in cfg.arrays:
-        geom = _parse_array(spec)
-        for k in cfg.k_sources:
-            doas = _efficiency_doas(k)
-            gate = _failure_gate(doas)
-            for snr in cfg.snr_db:
-                for n in cfg.n_snapshots:
-                    scenario = model.SourceScenario.with_snr(doas, snr,
-                                                             cfg.power)
-                    mse = analysis.analytical_mse(geom, scenario, n)
-                    report = analysis.crb(geom, scenario, n)
-                    if report.defined:
-                        kappa = analysis.efficiency_kappa(report, mse)
-                        crb_trace = float(np.trace(report.crb))
-                    else:
-                        kappa = float('nan')
-                        crb_trace = float('nan')
-                    kappa_em = float('nan')
-                    kappa_em_se = float('nan')
-                    trials = 0
-                    failed = 0
-                    if cfg.empirical and report.defined:
-                        records = run_trials(geom, scenario, n, methods,
-                                             cfg.seed, combo, cfg.n_trials,
-                                             grid_step, threads)
-                        ok = _successes(records, methods[-1], gate)
-                        trials = cfg.n_trials
-                        failed = trials - len(ok)
-                        if ok:
-                            per_source = np.mean(np.square(
-                                [rec.errors for rec in ok]), axis=0)
-                            total = float(np.sum(per_source))
-                            kappa_em = crb_trace / total
-                            _, se = _mse_stats(ok)
-                            # relative SE of the summed MSE carries over
-                            mse_em = float(np.mean(per_source))
-                            kappa_em_se = kappa_em * se / mse_em
-                    rows.append((geom.name, int(k), float(snr), int(n),
-                                 kappa, int(report.defined), kappa_em,
-                                 kappa_em_se, trials, failed))
-                    combo += 1
-    header = ('array', 'k', 'snr_db', 'n_snapshots', 'kappa_analytic',
-              'crb_defined', 'kappa_empirical', 'kappa_empirical_se',
-              'trials', 'failed_trials')
-    return {'efficiency': Table(header, tuple(rows))}
 
 
 def _family_member(family, q):
@@ -491,81 +376,237 @@ def _family_member(family, q):
         return None
 
 
-def run_scaling(cfg, threads=1):
-    """Closed-form MSE decay against the number of sensors.
+@dataclass(frozen=True)
+class _Point:
+    """One sweep point; ``mv`` is the virtual-ULA size of ``geom``.
 
-    Each family is swept over its size parameter with one source at
-    broadside (``'one'``) and with as many sources as sensors
-    (``'m'``); the log-log slope is fitted per family and mode.
+    ``tags`` are the kind's labels: ``(delta_deg,)`` for resolution,
+    ``(family, k_mode, q)`` for scaling. ``group`` numbers the points
+    that share a resolution threshold (one array, SNR and N) or a
+    scaling slope (one family and k_mode).
     """
-    methods = _methods(cfg.method)
-    grid_step = np.deg2rad(cfg.grid_step_deg)
-    snr = cfg.snr_db[0]
-    n = cfg.n_snapshots[0]
-    notices = []
-    rows = []
-    combo = 0
-    for family in cfg.families:
-        for mode in cfg.k_modes:
-            points = []
+
+    geom: geometry.ArrayGeometry
+    mv: int
+    scenario: model.SourceScenario
+    n: int
+    snr: float
+    tags: tuple
+    group: int
+
+
+def _sweep(cfg, kind):
+    """Points of a config's sweep of ``kind`` and the skip notices.
+
+    A point's index in the list is its combo index, which keys the
+    seeds of its trials. Every scenario is built and checked here, so a
+    bad point raises :class:`ConfigError` before any trial runs.
+    """
+    points, notices = [], []
+    groups = itertools.count()
+
+    def add(geom, mv, doas, snr, n, group, tags=()):
+        try:
+            scenario = model.SourceScenario.with_snr(doas, snr, cfg.power)
+        except ValueError as exc:
+            raise ConfigError(f'{geom.name}: {exc}') from exc
+        if scenario.n_sources >= mv:
+            raise ConfigError(f'{geom.name} needs fewer than mv = {mv} '
+                              f'sources, got {scenario.n_sources}')
+        points.append(_Point(geom, mv, scenario, n, snr, tags, group))
+
+    if kind == 'scaling':
+        for family, mode in itertools.product(cfg.families, cfg.k_modes):
+            group = next(groups)
             for q in cfg.q_range:
                 geom = _family_member(family, q)
                 if geom is None:
-                    notices.append(f'{family} size {q} not available; skipped')
+                    notices.append(f'{family} size {q} not available; '
+                                   'skipped')
                     continue
-                m = geom.n_sensors
-                mv = geometry.difference_coarray(geom).mv
-                if mode == 'one':
-                    doas = (0.0,)
-                else:
-                    doas = tuple(np.deg2rad(np.linspace(-60.0, 60.0, m)))
-                scenario = model.SourceScenario.with_snr(doas, snr, cfg.power)
-                eps = float(np.mean(np.diag(
-                    analysis.analytical_mse(geom, scenario, n))))
-                eps_em = float('nan')
-                eps_se = float('nan')
-                trials = 0
-                failed = 0
-                if cfg.empirical:
-                    records = run_trials(geom, scenario, n, methods,
-                                         cfg.seed, combo, cfg.n_trials,
-                                         grid_step, threads)
-                    ok = _successes(records, methods[-1],
-                                    _failure_gate(doas))
-                    trials = cfg.n_trials
-                    failed = trials - len(ok)
-                    eps_em, eps_se = _mse_stats(ok)
-                points.append([family, mode, int(q), int(m), int(mv), eps,
-                               eps_em, eps_se, trials, failed])
-                combo += 1
-            if len(points) >= 3:
-                logs_m = np.log10([p[3] for p in points])
-                logs_e = np.log10([p[5] for p in points])
-                slope = float(np.polyfit(logs_m, logs_e, 1)[0])
-            else:
-                slope = float('nan')
-            for p in points:
-                rows.append(tuple(p) + (slope,))
-    header = ('family', 'k_mode', 'q', 'm', 'mv', 'eps_an_rad2',
-              'eps_em_rad2', 'eps_em_se_rad2', 'trials', 'failed_trials',
-              'fitted_slope')
-    tables = {'scaling': Table(header, tuple(rows))}
+                add(geom, geometry.difference_coarray(geom).mv,
+                    _fan(1 if mode == 'one' else geom.n_sensors),
+                    cfg.snr_db[0], cfg.n_snapshots[0], group,
+                    (family, mode, q))
+        return points, notices
+
+    if kind == 'efficiency' and cfg.doas_deg is None:
+        fans = [_fan(k) for k in cfg.k_sources]
+    else:
+        given = (_DEFAULT_VERIFY_DOAS_DEG if cfg.doas_deg is None
+                 else cfg.doas_deg)
+        fans = [tuple(np.deg2rad(d) for d in given)]
+    center = np.deg2rad(cfg.center_deg)
+    deltas = (cfg.delta_deg if cfg.delta_deg is not None
+              else tuple(np.linspace(0.3, 3.0, 19)))
+    for spec in cfg.arrays:
+        geom = _parse_array(spec)
+        mv = geometry.difference_coarray(geom).mv
+        for doas, snr, n in itertools.product(fans, cfg.snr_db,
+                                              cfg.n_snapshots):
+            group = next(groups)
+            if kind != 'resolution':
+                add(geom, mv, doas, snr, n, group)
+                continue
+            for delta_deg in deltas:
+                half = np.deg2rad(delta_deg) / 2
+                add(geom, mv, (center - half, center + half), snr, n, group,
+                    (delta_deg,))
+    return points, notices
+
+
+def _closed_form(p):
+    """MSE matrix, CRB report, kappa and CRB trace (NaN if undefined)."""
+    mse = analysis.analytical_mse(p.geom, p.scenario, p.n)
+    report = analysis.crb(p.geom, p.scenario, p.n)
+    if not report.defined:
+        return mse, report, float('nan'), float('nan')
+    return (mse, report, analysis.efficiency_kappa(report, mse),
+            float(np.trace(report.crb)))
+
+
+def _trial_successes(cfg, combo, p, methods, threads, gate=None):
+    """Run a point's trials; per method, those resolved inside the gate.
+
+    The gate defaults to :func:`_failure_gate` of the point's sources.
+    """
+    records = run_trials(p.geom, p.scenario, p.n, methods, cfg.seed, combo,
+                         cfg.n_trials, np.deg2rad(cfg.grid_step_deg), threads)
+    if gate is None:
+        gate = _failure_gate(p.scenario.doas)
+    return [_successes(records, m, gate) for m in methods]
+
+
+def _verify_rows(cfg, points, threads):
+    methods = _methods(cfg.method)
+    for combo, p in enumerate(points):
+        mse_an = float(np.mean(np.diag(
+            analysis.analytical_mse(p.geom, p.scenario, p.n))))
+        successes = _trial_successes(cfg, combo, p, methods, threads)
+        for method, ok in zip(methods, successes):
+            mse_em, se = _mse_stats(ok)
+            rel = abs(mse_an - mse_em) / mse_em if ok else float('nan')
+            yield (p.geom.name, method, float(p.snr), int(p.n), cfg.n_trials,
+                   mse_an, mse_em, rel, se, cfg.n_trials - len(ok))
+
+
+def _resolution_rows(cfg, points, threads):
+    """A trial succeeds when both peaks fall within half the separation."""
+    methods = _methods(cfg.method)
+    thresholds = {}
+    for combo, p in enumerate(points):
+        if p.group not in thresholds:
+            thresholds[p.group] = float(np.rad2deg(
+                analysis.resolution_threshold(
+                    p.geom, p.n, center=np.deg2rad(cfg.center_deg),
+                    power=cfg.power, noise_power=p.scenario.noise_power)))
+        delta_deg, = p.tags
+        successes = _trial_successes(cfg, combo, p, methods, threads,
+                                     gate=np.deg2rad(delta_deg) / 2)
+        for method, ok in zip(methods, successes):
+            prob = len(ok) / cfg.n_trials
+            se = math.sqrt(prob * (1.0 - prob) / cfg.n_trials)
+            yield (p.geom.name, method, float(p.snr), int(p.n),
+                   float(delta_deg), cfg.n_trials, prob, se,
+                   thresholds[p.group])
+
+
+def _efficiency_rows(cfg, points, threads):
+    """Trials run only where the CRB is defined, for the last method."""
+    method = _methods(cfg.method)[-1]
+    for combo, p in enumerate(points):
+        _, report, kappa, crb_trace = _closed_form(p)
+        kappa_em = kappa_em_se = float('nan')
+        trials = failed = 0
+        if cfg.empirical and report.defined:
+            ok, = _trial_successes(cfg, combo, p, (method,), threads)
+            trials, failed = cfg.n_trials, cfg.n_trials - len(ok)
+            if ok:
+                per_source = np.mean(np.square([rec.errors for rec in ok]),
+                                     axis=0)
+                kappa_em = crb_trace / float(np.sum(per_source))
+                _, se = _mse_stats(ok)
+                # relative SE of the summed MSE carries over
+                kappa_em_se = kappa_em * se / float(np.mean(per_source))
+        yield (p.geom.name, p.scenario.n_sources, float(p.snr), int(p.n),
+               kappa, int(report.defined), kappa_em, kappa_em_se, trials,
+               failed)
+
+
+def _scaling_rows(cfg, points, threads):
+    """Trials run for the last method only.
+
+    The log-log slope of MSE against the sensor count is fitted per
+    family and source mode.
+    """
+    method = _methods(cfg.method)[-1]
+    for _, group in itertools.groupby(enumerate(points),
+                                      key=lambda item: item[1].group):
+        rows = []
+        for combo, p in group:
+            eps = float(np.mean(np.diag(
+                analysis.analytical_mse(p.geom, p.scenario, p.n))))
+            eps_em = eps_se = float('nan')
+            trials = failed = 0
+            if cfg.empirical:
+                ok, = _trial_successes(cfg, combo, p, (method,), threads)
+                trials, failed = cfg.n_trials, cfg.n_trials - len(ok)
+                eps_em, eps_se = _mse_stats(ok)
+            rows.append(p.tags + (p.geom.n_sensors, p.mv, eps, eps_em, eps_se,
+                                  trials, failed))
+        slope = float('nan')
+        if len(rows) >= 3:
+            slope = float(np.polyfit(np.log10([row[3] for row in rows]),
+                                     np.log10([row[5] for row in rows]),
+                                     1)[0])
+        yield from (row + (slope,) for row in rows)
+
+
+# Per kind: the table header and the row function over the sweep points.
+_TABLES = {
+    'verify_mse': (('array', 'method', 'snr_db', 'n_snapshots', 'trials',
+                    'mse_an_rad2', 'mse_em_rad2', 'rel_err',
+                    'mse_em_se_rad2', 'failed_trials'), _verify_rows),
+    'resolution': (('array', 'method', 'snr_db', 'n_snapshots', 'delta_deg',
+                    'trials', 'p_resolve', 'p_resolve_se',
+                    'predicted_threshold_deg'), _resolution_rows),
+    'efficiency': (('array', 'k', 'snr_db', 'n_snapshots', 'kappa_analytic',
+                    'crb_defined', 'kappa_empirical', 'kappa_empirical_se',
+                    'trials', 'failed_trials'), _efficiency_rows),
+    'scaling': (('family', 'k_mode', 'q', 'm', 'mv', 'eps_an_rad2',
+                 'eps_em_rad2', 'eps_em_se_rad2', 'trials', 'failed_trials',
+                 'fitted_slope'), _scaling_rows),
+}
+
+
+def run(cfg, threads=1):
+    """Run a config's sweep and return its tables by name.
+
+    Every sweep point is built and checked before the first trial runs.
+    """
+    points, notices = _sweep(cfg, cfg.kind)
+    header, rows = _TABLES[cfg.kind]
+    tables = {cfg.kind: Table(header, tuple(rows(cfg, points, threads)))}
     if notices:
         tables['notices'] = Table(('message',), tuple((s,) for s in notices))
     return tables
 
 
-_RUNNERS = {
-    'verify_mse': run_verify_mse,
-    'resolution': run_resolution,
-    'efficiency': run_efficiency,
-    'scaling': run_scaling,
-}
-
-
-def run(cfg, threads=1):
-    """Dispatch a config to its experiment runner."""
-    return _RUNNERS[cfg.kind](cfg, threads=threads)
+def _analyze_table(cfg):
+    """Per-source closed forms over the points of the efficiency sweep."""
+    rows = []
+    for p in _sweep(cfg, 'efficiency')[0]:
+        mse, report, kappa, crb_trace = _closed_form(p)
+        for i, theta in enumerate(p.scenario.doas):
+            eps = float(mse[i, i])
+            rows.append((p.geom.name, p.scenario.n_sources, float(p.snr),
+                         int(p.n), i, float(np.rad2deg(theta)), eps,
+                         float(eps * np.rad2deg(1.0) ** 2), crb_trace, kappa,
+                         int(report.defined)))
+    header = ('array', 'k', 'snr_db', 'n_snapshots', 'source', 'theta_deg',
+              'eps_rad2', 'eps_deg2', 'crb_trace_rad2', 'kappa',
+              'crb_defined')
+    return Table(header, tuple(rows))
 
 
 def fifty_percent_crossing(x, p):
@@ -608,13 +649,13 @@ def _write_text(path, text):
     return path
 
 
-def _write_csv(path, table):
+def _csv_text(table):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator='\n')
     writer.writerow(table.header)
     for row in table.rows:
         writer.writerow([_fmt_cell(v) for v in row])
-    return _write_text(path, buf.getvalue())
+    return buf.getvalue()
 
 
 def _series_filter(header, row, keys):
@@ -712,7 +753,7 @@ def emit_outputs(tables, out_dir, cfg):
         table = tables[name]
         csv_name = f'{name}.csv'
         path = os.path.join(out_dir, csv_name)
-        written.append(_write_csv(path, table))
+        written.append(_write_text(path, _csv_text(table)))
         manifest_tables[name] = {'path': csv_name, 'rows': len(table.rows)}
         script = _plot_script(name, table, csv_name)
         if script is not None:

@@ -142,9 +142,16 @@ def steering_matrix(geom, scenario):
         to the k-th DOA: ``j * phi_dot_k * diag(pos) @ a(theta_k)``
         with ``phi_dot_k = 2 pi d0 cos(theta_k) / wavelength``.
     """
-    pos = geom.position_array()
-    theta = np.asarray(scenario.doas)
-    rate = _phase_rate(geom)
+    return _steering(geom.position_array(), scenario.doas, _phase_rate(geom))
+
+
+def _steering(pos, theta, rate):
+    """Steering matrix over positions ``pos`` and its DOA derivative.
+
+    Element (i, k) is ``exp(j * rate * pos_i * sin(theta_k))``, with
+    ``rate`` the phase per unit position (see :func:`_phase_rate`).
+    """
+    theta = np.asarray(theta)
     a = np.exp(1j * rate * np.outer(pos, np.sin(theta)))
     a_dot = 1j * rate * np.cos(theta)[None, :] * pos[:, None] * a
     return a, a_dot

@@ -99,6 +99,12 @@ def test_error_functionals_are_nondegenerate():
     for _ in range(10):
         sc = random_scenario(rng, int(rng.integers(1, 4)))
         terms = analysis.error_terms(geom, sc)
+        # the virtual manifold is, bit for bit, the steering matrix of
+        # the virtual ULA
+        av, _ = model.steering_matrix(
+            geometry.ula(terms.mv, geom.d0, geom.wavelength), sc)
+        np.testing.assert_array_equal(
+            terms.alpha, -np.linalg.pinv(av, rcond=analysis._RANK_RCOND))
         assert np.all(np.linalg.norm(terms.beta, axis=1) > 1e-8)
         assert np.all(np.linalg.norm(terms.xi, axis=1) > 1e-8)
         assert np.all(terms.gamma > 0)

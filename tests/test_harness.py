@@ -23,6 +23,22 @@ def tiny_scaling_config(**overrides):
     return ExperimentConfig(**base)
 
 
+@pytest.fixture
+def trial_calls(monkeypatch):
+    """(combo_index, methods) of every run_trials call, in call order."""
+    calls = []
+    real = harness.run_trials
+
+    def spy(geom, scenario, n_snapshots, methods, master_seed, combo_index,
+            *args, **kwargs):
+        calls.append((combo_index, tuple(methods)))
+        return real(geom, scenario, n_snapshots, methods, master_seed,
+                    combo_index, *args, **kwargs)
+
+    monkeypatch.setattr(harness, 'run_trials', spy)
+    return calls
+
+
 def test_config_validation():
     with pytest.raises(harness.ConfigError):
         ExperimentConfig(kind='frobnicate')
@@ -48,8 +64,12 @@ def test_config_validation():
         ExperimentConfig(kind='resolution', delta_deg=(0.5, -1.0))
     with pytest.raises(harness.ConfigError):
         ExperimentConfig(kind='verify_mse', snr_db=())
-    with pytest.raises(harness.ConfigError):
-        ExperimentConfig(kind='verify_mse', n_snapshots=(0,))
+    for field, bad in (('n_snapshots', 0), ('n_snapshots', 20.7),
+                       ('n_snapshots', True), ('k_sources', 2.5),
+                       ('k_sources', True), ('q_range', 3.5),
+                       ('q_range', True)):
+        with pytest.raises(harness.ConfigError):
+            ExperimentConfig(kind='verify_mse', **{field: (bad,)})
 
 
 def test_from_mapping_rejects_unknown_and_converts_lists():
@@ -167,9 +187,9 @@ def test_fifty_percent_crossing():
         harness.fifty_percent_crossing([1.0], [0.4])
 
 
-def test_verify_mse_runner_schema():
+def test_verify_mse_runner_schema(trial_calls):
     cfg = ExperimentConfig(kind='verify_mse', arrays=('coprime:2',),
-                           snr_db=(10.0,), n_snapshots=(200,), n_trials=5,
+                           snr_db=(10.0,), n_snapshots=(200, 300), n_trials=5,
                            method='both', doas_deg=(-20.0, 25.0),
                            grid_step_deg=0.5)
     tables = harness.run(cfg)
@@ -177,7 +197,8 @@ def test_verify_mse_runner_schema():
     assert table.header[:8] == ('array', 'method', 'snr_db', 'n_snapshots',
                                 'trials', 'mse_an_rad2', 'mse_em_rad2',
                                 'rel_err')
-    assert len(table.rows) == 2  # one per method
+    assert len(table.rows) == 4  # one per method and snapshot count
+    assert trial_calls == [(0, ('da', 'ss')), (1, ('da', 'ss'))]
     for row in table.rows:
         named = dict(zip(table.header, row))
         assert named['array'] == 'coprime(2,3)'
@@ -186,7 +207,7 @@ def test_verify_mse_runner_schema():
         assert named['failed_trials'] >= 0
 
 
-def test_resolution_runner_schema():
+def test_resolution_runner_schema(trial_calls):
     cfg = ExperimentConfig(kind='resolution', arrays=('mra:10',),
                            snr_db=(0.0,), n_snapshots=(120,), n_trials=4,
                            delta_deg=(1.0, 2.5), grid_step_deg=0.5)
@@ -198,6 +219,7 @@ def test_resolution_runner_schema():
     thresholds = {row[-1] for row in table.rows}
     assert len(thresholds) == 1  # same sweep point, same prediction
     assert all(0.0 <= row[6] <= 1.0 for row in table.rows)
+    assert trial_calls == [(0, ('ss',)), (1, ('ss',))]  # one per separation
 
 
 def test_efficiency_runner_schema():
@@ -222,27 +244,30 @@ def test_efficiency_runner_schema():
         assert np.isnan(named['kappa_empirical'])
 
 
-def test_efficiency_runner_empirical_columns():
+def test_efficiency_runner_empirical_columns(trial_calls):
     cfg = ExperimentConfig(kind='efficiency', arrays=('coprime:2',),
                            k_sources=(1,), snr_db=(10.0,),
                            n_snapshots=(150,), n_trials=12,
-                           grid_step_deg=0.5, empirical=True)
+                           grid_step_deg=0.5, empirical=True, method='both')
     table = harness.run(cfg)['efficiency']
     named = dict(zip(table.header, table.rows[0]))
     assert named['trials'] == 12
     assert np.isfinite(named['kappa_empirical'])
     assert named['kappa_empirical'] > 0
     assert np.isfinite(named['kappa_empirical_se'])
+    # the table reports the last method only, so only that one runs
+    assert trial_calls == [(0, ('ss',))]
 
 
-def test_scaling_runner_schema_and_slope():
-    cfg = tiny_scaling_config(q_range=(3, 4, 5, 13))
+def test_scaling_runner_schema_and_slope(trial_calls):
+    cfg = tiny_scaling_config(q_range=(2, 3, 4, 5, 13), empirical=True,
+                              method='both')
     tables = harness.run(cfg)
     table = tables['scaling']
     assert table.header == ('family', 'k_mode', 'q', 'm', 'mv',
                             'eps_an_rad2', 'eps_em_rad2', 'eps_em_se_rad2',
                             'trials', 'failed_trials', 'fitted_slope')
-    assert len(table.rows) == 3  # size 13 has no tabulated design
+    assert len(table.rows) == 3  # sizes 2 and 13 have no tabulated design
     slopes = {row[-1] for row in table.rows}
     assert len(slopes) == 1
     assert next(iter(slopes)) < 0  # error decays with aperture
@@ -253,13 +278,57 @@ def test_scaling_runner_schema_and_slope():
         assert named['mv'] == geometry.difference_coarray(geom).mv
     notices = tables['notices']
     assert notices.header == ('message',)
-    assert any('13' in msg for (msg,) in notices.rows)
+    assert [msg.split()[2] for (msg,) in notices.rows] == ['2', '13']
+    # skipped sizes take no combo index
+    assert trial_calls == [(0, ('ss',)), (1, ('ss',)), (2, ('ss',))]
 
 
 def test_scaling_runner_too_few_points_gives_nan_slope():
     table = harness.run(tiny_scaling_config(q_range=(3, 4)))['scaling']
     assert len(table.rows) == 2
     assert all(np.isnan(row[-1]) for row in table.rows)
+
+
+@pytest.mark.parametrize('overrides', [
+    # K = 12 is not below mv = 8 of coprime(2), the second array
+    dict(kind='efficiency', arrays=('coprime:3,5', 'coprime:2'),
+         k_sources=(1, 12), empirical=True),
+    dict(kind='verify_mse', doas_deg=(10.0, -5.0)),
+    dict(kind='efficiency', doas_deg=(10.0, 10.0)),
+    dict(kind='resolution', center_deg=89.0, delta_deg=(1.0, 4.0)),
+])
+def test_bad_sweep_points_fail_before_any_trial(trial_calls, overrides):
+    cfg = ExperimentConfig(snr_db=(0.0,), n_snapshots=(100,), n_trials=2,
+                           **overrides)
+    with pytest.raises(harness.ConfigError):
+        harness.run(cfg)
+    assert trial_calls == []
+
+
+@pytest.mark.parametrize('placement, calls', [
+    (dict(arrays=('coprime:2',), k_sources=(1, 2)),
+     [(0, ('ss',)), (1, ('ss',))]),
+    # the CRB of the 3-sensor array is undefined at this endfire fan, so
+    # its point runs no trials but still takes combo index 0
+    (dict(arrays=('custom:0,1,3', 'coprime:2'), doas_deg=(-89.0, 0.0, 89.0)),
+     [(1, ('ss',))]),
+])
+def test_analyze_matches_efficiency_run(trial_calls, placement, calls):
+    cfg = ExperimentConfig(kind='efficiency', snr_db=(10.0,),
+                           n_snapshots=(150,), n_trials=3, grid_step_deg=0.5,
+                           empirical=True, method='both', **placement)
+    table = harness.run(cfg)['efficiency']
+    ran = [dict(zip(table.header, row)) for row in table.rows]
+    table = harness._analyze_table(cfg)
+    # analyze gives one row per source; compare its first source's row
+    analyzed = [dict(zip(table.header, row)) for row in table.rows
+                if row[table.header.index('source')] == 0]
+    assert len(ran) == len(analyzed) > 0
+    point = ('array', 'k', 'snr_db', 'n_snapshots', 'crb_defined')
+    for r, a in zip(ran, analyzed):
+        assert [r[c] for c in point] == [a[c] for c in point]
+        np.testing.assert_array_equal(r['kappa_analytic'], a['kappa'])
+    assert trial_calls == calls
 
 
 def test_emit_outputs_deterministic(tmp_path):
