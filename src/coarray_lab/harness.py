@@ -181,6 +181,10 @@ class ExperimentConfig:
             raise ConfigError('power must be positive')
         if not -90.0 < self.center_deg < 90.0:
             raise ConfigError('center_deg must lie inside (-90, 90)')
+        for name in ('k_sources', 'q_range', 'families', 'k_modes',
+                     'delta_deg'):
+            if getattr(self, name) is not None and not getattr(self, name):
+                raise ConfigError(f'{name} must not be an empty list')
         if self.delta_deg is not None and any(d <= 0 for d in self.delta_deg):
             raise ConfigError('delta_deg entries must be positive')
         if any(k < 1 for k in self.k_sources):
@@ -593,9 +597,9 @@ def run(cfg, threads=1):
 
 
 def _analyze_table(cfg):
-    """Per-source closed forms over the points of the efficiency sweep."""
+    """Per-source closed forms over the points of the config's sweep."""
     rows = []
-    for p in _sweep(cfg, 'efficiency')[0]:
+    for p in _sweep(cfg, cfg.kind)[0]:
         mse, report, kappa, crb_trace = _closed_form(p)
         for i, theta in enumerate(p.scenario.doas):
             eps = float(mse[i, i])

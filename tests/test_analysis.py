@@ -357,3 +357,141 @@ def test_resolution_threshold_ordering_and_consistency():
             (center - delta / 2.0, center + delta / 2.0), (1.0, 1.0), 1.0)
         mse = analysis.analytical_mse(geom, sc, n)
         assert analysis.resolution_predict(mse, delta) is expected
+
+
+# Reference routes: the arithmetic the production code replaced, kept
+# here to pin the faster routes against it.
+
+# (array, source counts); coprime(16) runs as many sources as sensors
+REFERENCE_CASES = (
+    (geometry.coprime(3, 5), (1, 2, 11)),
+    (geometry.nested(4, 6), (1, 2, 11)),
+    (geometry.mra(10), (1, 2, 11)),
+    (geometry.coprime(16), (48,)),
+    (geometry.custom((0, 2, 3, 7, 20)), (1, 2, 5)),
+)
+
+
+def reference_scenarios():
+    rng = np.random.default_rng(14)
+    for geom, counts in REFERENCE_CASES:
+        for k in counts:
+            if k > 12:
+                doas = np.deg2rad(np.linspace(-60.0, 60.0, k))
+                yield geom, model.SourceScenario.with_snr(doas, 0.0)
+            else:
+                yield geom, random_scenario(rng, k, min_sep=0.1)
+
+
+def xi_via_dense_selection(geom, terms):
+    """Each xi row as F^T applied to the folded correlation."""
+    f = geometry.selection_matrix(geometry.difference_coarray(geom))
+    return np.stack([f.T @ np.convolve(beta[::-1], alpha, mode='full')
+                     for alpha, beta in zip(terms.alpha, terms.beta)])
+
+
+def mse_via_pair_loop(geom, scenario, n):
+    """The closed-form MSE entry by entry, one sum per source pair."""
+    terms = analysis.error_terms(geom, scenario)
+    m, k = geom.n_sensors, scenario.n_sources
+    rt = model.true_covariance(geom, scenario).R.T
+    xi_mats = [model.unvec(terms.xi[j], m) for j in range(k)]
+    sandwich = [rt @ x @ rt for x in xi_mats]
+    scale = np.asarray(scenario.powers) * terms.gamma
+    mse = np.empty((k, k))
+    for k1 in range(k):
+        for k2 in range(k):
+            quad = np.sum(xi_mats[k1].conj() * sandwich[k2])
+            mse[k1, k2] = quad.real / (n * scale[k1] * scale[k2])
+    return 0.5 * (mse + mse.T)
+
+
+def whitened_per_column(geom, scenario):
+    """The model Jacobian whitened column by column, W C W per column."""
+    jac = analysis.model_jacobian(geom, scenario)
+    lam, u = np.linalg.eigh(model.true_covariance(geom, scenario).R)
+    r_isqrt = (u * (1.0 / np.sqrt(lam))) @ u.conj().T
+    m = geom.n_sensors
+    return np.stack([model.vec(r_isqrt @ model.unvec(c, m) @ r_isqrt)
+                     for c in jac.T], axis=1)
+
+
+def threshold_full_scan(geom, n_snapshots, mse):
+    """Threshold from all 80 scan points and all 60 bisection steps."""
+    center = np.deg2rad(30.0)
+
+    def excess(delta):
+        sc = model.SourceScenario(
+            (center - delta / 2.0, center + delta / 2.0), (1.0, 1.0), 1.0)
+        cov = mse(geom, sc, n_snapshots)
+        return np.sqrt(cov[0, 0]) + np.sqrt(cov[1, 1]) - delta
+
+    deltas = np.geomspace(np.deg2rad(1e-3), np.deg2rad(6.0), 80)
+    values = np.array([excess(d) for d in deltas])
+    cross = np.nonzero((values[:-1] > 0) & (values[1:] <= 0))[0][0]
+    a, b = deltas[cross], deltas[cross + 1]
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        if excess(mid) > 0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+def relative_gap(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def test_xi_gather_equals_dense_selection_bitwise():
+    for geom, sc in reference_scenarios():
+        terms = analysis.error_terms(geom, sc)
+        np.testing.assert_array_equal(terms.xi,
+                                      xi_via_dense_selection(geom, terms))
+
+
+def test_mse_matches_pair_loop():
+    for geom, sc in reference_scenarios():
+        for n in (100, 2000):
+            want = mse_via_pair_loop(geom, sc, n)
+            assert relative_gap(analysis.analytical_mse(geom, sc, n),
+                                want) <= 1e-12
+
+
+def test_crb_matches_per_column_whitening(monkeypatch):
+    cases = list(reference_scenarios())
+    # ula(3) holds 3 sources with an undefined CRB
+    cases.append((geometry.ula(3),
+                  model.SourceScenario.with_snr((-0.5, 0.1, 0.6), 10.0)))
+    got = [analysis.crb(geom, sc, 500) for geom, sc in cases]
+    monkeypatch.setattr(analysis, '_whitened_jacobian', whitened_per_column)
+    want = [analysis.crb(geom, sc, 500) for geom, sc in cases]
+    assert [r.defined for r in got] == [r.defined for r in want]
+    assert [r.defined for r in want].count(False) >= 1
+    for g, w in zip(got, want):
+        assert g.jacobian_rank == w.jacobian_rank
+        assert relative_gap(g.fim, w.fim) <= 1e-12
+        if w.defined:
+            assert relative_gap(g.crb, w.crb) <= 1e-12
+
+
+def test_resolution_threshold_matches_full_scan(monkeypatch):
+    calls = []
+    real = analysis.analytical_mse
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(analysis, 'analytical_mse', counted)
+    for geom in (geometry.coprime(3, 5), geometry.nested(4, 6),
+                 geometry.mra(10)):
+        for n in (100, 2000):
+            calls.clear()
+            got = analysis.resolution_threshold(geom, n)
+            used = len(calls)
+            want = threshold_full_scan(geom, n, real)
+            assert got == want
+            assert used <= 140
+            if geom.name == 'coprime(3,5)':
+                assert used < 140

@@ -70,6 +70,13 @@ def test_config_validation():
                        ('q_range', True)):
         with pytest.raises(harness.ConfigError):
             ExperimentConfig(kind='verify_mse', **{field: (bad,)})
+    # an empty sweep list fails whatever the kind reads
+    for field in ('k_sources', 'delta_deg', 'families', 'q_range',
+                  'k_modes'):
+        for kind in ('verify_mse', 'resolution', 'efficiency', 'scaling'):
+            with pytest.raises(harness.ConfigError, match='empty'):
+                ExperimentConfig(kind=kind, **{field: ()})
+    assert ExperimentConfig(kind='resolution', delta_deg=None).delta_deg is None
 
 
 def test_from_mapping_rejects_unknown_and_converts_lists():
@@ -329,6 +336,22 @@ def test_analyze_matches_efficiency_run(trial_calls, placement, calls):
         assert [r[c] for c in point] == [a[c] for c in point]
         np.testing.assert_array_equal(r['kappa_analytic'], a['kappa'])
     assert trial_calls == calls
+
+
+def test_analyze_follows_the_config_kind():
+    cfg = ExperimentConfig(kind='verify_mse', arrays=('coprime:3,5',),
+                           snr_db=(0.0, 10.0), n_snapshots=(250,), n_trials=2,
+                           grid_step_deg=0.5)
+    table = harness._analyze_table(cfg)
+    rows = [dict(zip(table.header, row)) for row in table.rows]
+    ran = harness.run(cfg)['verify_mse'].rows
+    assert len(rows) == 11 * len(ran)
+    for i, point in enumerate(ran):
+        fan = rows[11 * i:11 * (i + 1)]
+        assert [r['source'] for r in fan] == list(range(11))
+        assert {(r['array'], r['k'], r['snr_db'], r['n_snapshots'])
+                for r in fan} == {(point[0], 11, point[2], point[3])}
+        assert float(np.mean([r['eps_rad2'] for r in fan])) == point[5]
 
 
 def test_emit_outputs_deterministic(tmp_path):
