@@ -95,7 +95,8 @@ def _cmd_estimate(args):
         model.dump_snapshots_csv(snapshots, args.dump_snapshots)
     z = model.virtual_observation(f, model.sample_covariance(snapshots).r)
     est = run_music(z, co.mv, scenario.n_sources, method=args.method,
-                    grid_step=np.deg2rad(args.grid_step_deg))
+                    grid_step=np.deg2rad(args.grid_step_deg), d0=geom.d0,
+                    wavelength=geom.wavelength)
     if not est.resolved:
         print(f'unresolved: found {len(est.angles)} of '
               f'{scenario.n_sources} sources', file=sys.stderr)

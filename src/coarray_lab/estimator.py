@@ -3,8 +3,12 @@
 The virtual observation z (length 2 * mv - 1) is rearranged into an
 mv x mv augmented covariance in one of two ways: direct rearrangement
 into a Toeplitz-like matrix, or spatial smoothing over the mv coarray
-subarrays. Both share the same noise subspace on exact data, so MUSIC
-applied to either yields the same asymptotic behavior.
+subarrays. On a conjugate-symmetric z, as every Hermitian covariance
+gives, the smoothed matrix is Rv2 = Rv1^2 / mv, so the two share their
+eigenvectors and MUSIC applied to either yields the same asymptotic
+behavior. :func:`run_music` therefore decomposes the direct
+augmentation only: DA takes the eigenvectors with the smallest
+eigenvalues, SS those with the smallest |eigenvalue|.
 
 On the virtual uniform array the MUSIC null spectrum
 a(phi)^H E_n E_n^H a(phi) is a real trigonometric polynomial of
@@ -40,6 +44,12 @@ _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 # keyed by (mv, step, d0 / wavelength); entries are read-only and
 # shared across trials.
 _GRID_CACHE = {}
+
+# The last run_music input, keyed by (z, mv, k, estimator keywords):
+# its direct augmentation, DA noise basis, eigensystem and the estimate
+# for each noise column set scanned so far. One entry, so the DA and SS
+# calls of a trial share one eigendecomposition.
+_TRIAL_CACHE = {}
 
 
 @dataclass(frozen=True)
@@ -134,7 +144,7 @@ def augment_spatial_smoothing(z, mv):
     return AugmentedCovariance(rv=rv, mv=mv, kind='spatial_smoothing')
 
 
-def noise_subspace(rv, k):
+def noise_subspace(rv, k, return_eigensystem=False):
     """Orthonormal noise-subspace basis of an augmented covariance.
 
     Eigenvalues are sorted ascending by algebraic value and the first
@@ -145,9 +155,13 @@ def noise_subspace(rv, k):
     Args:
         rv: Hermitian mv x mv matrix or an :class:`AugmentedCovariance`.
         k: Number of sources, 1 <= k < mv.
+        return_eigensystem: Also return the eigensystem the basis was
+            taken from.
 
     Returns:
-        Complex mv x (mv - k) matrix with orthonormal columns.
+        Complex mv x (mv - k) matrix with orthonormal columns; with
+        ``return_eigensystem`` the tuple ``(basis, values, vectors)``,
+        eigenvalues ascending and eigenvectors as columns.
     """
     if isinstance(rv, AugmentedCovariance):
         rv = rv.rv
@@ -155,8 +169,24 @@ def noise_subspace(rv, k):
     mv = rv.shape[0]
     if not 1 <= k < mv:
         raise ValueError(f'need 1 <= k < mv = {mv}, got k = {k}')
-    _, vecs = np.linalg.eigh(rv)
-    return vecs[:, :mv - k]
+    values, vectors = np.linalg.eigh(rv)
+    basis = vectors[:, :mv - k]
+    return (basis, values, vectors) if return_eigensystem else basis
+
+
+def _noise_columns(values, k, method):
+    """Ascending indices of a method's mv - k noise eigenvectors of Rv1.
+
+    ``values`` are the eigenvalues of the direct augmentation Rv1,
+    ascending. DA keeps the first mv - k. SS keeps the mv - k smallest
+    in absolute value: Rv2 = Rv1^2 / mv has eigenvalues lambda^2 / mv
+    on the same eigenvectors.
+    """
+    n = values.shape[0] - k
+    if method == 'da':
+        return tuple(range(n))
+    return tuple(np.sort(np.argsort(np.abs(values), kind='stable')[:n])
+                 .tolist())
 
 
 def _phase_table(mv, phi):
@@ -281,7 +311,7 @@ def default_grid(grid_step=np.deg2rad(0.1)):
 
 
 def estimate_doas(rv, k, grid_step=np.deg2rad(0.1), refine_iters=5,
-                  d0=0.5, wavelength=1.0, return_spectrum=False):
+                  d0=0.5, wavelength=1.0, return_spectrum=False, en=None):
     """Grid MUSIC with sub-grid refinement on an augmented covariance.
 
     Peaks are interior local maxima of the pseudo-spectrum; the k
@@ -298,6 +328,8 @@ def estimate_doas(rv, k, grid_step=np.deg2rad(0.1), refine_iters=5,
         d0: Virtual-ULA spacing.
         wavelength: Carrier wavelength.
         return_spectrum: Attach the grid and spectrum to the result.
+        en: Noise-subspace basis of ``rv`` when it is already at hand;
+            ``rv`` is then not decomposed again.
 
     Returns:
         A :class:`DoaEstimate` with ascending angles.
@@ -306,7 +338,7 @@ def estimate_doas(rv, k, grid_step=np.deg2rad(0.1), refine_iters=5,
         rv = rv.rv
     rv = np.asarray(rv)
     mv = rv.shape[0]
-    c0, w = _null_polynomial(noise_subspace(rv, k))
+    c0, w = _null_polynomial(noise_subspace(rv, k) if en is None else en)
     ratio = d0 / wavelength
     rate = 2.0 * np.pi * ratio
     grid, table = _grid_table(mv, grid_step, ratio)
@@ -331,7 +363,19 @@ def estimate_doas(rv, k, grid_step=np.deg2rad(0.1), refine_iters=5,
 
 
 def run_music(z, mv, k, method='ss', **kwargs):
-    """Augment a virtual observation and run MUSIC on it.
+    """Coarray MUSIC on a virtual observation.
+
+    Both methods read their noise subspace off one eigendecomposition,
+    that of the direct augmentation Rv1 (:func:`augment_direct`). DA
+    takes the mv - k eigenvectors with the smallest eigenvalues, SS the
+    mv - k with the smallest |eigenvalue|: since the spatially smoothed
+    Rv2 equals Rv1^2 / mv, those span the noise subspace of Rv2, which
+    is never formed. The eigensystem of the last (z, mv, k, kwargs) is
+    kept with the estimate of each noise column set, so the second
+    method on the same input makes no second decomposition, and no
+    second scan when both methods pick the same columns (the usual
+    case). Results may thus be shared between calls; their arrays are
+    read-only.
 
     Args:
         z: Virtual observation of length 2 * mv - 1.
@@ -344,10 +388,27 @@ def run_music(z, mv, k, method='ss', **kwargs):
     Returns:
         A :class:`DoaEstimate`.
     """
-    if method == 'ss':
-        aug = augment_spatial_smoothing(z, mv)
-    elif method == 'da':
-        aug = augment_direct(z, mv)
-    else:
+    if method not in ('ss', 'da'):
         raise ValueError(f"method must be 'ss' or 'da', got {method!r}")
-    return estimate_doas(aug, k, **kwargs)
+    z = np.asarray(z)
+    # keyword values by repr, which is exact for scalars and also covers
+    # unhashable ones such as 0-d arrays
+    key = (z.dtype.str, z.shape, z.tobytes(), mv, k,
+           tuple(sorted((name, repr(v)) for name, v in kwargs.items())))
+    trial = _TRIAL_CACHE.get(key)
+    if trial is None:
+        _TRIAL_CACHE.clear()
+        aug = augment_direct(z, mv)
+        trial = _TRIAL_CACHE[key] = (
+            aug, *noise_subspace(aug, k, return_eigensystem=True), {})
+    aug, basis, values, vectors, estimates = trial
+    cols = _noise_columns(values, k, method)
+    est = estimates.get(cols)
+    if est is None:
+        en = basis if cols[-1] == len(cols) - 1 else vectors[:, list(cols)]
+        est = estimate_doas(aug, k, en=en, **kwargs)
+        for arr in (est.angles, est.refined, est.spectrum):
+            if arr is not None:
+                arr.setflags(write=False)
+        estimates[cols] = est
+    return est

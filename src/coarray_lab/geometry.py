@@ -45,7 +45,8 @@ class ArrayGeometry:
     Attributes:
         positions: Strictly increasing integer sensor positions, in
             units of ``d0``.
-        d0: Base spacing (same length unit as ``wavelength``).
+        d0: Base spacing (same length unit as ``wavelength``), at most
+            half the wavelength so the coarray does not alias.
         wavelength: Carrier wavelength.
         name: Human-readable label used in reports and CSV output.
 
@@ -68,6 +69,9 @@ class ArrayGeometry:
             raise ValueError('sensor positions must be strictly increasing')
         if not (self.d0 > 0 and self.wavelength > 0):
             raise ValueError('d0 and wavelength must be positive')
+        if self.d0 > self.wavelength / 2:
+            raise ValueError(f'd0 = {self.d0} exceeds half the wavelength '
+                             f'{self.wavelength}; the coarray would alias')
         object.__setattr__(self, 'positions', pos)
 
     @property

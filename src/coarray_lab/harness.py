@@ -289,7 +289,8 @@ def _chunk_worker(task):
         per_method = []
         for method in methods:
             est = run_music(z, co.mv, scenario.n_sources, method=method,
-                            grid_step=grid_step)
+                            grid_step=grid_step, d0=geom.d0,
+                            wavelength=geom.wavelength)
             per_method.append((method, bool(est.resolved),
                                tuple(float(a) for a in est.angles)))
         out.append((trial, per_method))

@@ -204,10 +204,11 @@ def simulate_snapshots(geom, scenario, n_snapshots, seed):
     m = geom.n_sensors
     a, _ = steering_matrix(geom, scenario)
     amp = np.sqrt(np.asarray(scenario.powers) / 2.0)
-    sig = rng_sig.standard_normal((n_snapshots, k, 2))
-    x = amp * (sig[:, :, 0] + 1j * sig[:, :, 1])
-    nse = rng_noise.standard_normal((n_snapshots, m, 2))
-    noise = np.sqrt(scenario.noise_power / 2.0) * (nse[:, :, 0] + 1j * nse[:, :, 1])
+    # each (re, im) pair of normal draws is read in place as one complex
+    sig = rng_sig.standard_normal((n_snapshots, k, 2)).view(complex)[..., 0]
+    x = amp * sig
+    nse = rng_noise.standard_normal((n_snapshots, m, 2)).view(complex)[..., 0]
+    noise = np.sqrt(scenario.noise_power / 2.0) * nse
     return a @ x.T + noise.T
 
 

@@ -6,6 +6,8 @@ must localize sources to far below the grid step, and against a scalar
 reference implementation on sampled data.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -373,3 +375,104 @@ def test_polynomial_estimator_matches_scalar_reference(spec):
                         np.testing.assert_allclose(
                             1.0 / est.spectrum, ref_null, rtol=0,
                             atol=1e-12 * mv)
+
+
+# Reference for the shared eigensystem: each method decomposes its own
+# augmentation, SS the spatially smoothed matrix, then scans it.
+
+SHARED_ARRAYS = ('coprime:3,5', 'nested:4,6', 'mra:10')
+
+
+@pytest.mark.parametrize('spec', SHARED_ARRAYS)
+def test_shared_eigensystem_matches_separate_decompositions(spec):
+    geom = harness._parse_array(spec)
+    co = geometry.difference_coarray(geom)
+    f = geometry.selection_matrix(co)
+    mv = co.mv
+    shared = differing = 0
+    for k in (1, 2, mv // 2, mv - 1):
+        doas = np.deg2rad(np.linspace(-60.0, 60.0, k) if k > 1 else (20.0,))
+        for snr in (-10.0, 0.0, 10.0, 20.0, 30.0):
+            sc = model.SourceScenario.with_snr(doas, snr)
+            for n, seed in itertools.product((10, 50, 500), (7, 8)):
+                y = model.simulate_snapshots(geom, sc, n, seed=seed)
+                z = model.virtual_observation(f,
+                                              model.sample_covariance(y).r)
+                da = estimator.run_music(z, mv, k, method='da')
+                ss = estimator.run_music(z, mv, k, method='ss')
+                ref_da = estimator.estimate_doas(
+                    estimator.augment_direct(z, mv), k)
+                ref_ss = estimator.estimate_doas(
+                    estimator.augment_spatial_smoothing(z, mv), k)
+                label = (k, snr, n, seed)
+                assert da.resolved == ref_da.resolved, label
+                np.testing.assert_array_equal(da.angles, ref_da.angles,
+                                              err_msg=str(label))
+                np.testing.assert_array_equal(da.refined, ref_da.refined,
+                                              err_msg=str(label))
+                assert ss.resolved == ref_ss.resolved, label
+                np.testing.assert_array_equal(ss.refined, ref_ss.refined,
+                                              err_msg=str(label))
+                err = np.abs(ss.angles - ref_ss.angles)
+                assert np.all(err <= 1e-8), (label, err.max())
+                # one scan when both methods pick the same eigenvectors
+                if ss is da:
+                    shared += 1
+                else:
+                    differing += 1
+    assert shared > 0 and differing > 0, (shared, differing)
+
+
+def test_smoothed_estimate_does_not_depend_on_the_direct_call():
+    geom = geometry.nested(4, 6)
+    sc = model.SourceScenario.with_snr(np.deg2rad(np.linspace(-60, 60, 15)),
+                                       -10.0)
+    for seed in range(6):
+        z, mv = sampled_virtual(geom, sc, 10, seed=seed)
+        estimator._TRIAL_CACHE.clear()
+        alone = estimator.run_music(z, mv, 15, method='ss')
+        estimator._TRIAL_CACHE.clear()
+        estimator.run_music(z, mv, 15, method='da')
+        beside = estimator.run_music(z, mv, 15, method='ss')
+        assert alone.resolved == beside.resolved
+        np.testing.assert_array_equal(alone.angles, beside.angles)
+        np.testing.assert_array_equal(alone.refined, beside.refined)
+
+
+def test_run_music_decomposes_once_per_input(monkeypatch):
+    calls = []
+    real = estimator.noise_subspace
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, 'noise_subspace', spy)
+    geom = geometry.coprime(3, 5)
+    sc = model.SourceScenario.with_snr(np.deg2rad([-10.0, 15.0]), 0.0)
+    z, mv = sampled_virtual(geom, sc, 500, seed=3)
+    da = estimator.run_music(z, mv, 2, method='da')
+    ss = estimator.run_music(z, mv, 2, method='ss')
+    assert ss is da
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        da.angles[0] = 0.0
+    # another keyword is another input, and any keyword value will do
+    estimator.run_music(z, mv, 2, method='ss', refine_iters=4)
+    assert len(calls) == 2
+    step = np.asarray(np.deg2rad(0.1))
+    estimator.run_music(z, mv, 2, method='da', grid_step=step)
+    again = estimator.run_music(z, mv, 2, method='ss', grid_step=step)
+    assert len(calls) == 3
+    np.testing.assert_array_equal(again.angles, da.angles)
+
+
+def test_noise_columns_rank_by_method():
+    values = np.array([-3.0, -0.5, 0.2, 1.0, 4.0])
+    assert estimator._noise_columns(values, 2, 'da') == (0, 1, 2)
+    assert estimator._noise_columns(values, 2, 'ss') == (1, 2, 3)
+    assert estimator._noise_columns(values, 3, 'ss') == (1, 2)
+    rv = np.diag(values).astype(complex)
+    en, vals, vecs = estimator.noise_subspace(rv, 2, return_eigensystem=True)
+    np.testing.assert_array_equal(vals, values)
+    np.testing.assert_array_equal(en, vecs[:, :3])

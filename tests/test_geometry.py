@@ -199,3 +199,12 @@ def test_geometry_validation_of_spacing():
     geom = geometry.ArrayGeometry((0, 2, 5), d0=0.25, wavelength=2.0)
     assert geom.aperture == 5
     assert geom.n_sensors == 3
+
+
+def test_spacing_beyond_half_wavelength_is_rejected():
+    # at d0 = wavelength a +30 deg source would alias to -30 deg
+    with pytest.raises(ValueError, match='alias'):
+        geometry.custom([0, 1, 3], d0=1.0)
+    with pytest.raises(ValueError, match='alias'):
+        geometry.coprime(3, 5, d0=0.6, wavelength=1.0)
+    assert geometry.custom([0, 1, 3], d0=1.0, wavelength=2.0).d0 == 1.0

@@ -162,22 +162,40 @@ def test_run_trials_reproducible_and_chunking_invariant():
 
 
 def test_trial_matches_direct_replay():
-    # a record is reproducible from its seed_key alone
+    # a record is reproducible from its seed_key alone, for each method
+    # and whichever method is replayed first
+    from coarray_lab import estimator
     geom = geometry.coprime(2)
     sc = model.SourceScenario.with_snr(np.deg2rad([-20.0, 25.0]), 10.0)
-    records = harness.run_trials(geom, sc, 64, ('ss',), master_seed=31,
+    records = harness.run_trials(geom, sc, 64, ('da', 'ss'), master_seed=31,
                                  combo_index=4, n_trials=3,
                                  grid_step=np.deg2rad(0.5))
-    rec = records[-1]
-    seed = np.random.SeedSequence(entropy=rec.seed_key[0],
-                                  spawn_key=rec.seed_key[1:])
-    y = model.simulate_snapshots(geom, sc, 64, seed)
+    assert [r.method for r in records] == ['da', 'ss'] * 3
     co = geometry.difference_coarray(geom)
     f = geometry.selection_matrix(co)
-    z = model.virtual_observation(f, model.sample_covariance(y).r)
-    from coarray_lab.estimator import run_music
-    est = run_music(z, co.mv, 2, method='ss', grid_step=np.deg2rad(0.5))
-    np.testing.assert_array_equal(est.angles, rec.estimates)
+    for rec in reversed(records):
+        estimator._TRIAL_CACHE.clear()
+        seed = np.random.SeedSequence(entropy=rec.seed_key[0],
+                                      spawn_key=rec.seed_key[1:])
+        y = model.simulate_snapshots(geom, sc, 64, seed)
+        z = model.virtual_observation(f, model.sample_covariance(y).r)
+        est = estimator.run_music(z, co.mv, 2, method=rec.method,
+                                  grid_step=np.deg2rad(0.5))
+        assert est.resolved == rec.resolved
+        np.testing.assert_array_equal(est.angles, rec.estimates)
+
+
+def test_run_trials_uses_the_geometry_spacing():
+    # quarter-wavelength spacing: an estimator that assumed half a
+    # wavelength put a 20 deg source near 9.8 deg and still resolved it
+    geom = geometry.coprime(3, 5, d0=0.25)
+    sc = model.SourceScenario.with_snr(np.deg2rad([20.0]), 20.0)
+    records = harness.run_trials(geom, sc, 200, ('da', 'ss'), master_seed=1,
+                                 combo_index=0, n_trials=2,
+                                 grid_step=np.deg2rad(0.1))
+    for rec in records:
+        assert rec.resolved
+        assert abs(np.rad2deg(rec.estimates[0]) - 20.0) < 0.5
 
 
 def test_fifty_percent_crossing():

@@ -112,6 +112,29 @@ def test_simulate_snapshots_shape_and_reproducibility():
         model.simulate_snapshots(geom, sc, 0, seed=1)
 
 
+def test_simulate_snapshots_matches_two_temporary_draws():
+    # each complex draw is a (re, im) pair of normals read in place; the
+    # result equals building re + 1j * im from separate temporaries
+    for geom, doas, powers in ((geometry.coprime(3, 5), (0.3,), (1.0,)),
+                               (geometry.nested(2, 3), (-0.4, 0.5),
+                                (2.0, 0.5)),
+                               (geometry.mra(6), np.linspace(-1.0, 1.0, 11),
+                                np.linspace(0.5, 3.0, 11))):
+        sc = model.SourceScenario(tuple(doas), tuple(powers), 0.7)
+        for seed in range(5):
+            y = model.simulate_snapshots(geom, sc, 40, seed=seed)
+            rng_sig, rng_noise = model._trial_streams(seed)
+            a, _ = model.steering_matrix(geom, sc)
+            sig = rng_sig.standard_normal((40, sc.n_sources, 2))
+            x = np.sqrt(np.asarray(powers) / 2.0) * (
+                sig[:, :, 0] + 1j * sig[:, :, 1])
+            nse = rng_noise.standard_normal((40, geom.n_sensors, 2))
+            noise = np.sqrt(0.7 / 2.0) * (nse[:, :, 0] + 1j * nse[:, :, 1])
+            np.testing.assert_array_equal(y, a @ x.T + noise.T)
+            assert np.array_equal(np.signbit(y.view(float)),
+                                  np.signbit((a @ x.T + noise.T).view(float)))
+
+
 def test_simulate_snapshots_prefix_property():
     # a longer run with the same seed extends a shorter one
     geom = geometry.coprime(2)
