@@ -33,12 +33,10 @@ from .model import (
     virtual_observation,
 )
 from .estimator import (
-    AugmentedCovariance,
     DoaEstimate,
     augment_direct,
     augment_spatial_smoothing,
     estimate_doas,
-    music_spectrum,
     noise_subspace,
     run_music,
 )
@@ -48,9 +46,7 @@ from .analysis import (
     ErrorTerms,
     NumericalFailure,
     analytical_mse,
-    analytical_mse_via_moments,
     crb,
-    delta_r_moment_oracle,
     efficiency_kappa,
     error_terms,
     fim,
@@ -77,13 +73,12 @@ __all__ = [
     'SourceScenario', 'CovarianceSet', 'vec', 'unvec', 'steering_vector',
     'steering_matrix', 'true_covariance', 'simulate_snapshots',
     'sample_covariance', 'virtual_observation',
-    'AugmentedCovariance', 'DoaEstimate', 'augment_direct',
-    'augment_spatial_smoothing', 'noise_subspace', 'music_spectrum',
-    'estimate_doas', 'run_music',
+    'DoaEstimate', 'augment_direct', 'augment_spatial_smoothing',
+    'noise_subspace', 'estimate_doas', 'run_music',
     'ErrorTerms', 'CrbReport', 'NumericalFailure', 'CrbUndefined',
-    'error_terms', 'analytical_mse', 'analytical_mse_via_moments',
-    'delta_r_moment_oracle', 'limiting_mse', 'model_jacobian', 'fim', 'crb',
-    'efficiency_kappa', 'resolution_predict', 'resolution_threshold',
+    'error_terms', 'analytical_mse', 'limiting_mse', 'model_jacobian',
+    'fim', 'crb', 'efficiency_kappa', 'resolution_predict',
+    'resolution_threshold',
     'ExperimentConfig', 'TrialRecord', 'ConfigError', 'load_config',
     'run', 'run_trials', 'emit_outputs', 'fifty_percent_crossing',
 ]

@@ -1,11 +1,12 @@
 """Asymptotic performance analysis for coarray MUSIC.
 
 This module provides the closed-form first-order DOA error statistics
-of coarray MUSIC on sparse linear arrays, the exact second moments of
-the sample-covariance perturbation that underpin them, and the
-stochastic Cramer-Rao bound for the joint DOA/power/noise parameter
-vector. The MSE expressions hold for either augmentation (direct or
-spatially smoothed) since both share the same first-order error.
+of coarray MUSIC on sparse linear arrays and the stochastic Cramer-Rao
+bound for the joint DOA/power/noise parameter vector. The MSE
+expressions hold for either augmentation (direct or spatially smoothed)
+since both share the same first-order error. The tests check the MSE
+against its expansion over the covariance-perturbation moments in
+:mod:`coarray_lab.reference`.
 
 All angles are radians; MSE values are rad^2.
 """
@@ -24,10 +25,9 @@ from .model import (_phase_rate, _steering, steering_matrix, true_covariance,
 
 __all__ = [
     'ErrorTerms', 'CrbReport', 'NumericalFailure', 'CrbUndefined',
-    'error_terms', 'analytical_mse', 'analytical_mse_via_moments',
-    'limiting_mse', 'model_jacobian', 'fim', 'crb', 'efficiency_kappa',
-    'resolution_predict', 'resolution_threshold',
-    'delta_r_moment_oracle', 'structured_cross_matrix',
+    'error_terms', 'analytical_mse', 'limiting_mse', 'model_jacobian',
+    'fim', 'crb', 'efficiency_kappa', 'resolution_predict',
+    'resolution_threshold',
 ]
 
 # Relative singular-value cutoff for pseudo-inverses and rank decisions.
@@ -168,73 +168,6 @@ def analytical_mse(geom, scenario, n_snapshots):
     return 0.5 * (mse + mse.T)
 
 
-def structured_cross_matrix(a, b):
-    """Block matrix C with block (m, n) equal to a_n b_m^T.
-
-    Here a_n is the n-th column of ``a`` and b_m the m-th column of
-    ``b``; both inputs must be M x M, and the result is M^2 x M^2 with
-    ``C[m * M + r, n * M + s] = a[r, n] * b[s, m]`` (zero-based).
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    m = a.shape[0]
-    if a.shape != (m, m) or b.shape != (m, m):
-        raise ValueError('both factors must be square and equally sized')
-    return np.einsum('rn,sm->mrns', a, b).reshape(m * m, m * m)
-
-
-def delta_r_moment_oracle(r_mat, n_snapshots):
-    """Exact second moments of dr = vec(R_hat - R) for Gaussian data.
-
-    For N independent circular complex Gaussian snapshots the real and
-    imaginary parts of the covariance perturbation have closed-form
-    second moments built from Kronecker products of Re(R), Im(R) and
-    the block rearrangements of :func:`structured_cross_matrix`.
-
-    Args:
-        r_mat: Exact M x M covariance.
-        n_snapshots: Snapshot count N.
-
-    Returns:
-        Tuple ``(m_rr, m_ii, m_ri)`` of real M^2 x M^2 matrices:
-        ``E[Re(dr) Re(dr)^T]``, ``E[Im(dr) Im(dr)^T]``, and
-        ``E[Re(dr) Im(dr)^T]``.
-    """
-    r_re = np.asarray(r_mat).real
-    r_im = np.asarray(r_mat).imag
-    kron_rr = np.kron(r_re, r_re)
-    kron_ii = np.kron(r_im, r_im)
-    c_rr = structured_cross_matrix(r_re, r_re)
-    c_ii = structured_cross_matrix(r_im, r_im)
-    scale = 1.0 / (2.0 * n_snapshots)
-    m_rr = scale * (kron_rr + kron_ii + c_rr - c_ii)
-    m_ii = scale * (kron_rr + kron_ii + c_ii - c_rr)
-    m_ri = scale * (np.kron(r_im, r_re) - np.kron(r_re, r_im)
-                    + structured_cross_matrix(r_re, r_im)
-                    + structured_cross_matrix(r_im, r_re))
-    return m_rr, m_ii, m_ri
-
-
-def analytical_mse_via_moments(geom, scenario, n_snapshots):
-    """DOA error second moments assembled from the dr moment matrices.
-
-    This expands the error bilinear form term by term against the
-    closed-form moments of :func:`delta_r_moment_oracle` instead of the
-    simplified Kronecker quadratic form; both routes must agree and the
-    acceptance suite holds them to 1e-10 relative.
-    """
-    terms = error_terms(geom, scenario)
-    r_mat = true_covariance(geom, scenario).R
-    m_rr, m_ii, m_ri = delta_r_moment_oracle(r_mat, n_snapshots)
-    xi_re = terms.xi.real
-    xi_im = terms.xi.imag
-    cross = xi_re @ m_ri @ xi_im.T
-    raw = xi_re @ m_rr @ xi_re.T + xi_im @ m_ii @ xi_im.T - cross - cross.T
-    scale = np.asarray(scenario.powers) * terms.gamma
-    mse = raw / np.outer(scale, scale)
-    return 0.5 * (mse + mse.T)
-
-
 def limiting_mse(geom, scenario):
     """High-SNR limit of the per-source MSE, scaled by N.
 
@@ -320,16 +253,14 @@ def _whitened_jacobian(geom, scenario):
 def fim(geom, scenario, n_snapshots):
     """Fisher information for (DOAs, powers, noise power).
 
-    Computed as ``N J^H (R^T ox R)^(-1) J`` with J the model Jacobian,
-    using the covariance eigensystem for the central inverse. The
-    result is returned as its real part, symmetrized.
+    ``N J^H (R^T ox R)^(-1) J`` with J the model Jacobian, using the
+    covariance eigensystem for the central inverse, as its real part
+    symmetrized: the ``fim`` of the :class:`CrbReport` from :func:`crb`.
 
     Returns:
         Real symmetric (2K + 1) x (2K + 1) matrix.
     """
-    white = _whitened_jacobian(geom, scenario)
-    out = n_snapshots * np.real(white.conj().T @ white)
-    return 0.5 * (out + out.T)
+    return crb(geom, scenario, n_snapshots).fim
 
 
 def crb(geom, scenario, n_snapshots):

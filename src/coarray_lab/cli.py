@@ -46,8 +46,8 @@ def _load_scenario(path):
         raise ConfigError(f'unknown scenario fields: {", ".join(unknown)}')
     if 'doas_deg' not in data:
         raise ConfigError("scenario must set 'doas_deg'")
-    doas = tuple(np.deg2rad(float(d)) for d in data['doas_deg'])
     try:
+        doas = tuple(np.deg2rad(float(d)) for d in data['doas_deg'])
         if 'noise_power' in data:
             k = len(doas)
             powers = data.get('powers', [data.get('power', 1.0)] * k)
@@ -57,7 +57,7 @@ def _load_scenario(path):
             power = data.get('powers', data.get('power', 1.0))
             return model.SourceScenario.with_snr(doas, float(data['snr_db']),
                                                  power)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f'bad scenario: {exc}') from exc
     raise ConfigError("scenario must set 'noise_power' or 'snr_db'")
 

@@ -21,6 +21,9 @@ observation behind root-MUSIC). :func:`estimate_doas` forms the mv
 coefficients once per call and evaluates d in that form, both for the
 grid scan (one product with a cached table of exp(j l phi)) and for
 the sub-grid refinement, which runs on all kept peaks at once.
+
+The subarray, Gamma-matrix and steering-vector routes that the tests
+check this module against live in :mod:`coarray_lab.reference`.
 """
 
 from __future__ import annotations
@@ -29,13 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _steering
-
 __all__ = [
-    'AugmentedCovariance', 'DoaEstimate',
-    'subarray_select', 'gamma_stack', 'augment_direct',
-    'augment_spatial_smoothing', 'noise_subspace', 'music_spectrum',
-    'estimate_doas', 'run_music', 'default_grid',
+    'DoaEstimate', 'augment_direct', 'augment_spatial_smoothing',
+    'noise_subspace', 'estimate_doas', 'run_music', 'default_grid',
 ]
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -50,15 +49,6 @@ _GRID_CACHE = {}
 # for each noise column set scanned so far. One entry, so the DA and SS
 # calls of a trial share one eigendecomposition.
 _TRIAL_CACHE = {}
-
-
-@dataclass(frozen=True)
-class AugmentedCovariance:
-    """An mv x mv coarray covariance with its construction tag."""
-
-    rv: np.ndarray
-    mv: int
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -85,37 +75,8 @@ class DoaEstimate:
     spectrum: np.ndarray = None
 
 
-def subarray_select(z, i, mv):
-    """The i-th coarray subarray z_i (1-based i as is conventional).
-
-    Subarray i selects entries i .. i + mv - 1 of z when entries are
-    numbered from 1, i.e. lags i - mv .. i - 1.
-    """
-    z = np.asarray(z)
-    if z.shape[0] != 2 * mv - 1:
-        raise ValueError(f'z must have length {2 * mv - 1}, got {z.shape[0]}')
-    if not 1 <= i <= mv:
-        raise ValueError(f'subarray index must be in 1..{mv}, got {i}')
-    return z[i - 1:i - 1 + mv]
-
-
-def gamma_stack(mv):
-    """Dense stacking matrix Gamma with vec(Rv1) = Gamma @ z.
-
-    Block b (zero-based, b = 0 .. mv - 1) of the result selects
-    subarray mv - b, so columns of the direct augmentation appear in
-    the vec order of :func:`augment_direct`.
-    """
-    gamma = np.zeros((mv * mv, 2 * mv - 1))
-    for b in range(mv):
-        for j in range(mv):
-            gamma[b * mv + j, mv - 1 - b + j] = 1.0
-    gamma.setflags(write=False)
-    return gamma
-
-
 def augment_direct(z, mv):
-    """Direct augmentation: column c of Rv1 is subarray mv - c.
+    """Direct augmentation, the mv x mv Rv1: column c is subarray mv - c.
 
     With zero-based columns, ``Rv1[:, c] = z[mv - 1 - c : 2 * mv - 1 - c]``,
     so ``Rv1[a, c] = z[mv - 1 + a - c]`` depends on a - c only. On an
@@ -125,11 +86,11 @@ def augment_direct(z, mv):
     if z.shape[0] != 2 * mv - 1:
         raise ValueError(f'z must have length {2 * mv - 1}, got {z.shape[0]}')
     idx = np.arange(mv)[:, None] + (mv - 1 - np.arange(mv))[None, :]
-    return AugmentedCovariance(rv=z[idx], mv=mv, kind='direct')
+    return z[idx]
 
 
 def augment_spatial_smoothing(z, mv):
-    """Spatially smoothed augmentation Rv2 = sum_i z_i z_i^H / mv.
+    """Spatially smoothed mv x mv augmentation Rv2 = sum_i z_i z_i^H / mv.
 
     Always positive semidefinite. On an exact model z it equals
     Rv1 @ Rv1 / mv, so it shares eigenvectors with the direct
@@ -140,8 +101,7 @@ def augment_spatial_smoothing(z, mv):
         raise ValueError(f'z must have length {2 * mv - 1}, got {z.shape[0]}')
     cols = z[np.arange(mv)[:, None] + np.arange(mv)[None, :]]
     rv = cols @ cols.conj().T / mv
-    rv = 0.5 * (rv + rv.conj().T)
-    return AugmentedCovariance(rv=rv, mv=mv, kind='spatial_smoothing')
+    return 0.5 * (rv + rv.conj().T)
 
 
 def noise_subspace(rv, k, return_eigensystem=False):
@@ -153,7 +113,7 @@ def noise_subspace(rv, k, return_eigensystem=False):
     augmentations may be indefinite, which is fine here.
 
     Args:
-        rv: Hermitian mv x mv matrix or an :class:`AugmentedCovariance`.
+        rv: Hermitian mv x mv matrix.
         k: Number of sources, 1 <= k < mv.
         return_eigensystem: Also return the eigensystem the basis was
             taken from.
@@ -163,8 +123,6 @@ def noise_subspace(rv, k, return_eigensystem=False):
         ``return_eigensystem`` the tuple ``(basis, values, vectors)``,
         eigenvalues ascending and eigenvectors as columns.
     """
-    if isinstance(rv, AugmentedCovariance):
-        rv = rv.rv
     rv = np.asarray(rv)
     mv = rv.shape[0]
     if not 1 <= k < mv:
@@ -228,26 +186,6 @@ def _null_eval(c0, w, table):
     return c0 + (w @ table).real
 
 
-def music_spectrum(en, grid, d0=0.5, wavelength=1.0):
-    """MUSIC pseudo-spectrum 1 / (a^H E_n E_n^H a) over a grid.
-
-    Args:
-        en: Noise-subspace basis, mv x (mv - k).
-        grid: Angles in radians.
-        d0: Virtual-ULA spacing.
-        wavelength: Carrier wavelength.
-
-    Returns:
-        Strictly positive spectrum values, one per grid angle.
-    """
-    en = np.asarray(en)
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    a, _ = _steering(np.arange(en.shape[0]), grid,
-                     2.0 * np.pi * d0 / wavelength)
-    d = np.sum(np.abs(en.conj().T @ a) ** 2, axis=0)
-    return 1.0 / np.maximum(d, np.finfo(float).tiny)
-
-
 def _parabola_vertex(x_mid, h, y0, y1, y2):
     """Vertices of the parabolas through three equally spaced points.
 
@@ -307,6 +245,9 @@ def _find_peaks(d):
 
 def default_grid(grid_step=np.deg2rad(0.1)):
     """The default search grid over (-pi/2, pi/2) at the given step."""
+    if not (np.isfinite(grid_step) and grid_step > 0):
+        raise ValueError(f'grid step must be finite and positive, got '
+                         f'{grid_step}')
     return np.arange(-np.pi / 2 + grid_step, np.pi / 2, grid_step)
 
 
@@ -321,7 +262,7 @@ def estimate_doas(rv, k, grid_step=np.deg2rad(0.1), refine_iters=5,
     ``resolved=False`` and the peaks that were found.
 
     Args:
-        rv: mv x mv augmented covariance or :class:`AugmentedCovariance`.
+        rv: mv x mv augmented covariance.
         k: Number of sources to estimate, 1 <= k < mv.
         grid_step: Grid spacing in radians.
         refine_iters: Golden-section iterations per peak.
@@ -334,8 +275,6 @@ def estimate_doas(rv, k, grid_step=np.deg2rad(0.1), refine_iters=5,
     Returns:
         A :class:`DoaEstimate` with ascending angles.
     """
-    if isinstance(rv, AugmentedCovariance):
-        rv = rv.rv
     rv = np.asarray(rv)
     mv = rv.shape[0]
     c0, w = _null_polynomial(noise_subspace(rv, k) if en is None else en)
@@ -398,15 +337,15 @@ def run_music(z, mv, k, method='ss', **kwargs):
     trial = _TRIAL_CACHE.get(key)
     if trial is None:
         _TRIAL_CACHE.clear()
-        aug = augment_direct(z, mv)
+        rv = augment_direct(z, mv)
         trial = _TRIAL_CACHE[key] = (
-            aug, *noise_subspace(aug, k, return_eigensystem=True), {})
-    aug, basis, values, vectors, estimates = trial
+            rv, *noise_subspace(rv, k, return_eigensystem=True), {})
+    rv, basis, values, vectors, estimates = trial
     cols = _noise_columns(values, k, method)
     est = estimates.get(cols)
     if est is None:
         en = basis if cols[-1] == len(cols) - 1 else vectors[:, list(cols)]
-        est = estimate_doas(aug, k, en=en, **kwargs)
+        est = estimate_doas(rv, k, en=en, **kwargs)
         for arr in (est.angles, est.refined, est.spectrum):
             if arr is not None:
                 arr.setflags(write=False)

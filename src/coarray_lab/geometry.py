@@ -106,10 +106,6 @@ class CoarrayStructure:
     weights: dict = field(compare=False)
     mv: int = 0
 
-    def weight(self, lag):
-        """Multiplicity of a lag; zero for holes."""
-        return self.weights.get(int(lag), 0)
-
 
 def ula(m, d0=0.5, wavelength=1.0):
     """Uniform linear array with ``m`` sensors at 0, 1, ..., m - 1."""

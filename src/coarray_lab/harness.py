@@ -52,6 +52,12 @@ def _is_count(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value):
+    """True for a finite real number, numpy ones included; not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 class ConfigError(ValueError):
     """Raised when an experiment config is malformed."""
 
@@ -161,7 +167,7 @@ class ExperimentConfig:
             raise ConfigError('at least one array spec is required')
         for spec in self.arrays:
             _parse_array(spec)
-        if not self.snr_db or not all(math.isfinite(s) for s in self.snr_db):
+        if not self.snr_db or not all(_is_real(s) for s in self.snr_db):
             raise ConfigError('snr_db must be a non-empty list of finite values')
         for name in ('n_snapshots', 'k_sources', 'q_range'):
             if not all(_is_count(v) for v in getattr(self, name)):
@@ -175,10 +181,20 @@ class ExperimentConfig:
         if not _is_count(self.seed) or self.seed < 0:
             raise ConfigError(f'seed must be a non-negative integer, got '
                               f'{self.seed!r}')
-        if not self.grid_step_deg > 0:
-            raise ConfigError('grid_step_deg must be positive')
-        if not self.power > 0:
-            raise ConfigError('power must be positive')
+        if not _is_real(self.grid_step_deg) or not self.grid_step_deg > 0:
+            raise ConfigError('grid_step_deg must be finite and positive')
+        if not _is_real(self.power) or not self.power > 0:
+            raise ConfigError('power must be finite and positive')
+        if not isinstance(self.empirical, bool):
+            raise ConfigError(f'empirical must be true or false, got '
+                              f'{self.empirical!r}')
+        for name in ('doas_deg', 'delta_deg'):
+            values = getattr(self, name)
+            if values is not None and not (
+                    isinstance(values, (tuple, list))
+                    and all(_is_real(v) for v in values)):
+                raise ConfigError(f'{name} must be a list of finite numbers, '
+                                  f'got {values!r}')
         if not -90.0 < self.center_deg < 90.0:
             raise ConfigError('center_deg must lie inside (-90, 90)')
         for name in ('k_sources', 'q_range', 'families', 'k_modes',

@@ -97,19 +97,17 @@ class SourceScenario:
 
 @dataclass(frozen=True)
 class CovarianceSet:
-    """A covariance matrix with its vectorized and coarray views.
+    """A covariance matrix with its vectorized view.
 
     Attributes:
         R: M x M Hermitian covariance.
         r: vec(R), column-major.
-        z: Virtual (coarray-domain) observation, if one was attached.
         n_snapshots: Snapshot count behind a sample estimate, or None
             for an exact model covariance.
     """
 
     R: np.ndarray
     r: np.ndarray
-    z: np.ndarray = None
     n_snapshots: int = None
 
 
@@ -125,8 +123,8 @@ def steering_vector(geom, theta):
     units of d0. The first element is 1 only when the first sensor sits
     at the origin.
     """
-    phi = _phase_rate(geom) * np.sin(theta)
-    return np.exp(1j * phi * geom.position_array())
+    a, _ = _steering(geom.position_array(), [theta], _phase_rate(geom))
+    return a[:, 0]
 
 
 def steering_matrix(geom, scenario):

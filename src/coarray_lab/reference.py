@@ -1,0 +1,138 @@
+"""Reference routes that the tests hold the production pipeline to.
+
+Each computes the long way what :mod:`estimator` or :mod:`analysis`
+computes in a compact form: the coarray subarrays and the dense
+stacking matrix Gamma behind the augmentations, the MUSIC spectrum
+from explicit steering vectors, and the asymptotic MSE assembled from
+the exact second moments of the covariance perturbation. No
+``coarray-lab`` command calls them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .analysis import error_terms
+from .model import _steering, true_covariance
+
+__all__ = [
+    'subarray_select', 'gamma_stack', 'music_spectrum',
+    'structured_cross_matrix', 'delta_r_moment_oracle',
+    'analytical_mse_via_moments',
+]
+
+
+def subarray_select(z, i, mv):
+    """The i-th coarray subarray z_i (1-based i as is conventional).
+
+    Subarray i selects entries i .. i + mv - 1 of z when entries are
+    numbered from 1, i.e. lags i - mv .. i - 1.
+    """
+    z = np.asarray(z)
+    if z.shape[0] != 2 * mv - 1:
+        raise ValueError(f'z must have length {2 * mv - 1}, got {z.shape[0]}')
+    if not 1 <= i <= mv:
+        raise ValueError(f'subarray index must be in 1..{mv}, got {i}')
+    return z[i - 1:i - 1 + mv]
+
+
+def gamma_stack(mv):
+    """Dense stacking matrix Gamma with vec(Rv1) = Gamma @ z.
+
+    Block b (zero-based, b = 0 .. mv - 1) of the result selects
+    subarray mv - b, so columns of the direct augmentation appear in
+    the vec order of :func:`estimator.augment_direct`.
+    """
+    gamma = np.zeros((mv * mv, 2 * mv - 1))
+    for b in range(mv):
+        for j in range(mv):
+            gamma[b * mv + j, mv - 1 - b + j] = 1.0
+    gamma.setflags(write=False)
+    return gamma
+
+
+def music_spectrum(en, grid, d0=0.5, wavelength=1.0):
+    """MUSIC pseudo-spectrum 1 / (a^H E_n E_n^H a) over a grid.
+
+    Args:
+        en: Noise-subspace basis, mv x (mv - k).
+        grid: Angles in radians.
+        d0: Virtual-ULA spacing.
+        wavelength: Carrier wavelength.
+
+    Returns:
+        Strictly positive spectrum values, one per grid angle.
+    """
+    en = np.asarray(en)
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    a, _ = _steering(np.arange(en.shape[0]), grid,
+                     2.0 * np.pi * d0 / wavelength)
+    d = np.sum(np.abs(en.conj().T @ a) ** 2, axis=0)
+    return 1.0 / np.maximum(d, np.finfo(float).tiny)
+
+
+def structured_cross_matrix(a, b):
+    """Block matrix C with block (m, n) equal to a_n b_m^T.
+
+    Here a_n is the n-th column of ``a`` and b_m the m-th column of
+    ``b``; both inputs must be M x M, and the result is M^2 x M^2 with
+    ``C[m * M + r, n * M + s] = a[r, n] * b[s, m]`` (zero-based).
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    m = a.shape[0]
+    if a.shape != (m, m) or b.shape != (m, m):
+        raise ValueError('both factors must be square and equally sized')
+    return np.einsum('rn,sm->mrns', a, b).reshape(m * m, m * m)
+
+
+def delta_r_moment_oracle(r_mat, n_snapshots):
+    """Exact second moments of dr = vec(R_hat - R) for Gaussian data.
+
+    For N independent circular complex Gaussian snapshots the real and
+    imaginary parts of the covariance perturbation have closed-form
+    second moments built from Kronecker products of Re(R), Im(R) and
+    the block rearrangements of :func:`structured_cross_matrix`.
+
+    Args:
+        r_mat: Exact M x M covariance.
+        n_snapshots: Snapshot count N.
+
+    Returns:
+        Tuple ``(m_rr, m_ii, m_ri)`` of real M^2 x M^2 matrices:
+        ``E[Re(dr) Re(dr)^T]``, ``E[Im(dr) Im(dr)^T]``, and
+        ``E[Re(dr) Im(dr)^T]``.
+    """
+    r_re = np.asarray(r_mat).real
+    r_im = np.asarray(r_mat).imag
+    kron_rr = np.kron(r_re, r_re)
+    kron_ii = np.kron(r_im, r_im)
+    c_rr = structured_cross_matrix(r_re, r_re)
+    c_ii = structured_cross_matrix(r_im, r_im)
+    scale = 1.0 / (2.0 * n_snapshots)
+    m_rr = scale * (kron_rr + kron_ii + c_rr - c_ii)
+    m_ii = scale * (kron_rr + kron_ii + c_ii - c_rr)
+    m_ri = scale * (np.kron(r_im, r_re) - np.kron(r_re, r_im)
+                    + structured_cross_matrix(r_re, r_im)
+                    + structured_cross_matrix(r_im, r_re))
+    return m_rr, m_ii, m_ri
+
+
+def analytical_mse_via_moments(geom, scenario, n_snapshots):
+    """DOA error second moments assembled from the dr moment matrices.
+
+    This expands the error bilinear form term by term against the
+    closed-form moments of :func:`delta_r_moment_oracle` instead of the
+    simplified Kronecker quadratic form; both routes must agree and the
+    acceptance suite holds them to 1e-10 relative.
+    """
+    terms = error_terms(geom, scenario)
+    r_mat = true_covariance(geom, scenario).R
+    m_rr, m_ii, m_ri = delta_r_moment_oracle(r_mat, n_snapshots)
+    xi_re = terms.xi.real
+    xi_im = terms.xi.imag
+    cross = xi_re @ m_ri @ xi_im.T
+    raw = xi_re @ m_rr @ xi_re.T + xi_im @ m_ii @ xi_im.T - cross - cross.T
+    scale = np.asarray(scenario.powers) * terms.gamma
+    mse = raw / np.outer(scale, scale)
+    return 0.5 * (mse + mse.T)

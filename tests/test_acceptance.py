@@ -14,7 +14,8 @@ counts; everything else is seconds.
 
 import numpy as np
 
-from coarray_lab import analysis, estimator, geometry, harness, model
+from coarray_lab import (analysis, estimator, geometry, harness, model,
+                         reference)
 from coarray_lab.harness import ExperimentConfig
 
 BENCH_ARRAYS = (
@@ -54,8 +55,8 @@ def test_criterion_1_augmentation_identity(acceptance_report):
             scenarios.append(_random_scenario(rng, k))
         for sc in scenarios:
             z, mv = _exact_z(geom, sc)
-            rv1 = estimator.augment_direct(z, mv).rv
-            rv2 = estimator.augment_spatial_smoothing(z, mv).rv
+            rv1 = estimator.augment_direct(z, mv)
+            rv2 = estimator.augment_spatial_smoothing(z, mv)
             rel = (np.linalg.norm(rv2 - rv1 @ rv1 / mv)
                    / np.linalg.norm(rv2))
             worst = max(worst, rel)
@@ -143,7 +144,7 @@ def test_criterion_4_moment_oracles(acceptance_report):
         for _ in range(10):
             sc = _random_scenario(rng, int(rng.integers(1, 4)))
             a = analysis.analytical_mse(geom, sc, 300)
-            b = analysis.analytical_mse_via_moments(geom, sc, 300)
+            b = reference.analytical_mse_via_moments(geom, sc, 300)
             worst = max(worst,
                         float(np.linalg.norm(a - b) / np.linalg.norm(b)))
     routes_ok = worst < 1e-10
@@ -157,7 +158,7 @@ def test_criterion_4_moment_oracles(acceptance_report):
     chunk = 20_000
     a_mat, _ = model.steering_matrix(geom, sc)
     truth = model.true_covariance(geom, sc)
-    targets = analysis.delta_r_moment_oracle(truth.R, n)
+    targets = reference.delta_r_moment_oracle(truth.R, n)
     amp = np.sqrt(np.asarray(sc.powers) / 2.0)
     nse_amp = np.sqrt(sc.noise_power / 2.0)
     dim = geom.n_sensors ** 2

@@ -11,7 +11,7 @@ precision.
 import numpy as np
 import pytest
 
-from coarray_lab import analysis, estimator, geometry, model
+from coarray_lab import analysis, geometry, model, reference
 
 
 def random_scenario(rng, k, span=1.2, min_sep=0.15):
@@ -74,7 +74,7 @@ def test_xi_via_dense_stacking_route():
     for geom in (geometry.coprime(2), geometry.mra(5)):
         co = geometry.difference_coarray(geom)
         f = geometry.selection_matrix(co)
-        gamma = estimator.gamma_stack(co.mv)
+        gamma = reference.gamma_stack(co.mv)
         for k in (1, 2):
             sc = random_scenario(rng, k)
             terms = analysis.error_terms(geom, sc)
@@ -116,7 +116,7 @@ def test_mse_routes_agree():
         for k in (1, 2, 3):
             sc = random_scenario(rng, k)
             direct = analysis.analytical_mse(geom, sc, 300)
-            moments = analysis.analytical_mse_via_moments(geom, sc, 300)
+            moments = reference.analytical_mse_via_moments(geom, sc, 300)
             np.testing.assert_allclose(direct, moments, rtol=1e-10)
             np.testing.assert_array_equal(direct, direct.T)
             assert np.all(np.diag(direct) > 0)
@@ -189,14 +189,14 @@ def test_structured_cross_matrix_entries():
     rng = np.random.default_rng(14)
     a = rng.standard_normal((3, 3))
     b = rng.standard_normal((3, 3))
-    c = analysis.structured_cross_matrix(a, b)
+    c = reference.structured_cross_matrix(a, b)
     for m in range(3):
         for n in range(3):
             for r in range(3):
                 for s in range(3):
                     assert c[m * 3 + r, n * 3 + s] == a[r, n] * b[s, m]
     with pytest.raises(ValueError):
-        analysis.structured_cross_matrix(np.zeros((2, 3)), np.zeros((3, 3)))
+        reference.structured_cross_matrix(np.zeros((2, 3)), np.zeros((3, 3)))
 
 
 def test_moment_oracle_reassembles_complex_moments():
@@ -208,13 +208,13 @@ def test_moment_oracle_reassembles_complex_moments():
     sc = model.SourceScenario.with_snr(np.deg2rad([-25.0, 40.0]), 3.0)
     r_mat = model.true_covariance(geom, sc).R
     n = 123
-    m_rr, m_ii, m_ri = analysis.delta_r_moment_oracle(r_mat, n)
+    m_rr, m_ii, m_ri = reference.delta_r_moment_oracle(r_mat, n)
     hermitian_part = m_rr + m_ii + 1j * (m_ri.T - m_ri)
     np.testing.assert_allclose(hermitian_part, np.kron(r_mat.T, r_mat) / n,
                                rtol=1e-12, atol=1e-14)
     plain_part = m_rr - m_ii + 1j * (m_ri + m_ri.T)
     np.testing.assert_allclose(plain_part,
-                               analysis.structured_cross_matrix(r_mat, r_mat) / n,
+                               reference.structured_cross_matrix(r_mat, r_mat) / n,
                                rtol=1e-12, atol=1e-14)
 
 
@@ -224,7 +224,7 @@ def test_moment_oracle_matches_sampled_moments():
     sc = model.SourceScenario((0.25,), (1.5,), 0.6)
     n = 25
     truth = model.true_covariance(geom, sc).R
-    m_rr, m_ii, _ = analysis.delta_r_moment_oracle(truth, n)
+    m_rr, m_ii, _ = reference.delta_r_moment_oracle(truth, n)
     trials = 40_000
     acc_rr = np.zeros_like(m_rr)
     acc_ii = np.zeros_like(m_ii)

@@ -77,6 +77,20 @@ def test_config_validation():
             with pytest.raises(harness.ConfigError, match='empty'):
                 ExperimentConfig(kind=kind, **{field: ()})
     assert ExperimentConfig(kind='resolution', delta_deg=None).delta_deg is None
+    # values of the wrong type or non-finite ones fail up front
+    for field, bad in (('grid_step_deg', np.inf), ('grid_step_deg', np.nan),
+                       ('grid_step_deg', 0.0), ('power', np.inf),
+                       ('power', '1'), ('empirical', 'no'), ('empirical', 1),
+                       ('doas_deg', '10'), ('doas_deg', ('10',)),
+                       ('doas_deg', (True,)), ('doas_deg', (np.inf,)),
+                       ('delta_deg', ('0.5',)), ('delta_deg', (np.nan,)),
+                       ('snr_db', (True,))):
+        with pytest.raises(harness.ConfigError):
+            ExperimentConfig(kind='efficiency', **{field: bad})
+    for bad in ({'empirical': 'no'}, {'doas_deg': '10'},
+                {'power': float('inf')}, {'grid_step_deg': float('inf')}):
+        with pytest.raises(harness.ConfigError):
+            ExperimentConfig.from_mapping({'kind': 'efficiency', **bad})
 
 
 def test_from_mapping_rejects_unknown_and_converts_lists():
@@ -456,6 +470,19 @@ def test_cli_estimate_rejects_bad_scenario(tmp_path, capsys):
     scenario.write_text(json.dumps({'doas_deg': [0.0]}))
     assert cli.main(['estimate', '--array', 'coprime:2',
                      '--scenario', str(scenario)]) == 2
+    # mistyped values are config errors, not tracebacks
+    for bad in ({'doas_deg': 5, 'snr_db': 0},
+                {'doas_deg': [10, 40], 'noise_power': None}):
+        scenario.write_text(json.dumps(bad))
+        assert cli.main(['estimate', '--array', 'coprime:2',
+                         '--scenario', str(scenario)]) == 2, bad
+        assert 'bad scenario' in capsys.readouterr().err
+    scenario.write_text(json.dumps({'doas_deg': [0.0], 'snr_db': 0.0}))
+    for step in ('0', '-0.1', 'inf', 'nan'):
+        assert cli.main(['estimate', '--array', 'coprime:2',
+                         '--scenario', str(scenario),
+                         '--grid-step-deg', step]) == 2, step
+        assert 'grid step' in capsys.readouterr().err
 
 
 def test_cli_analyze(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Property tests of the coarray selection matrix and augmentations.
+"""Property tests of the coarray selection matrix, the augmentations
+and the closed forms.
 
 Positions are drawn as random integer sets (mostly with coarray holes)
 and as nested arrays (hole-free coarrays). Each property must hold for
@@ -8,7 +9,7 @@ every draw.
 import numpy as np
 import pytest
 
-from coarray_lab import estimator, geometry
+from coarray_lab import analysis, estimator, geometry, model
 
 hypothesis = pytest.importorskip('hypothesis')
 st = hypothesis.strategies
@@ -79,8 +80,8 @@ def random_virtual(geom, seed):
 @hypothesis.given(arrays, seeds)
 def test_smoothed_augmentation_is_direct_squared(geom, seed):
     mv, z = random_virtual(geom, seed)
-    rv_da = estimator.augment_direct(z, mv).rv
-    rv_ss = estimator.augment_spatial_smoothing(z, mv).rv
+    rv_da = estimator.augment_direct(z, mv)
+    rv_ss = estimator.augment_spatial_smoothing(z, mv)
     scale = np.linalg.norm(rv_ss)
     np.testing.assert_allclose(rv_ss, rv_da @ rv_da / mv, rtol=0,
                                atol=1e-12 * scale)
@@ -103,3 +104,54 @@ def test_smallest_magnitude_eigenvectors_span_smoothed_noise(geom, seed, u):
         estimator.augment_spatial_smoothing(z, mv), k)
     np.testing.assert_allclose(en_da @ en_da.conj().T,
                                en_ss @ en_ss.conj().T, rtol=0, atol=1e-10)
+
+
+def random_scenario(geom, seed, u):
+    """1 <= K < mv sources with unequal powers at -10 to 20 dB SNR.
+
+    One source sits in each equal cell of sin(theta) over (-0.9, 0.9),
+    away from the cell edges. K <= 0.9 mv keeps a cell at least 2 / mv
+    wide, the resolution of the virtual array, so the sources are well
+    separated; closer ones make the CRB's Gram matrix so ill-conditioned
+    (1e8 and more) that rounding alone moves it by more than 1e-10.
+    """
+    mv = geometry.difference_coarray(geom).mv
+    k = 1 + int(u * (max(1, min(mv - 1, int(0.9 * mv))) - 1))
+    rng = np.random.default_rng(seed)
+    cells = (np.arange(k) + rng.uniform(0.25, 0.75, k)) / k
+    return model.SourceScenario(tuple(np.arcsin(-0.9 + 1.8 * cells)),
+                                tuple(rng.uniform(0.5, 2.0, k)),
+                                10.0 ** rng.uniform(-2.0, 1.0))
+
+
+def assert_same_up_to_rounding(scaled, base):
+    np.testing.assert_allclose(scaled, base, rtol=1e-10,
+                               atol=1e-10 * np.max(np.abs(base)))
+
+
+@settings
+@hypothesis.given(arrays, seeds, st.floats(0.0, 1.0, exclude_max=True),
+                  st.floats(1e-3, 1e3))
+def test_mse_and_crb_invariant_to_joint_power_scaling(geom, seed, u, factor):
+    hypothesis.assume(geometry.difference_coarray(geom).mv >= 2)
+    sc = random_scenario(geom, seed, u)
+    scaled = sc.scaled(factor)
+    try:
+        mse = analysis.analytical_mse(geom, sc, 500)
+    except analysis.NumericalFailure:
+        with pytest.raises(analysis.NumericalFailure):
+            analysis.analytical_mse(geom, scaled, 500)
+    else:
+        assert_same_up_to_rounding(analysis.analytical_mse(geom, scaled, 500),
+                                   mse)
+    try:
+        base = analysis.crb(geom, sc, 500)
+    except analysis.NumericalFailure:
+        with pytest.raises(analysis.NumericalFailure):
+            analysis.crb(geom, scaled, 500)
+        return
+    other = analysis.crb(geom, scaled, 500)
+    assert other.defined == base.defined
+    assert other.jacobian_rank == base.jacobian_rank
+    if base.defined:
+        assert_same_up_to_rounding(other.crb, base.crb)
