@@ -21,7 +21,6 @@ from .geometry import (
     ula,
 )
 from .model import (
-    CovarianceSet,
     SourceScenario,
     sample_covariance,
     simulate_snapshots,
@@ -70,7 +69,7 @@ __all__ = [
     '__version__',
     'ArrayGeometry', 'CoarrayStructure', 'ula', 'nested', 'coprime', 'mra',
     'custom', 'make_array', 'difference_coarray', 'selection_matrix',
-    'SourceScenario', 'CovarianceSet', 'vec', 'unvec', 'steering_vector',
+    'SourceScenario', 'vec', 'unvec', 'steering_vector',
     'steering_matrix', 'true_covariance', 'simulate_snapshots',
     'sample_covariance', 'virtual_observation',
     'DoaEstimate', 'augment_direct', 'augment_spatial_smoothing',

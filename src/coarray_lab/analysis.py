@@ -154,7 +154,7 @@ def analytical_mse(geom, scenario, n_snapshots):
     terms = error_terms(geom, scenario)
     m = geom.n_sensors
     k = scenario.n_sources
-    rt = true_covariance(geom, scenario).R.T
+    rt = true_covariance(geom, scenario).T
     # the stacked X_k = unvec(xi_k) and their sandwiches R^T X_k R^T
     xi_mats = terms.xi.reshape(k, m, m).transpose(0, 2, 1)
     sandwich = rt @ xi_mats @ rt
@@ -241,7 +241,7 @@ def _whitened_jacobian(geom, scenario):
     covariance is needed, no M^2 x M^2 factorization.
     """
     a, a_dot = steering_matrix(geom, scenario)
-    r_mat = true_covariance(geom, scenario).R
+    r_mat = true_covariance(geom, scenario)
     lam, u = np.linalg.eigh(r_mat)
     if lam[0] <= 0:
         raise NumericalFailure('model covariance is not positive definite')

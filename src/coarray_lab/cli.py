@@ -22,7 +22,8 @@ from . import __version__
 from . import analysis, geometry, model
 from .estimator import run_music
 from .harness import (ConfigError, emit_outputs, load_config, run,
-                      _analyze_table, _csv_text, _parse_array, _write_text)
+                      _analyze_table, _check_source_count, _csv_text,
+                      _is_real, _parse_array, _write_text)
 
 
 def _load_scenario(path):
@@ -46,6 +47,14 @@ def _load_scenario(path):
         raise ConfigError(f'unknown scenario fields: {", ".join(unknown)}')
     if 'doas_deg' not in data:
         raise ConfigError("scenario must set 'doas_deg'")
+    for name, value in data.items():
+        if name in ('doas_deg', 'powers'):
+            if not (isinstance(value, list) and all(map(_is_real, value))):
+                raise ConfigError(f'bad scenario: {name} must be a list of '
+                                  f'finite numbers, got {value!r}')
+        elif not _is_real(value):
+            raise ConfigError(f'bad scenario: {name} must be a finite '
+                              f'number, got {value!r}')
     try:
         doas = tuple(np.deg2rad(float(d)) for d in data['doas_deg'])
         if 'noise_power' in data:
@@ -57,7 +66,7 @@ def _load_scenario(path):
             power = data.get('powers', data.get('power', 1.0))
             return model.SourceScenario.with_snr(doas, float(data['snr_db']),
                                                  power)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f'bad scenario: {exc}') from exc
     raise ConfigError("scenario must set 'noise_power' or 'snr_db'")
 
@@ -85,15 +94,19 @@ def _cmd_geom(args):
 
 
 def _cmd_estimate(args):
+    if not _is_real(args.grid_step_deg) or not args.grid_step_deg > 0:
+        raise ConfigError(f'grid step must be finite and positive, got '
+                          f'{args.grid_step_deg!r} deg')
     geom = _parse_array(args.array)
     scenario = _load_scenario(args.scenario)
     co = geometry.difference_coarray(geom)
+    _check_source_count(geom, co.mv, scenario)
     f = geometry.selection_matrix(co)
     seed = np.random.SeedSequence(args.seed)
     snapshots = model.simulate_snapshots(geom, scenario, args.n, seed)
     if args.dump_snapshots:
         model.dump_snapshots_csv(snapshots, args.dump_snapshots)
-    z = model.virtual_observation(f, model.sample_covariance(snapshots).r)
+    z = model.virtual_observation(f, model.sample_covariance(snapshots))
     est = run_music(z, co.mv, scenario.n_sources, method=args.method,
                     grid_step=np.deg2rad(args.grid_step_deg), d0=geom.d0,
                     wavelength=geom.wavelength)

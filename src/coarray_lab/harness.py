@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import itertools
@@ -290,27 +291,29 @@ def _failure_gate(doas):
     return 0.5 * float(np.min(np.diff(doas)))
 
 
-def _chunk_worker(task):
-    """Run a contiguous block of trials; returns plain tuples."""
-    (geom, scenario, n_snapshots, methods, master_seed, combo_index,
-     start, count, grid_step) = task
+def _trial_block(geom, scenario, n_snapshots, methods, master_seed,
+                 combo_index, grid_step, trials):
+    """Records of the trials in the range ``trials``, by (trial, method)."""
     co = geometry.difference_coarray(geom)
     f = geometry.selection_matrix(co)
-    out = []
-    for trial in range(start, start + count):
+    records = []
+    for trial in trials:
+        key = (master_seed, combo_index, trial)
         seed = np.random.SeedSequence(entropy=master_seed,
                                       spawn_key=(combo_index, trial))
         snapshots = model.simulate_snapshots(geom, scenario, n_snapshots, seed)
-        z = model.virtual_observation(f, model.sample_covariance(snapshots).r)
-        per_method = []
+        z = model.virtual_observation(f, model.sample_covariance(snapshots))
         for method in methods:
             est = run_music(z, co.mv, scenario.n_sources, method=method,
                             grid_step=grid_step, d0=geom.d0,
                             wavelength=geom.wavelength)
-            per_method.append((method, bool(est.resolved),
-                               tuple(float(a) for a in est.angles)))
-        out.append((trial, per_method))
-    return out
+            angles = tuple(float(a) for a in est.angles)
+            errors = ()
+            if est.resolved and len(angles) == scenario.n_sources:
+                errors = tuple(a - t for a, t in zip(angles, scenario.doas))
+            records.append(TrialRecord(trial, key, angles, errors,
+                                       bool(est.resolved), method))
+    return records
 
 
 def run_trials(geom, scenario, n_snapshots, methods, master_seed,
@@ -318,40 +321,25 @@ def run_trials(geom, scenario, n_snapshots, methods, master_seed,
     """Monte Carlo trials for one sweep point.
 
     DA and SS share each trial's snapshots so method comparisons see
-    identical noise. Records are ordered by (trial, method) regardless
-    of ``threads``.
+    identical noise. With ``threads > 1`` the trials are split into
+    contiguous ranges run in worker processes; each trial depends on
+    its seed key alone, so the records, ordered by (trial, method), do
+    not depend on ``threads``.
 
     Returns:
         List of :class:`TrialRecord`.
     """
-    methods = tuple(methods)
+    block = functools.partial(
+        _trial_block, geom, scenario, int(n_snapshots), tuple(methods),
+        int(master_seed), int(combo_index), float(grid_step))
     n_trials = int(n_trials)
-    if threads > 1:
-        chunk = max(1, -(-n_trials // (threads * 8)))
-    else:
-        chunk = n_trials
-    tasks = [(geom, scenario, int(n_snapshots), methods, int(master_seed),
-              int(combo_index), start, min(chunk, n_trials - start),
-              float(grid_step))
-             for start in range(0, n_trials, chunk)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(_chunk_worker, tasks))
-    else:
-        chunks = [_chunk_worker(t) for t in tasks]
-
-    truth = np.asarray(scenario.doas, dtype=float)
-    records = []
-    for block in chunks:
-        for trial, per_method in block:
-            key = (int(master_seed), int(combo_index), trial)
-            for method, resolved, angles in per_method:
-                errors = ()
-                if resolved and len(angles) == truth.size:
-                    errors = tuple(float(a - t) for a, t in zip(angles, truth))
-                records.append(TrialRecord(trial, key, angles, errors,
-                                           resolved, method))
-    return records
+    if threads <= 1:
+        return block(range(n_trials))
+    step = max(1, -(-n_trials // (threads * 8)))
+    chunks = [range(start, min(start + step, n_trials))
+              for start in range(0, n_trials, step)]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return [rec for recs in pool.map(block, chunks) for rec in recs]
 
 
 def _successes(records, method, gate):
@@ -416,6 +404,13 @@ class _Point:
     group: int
 
 
+def _check_source_count(geom, mv, scenario):
+    """Raise :class:`ConfigError` unless K < mv, as coarray MUSIC needs."""
+    if scenario.n_sources >= mv:
+        raise ConfigError(f'{geom.name} needs fewer than mv = {mv} '
+                          f'sources, got {scenario.n_sources}')
+
+
 def _sweep(cfg, kind):
     """Points of a config's sweep of ``kind`` and the skip notices.
 
@@ -431,9 +426,7 @@ def _sweep(cfg, kind):
             scenario = model.SourceScenario.with_snr(doas, snr, cfg.power)
         except ValueError as exc:
             raise ConfigError(f'{geom.name}: {exc}') from exc
-        if scenario.n_sources >= mv:
-            raise ConfigError(f'{geom.name} needs fewer than mv = {mv} '
-                              f'sources, got {scenario.n_sources}')
+        _check_source_count(geom, mv, scenario)
         points.append(_Point(geom, mv, scenario, n, snr, tags, group))
 
     if kind == 'scaling':

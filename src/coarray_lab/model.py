@@ -5,8 +5,11 @@ per-source powers, observed in white circular complex Gaussian noise.
 All angles are in radians internally; command-line front ends convert
 from degrees.
 
-The vectorization convention throughout the package is column-major
-stacking: ``vec(R)[p + q * M] = R[p, q]`` with zero-based indices.
+Covariances are plain M x M Hermitian arrays. The vectorization
+convention throughout the package is column-major stacking:
+``vec(R)[p + q * M] = R[p, q]`` with zero-based indices; it is applied
+here, in :func:`virtual_observation`, and in the selection matrix of
+:mod:`geometry`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    'SourceScenario', 'CovarianceSet',
+    'SourceScenario',
     'steering_vector', 'steering_matrix', 'true_covariance',
     'simulate_snapshots', 'sample_covariance', 'virtual_observation',
     'vec', 'unvec', 'dump_snapshots_csv',
@@ -95,22 +98,6 @@ class SourceScenario:
                               factor * self.noise_power)
 
 
-@dataclass(frozen=True)
-class CovarianceSet:
-    """A covariance matrix with its vectorized view.
-
-    Attributes:
-        R: M x M Hermitian covariance.
-        r: vec(R), column-major.
-        n_snapshots: Snapshot count behind a sample estimate, or None
-            for an exact model covariance.
-    """
-
-    R: np.ndarray
-    r: np.ndarray
-    n_snapshots: int = None
-
-
 def _phase_rate(geom):
     """Phase per unit position: 2 pi d0 / wavelength."""
     return 2.0 * np.pi * geom.d0 / geom.wavelength
@@ -156,16 +143,11 @@ def _steering(pos, theta, rate):
 
 
 def true_covariance(geom, scenario):
-    """Exact model covariance R = A P A^H + noise_power * I.
-
-    Returns:
-        A :class:`CovarianceSet` holding R and r = vec(R).
-    """
+    """Exact model covariance R = A P A^H + noise_power * I, M x M."""
     a, _ = steering_matrix(geom, scenario)
     p = np.asarray(scenario.powers)
     r_mat = (a * p) @ a.conj().T + scenario.noise_power * np.eye(geom.n_sensors)
-    r_mat = 0.5 * (r_mat + r_mat.conj().T)
-    return CovarianceSet(R=r_mat, r=vec(r_mat))
+    return 0.5 * (r_mat + r_mat.conj().T)
 
 
 def _trial_streams(seed):
@@ -211,36 +193,32 @@ def simulate_snapshots(geom, scenario, n_snapshots, seed):
 
 
 def sample_covariance(snapshots):
-    """Sample covariance R_hat = Y Y^H / N, Hermitian-symmetrized.
-
-    Returns:
-        A :class:`CovarianceSet` with the snapshot count attached.
-    """
+    """Sample covariance R_hat = Y Y^H / N, Hermitian-symmetrized, M x M."""
     y = np.asarray(snapshots)
     if y.ndim != 2:
         raise ValueError('snapshots must be an M x N matrix')
-    n = y.shape[1]
-    r_mat = y @ y.conj().T / n
-    r_mat = 0.5 * (r_mat + r_mat.conj().T)
-    return CovarianceSet(R=r_mat, r=vec(r_mat), n_snapshots=n)
+    r_mat = y @ y.conj().T / y.shape[1]
+    return 0.5 * (r_mat + r_mat.conj().T)
 
 
-def virtual_observation(f, r):
-    """Coarray-domain observation z = F r.
+def virtual_observation(f, r_mat):
+    """Coarray-domain observation z = F vec(R).
 
     Args:
-        f: Selection matrix from :func:`geometry.selection_matrix`.
-        r: Vectorized covariance of matching length.
+        f: Selection matrix from :func:`geometry.selection_matrix`, of
+            shape (2 * mv - 1, M^2).
+        r_mat: M x M covariance of the same array.
 
     Returns:
         Complex vector z of length 2 * mv - 1. For a Hermitian R the
         result is conjugate-symmetric about its central entry.
     """
-    r = np.asarray(r)
-    if f.shape[1] != r.shape[0]:
-        raise ValueError(f'selection matrix expects length {f.shape[1]}, '
-                         f'got {r.shape[0]}')
-    return f @ r
+    r_mat = np.asarray(r_mat)
+    m = r_mat.shape[0] if r_mat.ndim == 2 else 0
+    if r_mat.shape != (m, m) or m * m != f.shape[1]:
+        raise ValueError(f'selection matrix expects an M x M covariance '
+                         f'with M^2 = {f.shape[1]}, got shape {r_mat.shape}')
+    return f @ vec(r_mat)
 
 
 def dump_snapshots_csv(snapshots, path):

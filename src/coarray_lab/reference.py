@@ -127,7 +127,7 @@ def analytical_mse_via_moments(geom, scenario, n_snapshots):
     acceptance suite holds them to 1e-10 relative.
     """
     terms = error_terms(geom, scenario)
-    r_mat = true_covariance(geom, scenario).R
+    r_mat = true_covariance(geom, scenario)
     m_rr, m_ii, m_ri = delta_r_moment_oracle(r_mat, n_snapshots)
     xi_re = terms.xi.real
     xi_im = terms.xi.imag

@@ -206,7 +206,7 @@ def test_moment_oracle_reassembles_complex_moments():
     # rearranged entries E[dR_pq dR_st] = R_pt R_sq / N
     geom = geometry.coprime(2)
     sc = model.SourceScenario.with_snr(np.deg2rad([-25.0, 40.0]), 3.0)
-    r_mat = model.true_covariance(geom, sc).R
+    r_mat = model.true_covariance(geom, sc)
     n = 123
     m_rr, m_ii, m_ri = reference.delta_r_moment_oracle(r_mat, n)
     hermitian_part = m_rr + m_ii + 1j * (m_ri.T - m_ri)
@@ -223,14 +223,14 @@ def test_moment_oracle_matches_sampled_moments():
     geom = geometry.ula(2)
     sc = model.SourceScenario((0.25,), (1.5,), 0.6)
     n = 25
-    truth = model.true_covariance(geom, sc).R
+    truth = model.true_covariance(geom, sc)
     m_rr, m_ii, _ = reference.delta_r_moment_oracle(truth, n)
     trials = 40_000
     acc_rr = np.zeros_like(m_rr)
     acc_ii = np.zeros_like(m_ii)
     for t in range(trials):
         y = model.simulate_snapshots(geom, sc, n, seed=(50_000 + t))
-        dr = model.sample_covariance(y).r - model.vec(truth)
+        dr = model.vec(model.sample_covariance(y) - truth)
         acc_rr += np.outer(dr.real, dr.real)
         acc_ii += np.outer(dr.imag, dr.imag)
     # per-entry sampling SE is about 1.2e-3 at this trial count
@@ -245,8 +245,8 @@ def test_model_jacobian_matches_central_differences():
     h = 1e-6
 
     def r_of(doas, powers, noise):
-        return model.true_covariance(
-            geom, model.SourceScenario(doas, powers, noise)).r
+        return model.vec(model.true_covariance(
+            geom, model.SourceScenario(doas, powers, noise)))
 
     cols = []
     for j in range(2):
@@ -274,7 +274,7 @@ def test_fim_matches_trace_form():
     sc = model.SourceScenario((-0.35, 0.2), (1.3, 0.9), 0.6)
     n = 77
     a, a_dot = model.steering_matrix(geom, sc)
-    r_mat = model.true_covariance(geom, sc).R
+    r_mat = model.true_covariance(geom, sc)
     r_inv = np.linalg.inv(r_mat)
     derivs = []
     for j in range(2):
@@ -394,7 +394,7 @@ def mse_via_pair_loop(geom, scenario, n):
     """The closed-form MSE entry by entry, one sum per source pair."""
     terms = analysis.error_terms(geom, scenario)
     m, k = geom.n_sensors, scenario.n_sources
-    rt = model.true_covariance(geom, scenario).R.T
+    rt = model.true_covariance(geom, scenario).T
     xi_mats = [model.unvec(terms.xi[j], m) for j in range(k)]
     sandwich = [rt @ x @ rt for x in xi_mats]
     scale = np.asarray(scenario.powers) * terms.gamma
@@ -409,7 +409,7 @@ def mse_via_pair_loop(geom, scenario, n):
 def whitened_per_column(geom, scenario):
     """The model Jacobian whitened column by column, W C W per column."""
     jac = analysis.model_jacobian(geom, scenario)
-    lam, u = np.linalg.eigh(model.true_covariance(geom, scenario).R)
+    lam, u = np.linalg.eigh(model.true_covariance(geom, scenario))
     r_isqrt = (u * (1.0 / np.sqrt(lam))) @ u.conj().T
     m = geom.n_sensors
     return np.stack([model.vec(r_isqrt @ model.unvec(c, m) @ r_isqrt)

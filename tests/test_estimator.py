@@ -20,7 +20,7 @@ def exact_virtual(geom, scenario):
     """Exact z, mv for a scenario on the given array."""
     co = geometry.difference_coarray(geom)
     f = geometry.selection_matrix(co)
-    z = model.virtual_observation(f, model.true_covariance(geom, scenario).r)
+    z = model.virtual_observation(f, model.true_covariance(geom, scenario))
     return z, co.mv
 
 
@@ -28,7 +28,7 @@ def sampled_virtual(geom, scenario, n, seed):
     co = geometry.difference_coarray(geom)
     f = geometry.selection_matrix(co)
     y = model.simulate_snapshots(geom, scenario, n, seed=seed)
-    return model.virtual_observation(f, model.sample_covariance(y).r), co.mv
+    return model.virtual_observation(f, model.sample_covariance(y)), co.mv
 
 
 def test_subarray_select_slices():
@@ -353,7 +353,7 @@ def test_polynomial_estimator_matches_scalar_reference(spec):
                 for seed in (11, 12, 13):
                     y = model.simulate_snapshots(geom, sc, n, seed=seed)
                     z = model.virtual_observation(
-                        f, model.sample_covariance(y).r)
+                        f, model.sample_covariance(y))
                     for method in ('da', 'ss'):
                         aug = (estimator.augment_direct(z, mv)
                                if method == 'da' else
@@ -398,7 +398,7 @@ def test_shared_eigensystem_matches_separate_decompositions(spec):
             for n, seed in itertools.product((10, 50, 500), (7, 8)):
                 y = model.simulate_snapshots(geom, sc, n, seed=seed)
                 z = model.virtual_observation(f,
-                                              model.sample_covariance(y).r)
+                                              model.sample_covariance(y))
                 da = estimator.run_music(z, mv, k, method='da')
                 ss = estimator.run_music(z, mv, k, method='ss')
                 ref_da = estimator.estimate_doas(

@@ -192,7 +192,7 @@ def test_trial_matches_direct_replay():
         seed = np.random.SeedSequence(entropy=rec.seed_key[0],
                                       spawn_key=rec.seed_key[1:])
         y = model.simulate_snapshots(geom, sc, 64, seed)
-        z = model.virtual_observation(f, model.sample_covariance(y).r)
+        z = model.virtual_observation(f, model.sample_covariance(y))
         est = estimator.run_music(z, co.mv, 2, method=rec.method,
                                   grid_step=np.deg2rad(0.5))
         assert est.resolved == rec.resolved
@@ -471,8 +471,15 @@ def test_cli_estimate_rejects_bad_scenario(tmp_path, capsys):
     assert cli.main(['estimate', '--array', 'coprime:2',
                      '--scenario', str(scenario)]) == 2
     # mistyped values are config errors, not tracebacks
+    # JSON booleans are not numbers: true would put a source at 1 deg
     for bad in ({'doas_deg': 5, 'snr_db': 0},
-                {'doas_deg': [10, 40], 'noise_power': None}):
+                {'doas_deg': [10, 40], 'noise_power': None},
+                {'doas_deg': [True, 40], 'snr_db': 0},
+                {'doas_deg': [10, 40], 'snr_db': False},
+                {'doas_deg': [10, 40], 'snr_db': 0, 'powers': [True, 2]},
+                {'doas_deg': [10, 40], 'snr_db': 0, 'power': True},
+                {'doas_deg': [10, 40], 'noise_power': True},
+                {'doas_deg': ['10'], 'snr_db': 0}):
         scenario.write_text(json.dumps(bad))
         assert cli.main(['estimate', '--array', 'coprime:2',
                          '--scenario', str(scenario)]) == 2, bad
@@ -482,7 +489,25 @@ def test_cli_estimate_rejects_bad_scenario(tmp_path, capsys):
         assert cli.main(['estimate', '--array', 'coprime:2',
                          '--scenario', str(scenario),
                          '--grid-step-deg', step]) == 2, step
-        assert 'grid step' in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert 'grid step' in err
+        # reported as given, in degrees
+        assert f'got {float(step)!r} deg' in err
+
+
+def test_cli_estimate_checks_source_count_before_simulating(tmp_path,
+                                                             capsys):
+    # coprime:2 has mv = 8, so 14 sources cannot be estimated
+    scenario = tmp_path / 'scenario.json'
+    scenario.write_text(json.dumps(
+        {'doas_deg': list(np.linspace(-60.0, 60.0, 14)), 'snr_db': 0.0}))
+    dump = tmp_path / 'snaps.csv'
+    assert cli.main(['estimate', '--array', 'coprime:2',
+                     '--scenario', str(scenario),
+                     '--dump-snapshots', str(dump)]) == 2
+    err = capsys.readouterr().err
+    assert 'coprime' in err and 'mv = 8' in err
+    assert not dump.exists()
 
 
 def test_cli_analyze(tmp_path, capsys):

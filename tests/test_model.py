@@ -89,14 +89,14 @@ def test_steering_derivative_matches_central_difference():
 def test_true_covariance_matches_rank_one_sum():
     geom = geometry.coprime(2)
     sc = model.SourceScenario((-0.5, 0.3), (2.0, 0.7), 0.4)
-    cov = model.true_covariance(geom, sc)
+    r_mat = model.true_covariance(geom, sc)
+    assert r_mat.shape == (geom.n_sensors, geom.n_sensors)
     expected = 0.4 * np.eye(geom.n_sensors).astype(complex)
     for k, theta in enumerate(sc.doas):
         a = model.steering_vector(geom, theta)
         expected += sc.powers[k] * np.outer(a, a.conj())
-    np.testing.assert_allclose(cov.R, expected, rtol=1e-14)
-    np.testing.assert_allclose(cov.R, cov.R.conj().T, rtol=0, atol=1e-15)
-    np.testing.assert_array_equal(cov.r, model.vec(cov.R))
+    np.testing.assert_allclose(r_mat, expected, rtol=1e-14)
+    np.testing.assert_allclose(r_mat, r_mat.conj().T, rtol=0, atol=1e-15)
 
 
 def test_simulate_snapshots_shape_and_reproducibility():
@@ -160,12 +160,12 @@ def test_sample_covariance_converges_to_model():
     sc = model.SourceScenario((-0.6, 0.2), (1.0, 1.5), 0.8)
     n = 50_000
     y = model.simulate_snapshots(geom, sc, n, seed=11)
-    cov = model.sample_covariance(y)
-    assert cov.n_snapshots == n
-    truth = model.true_covariance(geom, sc).R
+    r_hat = model.sample_covariance(y)
+    assert r_hat.shape == (geom.n_sensors, geom.n_sensors)
+    truth = model.true_covariance(geom, sc)
     # per-entry standard error is sqrt(R_ii R_jj / N), below 0.02 here
-    np.testing.assert_allclose(cov.R, truth, rtol=0, atol=0.08)
-    np.testing.assert_allclose(cov.R, cov.R.conj().T, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(r_hat, truth, rtol=0, atol=0.08)
+    np.testing.assert_allclose(r_hat, r_hat.conj().T, rtol=0, atol=1e-15)
 
 
 def test_sample_covariance_rejects_bad_shape():
@@ -178,13 +178,13 @@ def test_virtual_observation_averages_lag_entries():
     co = geometry.difference_coarray(geom)
     f = geometry.selection_matrix(co)
     sc = model.SourceScenario((-0.2, 0.35), (1.0, 2.0), 0.5)
-    cov = model.true_covariance(geom, sc)
-    z = model.virtual_observation(f, cov.r)
+    r_mat = model.true_covariance(geom, sc)
+    z = model.virtual_observation(f, r_mat)
     assert z.shape == (2 * co.mv - 1,)
     # mv = 2 here: rows are lags -1, 0, +1 of R
-    np.testing.assert_allclose(z[0], cov.R[0, 1], rtol=1e-15)
-    np.testing.assert_allclose(z[1], np.trace(cov.R) / 3.0, rtol=1e-15)
-    np.testing.assert_allclose(z[2], cov.R[1, 0], rtol=1e-15)
+    np.testing.assert_allclose(z[0], r_mat[0, 1], rtol=1e-15)
+    np.testing.assert_allclose(z[1], np.trace(r_mat) / 3.0, rtol=1e-15)
+    np.testing.assert_allclose(z[2], r_mat[1, 0], rtol=1e-15)
 
 
 def test_virtual_observation_conjugate_symmetry_and_identity():
@@ -192,15 +192,19 @@ def test_virtual_observation_conjugate_symmetry_and_identity():
     co = geometry.difference_coarray(geom)
     f = geometry.selection_matrix(co)
     sc = model.SourceScenario.with_snr((-0.5, 0.1, 0.7), 3.0)
-    z = model.virtual_observation(f, model.true_covariance(geom, sc).r)
+    z = model.virtual_observation(f, model.true_covariance(geom, sc))
     np.testing.assert_allclose(z, np.conj(z[::-1]), rtol=0, atol=1e-14)
     e_center = np.zeros(2 * co.mv - 1)
     e_center[co.mv - 1] = 1.0
     np.testing.assert_allclose(
-        model.virtual_observation(f, model.vec(np.eye(geom.n_sensors))),
+        model.virtual_observation(f, np.eye(geom.n_sensors)),
         e_center, rtol=0, atol=0)
-    with pytest.raises(ValueError):
-        model.virtual_observation(f, np.zeros(4))
+    m = geom.n_sensors
+    # vec(R) is formed inside; a vector or a matrix of another array fails
+    for bad in (np.zeros(m * m), np.zeros((m - 1, m - 1)),
+                np.zeros((m, m + 1)), np.zeros((m * m, 1))):
+        with pytest.raises(ValueError, match='M x M'):
+            model.virtual_observation(f, bad)
 
 
 def test_virtual_observation_follows_coarray_model():
@@ -210,7 +214,7 @@ def test_virtual_observation_follows_coarray_model():
     co = geometry.difference_coarray(geom)
     f = geometry.selection_matrix(co)
     sc = model.SourceScenario((-0.45, 0.25), (1.3, 0.8), 0.6)
-    z = model.virtual_observation(f, model.true_covariance(geom, sc).r)
+    z = model.virtual_observation(f, model.true_covariance(geom, sc))
     lags = np.arange(-(co.mv - 1), co.mv)
     phi = np.pi * np.sin(np.asarray(sc.doas))  # d0 = lambda / 2
     a_virtual = np.exp(1j * np.outer(lags, phi))

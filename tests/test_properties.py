@@ -1,5 +1,5 @@
-"""Property tests of the coarray selection matrix, the augmentations
-and the closed forms.
+"""Property tests of the coarray selection matrix, the augmentations,
+the closed forms and the chunking of Monte Carlo trials.
 
 Positions are drawn as random integer sets (mostly with coarray holes)
 and as nested arrays (hole-free coarrays). Each property must hold for
@@ -9,7 +9,7 @@ every draw.
 import numpy as np
 import pytest
 
-from coarray_lab import analysis, estimator, geometry, model
+from coarray_lab import analysis, estimator, geometry, harness, model
 
 hypothesis = pytest.importorskip('hypothesis')
 st = hypothesis.strategies
@@ -155,3 +155,21 @@ def test_mse_and_crb_invariant_to_joint_power_scaling(geom, seed, u, factor):
     assert other.jacobian_rank == base.jacobian_rank
     if base.defined:
         assert_same_up_to_rounding(other.crb, base.crb)
+
+
+@settings
+@hypothesis.given(st.integers(1, 8), st.lists(st.floats(0.0, 1.0), max_size=4),
+                  st.sampled_from([('da',), ('ss',), ('da', 'ss')]), seeds)
+def test_trial_records_do_not_depend_on_chunking(n_trials, cuts, methods,
+                                                  seed):
+    # any split of the trials into contiguous ranges, run one range at
+    # a time as a worker does, gives the single-range records exactly
+    geom = geometry.coprime(2)
+    sc = model.SourceScenario.with_snr(np.deg2rad([-20.0, 25.0]), 0.0)
+    point = (geom, sc, 40, methods, seed, 3)
+    step = np.deg2rad(0.5)
+    serial = harness.run_trials(*point, n_trials, step, threads=1)
+    bounds = sorted({0, n_trials, *(round(c * n_trials) for c in cuts)})
+    pieces = [harness._trial_block(*point, step, range(lo, hi))
+              for lo, hi in zip(bounds, bounds[1:])]
+    assert [rec for piece in pieces for rec in piece] == serial
