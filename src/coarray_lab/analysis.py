@@ -20,8 +20,8 @@ import numpy as np
 # selection_matrix is unused here but stays bound: bench/selftest.py
 # checks that the tracer wraps it at this lookup site.
 from .geometry import _lag_gather, difference_coarray, selection_matrix  # noqa: F401
-from .model import (_phase_rate, _steering, steering_matrix, true_covariance,
-                    vec)
+from .model import (SourceScenario, _phase_rate, _steering, steering_matrix,
+                    true_covariance, vec)
 
 __all__ = [
     'ErrorTerms', 'CrbReport', 'NumericalFailure', 'CrbUndefined',
@@ -32,6 +32,9 @@ __all__ = [
 
 # Relative singular-value cutoff for pseudo-inverses and rank decisions.
 _RANK_RCOND = 1e-10
+
+# Separations (radians) scanned for the first resolution crossing.
+_THRESHOLD_SCAN = np.geomspace(np.deg2rad(1e-3), np.deg2rad(6.0), 80)
 
 
 class NumericalFailure(RuntimeError):
@@ -349,24 +352,22 @@ def resolution_predict(mse_matrix, delta_theta):
 
 
 def resolution_threshold(geom, n_snapshots, center=np.deg2rad(30.0),
-                         power=1.0, noise_power=1.0,
-                         lo=np.deg2rad(1e-3), hi=np.deg2rad(6.0)):
+                         power=1.0, noise_power=1.0):
     """Predicted resolution threshold separation for a source pair.
 
     Finds the separation at which the summed RMS error of two
     equal-power sources straddling ``center`` equals the separation
     itself; below it the pair is predicted unresolvable. The first
-    crossing is bracketed on a log-spaced scan of [lo, hi], which stops
-    there, and polished by bisection down to adjacent floats.
+    crossing is bracketed on a log-spaced scan of 1e-3 .. 6 degrees,
+    which stops there, and polished by bisection down to adjacent
+    floats.
 
     Returns:
         Threshold separation in radians.
 
     Raises:
-        NumericalFailure: If no crossing exists inside [lo, hi].
+        NumericalFailure: If no crossing exists inside the scan.
     """
-    from .model import SourceScenario
-
     def excess(delta):
         scenario = SourceScenario(
             (center - delta / 2.0, center + delta / 2.0),
@@ -374,16 +375,15 @@ def resolution_threshold(geom, n_snapshots, center=np.deg2rad(30.0),
         mse = analytical_mse(geom, scenario, n_snapshots)
         return np.sqrt(mse[0, 0]) + np.sqrt(mse[1, 1]) - delta
 
-    deltas = np.geomspace(lo, hi, 80)
-    prev = excess(deltas[0])
-    for i in range(1, deltas.size):
-        value = excess(deltas[i])
+    prev = excess(_THRESHOLD_SCAN[0])
+    for i in range(1, _THRESHOLD_SCAN.size):
+        value = excess(_THRESHOLD_SCAN[i])
         if prev > 0 and value <= 0:
             break
         prev = value
     else:
         raise NumericalFailure('no resolution crossing inside the scan range')
-    a, b = deltas[i - 1], deltas[i]
+    a, b = _THRESHOLD_SCAN[i - 1], _THRESHOLD_SCAN[i]
     for _ in range(60):
         mid = 0.5 * (a + b)
         if mid == a or mid == b:

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from . import analysis, geometry, model
 from .estimator import run_music
-from .harness import (ConfigError, emit_outputs, load_config, run,
+from .harness import (ConfigError, Table, emit_outputs, load_config, run,
                       _analyze_table, _check_source_count, _csv_text,
                       _is_real, _parse_array, _write_text)
 
@@ -113,30 +113,28 @@ def _cmd_estimate(args):
     if not est.resolved:
         print(f'unresolved: found {len(est.angles)} of '
               f'{scenario.n_sources} sources', file=sys.stderr)
-    out = open(args.out, 'w', encoding='utf-8', newline='') if args.out \
-        else sys.stdout
-    try:
-        writer = csv.writer(out, lineterminator='\n')
-        writer.writerow(('source', 'theta_true_deg', 'theta_est_deg',
-                         'error_deg'))
-        estimates = list(est.angles) + [float('nan')] * (
-            scenario.n_sources - len(est.angles))
-        for i, (true, est_i) in enumerate(zip(scenario.doas, estimates)):
-            writer.writerow((i, repr(float(np.rad2deg(true))),
-                             repr(float(np.rad2deg(est_i))),
-                             repr(float(np.rad2deg(est_i - true)))))
-    finally:
-        if args.out:
-            out.close()
+    estimates = list(est.angles) + [float('nan')] * (
+        scenario.n_sources - len(est.angles))
+    rows = tuple((i, float(np.rad2deg(true)), float(np.rad2deg(est_i)),
+                  float(np.rad2deg(est_i - true)))
+                 for i, (true, est_i) in enumerate(zip(scenario.doas,
+                                                       estimates)))
+    _write_table(Table(('source', 'theta_true_deg', 'theta_est_deg',
+                        'error_deg'), rows), args.out)
     return 0
+
+
+def _write_table(table, path):
+    """Write a table as CSV to ``path``, or to stdout without one."""
+    if path:
+        _write_text(path, _csv_text(table))
+    else:
+        sys.stdout.write(_csv_text(table))
 
 
 def _cmd_analyze(args):
     table = _analyze_table(load_config(args.config))
-    if args.out:
-        _write_text(args.out, _csv_text(table))
-    else:
-        sys.stdout.write(_csv_text(table))
+    _write_table(table, args.out)
     if table.rows and not any(row[-1] for row in table.rows):  # crb_defined
         print('CRB undefined at every requested point', file=sys.stderr)
         return 3

@@ -39,15 +39,18 @@ __all__ = [
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
+# Golden-section steps of the sub-grid refinement of each peak.
+_REFINE_ITERS = 5
+
 # Grid angles with their phase tables exp(j l phi), l = 1 .. mv - 1,
 # keyed by (mv, step, d0 / wavelength); entries are read-only and
 # shared across trials.
 _GRID_CACHE = {}
 
 # The last run_music input, keyed by (z, mv, k, estimator keywords):
-# its direct augmentation, DA noise basis, eigensystem and the estimate
-# for each noise column set scanned so far. One entry, so the DA and SS
-# calls of a trial share one eigendecomposition.
+# its direct augmentation, eigensystem and the estimate for each noise
+# column set scanned so far. One entry, so the DA and SS calls of a
+# trial share one eigendecomposition.
 _TRIAL_CACHE = {}
 
 
@@ -59,7 +62,8 @@ class DoaEstimate:
         angles: Estimated DOAs in radians, ascending. Holds fewer than
             the requested number of entries when ``resolved`` is False.
         resolved: True when the spectrum produced the requested number
-            of peaks.
+            of peaks and neither grid edge hides a deeper one (see
+            :func:`estimate_doas`).
         refined: Per-angle flag, True where sub-grid refinement
             succeeded (False entries fall back to the best grid or
             search point).
@@ -199,21 +203,22 @@ def _parabola_vertex(x_mid, h, y0, y1, y2):
     return vertex, up & (np.abs(vertex - x_mid) <= h)
 
 
-def _refine_peaks(dfun, theta, step, d_left, d_mid, d_right, iters):
+def _refine_peaks(dfun, theta, step, d_left, d_mid, d_right):
     """Sub-grid refinement of every kept peak inside its grid cell.
 
     Quadratic interpolation on the grid triple seeds a candidate, then a
-    golden-section search over the cell with a final parabolic fit
-    polishes it; the candidate with the smallest (null power, angle)
-    wins. All peaks advance together, so each step makes one call of
-    ``dfun`` on an array of angles. Returns (angles, refined_flags).
+    golden-section search of :data:`_REFINE_ITERS` steps over the cell
+    with a final parabolic fit polishes it; the candidate with the
+    smallest (null power, angle) wins. All peaks advance together, so
+    each step makes one call of ``dfun`` on an array of angles. Returns
+    (angles, refined_flags).
     """
     vertex, vertex_ok = _parabola_vertex(theta, step, d_left, d_mid, d_right)
     a, b = theta - step, theta + step
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     f_vertex, fc, fd = dfun(np.concatenate((vertex, c, d))).reshape(3, -1)
-    for _ in range(max(int(iters), 0)):
+    for _ in range(_REFINE_ITERS):
         # keep the interior point with the smaller null power, shrink
         # the bracket around it and probe the mirrored golden point
         left = fc <= fd
@@ -251,21 +256,24 @@ def default_grid(grid_step=np.deg2rad(0.1)):
     return np.arange(-np.pi / 2 + grid_step, np.pi / 2, grid_step)
 
 
-def estimate_doas(rv, k, grid_step=np.deg2rad(0.1), refine_iters=5,
-                  d0=0.5, wavelength=1.0, return_spectrum=False, en=None):
+def estimate_doas(rv, k, grid_step=np.deg2rad(0.1), d0=0.5, wavelength=1.0,
+                  return_spectrum=False, en=None):
     """Grid MUSIC with sub-grid refinement on an augmented covariance.
 
     Peaks are interior local maxima of the pseudo-spectrum; the k
     largest are kept (ties broken toward the larger spectrum value,
     then the smaller angle) and each is refined within its grid cell.
     When fewer than k local maxima exist the estimate is returned with
-    ``resolved=False`` and the peaks that were found.
+    ``resolved=False`` and the peaks that were found. It is also
+    unresolved when the null spectrum still falls at a grid edge (the
+    edge value lies below its neighbour) and lies there below the
+    weakest kept peak: a source at endfire, beyond the grid, then has
+    its place taken by a spurious peak.
 
     Args:
         rv: mv x mv augmented covariance.
         k: Number of sources to estimate, 1 <= k < mv.
         grid_step: Grid spacing in radians.
-        refine_iters: Golden-section iterations per peak.
         d0: Virtual-ULA spacing.
         wavelength: Carrier wavelength.
         return_spectrum: Attach the grid and spectrum to the result.
@@ -285,13 +293,13 @@ def estimate_doas(rv, k, grid_step=np.deg2rad(0.1), refine_iters=5,
     peaks = _find_peaks(d)
     order = np.lexsort((grid[peaks], d[peaks]))
     kept = peaks[order[:k]]
-    resolved = kept.shape[0] == k
+    edges = d[[0, -1]][d[[0, -1]] < d[[1, -2]]]
+    resolved = kept.shape[0] == k and not np.any(edges < d[kept].max())
 
     dfun = lambda theta: _null_eval(
         c0, w, _phase_table(mv, rate * np.sin(theta)))
     angles, refined = _refine_peaks(
-        dfun, grid[kept], grid_step, d[kept - 1], d[kept], d[kept + 1],
-        refine_iters)
+        dfun, grid[kept], grid_step, d[kept - 1], d[kept], d[kept + 1])
     order = np.argsort(angles)
     est = DoaEstimate(
         angles=angles[order], resolved=resolved, refined=refined[order],
@@ -301,7 +309,8 @@ def estimate_doas(rv, k, grid_step=np.deg2rad(0.1), refine_iters=5,
     return est
 
 
-def run_music(z, mv, k, method='ss', **kwargs):
+def run_music(z, mv, k, method='ss', *, grid_step=np.deg2rad(0.1), d0=0.5,
+              wavelength=1.0, return_spectrum=False):
     """Coarray MUSIC on a virtual observation.
 
     Both methods read their noise subspace off one eigendecomposition,
@@ -309,12 +318,12 @@ def run_music(z, mv, k, method='ss', **kwargs):
     takes the mv - k eigenvectors with the smallest eigenvalues, SS the
     mv - k with the smallest |eigenvalue|: since the spatially smoothed
     Rv2 equals Rv1^2 / mv, those span the noise subspace of Rv2, which
-    is never formed. The eigensystem of the last (z, mv, k, kwargs) is
-    kept with the estimate of each noise column set, so the second
-    method on the same input makes no second decomposition, and no
-    second scan when both methods pick the same columns (the usual
-    case). Results may thus be shared between calls; their arrays are
-    read-only.
+    is never formed. The eigensystem of the last input (z, mv, k and
+    the keyword values) is kept with the estimate of each noise column
+    set, so the second method on the same input makes no second
+    decomposition, and no second scan when both methods pick the same
+    columns (the usual case). Results may thus be shared between calls;
+    their arrays are read-only.
 
     Args:
         z: Virtual observation of length 2 * mv - 1.
@@ -322,7 +331,8 @@ def run_music(z, mv, k, method='ss', **kwargs):
         k: Number of sources.
         method: ``'ss'`` for spatial smoothing, ``'da'`` for direct
             augmentation.
-        **kwargs: Passed through to :func:`estimate_doas`.
+        grid_step, d0, wavelength, return_spectrum: As for
+            :func:`estimate_doas`.
 
     Returns:
         A :class:`DoaEstimate`.
@@ -330,22 +340,20 @@ def run_music(z, mv, k, method='ss', **kwargs):
     if method not in ('ss', 'da'):
         raise ValueError(f"method must be 'ss' or 'da', got {method!r}")
     z = np.asarray(z)
-    # keyword values by repr, which is exact for scalars and also covers
-    # unhashable ones such as 0-d arrays
-    key = (z.dtype.str, z.shape, z.tobytes(), mv, k,
-           tuple(sorted((name, repr(v)) for name, v in kwargs.items())))
+    options = (float(grid_step), float(d0), float(wavelength),
+               bool(return_spectrum))
+    key = (z.dtype.str, z.shape, z.tobytes(), mv, k, options)
     trial = _TRIAL_CACHE.get(key)
     if trial is None:
         _TRIAL_CACHE.clear()
         rv = augment_direct(z, mv)
-        trial = _TRIAL_CACHE[key] = (
-            rv, *noise_subspace(rv, k, return_eigensystem=True), {})
-    rv, basis, values, vectors, estimates = trial
+        _, values, vectors = noise_subspace(rv, k, return_eigensystem=True)
+        trial = _TRIAL_CACHE[key] = (rv, values, vectors, {})
+    rv, values, vectors, estimates = trial
     cols = _noise_columns(values, k, method)
     est = estimates.get(cols)
     if est is None:
-        en = basis if cols[-1] == len(cols) - 1 else vectors[:, list(cols)]
-        est = estimate_doas(rv, k, en=en, **kwargs)
+        est = estimate_doas(rv, k, *options, en=vectors[:, list(cols)])
         for arr in (est.angles, est.refined, est.spectrum):
             if arr is not None:
                 arr.setflags(write=False)

@@ -14,6 +14,7 @@ so outputs do not depend on worker count or chunking.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -316,15 +317,39 @@ def _trial_block(geom, scenario, n_snapshots, methods, master_seed,
     return records
 
 
+# The executors open for the runs in progress, by worker count.
+_POOLS = {}
+
+
+@contextlib.contextmanager
+def _worker_pool(threads):
+    """The open executor with ``threads`` workers, else one for the block.
+
+    :func:`run` holds one open for its whole sweep, so the trials of
+    every sweep point go to the same warm workers. No executor is made
+    for one thread or fewer, where the trials run in this process.
+    """
+    if threads <= 1 or threads in _POOLS:
+        yield _POOLS.get(threads)
+        return
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        _POOLS[threads] = pool
+        try:
+            yield pool
+        finally:
+            del _POOLS[threads]
+
+
 def run_trials(geom, scenario, n_snapshots, methods, master_seed,
                combo_index, n_trials, grid_step, threads=1):
     """Monte Carlo trials for one sweep point.
 
     DA and SS share each trial's snapshots so method comparisons see
     identical noise. With ``threads > 1`` the trials are split into
-    contiguous ranges run in worker processes; each trial depends on
-    its seed key alone, so the records, ordered by (trial, method), do
-    not depend on ``threads``.
+    contiguous ranges run in worker processes, those of the enclosing
+    :func:`run` when there is one; each trial depends on its seed key
+    alone, so the records, ordered by (trial, method), do not depend on
+    ``threads``.
 
     Returns:
         List of :class:`TrialRecord`.
@@ -338,7 +363,7 @@ def run_trials(geom, scenario, n_snapshots, methods, master_seed,
     step = max(1, -(-n_trials // (threads * 8)))
     chunks = [range(start, min(start + step, n_trials))
               for start in range(0, n_trials, step)]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with _worker_pool(threads) as pool:
         return [rec for recs in pool.map(block, chunks) for rec in recs]
 
 
@@ -411,8 +436,8 @@ def _check_source_count(geom, mv, scenario):
                           f'sources, got {scenario.n_sources}')
 
 
-def _sweep(cfg, kind):
-    """Points of a config's sweep of ``kind`` and the skip notices.
+def _sweep(cfg):
+    """Points of a config's sweep and the skip notices.
 
     A point's index in the list is its combo index, which keys the
     seeds of its trials. Every scenario is built and checked here, so a
@@ -429,7 +454,7 @@ def _sweep(cfg, kind):
         _check_source_count(geom, mv, scenario)
         points.append(_Point(geom, mv, scenario, n, snr, tags, group))
 
-    if kind == 'scaling':
+    if cfg.kind == 'scaling':
         for family, mode in itertools.product(cfg.families, cfg.k_modes):
             group = next(groups)
             for q in cfg.q_range:
@@ -444,7 +469,7 @@ def _sweep(cfg, kind):
                     (family, mode, q))
         return points, notices
 
-    if kind == 'efficiency' and cfg.doas_deg is None:
+    if cfg.kind == 'efficiency' and cfg.doas_deg is None:
         fans = [_fan(k) for k in cfg.k_sources]
     else:
         given = (_DEFAULT_VERIFY_DOAS_DEG if cfg.doas_deg is None
@@ -459,7 +484,7 @@ def _sweep(cfg, kind):
         for doas, snr, n in itertools.product(fans, cfg.snr_db,
                                               cfg.n_snapshots):
             group = next(groups)
-            if kind != 'resolution':
+            if cfg.kind != 'resolution':
                 add(geom, mv, doas, snr, n, group)
                 continue
             for delta_deg in deltas:
@@ -598,9 +623,10 @@ def run(cfg, threads=1):
 
     Every sweep point is built and checked before the first trial runs.
     """
-    points, notices = _sweep(cfg, cfg.kind)
+    points, notices = _sweep(cfg)
     header, rows = _TABLES[cfg.kind]
-    tables = {cfg.kind: Table(header, tuple(rows(cfg, points, threads)))}
+    with _worker_pool(threads):
+        tables = {cfg.kind: Table(header, tuple(rows(cfg, points, threads)))}
     if notices:
         tables['notices'] = Table(('message',), tuple((s,) for s in notices))
     return tables
@@ -609,7 +635,7 @@ def run(cfg, threads=1):
 def _analyze_table(cfg):
     """Per-source closed forms over the points of the config's sweep."""
     rows = []
-    for p in _sweep(cfg, cfg.kind)[0]:
+    for p in _sweep(cfg)[0]:
         mse, report, kappa, crb_trace = _closed_form(p)
         for i, theta in enumerate(p.scenario.doas):
             eps = float(mse[i, i])
@@ -672,81 +698,51 @@ def _csv_text(table):
     return buf.getvalue()
 
 
-def _series_filter(header, row, keys):
-    """Gnuplot boolean expression selecting one series' rows."""
-    clauses = []
-    for key in keys:
-        col = header.index(key) + 1
-        val = row[header.index(key)]
-        if isinstance(val, str):
-            clauses.append(f"strcol({col}) eq '{val}'")
-        else:
-            clauses.append(f'column({col}) == {_fmt_cell(val)}')
-    return ' && '.join(clauses)
-
-
-def _gp_series(table, csv_name, keys, xcol, ycol, logy=False, logx=False):
-    """One gnuplot 'plot' command with a line per distinct key tuple."""
-    header = table.header
-    seen = []
-    for row in table.rows:
-        tag = tuple(row[header.index(k)] for k in keys)
-        if tag not in seen:
-            seen.append(tag)
-    xi = header.index(xcol) + 1
-    yi = header.index(ycol) + 1
-    parts = []
-    for tag in seen:
-        row = next(r for r in table.rows
-                   if tuple(r[header.index(k)] for k in keys) == tag)
-        cond = _series_filter(header, row, keys)
-        title = ' '.join(_fmt_cell(v) for v in tag)
-        parts.append(f"'{csv_name}' using "
-                     f'({cond} ? column({xi}) : 1/0):(column({yi})) '
-                     f"with linespoints title '{title}'")
-    lines = ["# requires gnuplot >= 5.0 (CSV-quoted fields)",
-             "set datafile separator ','"]
-    if logx and logy:
-        lines.append('set logscale xy')
-    elif logy:
-        lines.append('set logscale y')
-    elif logx:
-        lines.append('set logscale x')
-    lines.append(f"set xlabel '{xcol}'")
-    lines.append(f"set ylabel '{ycol}'")
-    lines.append('set key outside right')
-    lines.append('plot \\')
-    lines.append(', \\\n'.join('    ' + p for p in parts))
-    return '\n'.join(lines) + '\n'
+# Per plottable table: the columns whose values tell its series apart,
+# the x and y columns, and the axes drawn on a log scale.
+_PLOTS = {
+    'verify_mse': (('array', 'method', 'n_snapshots'), 'snr_db', 'rel_err',
+                   'y'),
+    'resolution': (('array', 'method'), 'delta_deg', 'p_resolve', ''),
+    'efficiency': (('array', 'k'), 'snr_db', 'kappa_analytic', ''),
+    'scaling': (('family', 'k_mode'), 'm', 'eps_an_rad2', 'xy'),
+}
 
 
 def _plot_script(name, table, csv_name):
-    if name == 'verify_mse':
-        return _gp_series(table, csv_name, ('array', 'method', 'n_snapshots'),
-                          'snr_db', 'rel_err', logy=True)
+    """Gnuplot script with one line per distinct series key of a table.
+
+    A resolution plot also marks each array's first predicted threshold
+    with a dashed vertical arrow.
+    """
+    keys, xcol, ycol, log = _PLOTS[name]
+    col = {c: i for i, c in enumerate(table.header)}
+    lines = ['# requires gnuplot >= 5.0 (CSV-quoted fields)',
+             "set datafile separator ','"]
+    if log:
+        lines.append(f'set logscale {log}')
+    lines += [f"set xlabel '{xcol}'", f"set ylabel '{ycol}'",
+              'set key outside right']
     if name == 'resolution':
-        script = _gp_series(table, csv_name, ('array', 'method'),
-                            'delta_deg', 'p_resolve')
-        thr_col = table.header.index('predicted_threshold_deg')
-        arr_col = table.header.index('array')
-        arrows = []
-        seen = set()
+        arr, thr = col['array'], col['predicted_threshold_deg']
+        first = {}
         for row in table.rows:
-            if row[arr_col] in seen:
-                continue
-            seen.add(row[arr_col])
-            thr = _fmt_cell(row[thr_col])
-            arrows.append(f'set arrow from {thr},0 to {thr},1 nohead dashtype 2')
-        lines = script.split('\n')
-        cut = lines.index('plot \\')
-        return '\n'.join(lines[:cut] + arrows + lines[cut:])
-    if name == 'efficiency':
-        return _gp_series(table, csv_name, ('array', 'k'),
-                          'snr_db', 'kappa_analytic')
-    if name == 'scaling':
-        return _gp_series(table, csv_name, ('family', 'k_mode'),
-                          'm', 'eps_an_rad2', logx=True, logy=True)
-    return None
+            first.setdefault(row[arr], _fmt_cell(row[thr]))
+        lines += [f'set arrow from {t},0 to {t},1 nohead dashtype 2'
+                  for t in first.values()]
+    parts = []
+    for tag in dict.fromkeys(tuple(row[col[k]] for k in keys)
+                             for row in table.rows):
+        cond = ' && '.join(
+            f"strcol({col[k] + 1}) eq '{v}'" if isinstance(v, str)
+            else f'column({col[k] + 1}) == {_fmt_cell(v)}'
+            for k, v in zip(keys, tag))
+        title = ' '.join(_fmt_cell(v) for v in tag)
+        parts.append(f"    '{csv_name}' using ({cond} ? column("
+                     f'{col[xcol] + 1}) : 1/0):(column({col[ycol] + 1})) '
+                     f"with linespoints title '{title}'")
+    lines += ['plot \\', ', \\\n'.join(parts)]
+    return '\n'.join(lines) + '\n'
 
 
 def emit_outputs(tables, out_dir, cfg):
@@ -769,10 +765,9 @@ def emit_outputs(tables, out_dir, cfg):
         path = os.path.join(out_dir, csv_name)
         written.append(_write_text(path, _csv_text(table)))
         manifest_tables[name] = {'path': csv_name, 'rows': len(table.rows)}
-        script = _plot_script(name, table, csv_name)
-        if script is not None:
+        if name in _PLOTS:
             written.append(_write_text(os.path.join(out_dir, f'{name}.gp'),
-                                       script))
+                                       _plot_script(name, table, csv_name)))
     manifest = {
         'tool': 'coarray-lab',
         'version': __version__,

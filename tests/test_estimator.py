@@ -182,6 +182,23 @@ def test_peakless_spectrum_reports_unresolved():
     assert est.refined.shape == (0,)
 
 
+@pytest.mark.parametrize('doas_deg, resolved', [
+    ((-89.99,), False), ((89.99,), False), ((-89.99, 10.0), False),
+    ((-85.0,), True), ((30.0,), True)])
+def test_endfire_source_is_flagged(doas_deg, resolved):
+    # the grid stops short of +-90 deg, so an endfire source has no
+    # interior null; a spurious peak near +-57 deg stands in for it
+    geom = geometry.coprime(3, 5)
+    sc = model.SourceScenario.with_snr(np.deg2rad(doas_deg), 10.0)
+    z, mv = exact_virtual(geom, sc)
+    for method in ('da', 'ss'):
+        est = estimator.run_music(z, mv, len(doas_deg), method=method)
+        assert est.resolved is resolved
+        if resolved:
+            np.testing.assert_allclose(est.angles, np.deg2rad(doas_deg),
+                                       rtol=0, atol=1e-6)
+
+
 def test_nondefault_spacing_round_trip():
     # quarter-wavelength physical array; the estimator must be told
     geom = geometry.coprime(2, d0=0.25, wavelength=1.0)
@@ -313,7 +330,7 @@ def reference_refine_peak(dfun, theta, step, d_left, d_mid, d_right, iters):
     return best_theta, best_theta != theta
 
 
-def reference_estimate(rv, k, grid_step=np.deg2rad(0.1), refine_iters=5):
+def reference_estimate(rv, k, grid_step=np.deg2rad(0.1)):
     """(angles, resolved, refined) of the scalar path, d0 = wavelength / 2."""
     en = estimator.noise_subspace(rv, k)
     mv = en.shape[0]
@@ -325,11 +342,19 @@ def reference_estimate(rv, k, grid_step=np.deg2rad(0.1), refine_iters=5):
     kept = peaks[np.lexsort((grid[peaks], d[peaks]))[:k]]
     dfun = lambda theta: reference_null_power(en, theta, rate)
     found = [reference_refine_peak(dfun, grid[i], grid_step, d[i - 1], d[i],
-                                   d[i + 1], refine_iters) for i in kept]
+                                   d[i + 1], estimator._REFINE_ITERS)
+             for i in kept]
     angles = np.array([t for t, _ in found])
     refined = np.array([f for _, f in found], dtype=bool)
     order = np.argsort(angles)
-    return angles[order], kept.shape[0] == k, refined[order]
+    resolved = kept.shape[0] == k
+    if resolved:
+        # a null still falling at a grid edge, below the weakest kept peak
+        weakest = max(d[i] for i in kept)
+        for edge, inner in ((d[0], d[1]), (d[-1], d[-2])):
+            if edge < inner and edge < weakest:
+                resolved = False
+    return angles[order], resolved, refined[order]
 
 
 EQUIVALENCE_SCENES = {
@@ -458,14 +483,17 @@ def test_run_music_decomposes_once_per_input(monkeypatch):
     assert len(calls) == 1
     with pytest.raises(ValueError):
         da.angles[0] = 0.0
-    # another keyword is another input, and any keyword value will do
-    estimator.run_music(z, mv, 2, method='ss', refine_iters=4)
-    assert len(calls) == 2
+    # the keywords are named; a default passed explicitly, here as a 0-d
+    # array, is the same input, and another grid step another one
+    with pytest.raises(TypeError):
+        estimator.run_music(z, mv, 2, method='ss', refine_iters=4)
     step = np.asarray(np.deg2rad(0.1))
-    estimator.run_music(z, mv, 2, method='da', grid_step=step)
     again = estimator.run_music(z, mv, 2, method='ss', grid_step=step)
-    assert len(calls) == 3
-    np.testing.assert_array_equal(again.angles, da.angles)
+    assert again is da
+    assert len(calls) == 1
+    coarse = estimator.run_music(z, mv, 2, method='da', grid_step=0.01)
+    assert len(calls) == 2
+    np.testing.assert_allclose(coarse.angles, da.angles, rtol=0, atol=1e-4)
 
 
 def test_noise_columns_rank_by_method():

@@ -422,6 +422,141 @@ def test_resolution_plot_script_marks_threshold(tmp_path):
     assert script.index('set arrow') < script.index('plot \\')
 
 
+# Reference for the plot scripts: the per-kind if-chain that built them
+# before the table-driven _plot_script, with a representative row per
+# series and the threshold arrows spliced in ahead of 'plot \'.
+
+def reference_series_filter(header, row, keys):
+    clauses = []
+    for key in keys:
+        col = header.index(key) + 1
+        val = row[header.index(key)]
+        if isinstance(val, str):
+            clauses.append(f"strcol({col}) eq '{val}'")
+        else:
+            clauses.append(f'column({col}) == {harness._fmt_cell(val)}')
+    return ' && '.join(clauses)
+
+
+def reference_gp_series(table, csv_name, keys, xcol, ycol, logy=False,
+                        logx=False):
+    header = table.header
+    seen = []
+    for row in table.rows:
+        tag = tuple(row[header.index(k)] for k in keys)
+        if tag not in seen:
+            seen.append(tag)
+    xi = header.index(xcol) + 1
+    yi = header.index(ycol) + 1
+    parts = []
+    for tag in seen:
+        row = next(r for r in table.rows
+                   if tuple(r[header.index(k)] for k in keys) == tag)
+        cond = reference_series_filter(header, row, keys)
+        title = ' '.join(harness._fmt_cell(v) for v in tag)
+        parts.append(f"'{csv_name}' using "
+                     f'({cond} ? column({xi}) : 1/0):(column({yi})) '
+                     f"with linespoints title '{title}'")
+    lines = ["# requires gnuplot >= 5.0 (CSV-quoted fields)",
+             "set datafile separator ','"]
+    if logx and logy:
+        lines.append('set logscale xy')
+    elif logy:
+        lines.append('set logscale y')
+    elif logx:
+        lines.append('set logscale x')
+    lines.append(f"set xlabel '{xcol}'")
+    lines.append(f"set ylabel '{ycol}'")
+    lines.append('set key outside right')
+    lines.append('plot \\')
+    lines.append(', \\\n'.join('    ' + p for p in parts))
+    return '\n'.join(lines) + '\n'
+
+
+def reference_plot_script(name, table, csv_name):
+    if name == 'verify_mse':
+        return reference_gp_series(table, csv_name,
+                                   ('array', 'method', 'n_snapshots'),
+                                   'snr_db', 'rel_err', logy=True)
+    if name == 'resolution':
+        script = reference_gp_series(table, csv_name, ('array', 'method'),
+                                     'delta_deg', 'p_resolve')
+        thr_col = table.header.index('predicted_threshold_deg')
+        arr_col = table.header.index('array')
+        arrows = []
+        seen = set()
+        for row in table.rows:
+            if row[arr_col] in seen:
+                continue
+            seen.add(row[arr_col])
+            thr = harness._fmt_cell(row[thr_col])
+            arrows.append(f'set arrow from {thr},0 to {thr},1 nohead '
+                          'dashtype 2')
+        lines = script.split('\n')
+        cut = lines.index('plot \\')
+        return '\n'.join(lines[:cut] + arrows + lines[cut:])
+    if name == 'efficiency':
+        return reference_gp_series(table, csv_name, ('array', 'k'),
+                                   'snr_db', 'kappa_analytic')
+    if name == 'scaling':
+        return reference_gp_series(table, csv_name, ('family', 'k_mode'),
+                                   'm', 'eps_an_rad2', logx=True, logy=True)
+    return None
+
+
+PLOT_CONFIGS = {
+    'verify_mse': dict(arrays=('coprime:2', 'mra:6'), snr_db=(0.0, 10.0),
+                       n_snapshots=(100, 200), n_trials=2, method='both',
+                       doas_deg=(-20.0, 25.0)),
+    # two arrays at two SNRs: two thresholds each, one arrow each
+    'resolution': dict(arrays=('mra:10', 'coprime:3,5'), snr_db=(0.0, 10.0),
+                       n_snapshots=(120,), n_trials=2, delta_deg=(1.0, 2.0),
+                       method='both'),
+    'efficiency': dict(arrays=('coprime:2', 'nested:2,3'), k_sources=(1, 3),
+                       snr_db=(-10.0, 0.0, 10.0)),
+    'scaling': dict(families=('coprime', 'mra'), q_range=(2, 3, 4),
+                    k_modes=('one', 'm')),
+}
+
+
+@pytest.mark.parametrize('kind', sorted(PLOT_CONFIGS))
+def test_plot_scripts_match_reference(kind, tmp_path):
+    cfg = ExperimentConfig(kind=kind, grid_step_deg=0.5,
+                           **PLOT_CONFIGS[kind])
+    tables = harness.run(cfg)
+    written = harness.emit_outputs(tables, tmp_path, cfg)
+    for name, table in tables.items():
+        expected = reference_plot_script(name, table, f'{name}.csv')
+        script = tmp_path / f'{name}.gp'
+        if expected is None:
+            assert str(script) not in written
+        else:
+            assert script.read_text() == expected
+    if kind == 'resolution':
+        arrows = (tmp_path / 'resolution.gp').read_text().count('set arrow')
+        assert arrows == 2
+
+
+def test_run_opens_one_worker_pool(monkeypatch):
+    opened = []
+
+    class Counted(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, 'ProcessPoolExecutor', Counted)
+    cfg = ExperimentConfig(kind='verify_mse', arrays=('coprime:2',),
+                           snr_db=(10.0,), n_snapshots=(100, 200, 300),
+                           n_trials=6, method='both', doas_deg=(-20.0, 25.0),
+                           grid_step_deg=0.5)
+    serial = harness.run(cfg)
+    assert opened == []
+    assert harness.run(cfg, threads=2) == serial
+    assert opened == [{'max_workers': 2}]
+    assert harness._POOLS == {}
+
+
 def test_cli_geom(tmp_path, capsys):
     f_csv = tmp_path / 'f.csv'
     assert cli.main(['geom', '--array', 'mra:10', '--f-csv', str(f_csv)]) == 0
