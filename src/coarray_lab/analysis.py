@@ -33,8 +33,14 @@ __all__ = [
 # Relative singular-value cutoff for pseudo-inverses and rank decisions.
 _RANK_RCOND = 1e-10
 
-# Separations (radians) scanned for the first resolution crossing.
+# Separations (radians) scanned for the first resolution crossing, and
+# the stride of the coarse pass over them.
 _THRESHOLD_SCAN = np.geomspace(np.deg2rad(1e-3), np.deg2rad(6.0), 80)
+_THRESHOLD_STRIDE = 8
+
+# The last error-term build, keyed by (geometry, DOAs). One entry: the
+# sweeps vary SNR and N innermost, and the terms depend on neither.
+_TERMS_CACHE = {}
 
 
 class NumericalFailure(RuntimeError):
@@ -102,6 +108,10 @@ class CrbReport:
 def error_terms(geom, scenario):
     """First-order error functionals for every source in a scenario.
 
+    The terms depend on the array and the DOAs only, not on powers or
+    noise, so the last build is kept and returned again for an equal
+    (geometry, DOAs) pair. Its arrays are read-only.
+
     Args:
         geom: Array geometry.
         scenario: Source scenario with K < mv sources.
@@ -109,6 +119,15 @@ def error_terms(geom, scenario):
     Returns:
         An :class:`ErrorTerms` instance.
     """
+    key = (geom, scenario.doas)
+    terms = _TERMS_CACHE.get(key)
+    if terms is None:
+        _TERMS_CACHE.clear()
+        terms = _TERMS_CACHE[key] = _build_error_terms(geom, scenario)
+    return terms
+
+
+def _build_error_terms(geom, scenario):
     co = difference_coarray(geom)
     mv = co.mv
     k = scenario.n_sources
@@ -130,8 +149,11 @@ def error_terms(geom, scenario):
     cols, rows, vals = _lag_gather(co)
     xi = np.zeros((k, geom.n_sensors ** 2), dtype=complex)
     xi[:, cols] = folded[:, rows] * vals
-    return ErrorTerms(mv=mv, alpha=alpha, beta=beta.T.copy(),
-                      gamma=gamma, xi=xi)
+    terms = ErrorTerms(mv=mv, alpha=alpha, beta=beta.T.copy(),
+                       gamma=gamma, xi=xi)
+    for arr in (terms.alpha, terms.beta, terms.gamma, terms.xi):
+        arr.setflags(write=False)
+    return terms
 
 
 def analytical_mse(geom, scenario, n_snapshots):
@@ -357,16 +379,21 @@ def resolution_threshold(geom, n_snapshots, center=np.deg2rad(30.0),
 
     Finds the separation at which the summed RMS error of two
     equal-power sources straddling ``center`` equals the separation
-    itself; below it the pair is predicted unresolvable. The first
-    crossing is bracketed on a log-spaced scan of 1e-3 .. 6 degrees,
-    which stops there, and polished by bisection down to adjacent
-    floats.
+    itself; below it the pair is predicted unresolvable. The crossing
+    is bracketed on a log-spaced scan of 1e-3 .. 6 degrees, coarse to
+    fine. The coarse pass takes every 8th scan point and the last one,
+    in order, up to the first pair where the excess of RMS sum over
+    separation turns from positive to non-positive. The fine pass
+    takes the scan points from that pair's first point on, up to the
+    first such turn between neighbours, which bisection polishes down
+    to adjacent floats. Where the excess turns at most once between
+    coarse points, this is the first crossing of the full scan.
 
     Returns:
         Threshold separation in radians.
 
     Raises:
-        NumericalFailure: If no crossing exists inside the scan.
+        NumericalFailure: If no crossing is found inside the scan.
     """
     def excess(delta):
         scenario = SourceScenario(
@@ -375,15 +402,22 @@ def resolution_threshold(geom, n_snapshots, center=np.deg2rad(30.0),
         mse = analytical_mse(geom, scenario, n_snapshots)
         return np.sqrt(mse[0, 0]) + np.sqrt(mse[1, 1]) - delta
 
-    prev = excess(_THRESHOLD_SCAN[0])
-    for i in range(1, _THRESHOLD_SCAN.size):
-        value = excess(_THRESHOLD_SCAN[i])
-        if prev > 0 and value <= 0:
-            break
-        prev = value
-    else:
+    values = {}
+
+    def first_turn(points):
+        """First neighbours of ``points`` where the excess turns <= 0."""
+        for i, j in zip(points, points[1:]):
+            for n in (i, j):
+                if n not in values:
+                    values[n] = excess(_THRESHOLD_SCAN[n])
+            if values[i] > 0 and values[j] <= 0:
+                return i, j
         raise NumericalFailure('no resolution crossing inside the scan range')
-    a, b = _THRESHOLD_SCAN[i - 1], _THRESHOLD_SCAN[i]
+
+    last = _THRESHOLD_SCAN.size - 1
+    start, _ = first_turn([*range(0, last, _THRESHOLD_STRIDE), last])
+    i, j = first_turn(range(start, last + 1))
+    a, b = _THRESHOLD_SCAN[i], _THRESHOLD_SCAN[j]
     for _ in range(60):
         mid = 0.5 * (a + b)
         if mid == a or mid == b:

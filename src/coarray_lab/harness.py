@@ -703,8 +703,10 @@ def _csv_text(table):
 _PLOTS = {
     'verify_mse': (('array', 'method', 'n_snapshots'), 'snr_db', 'rel_err',
                    'y'),
-    'resolution': (('array', 'method'), 'delta_deg', 'p_resolve', ''),
-    'efficiency': (('array', 'k'), 'snr_db', 'kappa_analytic', ''),
+    'resolution': (('array', 'method', 'snr_db', 'n_snapshots'), 'delta_deg',
+                   'p_resolve', ''),
+    'efficiency': (('array', 'k', 'n_snapshots'), 'snr_db', 'kappa_analytic',
+                   ''),
     'scaling': (('family', 'k_mode'), 'm', 'eps_an_rad2', 'xy'),
 }
 
@@ -712,8 +714,8 @@ _PLOTS = {
 def _plot_script(name, table, csv_name):
     """Gnuplot script with one line per distinct series key of a table.
 
-    A resolution plot also marks each array's first predicted threshold
-    with a dashed vertical arrow.
+    A resolution plot also marks the predicted threshold of each
+    (array, SNR, N) with a dashed vertical arrow.
     """
     keys, xcol, ycol, log = _PLOTS[name]
     col = {c: i for i, c in enumerate(table.header)}
@@ -724,12 +726,12 @@ def _plot_script(name, table, csv_name):
     lines += [f"set xlabel '{xcol}'", f"set ylabel '{ycol}'",
               'set key outside right']
     if name == 'resolution':
-        arr, thr = col['array'], col['predicted_threshold_deg']
-        first = {}
-        for row in table.rows:
-            first.setdefault(row[arr], _fmt_cell(row[thr]))
+        group = [col[k] for k in ('array', 'snr_db', 'n_snapshots')]
+        thr = col['predicted_threshold_deg']
+        marks = {tuple(row[i] for i in group): _fmt_cell(row[thr])
+                 for row in table.rows}
         lines += [f'set arrow from {t},0 to {t},1 nohead dashtype 2'
-                  for t in first.values()]
+                  for t in marks.values()]
     parts = []
     for tag in dict.fromkeys(tuple(row[col[k]] for k in keys)
                              for row in table.rows):

@@ -110,6 +110,69 @@ def test_error_functionals_are_nondegenerate():
         assert np.all(terms.gamma > 0)
 
 
+def cold(fn, *args):
+    """A call made with the error-term memo emptied first."""
+    analysis._TERMS_CACHE.clear()
+    return fn(*args)
+
+
+def assert_terms_equal(got, want):
+    assert got.mv == want.mv
+    for name in ('alpha', 'beta', 'gamma', 'xi'):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_error_terms_memo_holds_one_read_only_entry():
+    geom = geometry.coprime(3, 5)
+    doas = np.deg2rad([-20.0, 10.0, 45.0])
+    sc = model.SourceScenario.with_snr(doas, 0.0)
+    terms = analysis.error_terms(geom, sc)
+    # powers and noise do not enter the terms
+    louder = model.SourceScenario(sc.doas, (2.0, 1.0, 3.0), 0.1)
+    assert analysis.error_terms(geometry.coprime(3, 5), louder) is terms
+    assert len(analysis._TERMS_CACHE) == 1
+    for name in ('alpha', 'beta', 'gamma', 'xi'):
+        arr = getattr(terms, name)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert_terms_equal(terms, cold(analysis.error_terms, geom, sc))
+
+
+def test_error_terms_memo_tells_spacing_and_wavelength_apart():
+    pos = (0, 2, 3, 7, 20)
+    geoms = [geometry.custom(pos), geometry.custom(pos, d0=0.25),
+             geometry.custom(pos, wavelength=2.0)]
+    sc = model.SourceScenario.with_snr(np.deg2rad([-10.0, 35.0]), 5.0)
+    want = [cold(analysis.error_terms, g, sc) for g in geoms]
+    assert not np.array_equal(want[0].xi, want[1].xi)
+    for g, w in zip(geoms + geoms[::-1], want + want[::-1]):
+        assert_terms_equal(analysis.error_terms(g, sc), w)
+        assert len(analysis._TERMS_CACHE) == 1
+
+
+def test_interleaved_mse_calls_match_cold_calls():
+    rng = np.random.default_rng(13)
+    first = random_scenario(rng, 3)
+    # case 3 shares the first case's DOAs, not its powers or noise;
+    # case 4 shares its powers and all but the last DOA
+    cases = [(geometry.nested(4, 6), first),
+             (geometry.mra(10), random_scenario(rng, 2)),
+             (geometry.nested(4, 6), random_scenario(rng, 3)),
+             (geometry.nested(4, 6),
+              model.SourceScenario(first.doas, (0.7, 1.9, 1.1), 0.05)),
+             (geometry.nested(4, 6),
+              model.SourceScenario(first.doas[:2] + (first.doas[2] + 0.05,),
+                                   first.powers, first.noise_power))]
+    want = [cold(analysis.analytical_mse, g, sc, 500) for g, sc in cases]
+    for order in ((0, 1, 2, 3, 4), (4, 3, 2, 1, 0), (0, 3, 4, 0, 3)):
+        for i in order:
+            g, sc = cases[i]
+            np.testing.assert_array_equal(
+                analysis.analytical_mse(g, sc, 500), want[i])
+            assert len(analysis._TERMS_CACHE) == 1
+
+
 def test_mse_routes_agree():
     rng = np.random.default_rng(13)
     for geom in (geometry.coprime(2), geometry.nested(2, 3)):
@@ -416,20 +479,22 @@ def whitened_per_column(geom, scenario):
                      for c in jac.T], axis=1)
 
 
-def threshold_full_scan(geom, n_snapshots, mse):
+def threshold_full_scan(geom, n_snapshots, mse, center=np.deg2rad(30.0),
+                        noise_power=1.0):
     """Threshold from all 80 scan points and all 60 bisection steps."""
-    center = np.deg2rad(30.0)
-
     def excess(delta):
         sc = model.SourceScenario(
-            (center - delta / 2.0, center + delta / 2.0), (1.0, 1.0), 1.0)
+            (center - delta / 2.0, center + delta / 2.0), (1.0, 1.0),
+            noise_power)
         cov = mse(geom, sc, n_snapshots)
         return np.sqrt(cov[0, 0]) + np.sqrt(cov[1, 1]) - delta
 
     deltas = np.geomspace(np.deg2rad(1e-3), np.deg2rad(6.0), 80)
     values = np.array([excess(d) for d in deltas])
-    cross = np.nonzero((values[:-1] > 0) & (values[1:] <= 0))[0][0]
-    a, b = deltas[cross], deltas[cross + 1]
+    cross = np.nonzero((values[:-1] > 0) & (values[1:] <= 0))[0]
+    if cross.size == 0:
+        raise analysis.NumericalFailure('no crossing in the full scan')
+    a, b = deltas[cross[0]], deltas[cross[0] + 1]
     for _ in range(60):
         mid = 0.5 * (a + b)
         if excess(mid) > 0:
@@ -475,7 +540,16 @@ def test_crb_matches_per_column_whitening(monkeypatch):
             assert relative_gap(g.crb, w.crb) <= 1e-12
 
 
+def outcome(fn, *args, **kwargs):
+    """The value of a call, or the type of the NumericalFailure it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except analysis.NumericalFailure as exc:
+        return type(exc)
+
+
 def test_resolution_threshold_matches_full_scan(monkeypatch):
+    # the benchmark's threshold grid, plus a holey custom array
     calls = []
     real = analysis.analytical_mse
 
@@ -484,14 +558,24 @@ def test_resolution_threshold_matches_full_scan(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(analysis, 'analytical_mse', counted)
+    center = np.deg2rad(30.0)
+    values = 0
     for geom in (geometry.coprime(3, 5), geometry.nested(4, 6),
-                 geometry.mra(10)):
-        for n in (100, 2000):
-            calls.clear()
-            got = analysis.resolution_threshold(geom, n)
-            used = len(calls)
-            want = threshold_full_scan(geom, n, real)
-            assert got == want
-            assert used <= 140
-            if geom.name == 'coprime(3,5)':
-                assert used < 140
+                 geometry.mra(10), geometry.custom((0, 2, 3, 7, 20))):
+        for snr in (-5.0, 0.0, 5.0, 10.0, 20.0):
+            noise = 10.0 ** (-snr / 10.0)
+            for n in (100, 500, 2000):
+                calls.clear()
+                got = outcome(analysis.resolution_threshold, geom, n,
+                              center=center, power=1.0, noise_power=noise)
+                used = len(calls)
+                want = outcome(threshold_full_scan, geom, n, real,
+                               center=center, noise_power=noise)
+                assert got == want
+                if got is not analysis.NumericalFailure:
+                    values += 1
+                    # at most 11 coarse points and 7 fine ones, then up
+                    # to 49 bisection steps on this grid (the full scan
+                    # took 80 + ~50)
+                    assert used <= 67
+    assert values >= 55

@@ -422,9 +422,30 @@ def test_resolution_plot_script_marks_threshold(tmp_path):
     assert script.index('set arrow') < script.index('plot \\')
 
 
+def test_resolution_plot_keeps_snrs_apart(tmp_path):
+    # one series and one threshold arrow per SNR, not one line over both
+    cfg = ExperimentConfig(kind='resolution', arrays=('mra:10',),
+                           snr_db=(0.0, 10.0), n_snapshots=(120,), n_trials=2,
+                           delta_deg=(1.0, 2.0))
+    table = harness.run(cfg)['resolution']
+    harness.emit_outputs({'resolution': table}, tmp_path, cfg)
+    script = (tmp_path / 'resolution.gp').read_text()
+    thr = table.header.index('predicted_threshold_deg')
+    thresholds = dict.fromkeys(harness._fmt_cell(r[thr]) for r in table.rows)
+    assert len(thresholds) == 2
+    assert [line for line in script.splitlines() if 'set arrow' in line] == [
+        f'set arrow from {t},0 to {t},1 nohead dashtype 2'
+        for t in thresholds]
+    assert script.count('with linespoints') == 2
+    for snr in ('0.0', '10.0'):
+        assert f"title 'mra(10) ss {snr} 120'" in script
+
+
 # Reference for the plot scripts: the per-kind if-chain that built them
 # before the table-driven _plot_script, with a representative row per
-# series and the threshold arrows spliced in ahead of 'plot \'.
+# series and the threshold arrows spliced in ahead of 'plot \'. The
+# resolution series are keyed on SNR and N too, with one arrow per
+# (array, SNR, N) threshold, and the efficiency series on N.
 
 def reference_series_filter(header, row, keys):
     clauses = []
@@ -479,16 +500,19 @@ def reference_plot_script(name, table, csv_name):
                                    ('array', 'method', 'n_snapshots'),
                                    'snr_db', 'rel_err', logy=True)
     if name == 'resolution':
-        script = reference_gp_series(table, csv_name, ('array', 'method'),
+        keys = ('array', 'method', 'snr_db', 'n_snapshots')
+        script = reference_gp_series(table, csv_name, keys,
                                      'delta_deg', 'p_resolve')
         thr_col = table.header.index('predicted_threshold_deg')
-        arr_col = table.header.index('array')
+        group = [table.header.index(k)
+                 for k in ('array', 'snr_db', 'n_snapshots')]
         arrows = []
         seen = set()
         for row in table.rows:
-            if row[arr_col] in seen:
+            tag = tuple(row[i] for i in group)
+            if tag in seen:
                 continue
-            seen.add(row[arr_col])
+            seen.add(tag)
             thr = harness._fmt_cell(row[thr_col])
             arrows.append(f'set arrow from {thr},0 to {thr},1 nohead '
                           'dashtype 2')
@@ -496,7 +520,8 @@ def reference_plot_script(name, table, csv_name):
         cut = lines.index('plot \\')
         return '\n'.join(lines[:cut] + arrows + lines[cut:])
     if name == 'efficiency':
-        return reference_gp_series(table, csv_name, ('array', 'k'),
+        return reference_gp_series(table, csv_name,
+                                   ('array', 'k', 'n_snapshots'),
                                    'snr_db', 'kappa_analytic')
     if name == 'scaling':
         return reference_gp_series(table, csv_name, ('family', 'k_mode'),
@@ -509,6 +534,7 @@ PLOT_CONFIGS = {
                        n_snapshots=(100, 200), n_trials=2, method='both',
                        doas_deg=(-20.0, 25.0)),
     # two arrays at two SNRs: two thresholds each, one arrow each
+    # threshold
     'resolution': dict(arrays=('mra:10', 'coprime:3,5'), snr_db=(0.0, 10.0),
                        n_snapshots=(120,), n_trials=2, delta_deg=(1.0, 2.0),
                        method='both'),
@@ -534,7 +560,7 @@ def test_plot_scripts_match_reference(kind, tmp_path):
             assert script.read_text() == expected
     if kind == 'resolution':
         arrows = (tmp_path / 'resolution.gp').read_text().count('set arrow')
-        assert arrows == 2
+        assert arrows == 4
 
 
 def test_run_opens_one_worker_pool(monkeypatch):

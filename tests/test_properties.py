@@ -1,5 +1,6 @@
 """Property tests of the coarray selection matrix, the augmentations,
-the closed forms and the chunking of Monte Carlo trials.
+the closed forms, the resolution threshold and the chunking of Monte
+Carlo trials.
 
 Positions are drawn as random integer sets (mostly with coarray holes)
 and as nested arrays (hole-free coarrays). Each property must hold for
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from coarray_lab import analysis, estimator, geometry, harness, model
+from test_analysis import outcome, threshold_full_scan
 
 hypothesis = pytest.importorskip('hypothesis')
 st = hypothesis.strategies
@@ -155,6 +157,21 @@ def test_mse_and_crb_invariant_to_joint_power_scaling(geom, seed, u, factor):
     assert other.jacobian_rank == base.jacobian_rank
     if base.defined:
         assert_same_up_to_rounding(other.crb, base.crb)
+
+
+@settings
+@hypothesis.given(
+    holey.filter(lambda geom: geometry.difference_coarray(geom).mv > 2),
+    st.floats(-10.0, 30.0), st.integers(20, 5000), st.floats(-50.0, 50.0))
+def test_resolution_threshold_matches_full_scan(geom, snr_db, n, center_deg):
+    # the coarse-to-fine scan finds the full scan's first crossing
+    center = np.deg2rad(center_deg)
+    noise = 10.0 ** (-snr_db / 10.0)
+    got = outcome(analysis.resolution_threshold, geom, n, center=center,
+                  power=1.0, noise_power=noise)
+    want = outcome(threshold_full_scan, geom, n, analysis.analytical_mse,
+                   center=center, noise_power=noise)
+    assert got == want
 
 
 @settings
