@@ -48,7 +48,6 @@ from .analysis import (
     crb,
     efficiency_kappa,
     error_terms,
-    fim,
     limiting_mse,
     model_jacobian,
     resolution_predict,
@@ -76,8 +75,7 @@ __all__ = [
     'noise_subspace', 'estimate_doas', 'run_music',
     'ErrorTerms', 'CrbReport', 'NumericalFailure', 'CrbUndefined',
     'error_terms', 'analytical_mse', 'limiting_mse', 'model_jacobian',
-    'fim', 'crb', 'efficiency_kappa', 'resolution_predict',
-    'resolution_threshold',
+    'crb', 'efficiency_kappa', 'resolution_predict', 'resolution_threshold',
     'ExperimentConfig', 'TrialRecord', 'ConfigError', 'load_config',
     'run', 'run_trials', 'emit_outputs', 'fifty_percent_crossing',
 ]

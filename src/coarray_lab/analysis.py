@@ -26,8 +26,7 @@ from .model import (SourceScenario, _phase_rate, _steering, steering_matrix,
 __all__ = [
     'ErrorTerms', 'CrbReport', 'NumericalFailure', 'CrbUndefined',
     'error_terms', 'analytical_mse', 'limiting_mse', 'model_jacobian',
-    'fim', 'crb', 'efficiency_kappa', 'resolution_predict',
-    'resolution_threshold',
+    'crb', 'efficiency_kappa', 'resolution_predict', 'resolution_threshold',
 ]
 
 # Relative singular-value cutoff for pseudo-inverses and rank decisions.
@@ -85,7 +84,8 @@ class CrbReport:
     """Cramer-Rao bound evaluation with rank diagnostics.
 
     Attributes:
-        fim: Real symmetric (2K + 1) x (2K + 1) Fisher information.
+        fim: Real symmetric (2K + 1) x (2K + 1) Fisher information
+            N Re(J^H (R^T ox R)^(-1) J) of (DOAs, powers, noise power).
         crb: Real symmetric K x K DOA block of the inverse FIM, or
             None when the bound is undefined.
         jacobian_rank: Numerical rank of the whitened model Jacobian.
@@ -273,19 +273,6 @@ def _whitened_jacobian(geom, scenario):
     r_isqrt = (u * (1.0 / np.sqrt(lam))) @ u.conj().T
     return _jacobian_columns(r_isqrt @ a, r_isqrt @ a_dot, scenario.powers,
                              r_isqrt @ r_isqrt)
-
-
-def fim(geom, scenario, n_snapshots):
-    """Fisher information for (DOAs, powers, noise power).
-
-    ``N J^H (R^T ox R)^(-1) J`` with J the model Jacobian, using the
-    covariance eigensystem for the central inverse, as its real part
-    symmetrized: the ``fim`` of the :class:`CrbReport` from :func:`crb`.
-
-    Returns:
-        Real symmetric (2K + 1) x (2K + 1) matrix.
-    """
-    return crb(geom, scenario, n_snapshots).fim
 
 
 def crb(geom, scenario, n_snapshots):

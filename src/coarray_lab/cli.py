@@ -4,8 +4,9 @@ Subcommands: ``geom`` inspects an array and its coarray, ``estimate``
 runs MUSIC on one simulated batch, ``analyze`` tabulates the closed-form
 error measures, and ``run`` executes a config-driven experiment sweep.
 
-Exit codes: 0 on success, 2 on config or usage errors, 3 on numerical
-failures such as an undefined CRB at every requested point.
+Exit codes: 0 on success, 2 on config or usage errors (an output path
+that cannot be written among them), 3 on numerical failures such as an
+undefined CRB at every requested point.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -150,6 +152,7 @@ def _cmd_run(args):
         overrides['out_dir'] = args.out
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     tables = run(cfg, threads=args.threads)
     for path in emit_outputs(tables, cfg.out_dir, cfg):
         print(path)
@@ -211,7 +214,7 @@ def main(argv=None):
     except analysis.NumericalFailure as exc:
         print(f'numerical failure: {exc}', file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f'error: {exc}', file=sys.stderr)
         return 2
 

@@ -28,6 +28,7 @@ check this module against live in :mod:`coarray_lab.reference`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,15 +43,9 @@ _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 # Golden-section steps of the sub-grid refinement of each peak.
 _REFINE_ITERS = 5
 
-# Grid angles with their phase tables exp(j l phi), l = 1 .. mv - 1,
-# keyed by (mv, step, d0 / wavelength); entries are read-only and
-# shared across trials.
-_GRID_CACHE = {}
-
 # The last run_music input, keyed by (z, mv, k, estimator keywords):
-# its direct augmentation, eigensystem and the estimate for each noise
-# column set scanned so far. One entry, so the DA and SS calls of a
-# trial share one eigendecomposition.
+# its eigensystem and the estimate for each noise column set scanned so
+# far. One entry, so the DA and SS calls of a trial share one eigh.
 _TRIAL_CACHE = {}
 
 
@@ -67,16 +62,11 @@ class DoaEstimate:
         refined: Per-angle flag, True where sub-grid refinement
             succeeded (False entries fall back to the best grid or
             search point).
-        grid: Spectrum grid angles, present on request.
-        spectrum: Pseudo-spectrum values over ``grid``, present on
-            request.
     """
 
     angles: np.ndarray
     resolved: bool
     refined: np.ndarray
-    grid: np.ndarray = None
-    spectrum: np.ndarray = None
 
 
 def augment_direct(z, mv):
@@ -156,18 +146,14 @@ def _phase_table(mv, phi):
     return np.exp(np.arange(1, mv)[:, None] * (1j * phi))
 
 
+@functools.lru_cache(maxsize=None)
 def _grid_table(mv, step, ratio):
-    """Cached grid angles and their phase table."""
-    key = (mv, float(step), float(ratio))
-    hit = _GRID_CACHE.get(key)
-    if hit is None:
-        grid = default_grid(step)
-        table = _phase_table(mv, 2.0 * np.pi * ratio * np.sin(grid))
-        grid.setflags(write=False)
-        table.setflags(write=False)
-        hit = (grid, table)
-        _GRID_CACHE[key] = hit
-    return hit
+    """Read-only grid angles and phase table; step and ratio are floats."""
+    grid = default_grid(step)
+    table = _phase_table(mv, 2.0 * np.pi * ratio * np.sin(grid))
+    grid.setflags(write=False)
+    table.setflags(write=False)
+    return grid, table
 
 
 def _null_polynomial(en):
@@ -256,9 +242,8 @@ def default_grid(grid_step=np.deg2rad(0.1)):
     return np.arange(-np.pi / 2 + grid_step, np.pi / 2, grid_step)
 
 
-def estimate_doas(rv, k, grid_step=np.deg2rad(0.1), d0=0.5, wavelength=1.0,
-                  return_spectrum=False, en=None):
-    """Grid MUSIC with sub-grid refinement on an augmented covariance.
+def estimate_doas(en, k, grid_step=np.deg2rad(0.1), d0=0.5, wavelength=1.0):
+    """Grid MUSIC with sub-grid refinement on a noise-subspace basis.
 
     Peaks are interior local maxima of the pseudo-spectrum; the k
     largest are kept (ties broken toward the larger spectrum value,
@@ -270,25 +255,29 @@ def estimate_doas(rv, k, grid_step=np.deg2rad(0.1), d0=0.5, wavelength=1.0,
     weakest kept peak: a source at endfire, beyond the grid, then has
     its place taken by a spurious peak.
 
+    The basis is scanned as given, never decomposed: from an augmented
+    covariance ``rv`` pass ``noise_subspace(rv, k)``. The scanned
+    pseudo-spectrum is ``reference.music_spectrum(en, default_grid())``.
+
     Args:
-        rv: mv x mv augmented covariance.
+        en: mv x (mv - k) noise-subspace basis with orthonormal columns.
         k: Number of sources to estimate, 1 <= k < mv.
         grid_step: Grid spacing in radians.
         d0: Virtual-ULA spacing.
         wavelength: Carrier wavelength.
-        return_spectrum: Attach the grid and spectrum to the result.
-        en: Noise-subspace basis of ``rv`` when it is already at hand;
-            ``rv`` is then not decomposed again.
 
     Returns:
         A :class:`DoaEstimate` with ascending angles.
     """
-    rv = np.asarray(rv)
-    mv = rv.shape[0]
-    c0, w = _null_polynomial(noise_subspace(rv, k) if en is None else en)
+    en = np.asarray(en)
+    mv = en.shape[0]
+    if not 1 <= k < mv or en.shape != (mv, mv - k):
+        raise ValueError(f'need an mv x (mv - k) basis with 1 <= k < mv, '
+                         f'got shape {en.shape} and k = {k}')
+    c0, w = _null_polynomial(en)
     ratio = d0 / wavelength
     rate = 2.0 * np.pi * ratio
-    grid, table = _grid_table(mv, grid_step, ratio)
+    grid, table = _grid_table(mv, float(grid_step), float(ratio))
     d = _null_eval(c0, w, table)
     peaks = _find_peaks(d)
     order = np.lexsort((grid[peaks], d[peaks]))
@@ -301,16 +290,12 @@ def estimate_doas(rv, k, grid_step=np.deg2rad(0.1), d0=0.5, wavelength=1.0,
     angles, refined = _refine_peaks(
         dfun, grid[kept], grid_step, d[kept - 1], d[kept], d[kept + 1])
     order = np.argsort(angles)
-    est = DoaEstimate(
-        angles=angles[order], resolved=resolved, refined=refined[order],
-        grid=grid if return_spectrum else None,
-        spectrum=1.0 / np.maximum(d, np.finfo(float).tiny)
-        if return_spectrum else None)
-    return est
+    return DoaEstimate(angles=angles[order], resolved=resolved,
+                       refined=refined[order])
 
 
 def run_music(z, mv, k, method='ss', *, grid_step=np.deg2rad(0.1), d0=0.5,
-              wavelength=1.0, return_spectrum=False):
+              wavelength=1.0):
     """Coarray MUSIC on a virtual observation.
 
     Both methods read their noise subspace off one eigendecomposition,
@@ -331,8 +316,7 @@ def run_music(z, mv, k, method='ss', *, grid_step=np.deg2rad(0.1), d0=0.5,
         k: Number of sources.
         method: ``'ss'`` for spatial smoothing, ``'da'`` for direct
             augmentation.
-        grid_step, d0, wavelength, return_spectrum: As for
-            :func:`estimate_doas`.
+        grid_step, d0, wavelength: As for :func:`estimate_doas`.
 
     Returns:
         A :class:`DoaEstimate`.
@@ -340,22 +324,20 @@ def run_music(z, mv, k, method='ss', *, grid_step=np.deg2rad(0.1), d0=0.5,
     if method not in ('ss', 'da'):
         raise ValueError(f"method must be 'ss' or 'da', got {method!r}")
     z = np.asarray(z)
-    options = (float(grid_step), float(d0), float(wavelength),
-               bool(return_spectrum))
+    options = (float(grid_step), float(d0), float(wavelength))
     key = (z.dtype.str, z.shape, z.tobytes(), mv, k, options)
     trial = _TRIAL_CACHE.get(key)
     if trial is None:
         _TRIAL_CACHE.clear()
-        rv = augment_direct(z, mv)
-        _, values, vectors = noise_subspace(rv, k, return_eigensystem=True)
-        trial = _TRIAL_CACHE[key] = (rv, values, vectors, {})
-    rv, values, vectors, estimates = trial
+        _, values, vectors = noise_subspace(augment_direct(z, mv), k,
+                                            return_eigensystem=True)
+        trial = _TRIAL_CACHE[key] = (values, vectors, {})
+    values, vectors, estimates = trial
     cols = _noise_columns(values, k, method)
     est = estimates.get(cols)
     if est is None:
-        est = estimate_doas(rv, k, *options, en=vectors[:, list(cols)])
-        for arr in (est.angles, est.refined, est.spectrum):
-            if arr is not None:
-                arr.setflags(write=False)
+        est = estimate_doas(vectors[:, list(cols)], k, *options)
+        est.angles.setflags(write=False)
+        est.refined.setflags(write=False)
         estimates[cols] = est
     return est

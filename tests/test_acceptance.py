@@ -377,7 +377,7 @@ def test_criterion_9_numerical_hygiene(acceptance_report):
         trace_form = np.array(
             [[300 * np.real(np.trace(dp @ r_inv @ dq @ r_inv))
               for dq in derivs] for dp in derivs])
-        direct = analysis.fim(geom_f, sc_f, 300)
+        direct = analysis.crb(geom_f, sc_f, 300).fim
         worst_fim = max(worst_fim,
                         float(np.linalg.norm(direct - trace_form)
                               / np.linalg.norm(trace_form)))

@@ -351,7 +351,7 @@ def test_fim_matches_trace_form():
         for q in range(5):
             expected[p, q] = n * np.real(
                 np.trace(derivs[p] @ r_inv @ derivs[q] @ r_inv))
-    np.testing.assert_allclose(analysis.fim(geom, sc, n), expected,
+    np.testing.assert_allclose(analysis.crb(geom, sc, n).fim, expected,
                                rtol=1e-10, atol=1e-8)
 
 

@@ -176,7 +176,8 @@ def test_peakless_spectrum_reports_unresolved():
     # noise eigenvector equal to the broadside response pushes the
     # spectrum nulls to the scan edges, leaving no interior peak
     u = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
-    est = estimator.estimate_doas(np.outer(u, u.conj()), 1)
+    en = estimator.noise_subspace(np.outer(u, u.conj()), 1)
+    est = estimator.estimate_doas(en, 1)
     assert not est.resolved
     assert est.angles.shape == (0,)
     assert est.refined.shape == (0,)
@@ -256,16 +257,31 @@ def test_music_spectrum_inverts_null_power():
     np.testing.assert_allclose(spec, 1.0 / null, rtol=1e-12)
 
 
-def test_return_spectrum_attaches_grid():
-    geom = geometry.coprime(2)
-    sc = model.SourceScenario.with_snr((0.2,), 0.0)
-    z, mv = exact_virtual(geom, sc)
-    est = estimator.run_music(z, mv, 1, method='ss', return_spectrum=True)
-    assert est.grid is not None and est.spectrum is not None
-    assert est.grid.shape == est.spectrum.shape
-    # the reported spectrum peaks where the estimate landed
-    peak_angle = est.grid[np.argmax(est.spectrum)]
-    assert abs(peak_angle - est.angles[0]) <= np.deg2rad(0.1)
+def test_grid_table_is_shared_and_read_only():
+    estimator._grid_table.cache_clear()
+    step = np.deg2rad(0.5)
+    grid, table = estimator._grid_table(7, step, 0.5)
+    assert table.shape == (6, grid.shape[0])
+    for arr in (grid, table):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # estimate_doas passes a 0-d array step on as the equal float
+    en = estimator.noise_subspace(np.eye(7, dtype=complex), 2)
+    estimator.estimate_doas(en, 2, grid_step=np.asarray(step))
+    assert estimator._grid_table.cache_info().hits == 1
+    assert estimator._grid_table.cache_info().currsize == 1
+    for other in ((8, step, 0.5), (7, step / 2, 0.5), (7, step, 0.25)):
+        assert estimator._grid_table(*other)[1] is not table
+    assert estimator._grid_table.cache_info().currsize == 4
+
+
+def test_estimate_doas_rejects_a_mismatched_basis():
+    en = estimator.noise_subspace(np.eye(5, dtype=complex), 2)
+    estimator.estimate_doas(en, 2)
+    for basis, k in ((en, 1), (en, 3), (en[:, :0], 5), (en[:, :1], 5),
+                     (en[:, 0], 2), (np.zeros((1, 0)), 1)):
+        with pytest.raises(ValueError, match='basis'):
+            estimator.estimate_doas(basis, k)
 
 
 def test_default_grid_bounds():
@@ -384,8 +400,8 @@ def test_polynomial_estimator_matches_scalar_reference(spec):
                                if method == 'da' else
                                estimator.augment_spatial_smoothing(z, mv))
                         k = sc.n_sources
-                        est = estimator.estimate_doas(aug, k,
-                                                      return_spectrum=True)
+                        en = estimator.noise_subspace(aug, k)
+                        est = estimator.estimate_doas(en, k)
                         ref_angles, ref_resolved, ref_refined = (
                             reference_estimate(aug, k))
                         label = (scene, snr, n, seed, method)
@@ -395,12 +411,13 @@ def test_polynomial_estimator_matches_scalar_reference(spec):
                         err = np.abs(est.angles - ref_angles)
                         assert np.all(err <= 1e-8), (label, err.max())
                         # the polynomial null spectrum is 1 / music_spectrum
-                        en = estimator.noise_subspace(aug, k)
-                        ref_null = 1.0 / reference.music_spectrum(en,
-                                                                  est.grid)
-                        np.testing.assert_allclose(
-                            1.0 / est.spectrum, ref_null, rtol=0,
-                            atol=1e-12 * mv)
+                        grid, table = estimator._grid_table(
+                            mv, float(np.deg2rad(0.1)), 0.5)
+                        null = estimator._null_eval(
+                            *estimator._null_polynomial(en), table)
+                        ref_null = 1.0 / reference.music_spectrum(en, grid)
+                        np.testing.assert_allclose(null, ref_null, rtol=0,
+                                                   atol=1e-12 * mv)
 
 
 # Reference for the shared eigensystem: each method decomposes its own
@@ -426,10 +443,10 @@ def test_shared_eigensystem_matches_separate_decompositions(spec):
                                               model.sample_covariance(y))
                 da = estimator.run_music(z, mv, k, method='da')
                 ss = estimator.run_music(z, mv, k, method='ss')
-                ref_da = estimator.estimate_doas(
-                    estimator.augment_direct(z, mv), k)
-                ref_ss = estimator.estimate_doas(
-                    estimator.augment_spatial_smoothing(z, mv), k)
+                ref_da = estimator.estimate_doas(estimator.noise_subspace(
+                    estimator.augment_direct(z, mv), k), k)
+                ref_ss = estimator.estimate_doas(estimator.noise_subspace(
+                    estimator.augment_spatial_smoothing(z, mv), k), k)
                 label = (k, snr, n, seed)
                 assert da.resolved == ref_da.resolved, label
                 np.testing.assert_array_equal(da.angles, ref_da.angles,
@@ -485,8 +502,9 @@ def test_run_music_decomposes_once_per_input(monkeypatch):
         da.angles[0] = 0.0
     # the keywords are named; a default passed explicitly, here as a 0-d
     # array, is the same input, and another grid step another one
-    with pytest.raises(TypeError):
-        estimator.run_music(z, mv, 2, method='ss', refine_iters=4)
+    for removed in ({'refine_iters': 4}, {'return_spectrum': True}):
+        with pytest.raises(TypeError):
+            estimator.run_music(z, mv, 2, method='ss', **removed)
     step = np.asarray(np.deg2rad(0.1))
     again = estimator.run_music(z, mv, 2, method='ss', grid_step=step)
     assert again is da

@@ -721,6 +721,30 @@ def test_cli_run_rejects_bad_config(tmp_path, capsys):
     assert 'unknown config fields' in capsys.readouterr().err
 
 
+def test_cli_unwritable_output_is_an_error_before_any_trial(tmp_path, capsys,
+                                                            trial_calls):
+    # a path under a regular file cannot be created: one error line and
+    # exit 2, not a traceback, and run gives up before its sweep
+    blocker = tmp_path / 'file'
+    blocker.write_text('')
+    scenario = tmp_path / 'scenario.json'
+    scenario.write_text(json.dumps({'doas_deg': [10.0], 'snr_db': 0.0}))
+    cfg = tmp_path / 'cfg.json'
+    cfg.write_text(json.dumps({'kind': 'verify_mse', 'arrays': ['coprime:2'],
+                               'snr_db': [0.0], 'n_snapshots': [100],
+                               'n_trials': 2}))
+    for argv in (['geom', '--array', 'coprime:2',
+                  '--f-csv', str(blocker / 'f.csv')],
+                 ['estimate', '--array', 'coprime:2', '--scenario',
+                  str(scenario), '--out', str(blocker / 'x.csv')],
+                 ['run', '--config', str(cfg), '--out', str(blocker / 'out')]):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith('error: ') and err.count('\n') == 1, err
+        assert str(blocker) in err
+    assert trial_calls == []
+
+
 def test_cli_version_and_missing_command(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(['--version'])

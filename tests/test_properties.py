@@ -161,10 +161,13 @@ def test_mse_and_crb_invariant_to_joint_power_scaling(geom, seed, u, factor):
 
 @settings
 @hypothesis.given(
-    holey.filter(lambda geom: geometry.difference_coarray(geom).mv > 2),
+    holey.filter(lambda geom: geometry.difference_coarray(geom).mv >= 7),
     st.floats(-10.0, 30.0), st.integers(20, 5000), st.floats(-50.0, 50.0))
 def test_resolution_threshold_matches_full_scan(geom, snr_db, n, center_deg):
-    # the coarse-to-fine scan finds the full scan's first crossing
+    # the coarse-to-fine scan finds the full scan's first crossing; from
+    # mv = 7 up nearly every draw has one below 6 deg, so the two values
+    # are compared (smaller coarrays mostly raise on both sides, which
+    # test_analysis covers)
     center = np.deg2rad(center_deg)
     noise = 10.0 ** (-snr_db / 10.0)
     got = outcome(analysis.resolution_threshold, geom, n, center=center,
