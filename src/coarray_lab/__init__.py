@@ -43,6 +43,7 @@ from .analysis import (
     CrbReport,
     CrbUndefined,
     ErrorTerms,
+    MseCoefficients,
     NumericalFailure,
     analytical_mse,
     crb,
@@ -50,6 +51,7 @@ from .analysis import (
     error_terms,
     limiting_mse,
     model_jacobian,
+    mse_coefficients,
     resolution_predict,
     resolution_threshold,
 )
@@ -73,8 +75,9 @@ __all__ = [
     'sample_covariance', 'virtual_observation',
     'DoaEstimate', 'augment_direct', 'augment_spatial_smoothing',
     'noise_subspace', 'estimate_doas', 'run_music',
-    'ErrorTerms', 'CrbReport', 'NumericalFailure', 'CrbUndefined',
-    'error_terms', 'analytical_mse', 'limiting_mse', 'model_jacobian',
+    'ErrorTerms', 'MseCoefficients', 'CrbReport', 'NumericalFailure',
+    'CrbUndefined', 'error_terms', 'mse_coefficients', 'analytical_mse',
+    'limiting_mse', 'model_jacobian',
     'crb', 'efficiency_kappa', 'resolution_predict', 'resolution_threshold',
     'ExperimentConfig', 'TrialRecord', 'ConfigError', 'load_config',
     'run', 'run_trials', 'emit_outputs', 'fifty_percent_crossing',

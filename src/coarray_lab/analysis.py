@@ -8,6 +8,18 @@ since both share the same first-order error. The tests check the MSE
 against its expansion over the covariance-perturbation moments in
 :mod:`coarray_lab.reference`.
 
+The MSE numerator Re[xi_k1^H (R ox R^T) xi_k2] is a quadratic in the
+noise power sigma^2: with R = S + sigma^2 I and S = A P A^H,
+
+    R ox R^T = S ox S^T + sigma^2 (S ox I + I ox S^T) + sigma^4 I,
+
+so the numerator is Q0 + sigma^2 Q1 + sigma^4 Q2 with real K x K
+coefficients that depend on neither the SNR nor N
+(:func:`mse_coefficients`). Each Q is a Gram matrix, so its diagonal
+is a sum of non-negative terms and nothing cancels at high SNR. Q0 is
+the paper's high-SNR saturation term: it vanishes for a single source
+and is strictly positive when the sources outnumber the sensors.
+
 All angles are radians; MSE values are rad^2.
 """
 
@@ -24,8 +36,9 @@ from .model import (SourceScenario, _phase_rate, _steering, steering_matrix,
                     true_covariance, vec)
 
 __all__ = [
-    'ErrorTerms', 'CrbReport', 'NumericalFailure', 'CrbUndefined',
-    'error_terms', 'analytical_mse', 'limiting_mse', 'model_jacobian',
+    'ErrorTerms', 'MseCoefficients', 'CrbReport', 'NumericalFailure',
+    'CrbUndefined', 'error_terms', 'mse_coefficients', 'analytical_mse',
+    'limiting_mse', 'model_jacobian',
     'crb', 'efficiency_kappa', 'resolution_predict', 'resolution_threshold',
 ]
 
@@ -36,10 +49,6 @@ _RANK_RCOND = 1e-10
 # the stride of the coarse pass over them.
 _THRESHOLD_SCAN = np.geomspace(np.deg2rad(1e-3), np.deg2rad(6.0), 80)
 _THRESHOLD_STRIDE = 8
-
-# The last error-term build, keyed by (geometry, DOAs). One entry: the
-# sweeps vary SNR and N innermost, and the terms depend on neither.
-_TERMS_CACHE = {}
 
 
 class NumericalFailure(RuntimeError):
@@ -80,6 +89,36 @@ class ErrorTerms:
 
 
 @dataclass(frozen=True)
+class MseCoefficients:
+    """SNR-free coefficients of the closed-form DOA error moments.
+
+    The first-order second moment of the errors of sources k1 and k2 is
+
+        (q0 + s q1 + s^2 q2)[k1, k2] / (N scale[k1, k2])
+
+    at noise power s and N snapshots.
+
+    Attributes:
+        q0: K x K Gram form of the signal part alone; its diagonal is
+            the high-SNR saturation term.
+        q1: K x K Gram form of the signal-noise cross terms.
+        q2: K x K Gram form of the error functionals xi.
+        scale: K x K outer product of p_k gamma_k with itself.
+    """
+
+    q0: np.ndarray
+    q1: np.ndarray
+    q2: np.ndarray
+    scale: np.ndarray
+
+    def mse(self, noise_power, n_snapshots):
+        """K x K first-order MSE matrix at one noise power and N."""
+        quad = self.q0 + noise_power * self.q1 + noise_power ** 2 * self.q2
+        mse = quad / (n_snapshots * self.scale)
+        return 0.5 * (mse + mse.T)
+
+
+@dataclass(frozen=True)
 class CrbReport:
     """Cramer-Rao bound evaluation with rank diagnostics.
 
@@ -109,8 +148,7 @@ def error_terms(geom, scenario):
     """First-order error functionals for every source in a scenario.
 
     The terms depend on the array and the DOAs only, not on powers or
-    noise, so the last build is kept and returned again for an equal
-    (geometry, DOAs) pair. Its arrays are read-only.
+    noise.
 
     Args:
         geom: Array geometry.
@@ -119,15 +157,6 @@ def error_terms(geom, scenario):
     Returns:
         An :class:`ErrorTerms` instance.
     """
-    key = (geom, scenario.doas)
-    terms = _TERMS_CACHE.get(key)
-    if terms is None:
-        _TERMS_CACHE.clear()
-        terms = _TERMS_CACHE[key] = _build_error_terms(geom, scenario)
-    return terms
-
-
-def _build_error_terms(geom, scenario):
     co = difference_coarray(geom)
     mv = co.mv
     k = scenario.n_sources
@@ -149,11 +178,54 @@ def _build_error_terms(geom, scenario):
     cols, rows, vals = _lag_gather(co)
     xi = np.zeros((k, geom.n_sensors ** 2), dtype=complex)
     xi[:, cols] = folded[:, rows] * vals
-    terms = ErrorTerms(mv=mv, alpha=alpha, beta=beta.T.copy(),
-                       gamma=gamma, xi=xi)
-    for arr in (terms.alpha, terms.beta, terms.gamma, terms.xi):
-        arr.setflags(write=False)
-    return terms
+    return ErrorTerms(mv=mv, alpha=alpha, beta=beta.T.copy(), gamma=gamma,
+                      xi=xi)
+
+
+def _gram(z):
+    """Re(conj(z) z^T) over the flattened trailing axes of a complex stack.
+
+    Read as reals, each row interleaves its real and imaginary parts, so
+    one real product sums Re * Re + Im * Im without a copy.
+    """
+    flat = z.reshape(len(z), -1).view(float)
+    return flat @ flat.T
+
+
+def mse_coefficients(geom, scenario):
+    """The SNR-free coefficients of :func:`analytical_mse`.
+
+    With aw = A diag(sqrt(p)) and X_k the M x M matrix of xi_k in row
+    order, the numerator Re[xi_k1^H (R ox R^T) xi_k2] splits as
+
+        Q0 = gram(aw^H X aw),
+        Q1 = gram(aw^H X) + gram(X aw),
+        Q2 = gram(xi),
+
+    times 1, sigma^2 and sigma^4, where gram(z) = Re(conj(z) z^T) over
+    each source's flattened block. The coefficients depend on the
+    array, the DOAs and the powers, not on the noise power or N, so a
+    sweep over SNR and N builds them once.
+
+    Args:
+        geom: Array geometry.
+        scenario: Source scenario (K < mv); its noise power is unused.
+
+    Returns:
+        An :class:`MseCoefficients` instance.
+    """
+    terms = error_terms(geom, scenario)
+    m = geom.n_sensors
+    powers = np.asarray(scenario.powers)
+    a, _ = steering_matrix(geom, scenario)
+    aw = a * np.sqrt(powers)
+    x = terms.xi.reshape(-1, m, m)
+    vt = aw.conj().T @ x
+    q0 = _gram(vt @ aw)
+    q1 = _gram(vt) + _gram(x @ aw)
+    scale = powers * terms.gamma
+    return MseCoefficients(q0=q0, q1=q1, q2=_gram(terms.xi),
+                           scale=np.outer(scale, scale))
 
 
 def analytical_mse(geom, scenario, n_snapshots):
@@ -164,9 +236,13 @@ def analytical_mse(geom, scenario, n_snapshots):
 
         Re[xi_k1^H (R ox R^T) xi_k2] / (N p_k1 p_k2 gamma_k1 gamma_k2),
 
-    evaluated on the exact model covariance. Scaling all powers and the
-    noise floor jointly leaves the result unchanged, so it depends on
-    the sources only through their SNRs.
+    evaluated on the exact model covariance. The numerator is the
+    quadratic Q0 + sigma^2 Q1 + sigma^4 Q2 in the noise power of
+    :func:`mse_coefficients`, whose Gram-form coefficients keep full
+    precision at any SNR; Q0 is the saturation term that remains as
+    sigma^2 -> 0. Scaling all powers and the noise floor jointly leaves
+    the result unchanged, so it depends on the sources only through
+    their SNRs.
 
     Args:
         geom: Array geometry.
@@ -176,21 +252,8 @@ def analytical_mse(geom, scenario, n_snapshots):
     Returns:
         Real symmetric K x K matrix with positive diagonal (rad^2).
     """
-    terms = error_terms(geom, scenario)
-    m = geom.n_sensors
-    k = scenario.n_sources
-    rt = true_covariance(geom, scenario).T
-    # the stacked X_k = unvec(xi_k) and their sandwiches R^T X_k R^T
-    xi_mats = terms.xi.reshape(k, m, m).transpose(0, 2, 1)
-    sandwich = rt @ xi_mats @ rt
-    # One entrywise reduction per row, not one BLAS product: at high SNR
-    # the form cancels to a few significant digits, so a BLAS summation
-    # order would move the result by up to 1e-10 relative.
-    quad = np.stack([np.sum(x.conj() * sandwich, axis=(1, 2))
-                     for x in xi_mats])
-    scale = np.asarray(scenario.powers) * terms.gamma
-    mse = quad.real / (n_snapshots * scale[:, None] * scale[None, :])
-    return 0.5 * (mse + mse.T)
+    return mse_coefficients(geom, scenario).mse(scenario.noise_power,
+                                                n_snapshots)
 
 
 def limiting_mse(geom, scenario):
@@ -199,8 +262,9 @@ def limiting_mse(geom, scenario):
     For equal source powers the MSE of source k converges, as all SNRs
     grow, to ``limit_k / N`` with
 
-        limit_k = || xi_k^H (A ox A*) ||^2 / gamma_k^2.
+        limit_k = Q0[k, k] / (p_k gamma_k)^2,
 
+    the saturation term of :func:`mse_coefficients` over its scale.
     The limit vanishes for a single source, and is strictly positive
     when the sources outnumber the sensors.
 
@@ -214,11 +278,8 @@ def limiting_mse(geom, scenario):
     powers = np.asarray(scenario.powers)
     if not np.allclose(powers, powers[0], rtol=1e-12, atol=0.0):
         raise ValueError('the high-SNR limit assumes equal source powers')
-    terms = error_terms(geom, scenario)
-    a, _ = steering_matrix(geom, scenario)
-    basis = np.kron(a, a.conj())
-    proj = terms.xi.conj() @ basis
-    return np.sum(np.abs(proj) ** 2, axis=1) / terms.gamma ** 2
+    coeffs = mse_coefficients(geom, scenario)
+    return np.diag(coeffs.q0) / np.diag(coeffs.scale)
 
 
 def model_jacobian(geom, scenario):
@@ -278,11 +339,16 @@ def _whitened_jacobian(geom, scenario):
 def crb(geom, scenario, n_snapshots):
     """Cramer-Rao bound on the DOAs with nuisance powers and noise.
 
-    The DOA block of the inverse FIM is evaluated through the whitened
-    Jacobian: with M_theta the whitened DOA columns and M_s the
-    whitened power/noise columns,
+    The whitened Jacobian W has columns that are vec's of Hermitian
+    matrices, so W^H W is real and one thin SVD W = U Sigma V^H gives
+    everything: the rank from Sigma, the FIM N V Sigma^2 V^H, and the
+    DOA block of its inverse,
 
-        CRB = (1 / N) * (M_theta^H P_perp(M_s) M_theta)^(-1).
+        CRB = (1 / N) * V[:K] Sigma^(-2) V[:K]^H,
+
+    where V[:K] holds the DOA rows of V. This block is the inverse of
+    the projected Gram matrix M_theta^H P_perp(M_s) M_theta of the
+    whitened DOA columns M_theta and power/noise columns M_s.
 
     The bound requires the whitened Jacobian to have full column rank
     2K + 1; otherwise the report carries ``crb=None`` and the observed
@@ -293,29 +359,26 @@ def crb(geom, scenario, n_snapshots):
         A :class:`CrbReport`.
     """
     k = scenario.n_sources
-    white = _whitened_jacobian(geom, scenario)
-    fim_mat = n_snapshots * np.real(white.conj().T @ white)
-    fim_mat = 0.5 * (fim_mat + fim_mat.T)
-    svals = np.linalg.svd(white, compute_uv=False)
-    rank = int(np.sum(svals > _RANK_RCOND * svals[0]))
     required = 2 * k + 1
+    _, sv, vh = np.linalg.svd(_whitened_jacobian(geom, scenario),
+                              full_matrices=False)
+    fim_mat = n_snapshots * np.real((vh.conj().T * sv ** 2) @ vh)
+    fim_mat = 0.5 * (fim_mat + fim_mat.T)
+    rank = int(np.sum(sv > _RANK_RCOND * sv[0]))
     if rank < required:
         return CrbReport(fim=fim_mat, crb=None, jacobian_rank=rank,
                          required_rank=required, gram_condition=float('nan'))
-    m_theta = white[:, :k]
-    m_s = white[:, k:]
-    coeff, *_ = np.linalg.lstsq(m_s, m_theta, rcond=None)
-    residual = m_theta - m_s @ coeff
-    gram = np.real(m_theta.conj().T @ residual)
-    gram = 0.5 * (gram + gram.T)
-    gram_cond = float(np.linalg.cond(gram))
+    v_theta = vh[:, :k].conj().T
+    gram_inv = np.real((v_theta / sv ** 2) @ v_theta.conj().T)
+    gram_inv = 0.5 * (gram_inv + gram_inv.T)
+    lam = np.linalg.eigvalsh(gram_inv)
+    gram_cond = float(lam[-1] / lam[0]) if lam[0] > 0 else float('inf')
     if not np.isfinite(gram_cond) or gram_cond > 1.0 / _RANK_RCOND ** 2:
         return CrbReport(fim=fim_mat, crb=None, jacobian_rank=rank,
                          required_rank=required, gram_condition=gram_cond)
-    crb_mat = np.linalg.inv(gram) / n_snapshots
-    crb_mat = 0.5 * (crb_mat + crb_mat.T)
-    return CrbReport(fim=fim_mat, crb=crb_mat, jacobian_rank=rank,
-                     required_rank=required, gram_condition=gram_cond)
+    return CrbReport(fim=fim_mat, crb=gram_inv / n_snapshots,
+                     jacobian_rank=rank, required_rank=required,
+                     gram_condition=gram_cond)
 
 
 def efficiency_kappa(crb_report, mse_matrix):
@@ -382,22 +445,25 @@ def resolution_threshold(geom, n_snapshots, center=np.deg2rad(30.0),
     Raises:
         NumericalFailure: If no crossing is found inside the scan.
     """
-    def excess(delta):
-        scenario = SourceScenario(
-            (center - delta / 2.0, center + delta / 2.0),
-            (power, power), noise_power)
-        mse = analytical_mse(geom, scenario, n_snapshots)
-        return np.sqrt(mse[0, 0]) + np.sqrt(mse[1, 1]) - delta
+    # Summed RMS error per DOA pair. The passes share scan points, and
+    # near the end of bisection center -/+ delta / 2 stops changing
+    # before delta does, so a pair can come back.
+    rms_sums = {}
 
-    values = {}
+    def excess(delta):
+        doas = (center - delta / 2.0, center + delta / 2.0)
+        if doas not in rms_sums:
+            mse = analytical_mse(
+                geom, SourceScenario(doas, (power, power), noise_power),
+                n_snapshots)
+            rms_sums[doas] = np.sqrt(mse[0, 0]) + np.sqrt(mse[1, 1])
+        return rms_sums[doas] - delta
 
     def first_turn(points):
         """First neighbours of ``points`` where the excess turns <= 0."""
         for i, j in zip(points, points[1:]):
-            for n in (i, j):
-                if n not in values:
-                    values[n] = excess(_THRESHOLD_SCAN[n])
-            if values[i] > 0 and values[j] <= 0:
+            if (excess(_THRESHOLD_SCAN[i]) > 0
+                    and excess(_THRESHOLD_SCAN[j]) <= 0):
                 return i, j
         raise NumericalFailure('no resolution crossing inside the scan range')
 

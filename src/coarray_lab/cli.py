@@ -12,7 +12,6 @@ undefined CRB at every requested point.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -76,6 +75,10 @@ def _load_scenario(path):
 def _cmd_geom(args):
     geom = _parse_array(args.array)
     co = geometry.difference_coarray(geom)
+    if args.f_csv:
+        f = geometry.selection_matrix(co)
+        _write_text(args.f_csv, ''.join(
+            ','.join(repr(float(v)) for v in row) + '\n' for row in f))
     print(f'array: {geom.name}')
     print('positions (units of d0):',
           ' '.join(str(p) for p in geom.positions))
@@ -86,11 +89,6 @@ def _cmd_geom(args):
     for lag in range(max(co.weights) + 1):
         print(f'{lag:3d}  {co.weights.get(lag, 0):d}')
     if args.f_csv:
-        f = geometry.selection_matrix(co)
-        with open(args.f_csv, 'w', encoding='utf-8', newline='') as fh:
-            writer = csv.writer(fh, lineterminator='\n')
-            for row in f:
-                writer.writerow([repr(float(v)) for v in row])
         print(f'selection matrix written to {args.f_csv}')
     return 0
 

@@ -494,9 +494,24 @@ def _sweep(cfg):
     return points, notices
 
 
-def _closed_form(p):
+def _with_mse_coefficients(points):
+    """Each point with the closed-form MSE coefficients of its scenario.
+
+    A point reuses the previous point's coefficients while the geometry,
+    DOAs and powers stay the same: the sweeps vary SNR and N innermost,
+    and the coefficients depend on neither.
+    """
+    key = coeffs = None
+    for p in points:
+        if (p.geom, p.scenario.doas, p.scenario.powers) != key:
+            key = (p.geom, p.scenario.doas, p.scenario.powers)
+            coeffs = analysis.mse_coefficients(p.geom, p.scenario)
+        yield p, coeffs
+
+
+def _closed_form(p, coeffs):
     """MSE matrix, CRB report, kappa and CRB trace (NaN if undefined)."""
-    mse = analysis.analytical_mse(p.geom, p.scenario, p.n)
+    mse = coeffs.mse(p.scenario.noise_power, p.n)
     report = analysis.crb(p.geom, p.scenario, p.n)
     if not report.defined:
         return mse, report, float('nan'), float('nan')
@@ -518,9 +533,9 @@ def _trial_successes(cfg, combo, p, methods, threads, gate=None):
 
 def _verify_rows(cfg, points, threads):
     methods = _methods(cfg.method)
-    for combo, p in enumerate(points):
+    for combo, (p, coeffs) in enumerate(_with_mse_coefficients(points)):
         mse_an = float(np.mean(np.diag(
-            analysis.analytical_mse(p.geom, p.scenario, p.n))))
+            coeffs.mse(p.scenario.noise_power, p.n))))
         successes = _trial_successes(cfg, combo, p, methods, threads)
         for method, ok in zip(methods, successes):
             mse_em, se = _mse_stats(ok)
@@ -553,8 +568,8 @@ def _resolution_rows(cfg, points, threads):
 def _efficiency_rows(cfg, points, threads):
     """Trials run only where the CRB is defined, for the last method."""
     method = _methods(cfg.method)[-1]
-    for combo, p in enumerate(points):
-        _, report, kappa, crb_trace = _closed_form(p)
+    for combo, (p, coeffs) in enumerate(_with_mse_coefficients(points)):
+        _, report, kappa, crb_trace = _closed_form(p, coeffs)
         kappa_em = kappa_em_se = float('nan')
         trials = failed = 0
         if cfg.empirical and report.defined:
@@ -635,8 +650,8 @@ def run(cfg, threads=1):
 def _analyze_table(cfg):
     """Per-source closed forms over the points of the config's sweep."""
     rows = []
-    for p in _sweep(cfg)[0]:
-        mse, report, kappa, crb_trace = _closed_form(p)
+    for p, coeffs in _with_mse_coefficients(_sweep(cfg)[0]):
+        mse, report, kappa, crb_trace = _closed_form(p, coeffs)
         for i, theta in enumerate(p.scenario.doas):
             eps = float(mse[i, i])
             rows.append((p.geom.name, p.scenario.n_sources, float(p.snr),

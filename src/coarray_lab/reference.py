@@ -4,7 +4,8 @@ Each computes the long way what :mod:`estimator` or :mod:`analysis`
 computes in a compact form: the coarray subarrays and the dense
 stacking matrix Gamma behind the augmentations, the MUSIC spectrum
 from explicit steering vectors, and the asymptotic MSE assembled from
-the exact second moments of the covariance perturbation. No
+the exact second moments of the covariance perturbation, and the
+high-SNR limit as a projection onto the signal Kronecker basis. No
 ``coarray-lab`` command calls them.
 """
 
@@ -13,12 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import error_terms
-from .model import _steering, true_covariance
+from .model import _steering, steering_matrix, true_covariance
 
 __all__ = [
     'subarray_select', 'gamma_stack', 'music_spectrum',
     'structured_cross_matrix', 'delta_r_moment_oracle',
-    'analytical_mse_via_moments',
+    'analytical_mse_via_moments', 'limiting_mse_via_projection',
 ]
 
 
@@ -136,3 +137,19 @@ def analytical_mse_via_moments(geom, scenario, n_snapshots):
     scale = np.asarray(scenario.powers) * terms.gamma
     mse = raw / np.outer(scale, scale)
     return 0.5 * (mse + mse.T)
+
+
+def limiting_mse_via_projection(geom, scenario):
+    """High-SNR limit of the N-scaled MSE from the Kronecker projection.
+
+    For equal source powers the limit of source k is
+
+        || xi_k^H (A ox A*) ||^2 / gamma_k^2,
+
+    the squared projection of the error functional onto the signal
+    Kronecker basis, formed here as the dense M^2 x K^2 product.
+    """
+    terms = error_terms(geom, scenario)
+    a, _ = steering_matrix(geom, scenario)
+    proj = terms.xi.conj() @ np.kron(a, a.conj())
+    return np.sum(np.abs(proj) ** 2, axis=1) / terms.gamma ** 2

@@ -11,7 +11,7 @@ precision.
 import numpy as np
 import pytest
 
-from coarray_lab import analysis, geometry, model, reference
+from coarray_lab import analysis, geometry, harness, model, reference
 
 
 def random_scenario(rng, k, span=1.2, min_sep=0.15):
@@ -110,45 +110,31 @@ def test_error_functionals_are_nondegenerate():
         assert np.all(terms.gamma > 0)
 
 
-def cold(fn, *args):
-    """A call made with the error-term memo emptied first."""
-    analysis._TERMS_CACHE.clear()
-    return fn(*args)
-
-
 def assert_terms_equal(got, want):
     assert got.mv == want.mv
     for name in ('alpha', 'beta', 'gamma', 'xi'):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
-def test_error_terms_memo_holds_one_read_only_entry():
+def test_error_terms_ignore_powers_and_noise():
     geom = geometry.coprime(3, 5)
     doas = np.deg2rad([-20.0, 10.0, 45.0])
     sc = model.SourceScenario.with_snr(doas, 0.0)
-    terms = analysis.error_terms(geom, sc)
-    # powers and noise do not enter the terms
     louder = model.SourceScenario(sc.doas, (2.0, 1.0, 3.0), 0.1)
-    assert analysis.error_terms(geometry.coprime(3, 5), louder) is terms
-    assert len(analysis._TERMS_CACHE) == 1
-    for name in ('alpha', 'beta', 'gamma', 'xi'):
-        arr = getattr(terms, name)
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
-    assert_terms_equal(terms, cold(analysis.error_terms, geom, sc))
+    assert_terms_equal(analysis.error_terms(geometry.coprime(3, 5), louder),
+                       analysis.error_terms(geom, sc))
 
 
-def test_error_terms_memo_tells_spacing_and_wavelength_apart():
+def test_error_terms_depend_on_spacing_and_wavelength():
     pos = (0, 2, 3, 7, 20)
     geoms = [geometry.custom(pos), geometry.custom(pos, d0=0.25),
              geometry.custom(pos, wavelength=2.0)]
     sc = model.SourceScenario.with_snr(np.deg2rad([-10.0, 35.0]), 5.0)
-    want = [cold(analysis.error_terms, g, sc) for g in geoms]
+    want = [analysis.error_terms(g, sc) for g in geoms]
     assert not np.array_equal(want[0].xi, want[1].xi)
+    assert not np.array_equal(want[0].xi, want[2].xi)
     for g, w in zip(geoms + geoms[::-1], want + want[::-1]):
         assert_terms_equal(analysis.error_terms(g, sc), w)
-        assert len(analysis._TERMS_CACHE) == 1
 
 
 def test_interleaved_mse_calls_match_cold_calls():
@@ -164,13 +150,59 @@ def test_interleaved_mse_calls_match_cold_calls():
              (geometry.nested(4, 6),
               model.SourceScenario(first.doas[:2] + (first.doas[2] + 0.05,),
                                    first.powers, first.noise_power))]
-    want = [cold(analysis.analytical_mse, g, sc, 500) for g, sc in cases]
+    want = [analysis.analytical_mse(g, sc, 500) for g, sc in cases]
     for order in ((0, 1, 2, 3, 4), (4, 3, 2, 1, 0), (0, 3, 4, 0, 3)):
         for i in order:
             g, sc = cases[i]
             np.testing.assert_array_equal(
                 analysis.analytical_mse(g, sc, 500), want[i])
-            assert len(analysis._TERMS_CACHE) == 1
+    # a sweep that reuses one point's coefficients at another noise
+    # power and N gets the values of a fresh call, bit for bit
+    g, sc = cases[0]
+    coeffs = analysis.mse_coefficients(g, sc)
+    for snr, n in ((-10.0, 50), (20.0, 500), (60.0, 5000)):
+        other = model.SourceScenario.with_snr(sc.doas, snr, sc.powers)
+        np.testing.assert_array_equal(coeffs.mse(other.noise_power, n),
+                                      analysis.analytical_mse(g, other, n))
+
+
+def test_efficiency_sweep_builds_coefficients_once_per_fan(monkeypatch):
+    built = []
+    real = analysis.mse_coefficients
+
+    def counted(geom, scenario):
+        built.append((geom, scenario.doas))
+        return real(geom, scenario)
+
+    monkeypatch.setattr(analysis, 'mse_coefficients', counted)
+    cfg = harness.ExperimentConfig(
+        kind='efficiency', arrays=('coprime:3,5', 'nested:4,6', 'mra:10'),
+        k_sources=(1, 2, 4, 6, 8, 10, 12, 14),
+        snr_db=tuple(float(s) for s in range(-20, 61, 2)),
+        n_snapshots=(500,), empirical=False)
+    rows = harness.run(cfg)['efficiency'].rows
+    assert len(rows) == 3 * 8 * 41
+    assert len(built) == len(set(built)) == 3 * 8
+
+
+def test_mse_single_source_is_affine_in_noise_power():
+    # at K = 1 the saturation term vanishes, so N (p gamma)^2 MSE / s
+    # = Q1 + s Q2 is a line in the noise power s; a form that cancels
+    # at high SNR drifts off it
+    for geom in (geometry.coprime(3, 5), geometry.nested(4, 6),
+                 geometry.mra(10)):
+        gamma = analysis.error_terms(
+            geom, model.SourceScenario((0.3,), (1.0,), 1.0)).gamma[0]
+        noise, scaled = [], []
+        for snr in (20.0, 40.0, 60.0, 80.0, 100.0):
+            sc = model.SourceScenario.with_snr((0.3,), snr)
+            mse = analysis.analytical_mse(geom, sc, 500)[0, 0]
+            noise.append(sc.noise_power)
+            scaled.append(500 * gamma ** 2 * mse / sc.noise_power)
+        slope = (scaled[0] - scaled[1]) / (noise[0] - noise[1])
+        for s, y in zip(noise, scaled):
+            line = scaled[1] + slope * (s - noise[1])
+            assert abs(y - line) <= 1e-12 * abs(line)
 
 
 def test_mse_routes_agree():
@@ -215,6 +247,19 @@ def test_mse_and_crb_invariant_to_joint_power_scaling():
     np.testing.assert_allclose(analysis.crb(geom, sc, 200).crb,
                                analysis.crb(geom, scaled, 200).crb,
                                rtol=1e-8)
+
+
+def test_limiting_mse_matches_projection_route():
+    cases = 0
+    for geom, sc in reference_scenarios():
+        if sc.n_sources < 2:
+            continue
+        equal = model.SourceScenario.with_snr(sc.doas, 0.0)
+        want = reference.limiting_mse_via_projection(geom, equal)
+        got = analysis.limiting_mse(geom, equal)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        cases += 1
+    assert cases == 9
 
 
 def test_limiting_mse_single_source_vanishes():
@@ -538,6 +583,25 @@ def test_crb_matches_per_column_whitening(monkeypatch):
         assert relative_gap(g.fim, w.fim) <= 1e-12
         if w.defined:
             assert relative_gap(g.crb, w.crb) <= 1e-12
+
+
+def test_resolution_threshold_never_repeats_a_doa_pair(monkeypatch):
+    pairs = []
+    real = analysis.analytical_mse
+
+    def recorded(geom, scenario, n):
+        pairs.append(scenario.doas)
+        return real(geom, scenario, n)
+
+    monkeypatch.setattr(analysis, 'analytical_mse', recorded)
+    for geom in (geometry.coprime(3, 5), geometry.nested(4, 6),
+                 geometry.mra(10)):
+        for snr in (-5.0, 20.0):
+            for n in (100, 2000):
+                pairs.clear()
+                analysis.resolution_threshold(
+                    geom, n, noise_power=10.0 ** (-snr / 10.0))
+                assert len(pairs) == len(set(pairs))
 
 
 def outcome(fn, *args, **kwargs):

@@ -724,7 +724,8 @@ def test_cli_run_rejects_bad_config(tmp_path, capsys):
 def test_cli_unwritable_output_is_an_error_before_any_trial(tmp_path, capsys,
                                                             trial_calls):
     # a path under a regular file cannot be created: one error line and
-    # exit 2, not a traceback, and run gives up before its sweep
+    # exit 2, not a traceback, with nothing on stdout before it, and run
+    # gives up before its sweep
     blocker = tmp_path / 'file'
     blocker.write_text('')
     scenario = tmp_path / 'scenario.json'
@@ -739,9 +740,12 @@ def test_cli_unwritable_output_is_an_error_before_any_trial(tmp_path, capsys,
                   str(scenario), '--out', str(blocker / 'x.csv')],
                  ['run', '--config', str(cfg), '--out', str(blocker / 'out')]):
         assert cli.main(argv) == 2, argv
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == '', argv
         assert err.startswith('error: ') and err.count('\n') == 1, err
         assert str(blocker) in err
+        if argv[0] != 'run':
+            assert err.startswith(f'error: failed writing {argv[-1]}: '), err
     assert trial_calls == []
 
 
