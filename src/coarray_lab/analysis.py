@@ -45,8 +45,8 @@ __all__ = [
 # Relative singular-value cutoff for pseudo-inverses and rank decisions.
 _RANK_RCOND = 1e-10
 
-# Separations (radians) scanned for the first resolution crossing, and
-# the stride of the coarse pass over them.
+# The first separations (radians) scanned for the resolution crossing,
+# and the stride of the coarse pass over the scan.
 _THRESHOLD_SCAN = np.geomspace(np.deg2rad(1e-3), np.deg2rad(6.0), 80)
 _THRESHOLD_STRIDE = 8
 
@@ -405,7 +405,7 @@ def resolution_predict(mse_matrix, delta_theta):
     """Analytic two-source resolvability verdict.
 
     Two sources separated by ``delta_theta`` (radians) are declared
-    resolvable when the sum of their RMS errors stays below the
+    resolvable when the sum of their RMS errors does not exceed the
     separation. Both sides of the comparison are angles in radians, so
     the verdict does not depend on the angular unit.
 
@@ -420,7 +420,23 @@ def resolution_predict(mse_matrix, delta_theta):
     if mse_matrix.shape != (2, 2):
         raise ValueError('the resolution criterion applies to source pairs')
     rms_sum = np.sqrt(mse_matrix[0, 0]) + np.sqrt(mse_matrix[1, 1])
-    return bool(rms_sum < delta_theta)
+    return bool(rms_sum <= delta_theta)
+
+
+def _threshold_scan(geom, center):
+    """Separations (radians) scanned for the first resolution crossing.
+
+    :data:`_THRESHOLD_SCAN` continued at its ratio up to four virtual
+    beamwidths, 4 wavelength / (mv d0), but not past 1.98 (pi/2 -
+    |center|), which keeps both sources off endfire.
+    """
+    last = _THRESHOLD_SCAN[-1]
+    ratio = _THRESHOLD_SCAN[1] / _THRESHOLD_SCAN[0]
+    top = min(4.0 * geom.wavelength / (difference_coarray(geom).mv * geom.d0),
+              1.98 * (np.pi / 2 - abs(center)))
+    more = int(np.log(max(top / last, 1.0)) / np.log(ratio))
+    return np.concatenate((_THRESHOLD_SCAN,
+                           last * ratio ** np.arange(1, more + 1)))
 
 
 def resolution_threshold(geom, n_snapshots, center=np.deg2rad(30.0),
@@ -430,13 +446,14 @@ def resolution_threshold(geom, n_snapshots, center=np.deg2rad(30.0),
     Finds the separation at which the summed RMS error of two
     equal-power sources straddling ``center`` equals the separation
     itself; below it the pair is predicted unresolvable. The crossing
-    is bracketed on a log-spaced scan of 1e-3 .. 6 degrees, coarse to
-    fine. The coarse pass takes every 8th scan point and the last one,
-    in order, up to the first pair where the excess of RMS sum over
-    separation turns from positive to non-positive. The fine pass
-    takes the scan points from that pair's first point on, up to the
-    first such turn between neighbours, which bisection polishes down
-    to adjacent floats. Where the excess turns at most once between
+    is bracketed on a log-spaced scan from 1e-3 degrees to 6 degrees or
+    four virtual beamwidths, coarse to fine. The coarse pass takes
+    every 8th scan point and the last one, in order, up to the first
+    pair where :func:`resolution_predict` turns from False to True (an
+    exact tie of RMS sum and separation is True). The fine pass takes
+    the scan points from that pair's first point on, up to the first
+    such turn between neighbours, which bisection polishes down to
+    adjacent floats. Where the verdict turns at most once between
     coarse points, this is the first crossing of the full scan.
 
     Returns:
@@ -445,40 +462,40 @@ def resolution_threshold(geom, n_snapshots, center=np.deg2rad(30.0),
     Raises:
         NumericalFailure: If no crossing is found inside the scan.
     """
-    # Summed RMS error per DOA pair. The passes share scan points, and
-    # near the end of bisection center -/+ delta / 2 stops changing
-    # before delta does, so a pair can come back.
-    rms_sums = {}
+    # MSE per DOA pair. The passes share scan points, and near the end
+    # of bisection center -/+ delta / 2 stops changing before delta
+    # does, so a pair can come back.
+    mses = {}
 
-    def excess(delta):
+    def resolvable(delta):
         doas = (center - delta / 2.0, center + delta / 2.0)
-        if doas not in rms_sums:
-            mse = analytical_mse(
+        if doas not in mses:
+            mses[doas] = analytical_mse(
                 geom, SourceScenario(doas, (power, power), noise_power),
                 n_snapshots)
-            rms_sums[doas] = np.sqrt(mse[0, 0]) + np.sqrt(mse[1, 1])
-        return rms_sums[doas] - delta
+        return resolution_predict(mses[doas], delta)
+
+    scan = _threshold_scan(geom, center)
 
     def first_turn(points):
-        """First neighbours of ``points`` where the excess turns <= 0."""
+        """First neighbours of ``points`` where the verdict turns."""
         for i, j in zip(points, points[1:]):
-            if (excess(_THRESHOLD_SCAN[i]) > 0
-                    and excess(_THRESHOLD_SCAN[j]) <= 0):
+            if not resolvable(scan[i]) and resolvable(scan[j]):
                 return i, j
         raise NumericalFailure('no resolution crossing inside the scan range')
 
-    last = _THRESHOLD_SCAN.size - 1
+    last = scan.size - 1
     start, _ = first_turn([*range(0, last, _THRESHOLD_STRIDE), last])
     i, j = first_turn(range(start, last + 1))
-    a, b = _THRESHOLD_SCAN[i], _THRESHOLD_SCAN[j]
+    a, b = scan[i], scan[j]
     for _ in range(60):
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
             # a and b are adjacent floats: whichever side mid takes,
             # the bracket collapses onto mid
             break
-        if excess(mid) > 0:
-            a = mid
-        else:
+        if resolvable(mid):
             b = mid
+        else:
+            a = mid
     return 0.5 * (a + b)

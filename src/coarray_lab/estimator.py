@@ -18,9 +18,11 @@ degree mv - 1 in the phase phi,
 
 where c_l sums the l-th superdiagonal of P = E_n E_n^H (the
 observation behind root-MUSIC). :func:`estimate_doas` forms the mv
-coefficients once per call and evaluates d in that form, both for the
-grid scan (one product with a cached table of exp(j l phi)) and for
-the sub-grid refinement, which runs on all kept peaks at once.
+coefficients once per call and works in phi throughout: one real FFT
+of the coefficients evaluates d on a uniform circular phase grid, and
+Newton steps on the analytic derivatives refine all kept minima at
+once. Only the final angles are mapped back through
+theta = arcsin(phi / (2 pi d0 / wavelength)).
 
 The subarray, Gamma-matrix and steering-vector routes that the tests
 check this module against live in :mod:`coarray_lab.reference`.
@@ -28,7 +30,6 @@ check this module against live in :mod:`coarray_lab.reference`.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +39,8 @@ __all__ = [
     'noise_subspace', 'estimate_doas', 'run_music', 'default_grid',
 ]
 
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
-
-# Golden-section steps of the sub-grid refinement of each peak.
-_REFINE_ITERS = 5
+# Newton steps that refine each grid minimum of the null spectrum.
+_NEWTON_STEPS = 3
 
 # The last run_music input, keyed by (z, mv, k, estimator keywords):
 # its eigensystem and the estimate for each noise column set scanned so
@@ -57,11 +56,11 @@ class DoaEstimate:
         angles: Estimated DOAs in radians, ascending. Holds fewer than
             the requested number of entries when ``resolved`` is False.
         resolved: True when the spectrum produced the requested number
-            of peaks and neither grid edge hides a deeper one (see
-            :func:`estimate_doas`).
-        refined: Per-angle flag, True where sub-grid refinement
-            succeeded (False entries fall back to the best grid or
-            search point).
+            of peaks and no end of the scanned arc hides a deeper one
+            (see :func:`estimate_doas`).
+        refined: Per-angle flag, True where the Newton refinement
+            converged inside its phase cell (False entries fall back to
+            the grid point).
     """
 
     angles: np.ndarray
@@ -141,23 +140,8 @@ def _noise_columns(values, k, method):
                  .tolist())
 
 
-def _phase_table(mv, phi):
-    """exp(j * l * phi) for l = 1 .. mv - 1, one column per phase."""
-    return np.exp(np.arange(1, mv)[:, None] * (1j * phi))
-
-
-@functools.lru_cache(maxsize=None)
-def _grid_table(mv, step, ratio):
-    """Read-only grid angles and phase table; step and ratio are floats."""
-    grid = default_grid(step)
-    table = _phase_table(mv, 2.0 * np.pi * ratio * np.sin(grid))
-    grid.setflags(write=False)
-    table.setflags(write=False)
-    return grid, table
-
-
 def _null_polynomial(en):
-    """Coefficients (c_0, 2 c_1 .. 2 c_{mv-1}) of the null spectrum.
+    """Coefficients c_0 .. c_{mv-1} of the null spectrum.
 
     c_l is the sum of the l-th superdiagonal of P = E_n E_n^H. P is
     written into the left half of an mv x 2 mv buffer; reading the
@@ -167,64 +151,30 @@ def _null_polynomial(en):
     mv = en.shape[0]
     buf = np.zeros(mv * (2 * mv + 1), dtype=complex)
     buf[:2 * mv * mv].reshape(mv, 2 * mv)[:, :mv] = en @ en.conj().T
-    coef = buf.reshape(mv, 2 * mv + 1)[:, :mv].sum(axis=0)
-    return coef[0].real, 2.0 * coef[1:]
+    return buf.reshape(mv, 2 * mv + 1)[:, :mv].sum(axis=0)
 
 
-def _null_eval(c0, w, table):
-    """Null spectrum d = c_0 + Re(w @ table) at the phases of a phase table."""
-    return c0 + (w @ table).real
+def _null_scan(coef, n):
+    """Null spectrum d(2 pi i / n), i = 0 .. n - 1, by one real FFT."""
+    return np.fft.irfft(coef, n) * n
 
 
-def _parabola_vertex(x_mid, h, y0, y1, y2):
-    """Vertices of the parabolas through three equally spaced points.
+def _newton_minima(coef, phi, step):
+    """Newton steps on d'(phi) = 0 from every grid minimum at once.
 
-    The points are (x_mid - h, y0), (x_mid, y1) and (x_mid + h, y2),
-    elementwise over arrays. Returns (vertex, valid) where ``valid``
-    marks an upward parabola whose vertex lies within h of x_mid.
+    With S_p = sum_l l^p c_l exp(j l phi), d' = -2 Im S_1 and
+    d'' = -2 Re S_2, so each step moves phi by -Im S_1 / Re S_2.
+    Returns (phases, refined): a phase that is not finite or ends more
+    than ``step`` from its start falls back to the start, unrefined.
     """
-    den = y0 - 2.0 * y1 + y2
-    up = den > 0
-    vertex = x_mid - 0.5 * h * (y2 - y0) / np.where(up, den, 1.0)
-    return vertex, up & (np.abs(vertex - x_mid) <= h)
-
-
-def _refine_peaks(dfun, theta, step, d_left, d_mid, d_right):
-    """Sub-grid refinement of every kept peak inside its grid cell.
-
-    Quadratic interpolation on the grid triple seeds a candidate, then a
-    golden-section search of :data:`_REFINE_ITERS` steps over the cell
-    with a final parabolic fit polishes it; the candidate with the
-    smallest (null power, angle) wins. All peaks advance together, so
-    each step makes one call of ``dfun`` on an array of angles. Returns
-    (angles, refined_flags).
-    """
-    vertex, vertex_ok = _parabola_vertex(theta, step, d_left, d_mid, d_right)
-    a, b = theta - step, theta + step
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    f_vertex, fc, fd = dfun(np.concatenate((vertex, c, d))).reshape(3, -1)
-    for _ in range(_REFINE_ITERS):
-        # keep the interior point with the smaller null power, shrink
-        # the bracket around it and probe the mirrored golden point
-        left = fc <= fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        keep, f_keep = np.where(left, c, d), np.where(left, fc, fd)
-        t = _INV_PHI * (b - a)
-        new = np.where(left, b - t, a + t)
-        f_new = dfun(new)
-        c, d = np.where(left, new, keep), np.where(left, keep, new)
-        fc, fd = np.where(left, f_new, f_keep), np.where(left, f_keep, f_new)
-    mid, h = 0.5 * (a + b), 0.5 * (b - a)
-    y0, y1, y2 = dfun(np.concatenate((mid - h, mid, mid + h))).reshape(3, -1)
-    polish, polish_ok = _parabola_vertex(mid, h, y0, y1, y2)
-    values = np.array((d_mid, np.where(vertex_ok, f_vertex, np.inf), fc, fd,
-                       np.where(h > 0, y1, np.inf),
-                       np.where(polish_ok, dfun(polish), np.inf)))
-    angles = np.array((theta, vertex, c, d, mid, polish))
-    best = np.lexsort((angles, values), axis=0)[0]
-    best_theta = angles[best, np.arange(theta.shape[0])]
-    return best_theta, best_theta != theta
+    lags = np.arange(coef.shape[0])
+    weights = np.stack((lags * coef, lags * lags * coef), axis=1)
+    x = phi
+    for _ in range(_NEWTON_STEPS):
+        s1, s2 = (np.exp(1j * np.outer(x, lags)) @ weights).T
+        x = x - s1.imag / s2.real
+    refined = np.abs(x - phi) <= step
+    return np.where(refined, x, phi), refined
 
 
 def _find_peaks(d):
@@ -235,7 +185,7 @@ def _find_peaks(d):
 
 
 def default_grid(grid_step=np.deg2rad(0.1)):
-    """The default search grid over (-pi/2, pi/2) at the given step."""
+    """An angle grid over (-pi/2, pi/2) at the given step, for plots."""
     if not (np.isfinite(grid_step) and grid_step > 0):
         raise ValueError(f'grid step must be finite and positive, got '
                          f'{grid_step}')
@@ -243,26 +193,29 @@ def default_grid(grid_step=np.deg2rad(0.1)):
 
 
 def estimate_doas(en, k, grid_step=np.deg2rad(0.1), d0=0.5, wavelength=1.0):
-    """Grid MUSIC with sub-grid refinement on a noise-subspace basis.
+    """MUSIC on a noise-subspace basis: a phase-grid scan, then Newton.
 
-    Peaks are interior local maxima of the pseudo-spectrum; the k
-    largest are kept (ties broken toward the larger spectrum value,
-    then the smaller angle) and each is refined within its grid cell.
-    When fewer than k local maxima exist the estimate is returned with
-    ``resolved=False`` and the peaks that were found. It is also
-    unresolved when the null spectrum still falls at a grid edge (the
-    edge value lies below its neighbour) and lies there below the
-    weakest kept peak: a source at endfire, beyond the grid, then has
-    its place taken by a spurious peak.
+    One real FFT evaluates the null spectrum d on n phases 2 pi i / n,
+    n the smallest power of two (and >= 2 mv) whose step is no coarser
+    than ``grid_step`` at broadside. The k deepest local minima are kept
+    (ties toward the smaller angle) and refined together by Newton steps
+    on d' = 0; one that leaves its grid cell keeps its grid phase. Each
+    angle is arcsin(phi / (2 pi d0 / wavelength)), phi wrapped into
+    (-pi, pi]. At d0 = wavelength / 2 the whole circle is scanned: an
+    endfire source is found, on either side of +-90 deg, which share
+    phi = +-pi. For smaller d0 only the arc |phi| <= 2 pi d0 / wavelength
+    is scanned, and the estimate is unresolved when d falls at an end of
+    the arc to below the weakest kept peak: a spurious peak then stands
+    in for an endfire source. With fewer than k minima it is unresolved
+    and holds the peaks that were found.
 
     The basis is scanned as given, never decomposed: from an augmented
-    covariance ``rv`` pass ``noise_subspace(rv, k)``. The scanned
-    pseudo-spectrum is ``reference.music_spectrum(en, default_grid())``.
+    covariance ``rv`` pass ``noise_subspace(rv, k)``.
 
     Args:
         en: mv x (mv - k) noise-subspace basis with orthonormal columns.
         k: Number of sources to estimate, 1 <= k < mv.
-        grid_step: Grid spacing in radians.
+        grid_step: Broadside-equivalent grid spacing in radians.
         d0: Virtual-ULA spacing.
         wavelength: Carrier wavelength.
 
@@ -274,21 +227,28 @@ def estimate_doas(en, k, grid_step=np.deg2rad(0.1), d0=0.5, wavelength=1.0):
     if not 1 <= k < mv or en.shape != (mv, mv - k):
         raise ValueError(f'need an mv x (mv - k) basis with 1 <= k < mv, '
                          f'got shape {en.shape} and k = {k}')
-    c0, w = _null_polynomial(en)
+    if not (np.isfinite(grid_step) and grid_step > 0):
+        raise ValueError(f'grid step must be finite and positive, got '
+                         f'{grid_step}')
     ratio = d0 / wavelength
-    rate = 2.0 * np.pi * ratio
-    grid, table = _grid_table(mv, float(grid_step), float(ratio))
-    d = _null_eval(c0, w, table)
+    n = 1 << int(np.ceil(np.log2(max(1.0 / (ratio * grid_step), 2.0 * mv))))
+    # Grid indices i of the scanned phases 2 pi i / n, ascending: the arc
+    # between its two ends, or the whole circle with one point repeated
+    # past each end, so that every point on it has both neighbours.
+    arc = ratio < 0.5
+    half = min(int(ratio * n), n // 2)
+    index = np.arange(-half, half + 1 + (not arc))
+    coef = _null_polynomial(en)
+    d = _null_scan(coef, n)[index % n]
     peaks = _find_peaks(d)
-    order = np.lexsort((grid[peaks], d[peaks]))
-    kept = peaks[order[:k]]
-    edges = d[[0, -1]][d[[0, -1]] < d[[1, -2]]]
+    kept = peaks[np.lexsort((index[peaks], d[peaks]))[:k]]
+    edges = d[[0, -1]][d[[0, -1]] < d[[1, -2]]] if arc else d[:0]
     resolved = kept.shape[0] == k and not np.any(edges < d[kept].max())
 
-    dfun = lambda theta: _null_eval(
-        c0, w, _phase_table(mv, rate * np.sin(theta)))
-    angles, refined = _refine_peaks(
-        dfun, grid[kept], grid_step, d[kept - 1], d[kept], d[kept + 1])
+    step = 2.0 * np.pi / n
+    phi, refined = _newton_minima(coef, index[kept] * step, step)
+    wrapped = np.pi - (np.pi - phi) % (2.0 * np.pi)
+    angles = np.arcsin(np.clip(wrapped / (2.0 * np.pi * ratio), -1.0, 1.0))
     order = np.argsort(angles)
     return DoaEstimate(angles=angles[order], resolved=resolved,
                        refined=refined[order])

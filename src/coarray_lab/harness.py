@@ -135,7 +135,7 @@ class ExperimentConfig:
         families: Array families for ``scaling``.
         k_modes: ``'one'`` (single source at broadside) and/or ``'m'``
             (as many sources as sensors) for ``scaling``.
-        grid_step_deg: MUSIC search grid step.
+        grid_step_deg: MUSIC search step, as the angle step at broadside.
         power: Per-source power.
         empirical: Whether ``efficiency`` and ``scaling`` also run
             Monte Carlo trials next to the closed forms.

@@ -442,6 +442,11 @@ def test_resolution_predict_verdicts():
     sep = np.deg2rad(1.0)
     assert analysis.resolution_predict(tiny, sep)
     assert not analysis.resolution_predict(huge, sep)
+    # an RMS sum equal to the separation is resolvable, as the
+    # threshold's bisection has always counted it
+    assert analysis.resolution_predict(np.diag([0.25, 0.25]), 1.0)
+    assert not analysis.resolution_predict(np.diag([0.25, 0.25]),
+                                           np.nextafter(1.0, 0.0))
     with pytest.raises(ValueError):
         analysis.resolution_predict(np.eye(3), sep)
 
@@ -465,6 +470,30 @@ def test_resolution_threshold_ordering_and_consistency():
             (center - delta / 2.0, center + delta / 2.0), (1.0, 1.0), 1.0)
         mse = analysis.analytical_mse(geom, sc, n)
         assert analysis.resolution_predict(mse, delta) is expected
+
+
+def test_threshold_scan_continues_past_six_degrees_on_small_coarrays():
+    base = np.geomspace(np.deg2rad(1e-3), np.deg2rad(6.0), 80)
+    center = np.deg2rad(30.0)
+    for geom in (geometry.ula(3), geometry.ula(4), geometry.coprime(3, 5),
+                 geometry.mra(10), geometry.coprime(2, d0=0.25)):
+        scan = analysis._threshold_scan(geom, center)
+        np.testing.assert_array_equal(scan[:80], base)
+        steps = scan[1:] / scan[:-1]
+        np.testing.assert_allclose(steps, steps[0], rtol=1e-12)
+        mv = geometry.difference_coarray(geom).mv
+        top = min(4.0 * geom.wavelength / (mv * geom.d0),
+                  1.98 * (np.pi / 2 - center))
+        assert scan[-1] <= top * (1.0 + 1e-12) < scan[-1] * steps[0]
+    # no continuation where the pair would reach endfire
+    np.testing.assert_array_equal(
+        analysis._threshold_scan(geometry.ula(3), np.deg2rad(88.0)), base)
+    # the 6 deg scan had no crossing on these
+    for geom in (geometry.ula(3), geometry.ula(4)):
+        thr = analysis.resolution_threshold(geom, 500, center=center)
+        assert thr > np.deg2rad(6.0)
+        assert thr == threshold_full_scan(geom, 500, analysis.analytical_mse,
+                                          center=center)
 
 
 # Reference routes: the arithmetic the production code replaced, kept
@@ -526,26 +555,25 @@ def whitened_per_column(geom, scenario):
 
 def threshold_full_scan(geom, n_snapshots, mse, center=np.deg2rad(30.0),
                         noise_power=1.0):
-    """Threshold from all 80 scan points and all 60 bisection steps."""
-    def excess(delta):
+    """Threshold from every scan point and all 60 bisection steps."""
+    def resolvable(delta):
         sc = model.SourceScenario(
             (center - delta / 2.0, center + delta / 2.0), (1.0, 1.0),
             noise_power)
-        cov = mse(geom, sc, n_snapshots)
-        return np.sqrt(cov[0, 0]) + np.sqrt(cov[1, 1]) - delta
+        return analysis.resolution_predict(mse(geom, sc, n_snapshots), delta)
 
-    deltas = np.geomspace(np.deg2rad(1e-3), np.deg2rad(6.0), 80)
-    values = np.array([excess(d) for d in deltas])
-    cross = np.nonzero((values[:-1] > 0) & (values[1:] <= 0))[0]
+    deltas = analysis._threshold_scan(geom, center)
+    verdicts = np.array([resolvable(d) for d in deltas])
+    cross = np.nonzero(~verdicts[:-1] & verdicts[1:])[0]
     if cross.size == 0:
         raise analysis.NumericalFailure('no crossing in the full scan')
     a, b = deltas[cross[0]], deltas[cross[0] + 1]
     for _ in range(60):
         mid = 0.5 * (a + b)
-        if excess(mid) > 0:
-            a = mid
-        else:
+        if resolvable(mid):
             b = mid
+        else:
+            a = mid
     return 0.5 * (a + b)
 
 

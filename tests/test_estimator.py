@@ -13,8 +13,6 @@ import pytest
 
 from coarray_lab import estimator, geometry, harness, model, reference
 
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
-
 
 def exact_virtual(geom, scenario):
     """Exact z, mv for a scenario on the given array."""
@@ -173,31 +171,59 @@ def test_merged_pair_keeps_one_true_null():
 
 
 def test_peakless_spectrum_reports_unresolved():
-    # noise eigenvector equal to the broadside response pushes the
-    # spectrum nulls to the scan edges, leaving no interior peak
+    # the noise eigenvector (1, 1) / sqrt(2) gives d(phi) = 1 + cos(phi):
+    # at d0 = wavelength / 2 its one null, at phi = pi, is endfire and
+    # found, so a second source has no peak; on the quarter-wave arc
+    # |phi| <= pi / 2 the null power falls toward both ends, leaving no
+    # interior peak
     u = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
     en = estimator.noise_subspace(np.outer(u, u.conj()), 1)
     est = estimator.estimate_doas(en, 1)
+    assert est.resolved
+    np.testing.assert_allclose(np.abs(est.angles), np.pi / 2, rtol=0,
+                               atol=1e-6)
+    est = estimator.estimate_doas(en, 1, d0=0.25)
     assert not est.resolved
     assert est.angles.shape == (0,)
     assert est.refined.shape == (0,)
+    en = np.array([[1.0], [1.0], [0.0]], dtype=complex) / np.sqrt(2.0)
+    est = estimator.estimate_doas(en, 2)
+    assert not est.resolved
+    assert est.angles.shape == est.refined.shape == (1,)
 
 
-@pytest.mark.parametrize('doas_deg, resolved', [
+def fold_endfire(theta):
+    """Angles with both images of an endfire phase, +-theta, as |theta|."""
+    theta = np.asarray(theta)
+    return np.sort(np.where(np.abs(theta) > np.deg2rad(89.0), np.abs(theta),
+                            theta))
+
+
+@pytest.mark.parametrize('doas_deg, interior', [
     ((-89.99,), False), ((89.99,), False), ((-89.99, 10.0), False),
-    ((-85.0,), True), ((30.0,), True)])
-def test_endfire_source_is_flagged(doas_deg, resolved):
-    # the grid stops short of +-90 deg, so an endfire source has no
-    # interior null; a spurious peak near +-57 deg stands in for it
-    geom = geometry.coprime(3, 5)
-    sc = model.SourceScenario.with_snr(np.deg2rad(doas_deg), 10.0)
-    z, mv = exact_virtual(geom, sc)
-    for method in ('da', 'ss'):
-        est = estimator.run_music(z, mv, len(doas_deg), method=method)
-        assert est.resolved is resolved
-        if resolved:
-            np.testing.assert_allclose(est.angles, np.deg2rad(doas_deg),
-                                       rtol=0, atol=1e-6)
+    ((-85.0,), True), ((30.0,), True), ((-89.9,), False)])
+def test_endfire_source_is_flagged(doas_deg, interior):
+    # at d0 = wavelength / 2 the phase scan covers the whole circle, so
+    # an endfire source is found, but +-90 deg share phi = +-pi and it
+    # may come back on either side; on a quarter-wave array only the arc
+    # |phi| <= pi / 2 is scanned and an endfire source beyond its last
+    # grid phase is flagged, its place taken by a spurious peak
+    truth = np.deg2rad(doas_deg)
+    for geom in (geometry.coprime(3, 5), geometry.coprime(2, d0=0.25)):
+        half_wave = geom.d0 == 0.5
+        sc = model.SourceScenario.with_snr(truth, 10.0)
+        z, mv = exact_virtual(geom, sc)
+        for method in ('da', 'ss'):
+            est = estimator.run_music(z, mv, len(doas_deg), method=method,
+                                      d0=geom.d0)
+            assert est.resolved is (half_wave or interior)
+            if interior:
+                np.testing.assert_allclose(est.angles, truth, rtol=0,
+                                           atol=1e-6)
+            elif half_wave:
+                np.testing.assert_allclose(fold_endfire(est.angles),
+                                           fold_endfire(truth), rtol=0,
+                                           atol=1e-6)
 
 
 def test_nondefault_spacing_round_trip():
@@ -257,24 +283,6 @@ def test_music_spectrum_inverts_null_power():
     np.testing.assert_allclose(spec, 1.0 / null, rtol=1e-12)
 
 
-def test_grid_table_is_shared_and_read_only():
-    estimator._grid_table.cache_clear()
-    step = np.deg2rad(0.5)
-    grid, table = estimator._grid_table(7, step, 0.5)
-    assert table.shape == (6, grid.shape[0])
-    for arr in (grid, table):
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
-    # estimate_doas passes a 0-d array step on as the equal float
-    en = estimator.noise_subspace(np.eye(7, dtype=complex), 2)
-    estimator.estimate_doas(en, 2, grid_step=np.asarray(step))
-    assert estimator._grid_table.cache_info().hits == 1
-    assert estimator._grid_table.cache_info().currsize == 1
-    for other in ((8, step, 0.5), (7, step / 2, 0.5), (7, step, 0.25)):
-        assert estimator._grid_table(*other)[1] is not table
-    assert estimator._grid_table.cache_info().currsize == 4
-
-
 def test_estimate_doas_rejects_a_mismatched_basis():
     en = estimator.noise_subspace(np.eye(5, dtype=complex), 2)
     estimator.estimate_doas(en, 2)
@@ -294,83 +302,45 @@ def test_default_grid_bounds():
             estimator.default_grid(bad)
 
 
-# Scalar reference for estimate_doas: the grid scan evaluates
-# ||E_n^H a||^2 directly and each peak is refined on its own, one
-# null-power evaluation per call. The estimator evaluates the same
-# null spectrum as a trigonometric polynomial on all peaks at once.
-
-def reference_null_power(en, theta, rate):
-    a = np.exp(1j * rate * np.sin(theta) * np.arange(en.shape[0]))
-    e = en.conj().T @ a
-    return float(np.real(e @ e.conj()))
-
-
-def reference_parabola_vertex(x_mid, h, y0, y1, y2):
-    den = y0 - 2.0 * y1 + y2
-    if den <= 0:
-        return None
-    vertex = x_mid - 0.5 * h * (y2 - y0) / den
-    if abs(vertex - x_mid) > h:
-        return None
-    return vertex
+def test_estimate_doas_checks_its_grid_step():
+    sc = model.SourceScenario.with_snr((-0.3, 0.4), 0.0)
+    z, mv = exact_virtual(geometry.coprime(2), sc)
+    en = estimator.noise_subspace(estimator.augment_direct(z, mv), 2)
+    step = np.deg2rad(0.5)
+    as_float = estimator.estimate_doas(en, 2, grid_step=step)
+    as_array = estimator.estimate_doas(en, 2, grid_step=np.asarray(step))
+    np.testing.assert_array_equal(as_array.angles, as_float.angles)
+    np.testing.assert_allclose(as_float.angles, sc.doas, rtol=0, atol=1e-6)
+    for bad in (0.0, -0.1, np.inf, np.nan):
+        with pytest.raises(ValueError, match='grid step'):
+            estimator.estimate_doas(en, 2, grid_step=bad)
 
 
-def reference_refine_peak(dfun, theta, step, d_left, d_mid, d_right, iters):
-    candidates = [(d_mid, theta)]
-    vertex = reference_parabola_vertex(theta, step, d_left, d_mid, d_right)
-    if vertex is not None:
-        candidates.append((dfun(vertex), vertex))
-    a, b = theta - step, theta + step
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = dfun(c), dfun(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = dfun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = dfun(d)
-    candidates.append((fc, c))
-    candidates.append((fd, d))
-    mid, h = 0.5 * (a + b), 0.5 * (b - a)
-    if h > 0:
-        y0, y1, y2 = dfun(mid - h), dfun(mid), dfun(mid + h)
-        candidates.append((y1, mid))
-        polish = reference_parabola_vertex(mid, h, y0, y1, y2)
-        if polish is not None:
-            candidates.append((dfun(polish), polish))
-    _, best_theta = min(candidates, key=lambda it: (it[0], it[1]))
-    return best_theta, best_theta != theta
+# Dense references for estimate_doas at d0 = wavelength / 2: the null
+# power ||E_n^H a||^2 with explicit steering vectors a, on a circle of
+# phases four times finer than the scan's and on a fine angle window
+# around each estimate. The estimator evaluates the same null spectrum
+# as a trigonometric polynomial by FFT and refines it by Newton steps.
+
+def reference_null_power(en, phi):
+    a = np.exp(1j * np.outer(np.arange(en.shape[0]), phi))
+    return np.sum(np.abs(en.conj().T @ a) ** 2, axis=0)
 
 
-def reference_estimate(rv, k, grid_step=np.deg2rad(0.1)):
-    """(angles, resolved, refined) of the scalar path, d0 = wavelength / 2."""
-    en = estimator.noise_subspace(rv, k)
-    mv = en.shape[0]
-    rate = np.pi
-    grid = estimator.default_grid(grid_step)
-    a_grid = np.exp(1j * np.outer(np.arange(mv), rate * np.sin(grid)))
-    d = np.sum(np.abs(en.conj().T @ a_grid) ** 2, axis=0)
-    peaks = estimator._find_peaks(d)
-    kept = peaks[np.lexsort((grid[peaks], d[peaks]))[:k]]
-    dfun = lambda theta: reference_null_power(en, theta, rate)
-    found = [reference_refine_peak(dfun, grid[i], grid_step, d[i - 1], d[i],
-                                   d[i + 1], estimator._REFINE_ITERS)
-             for i in kept]
-    angles = np.array([t for t, _ in found])
-    refined = np.array([f for _, f in found], dtype=bool)
-    order = np.argsort(angles)
-    resolved = kept.shape[0] == k
-    if resolved:
-        # a null still falling at a grid edge, below the weakest kept peak
-        weakest = max(d[i] for i in kept)
-        for edge, inner in ((d[0], d[1]), (d[-1], d[-2])):
-            if edge < inner and edge < weakest:
-                resolved = False
-    return angles[order], resolved, refined[order]
+def reference_minima_count(en, n=8192):
+    """Circular local minima of the null power on n phases."""
+    d = reference_null_power(en, 2.0 * np.pi * np.arange(n) / n)
+    return np.count_nonzero((d < np.roll(d, 1)) & (d <= np.roll(d, -1)))
+
+
+def reference_window_minimum(en, theta, half_width=5e-5, points=1001):
+    """Angle of least null power on a uniform window around theta.
+
+    NaN when that angle is an end of the window.
+    """
+    window = theta + np.linspace(-half_width, half_width, points)
+    best = np.argmin(reference_null_power(en, np.pi * np.sin(window)))
+    return window[best] if 0 < best < points - 1 else np.nan
 
 
 EQUIVALENCE_SCENES = {
@@ -387,6 +357,11 @@ def test_polynomial_estimator_matches_scalar_reference(spec):
     co = geometry.difference_coarray(geom)
     f = geometry.selection_matrix(co)
     mv = co.mv
+    # the scanned phases 2 pi i / n and their angles: at the default
+    # 0.1 deg step the broadside phase step is 2 pi / 1146, so n = 2048
+    n_grid = 2048
+    phi = 2.0 * np.pi * np.arange(n_grid) / n_grid
+    grid = np.arcsin((np.pi - (np.pi - phi) % (2.0 * np.pi)) / np.pi)
     for scene, doas_deg in EQUIVALENCE_SCENES.items():
         for snr in (-5.0, 0.0, 10.0):
             sc = model.SourceScenario.with_snr(np.deg2rad(doas_deg), snr)
@@ -402,19 +377,17 @@ def test_polynomial_estimator_matches_scalar_reference(spec):
                         k = sc.n_sources
                         en = estimator.noise_subspace(aug, k)
                         est = estimator.estimate_doas(en, k)
-                        ref_angles, ref_resolved, ref_refined = (
-                            reference_estimate(aug, k))
                         label = (scene, snr, n, seed, method)
-                        assert est.resolved == ref_resolved, label
-                        np.testing.assert_array_equal(
-                            est.refined, ref_refined, err_msg=str(label))
-                        err = np.abs(est.angles - ref_angles)
-                        assert np.all(err <= 1e-8), (label, err.max())
-                        # the polynomial null spectrum is 1 / music_spectrum
-                        grid, table = estimator._grid_table(
-                            mv, float(np.deg2rad(0.1)), 0.5)
-                        null = estimator._null_eval(
-                            *estimator._null_polynomial(en), table)
+                        assert est.resolved == (
+                            reference_minima_count(en) >= k), label
+                        assert est.refined.all(), label
+                        best = np.array([reference_window_minimum(en, t)
+                                         for t in est.angles])
+                        err = np.abs(est.angles - best)
+                        assert np.all(err <= 1e-5), (label, err.max())
+                        # the FFT null spectrum is 1 / music_spectrum
+                        null = estimator._null_scan(
+                            estimator._null_polynomial(en), n_grid)
                         ref_null = 1.0 / reference.music_spectrum(en, grid)
                         np.testing.assert_allclose(null, ref_null, rtol=0,
                                                    atol=1e-12 * mv)

@@ -1,11 +1,13 @@
 """Property tests of the coarray selection matrix, the augmentations,
-the closed forms, the resolution threshold and the chunking of Monte
-Carlo trials.
+exact-model MUSIC, the closed forms, the resolution threshold and the
+chunking of Monte Carlo trials.
 
 Positions are drawn as random integer sets (mostly with coarray holes)
 and as nested arrays (hole-free coarrays). Each property must hold for
 every draw.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -108,6 +110,45 @@ def test_smallest_magnitude_eigenvectors_span_smoothed_noise(geom, seed, u):
                                en_ss @ en_ss.conj().T, rtol=0, atol=1e-10)
 
 
+def separated_scenario(geom, seed, u):
+    """1 <= K < mv sources inside +-70 deg, three beamwidths apart.
+
+    One source sits in each equal cell of sin(theta) over
+    (-sin 70 deg, sin 70 deg), at least three virtual-array beamwidths
+    wavelength / (mv d0) from its neighbours.
+    """
+    mv = geometry.difference_coarray(geom).mv
+    span = 2.0 * np.sin(np.deg2rad(70.0))
+    gap = 3.0 * geom.wavelength / (mv * geom.d0)
+    k = 1 + int(u * min(mv - 1, int(span / gap)))
+    rng = np.random.default_rng(seed)
+    width = span / k
+    jitter = rng.uniform(-0.5, 0.5, k) * max(width - gap, 0.0)
+    sines = -span / 2 + width * (np.arange(k) + 0.5) + jitter
+    return model.SourceScenario(tuple(np.arcsin(sines)),
+                                tuple(rng.uniform(0.5, 2.0, k)),
+                                10.0 ** rng.uniform(-1.0, 1.0))
+
+
+@settings
+@hypothesis.given(arrays, st.booleans(), seeds,
+                  st.floats(0.0, 1.0, exclude_max=True))
+def test_exact_model_music_finds_every_source(geom, quarter_wave, seed, u):
+    # the phase scan and its FFT size follow mv and d0, so arbitrary
+    # arrays cover many polynomial degrees and grid sizes
+    if quarter_wave:
+        geom = dataclasses.replace(geom, d0=geom.wavelength / 4)
+    co, f = coarray_and_f(geom)
+    hypothesis.assume(co.mv >= 2)
+    sc = separated_scenario(geom, seed, u)
+    z = model.virtual_observation(f, model.true_covariance(geom, sc))
+    for method in ('da', 'ss'):
+        est = estimator.run_music(z, co.mv, sc.n_sources, method=method,
+                                  d0=geom.d0, wavelength=geom.wavelength)
+        assert est.resolved
+        np.testing.assert_allclose(est.angles, sc.doas, rtol=0, atol=1e-6)
+
+
 def random_scenario(geom, seed, u):
     """1 <= K < mv sources with unequal powers at -10 to 20 dB SNR.
 
@@ -161,13 +202,12 @@ def test_mse_and_crb_invariant_to_joint_power_scaling(geom, seed, u, factor):
 
 @settings
 @hypothesis.given(
-    holey.filter(lambda geom: geometry.difference_coarray(geom).mv >= 7),
+    holey.filter(lambda geom: geometry.difference_coarray(geom).mv >= 3),
     st.floats(-10.0, 30.0), st.integers(20, 5000), st.floats(-50.0, 50.0))
 def test_resolution_threshold_matches_full_scan(geom, snr_db, n, center_deg):
-    # the coarse-to-fine scan finds the full scan's first crossing; from
-    # mv = 7 up nearly every draw has one below 6 deg, so the two values
-    # are compared (smaller coarrays mostly raise on both sides, which
-    # test_analysis covers)
+    # the coarse-to-fine scan finds the full scan's first crossing; the
+    # scan reaches four virtual-array beamwidths, so small coarrays
+    # cross inside it too and nearly every draw compares two values
     center = np.deg2rad(center_deg)
     noise = 10.0 ** (-snr_db / 10.0)
     got = outcome(analysis.resolution_threshold, geom, n, center=center,
