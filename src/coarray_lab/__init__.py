@@ -23,6 +23,7 @@ from .geometry import (
 from .model import (
     SourceScenario,
     sample_covariance,
+    sample_covariance_draw,
     simulate_snapshots,
     steering_matrix,
     steering_vector,
@@ -72,7 +73,7 @@ __all__ = [
     'custom', 'make_array', 'difference_coarray', 'selection_matrix',
     'SourceScenario', 'vec', 'unvec', 'steering_vector',
     'steering_matrix', 'true_covariance', 'simulate_snapshots',
-    'sample_covariance', 'virtual_observation',
+    'sample_covariance', 'sample_covariance_draw', 'virtual_observation',
     'DoaEstimate', 'augment_direct', 'augment_spatial_smoothing',
     'noise_subspace', 'estimate_doas', 'run_music',
     'ErrorTerms', 'MseCoefficients', 'CrbReport', 'NumericalFailure',

@@ -427,15 +427,17 @@ def _threshold_scan(geom, center):
     """Separations (radians) scanned for the first resolution crossing.
 
     :data:`_THRESHOLD_SCAN` continued at its ratio up to four virtual
-    beamwidths, 4 wavelength / (mv d0), but not past 1.98 (pi/2 -
-    |center|), which keeps both sources off endfire.
+    beamwidths, 4 wavelength / (mv d0). No point, of the base scan or
+    its continuation, passes 1.98 (pi/2 - |center|), which keeps both
+    sources off endfire.
     """
+    edge = 1.98 * (np.pi / 2 - abs(center))
     last = _THRESHOLD_SCAN[-1]
     ratio = _THRESHOLD_SCAN[1] / _THRESHOLD_SCAN[0]
     top = min(4.0 * geom.wavelength / (difference_coarray(geom).mv * geom.d0),
-              1.98 * (np.pi / 2 - abs(center)))
+              edge)
     more = int(np.log(max(top / last, 1.0)) / np.log(ratio))
-    return np.concatenate((_THRESHOLD_SCAN,
+    return np.concatenate((_THRESHOLD_SCAN[_THRESHOLD_SCAN <= edge],
                            last * ratio ** np.arange(1, more + 1)))
 
 

@@ -297,13 +297,14 @@ def _trial_block(geom, scenario, n_snapshots, methods, master_seed,
     """Records of the trials in the range ``trials``, by (trial, method)."""
     co = geometry.difference_coarray(geom)
     f = geometry.selection_matrix(co)
+    chol = np.linalg.cholesky(model.true_covariance(geom, scenario))
     records = []
     for trial in trials:
         key = (master_seed, combo_index, trial)
         seed = np.random.SeedSequence(entropy=master_seed,
                                       spawn_key=(combo_index, trial))
-        snapshots = model.simulate_snapshots(geom, scenario, n_snapshots, seed)
-        z = model.virtual_observation(f, model.sample_covariance(snapshots))
+        r_hat = model.sample_covariance_draw(chol, n_snapshots, seed)
+        z = model.virtual_observation(f, r_hat)
         for method in methods:
             est = run_music(z, co.mv, scenario.n_sources, method=method,
                             grid_step=grid_step, d0=geom.d0,
@@ -344,7 +345,9 @@ def run_trials(geom, scenario, n_snapshots, methods, master_seed,
                combo_index, n_trials, grid_step, threads=1):
     """Monte Carlo trials for one sweep point.
 
-    DA and SS share each trial's snapshots so method comparisons see
+    Each trial draws its sample covariance from the complex Wishart law
+    CW(N, R) / N (:func:`model.sample_covariance_draw`), and DA and SS
+    share each trial's sample covariance so method comparisons see
     identical noise. With ``threads > 1`` the trials are split into
     contiguous ranges run in worker processes, those of the enclosing
     :func:`run` when there is one; each trial depends on its seed key

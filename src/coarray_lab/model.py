@@ -5,6 +5,13 @@ per-source powers, observed in white circular complex Gaussian noise.
 All angles are in radians internally; command-line front ends convert
 from degrees.
 
+Monte Carlo trials see their data only through the sample covariance,
+so they draw it directly from its complex Wishart law,
+N R_hat ~ CW_M(N, R), with :func:`sample_covariance_draw`.
+:func:`simulate_snapshots` and :func:`sample_covariance` form it the
+long way, for single estimates with a snapshot dump and as the
+reference the draw is tested against.
+
 Covariances are plain M x M Hermitian arrays. The vectorization
 convention throughout the package is column-major stacking:
 ``vec(R)[p + q * M] = R[p, q]`` with zero-based indices; it is applied
@@ -22,7 +29,8 @@ import numpy as np
 __all__ = [
     'SourceScenario',
     'steering_vector', 'steering_matrix', 'true_covariance',
-    'simulate_snapshots', 'sample_covariance', 'virtual_observation',
+    'simulate_snapshots', 'sample_covariance', 'sample_covariance_draw',
+    'virtual_observation',
     'vec', 'unvec', 'dump_snapshots_csv',
 ]
 
@@ -198,6 +206,49 @@ def sample_covariance(snapshots):
     if y.ndim != 2:
         raise ValueError('snapshots must be an M x N matrix')
     r_mat = y @ y.conj().T / y.shape[1]
+    return 0.5 * (r_mat + r_mat.conj().T)
+
+
+def sample_covariance_draw(chol, n_snapshots, seed):
+    """Sample covariance of N snapshots, drawn from its Wishart law.
+
+    For N independent CN(0, R) snapshots, N R_hat is complex Wishart
+    CW_M(N, R). With R = L L^H this draws N R_hat = (L T)(L T)^H from
+    the Bartlett factor T, an M x min(M, N) lower-trapezoidal matrix
+    with CN(0, 1) entries below the diagonal and
+    T_ii = sqrt(chi^2_{2(N - i)} / 2) on it (zero-based i). For N < M
+    the draw is the singular Wishart, of rank N. It costs O(M^2)
+    draws whatever N is, against O(MN) for :func:`simulate_snapshots`
+    followed by :func:`sample_covariance`; the two have one law but
+    are different draws for the same seed.
+
+    Args:
+        chol: Lower Cholesky factor L of the model covariance R.
+        n_snapshots: Number of snapshots N >= 1.
+        seed: Integer or ``numpy.random.SeedSequence`` of one Philox
+            stream: first the below-diagonal entries of T, row-major,
+            then its diagonal.
+
+    Returns:
+        Hermitian-symmetrized M x M sample covariance R_hat.
+    """
+    if n_snapshots < 1:
+        raise ValueError('need at least one snapshot')
+    chol = np.asarray(chol)
+    m = chol.shape[0]
+    p = min(m, n_snapshots)
+    rng = np.random.Generator(np.random.Philox(seed))
+    below = np.tri(m, p, -1, dtype=bool)
+    t = np.zeros((m, p), dtype=complex)
+    # CN(0, 1): each (re, im) pair of N(0, 1) draws, scaled by sqrt(1/2),
+    # is read in place as one complex
+    t[below] = np.sqrt(0.5) * rng.standard_normal(
+        (np.count_nonzero(below), 2)).view(complex)[:, 0]
+    # chi^2_{2k} / 2 is Gamma(k, 1)
+    np.fill_diagonal(t, np.sqrt(rng.standard_gamma(
+        n_snapshots - np.arange(p))))
+    lt = chol @ t
+    r_mat = lt @ lt.conj().T / n_snapshots
     return 0.5 * (r_mat + r_mat.conj().T)
 
 

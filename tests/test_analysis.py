@@ -485,15 +485,33 @@ def test_threshold_scan_continues_past_six_degrees_on_small_coarrays():
         top = min(4.0 * geom.wavelength / (mv * geom.d0),
                   1.98 * (np.pi / 2 - center))
         assert scan[-1] <= top * (1.0 + 1e-12) < scan[-1] * steps[0]
-    # no continuation where the pair would reach endfire
+    # near endfire the base scan itself stops where the pair would
+    # reach endfire, and there is no continuation
     np.testing.assert_array_equal(
-        analysis._threshold_scan(geometry.ula(3), np.deg2rad(88.0)), base)
+        analysis._threshold_scan(geometry.ula(3), np.deg2rad(88.0)),
+        base[base <= 1.98 * np.deg2rad(2.0)])
     # the 6 deg scan had no crossing on these
     for geom in (geometry.ula(3), geometry.ula(4)):
         thr = analysis.resolution_threshold(geom, 500, center=center)
         assert thr > np.deg2rad(6.0)
         assert thr == threshold_full_scan(geom, 500, analysis.analytical_mse,
                                           center=center)
+
+
+@pytest.mark.parametrize('center_deg', [88.0, 89.5, -89.5])
+@pytest.mark.parametrize('geom', [geometry.mra(10), geometry.ula(3)],
+                         ids=['mra10', 'ula3'])
+def test_resolution_threshold_near_endfire_stays_inside(geom, center_deg):
+    # a pair center -/+ delta / 2 past endfire made SourceScenario raise
+    # ValueError; now the threshold is found or NumericalFailure raised
+    center = np.deg2rad(center_deg)
+    for n, noise_power in ((500, 1.0), (50_000, 1e-3)):
+        try:
+            thr = analysis.resolution_threshold(geom, n, center=center,
+                                                noise_power=noise_power)
+        except analysis.NumericalFailure:
+            continue
+        assert 0.0 < thr < 2.0 * (np.pi / 2 - abs(center))
 
 
 # Reference routes: the arithmetic the production code replaced, kept

@@ -187,12 +187,13 @@ def test_trial_matches_direct_replay():
     assert [r.method for r in records] == ['da', 'ss'] * 3
     co = geometry.difference_coarray(geom)
     f = geometry.selection_matrix(co)
+    chol = np.linalg.cholesky(model.true_covariance(geom, sc))
     for rec in reversed(records):
         estimator._TRIAL_CACHE.clear()
         seed = np.random.SeedSequence(entropy=rec.seed_key[0],
                                       spawn_key=rec.seed_key[1:])
-        y = model.simulate_snapshots(geom, sc, 64, seed)
-        z = model.virtual_observation(f, model.sample_covariance(y))
+        r_hat = model.sample_covariance_draw(chol, 64, seed)
+        z = model.virtual_observation(f, r_hat)
         est = estimator.run_music(z, co.mv, 2, method=rec.method,
                                   grid_step=np.deg2rad(0.5))
         assert est.resolved == rec.resolved

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from coarray_lab import geometry, model
+from coarray_lab import geometry, model, reference
 
 
 def test_vec_is_column_major():
@@ -171,6 +171,71 @@ def test_sample_covariance_converges_to_model():
 def test_sample_covariance_rejects_bad_shape():
     with pytest.raises(ValueError):
         model.sample_covariance(np.zeros(5, dtype=complex))
+
+
+def _within_se(samples, target, bound=4.0):
+    """Assert each entry's sample mean is within ``bound`` SE of target.
+
+    Entries with no spread (the imaginary diagonal of a Hermitian draw)
+    must hit their target to 1e-12.
+    """
+    dev = np.abs(samples.mean(axis=0) - target)
+    se = samples.std(axis=0) / np.sqrt(samples.shape[0])
+    assert np.all(dev <= bound * se + 1e-12)
+
+
+def test_sample_covariance_draw_matches_the_moment_oracle():
+    # first and second moments of dr = vec(R_hat - R) over Wishart draws
+    # against the exact moments of N Gaussian snapshots, at criterion
+    # 4's bound of 4 standard errors
+    geom = geometry.ula(3)
+    sc = model.SourceScenario(tuple(np.deg2rad([-20.0, 35.0])),
+                              (1.0, 1.5), 0.8)
+    n = 50
+    draws = 40_000
+    truth = model.true_covariance(geom, sc)
+    chol = np.linalg.cholesky(truth)
+    dr = np.array([model.vec(model.sample_covariance_draw(chol, n, seed))
+                   for seed in range(draws)]) - model.vec(truth)
+    re, im = dr.real, dr.imag
+    _within_se(re, 0.0)
+    _within_se(im, 0.0)
+    targets = reference.delta_r_moment_oracle(truth, n)
+    for (u, v), target in zip(((re, re), (im, im), (re, im)), targets):
+        _within_se(u[:, :, None] * v[:, None, :], target)
+
+
+@pytest.mark.parametrize('n', [1, 3])
+def test_sample_covariance_draw_below_m_snapshots_is_singular(n):
+    # N < M: the singular Wishart, Hermitian PSD of rank N, mean R
+    geom = geometry.nested(2, 3)
+    sc = model.SourceScenario((-0.4, 0.5), (2.0, 0.5), 0.7)
+    truth = model.true_covariance(geom, sc)
+    chol = np.linalg.cholesky(truth)
+    draws = np.array([model.sample_covariance_draw(chol, n, seed)
+                      for seed in range(20_000)])
+    for r_hat in draws[:200]:
+        np.testing.assert_array_equal(r_hat, r_hat.conj().T)
+        eig = np.linalg.eigvalsh(r_hat)
+        assert eig[0] > -1e-12 * eig[-1]
+        assert np.linalg.matrix_rank(r_hat) == n
+    _within_se(draws.real, truth.real)
+    _within_se(draws.imag, truth.imag)
+
+
+def test_sample_covariance_draw_seeding_and_validation():
+    geom = geometry.ula(4)
+    chol = np.linalg.cholesky(model.true_covariance(
+        geom, model.SourceScenario.with_snr((0.1,), 0.0)))
+    ss = np.random.SeedSequence(entropy=99, spawn_key=(2, 5))
+    r1 = model.sample_covariance_draw(chol, 8, ss)
+    r2 = model.sample_covariance_draw(
+        chol, 8, np.random.SeedSequence(entropy=99, spawn_key=(2, 5)))
+    np.testing.assert_array_equal(r1, r2)
+    assert np.max(np.abs(r1 - model.sample_covariance_draw(chol, 8, 3))) > 1e-3
+    for bad in (0, -2):
+        with pytest.raises(ValueError):
+            model.sample_covariance_draw(chol, bad, 1)
 
 
 def test_virtual_observation_averages_lag_entries():
