@@ -41,6 +41,7 @@ from .estimator import (
     run_music,
 )
 from .analysis import (
+    CrbCoefficients,
     CrbReport,
     CrbUndefined,
     ErrorTerms,
@@ -48,6 +49,7 @@ from .analysis import (
     NumericalFailure,
     analytical_mse,
     crb,
+    crb_coefficients,
     efficiency_kappa,
     error_terms,
     limiting_mse,
@@ -76,10 +78,11 @@ __all__ = [
     'sample_covariance', 'sample_covariance_draw', 'virtual_observation',
     'DoaEstimate', 'augment_direct', 'augment_spatial_smoothing',
     'noise_subspace', 'estimate_doas', 'run_music',
-    'ErrorTerms', 'MseCoefficients', 'CrbReport', 'NumericalFailure',
-    'CrbUndefined', 'error_terms', 'mse_coefficients', 'analytical_mse',
-    'limiting_mse', 'model_jacobian',
-    'crb', 'efficiency_kappa', 'resolution_predict', 'resolution_threshold',
+    'ErrorTerms', 'MseCoefficients', 'CrbReport', 'CrbCoefficients',
+    'NumericalFailure', 'CrbUndefined', 'error_terms', 'mse_coefficients',
+    'analytical_mse', 'limiting_mse', 'model_jacobian',
+    'crb_coefficients', 'crb', 'efficiency_kappa', 'resolution_predict',
+    'resolution_threshold',
     'ExperimentConfig', 'TrialRecord', 'ConfigError', 'load_config',
     'run', 'run_trials', 'emit_outputs', 'fifty_percent_crossing',
 ]

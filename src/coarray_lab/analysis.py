@@ -20,6 +20,15 @@ is a sum of non-negative terms and nothing cancels at high SNR. Q0 is
 the paper's high-SNR saturation term: it vanishes for a single source
 and is strictly positive when the sources outnumber the sensors.
 
+The CRB follows the same split. Only sigma^2 in R = S + sigma^2 I moves
+along an SNR sweep, and R shares its eigenvectors U with S, so the
+model Jacobian is built once in that eigenbasis
+(:func:`crb_coefficients`). There the whitening by (R^T ox R)^(-1/2)
+is a scaling of the rows by products of (lam + sigma^2)^(-1/2), and
+each noise power costs one real thin SVD. The null eigenvalues of S
+are exact zeros, so the noise eigenvalues of R keep full precision at
+any SNR.
+
 All angles are radians; MSE values are rad^2.
 """
 
@@ -33,13 +42,14 @@ import numpy as np
 # checks that the tracer wraps it at this lookup site.
 from .geometry import _lag_gather, difference_coarray, selection_matrix  # noqa: F401
 from .model import (SourceScenario, _phase_rate, _steering, steering_matrix,
-                    true_covariance, vec)
+                    vec)
 
 __all__ = [
-    'ErrorTerms', 'MseCoefficients', 'CrbReport', 'NumericalFailure',
-    'CrbUndefined', 'error_terms', 'mse_coefficients', 'analytical_mse',
-    'limiting_mse', 'model_jacobian',
-    'crb', 'efficiency_kappa', 'resolution_predict', 'resolution_threshold',
+    'ErrorTerms', 'MseCoefficients', 'CrbReport', 'CrbCoefficients',
+    'NumericalFailure', 'CrbUndefined', 'error_terms', 'mse_coefficients',
+    'analytical_mse', 'limiting_mse', 'model_jacobian',
+    'crb_coefficients', 'crb', 'efficiency_kappa', 'resolution_predict',
+    'resolution_threshold',
 ]
 
 # Relative singular-value cutoff for pseudo-inverses and rank decisions.
@@ -127,7 +137,10 @@ class CrbReport:
             N Re(J^H (R^T ox R)^(-1) J) of (DOAs, powers, noise power).
         crb: Real symmetric K x K DOA block of the inverse FIM, or
             None when the bound is undefined.
-        jacobian_rank: Numerical rank of the whitened model Jacobian.
+        jacobian_rank: Numerical rank of the whitened model Jacobian
+            with its power columns scaled by p_k and its noise column
+            by sigma^2, a rank that no joint scaling of the powers and
+            the noise moves.
         required_rank: 2K + 1; the bound exists only at full rank.
         gram_condition: Condition number of the projected Gram matrix
             that is inverted for the DOA block (NaN when undefined).
@@ -142,6 +155,74 @@ class CrbReport:
     @property
     def defined(self):
         return self.crb is not None
+
+
+@dataclass(frozen=True)
+class CrbCoefficients:
+    """SNR-free factors of the CRB at one array, DOA set and powers.
+
+    Attributes:
+        lam: Length-M eigenvalues of the signal covariance S = A P A^H,
+            its M - rank(A) null eigenvalues exactly 0.
+        jac: Real M^2 x (2K + 1) model Jacobian in the eigenbasis U of
+            S, in Hermitian coordinates: row i holds entry
+            ``rows[:, i]`` of U^H C U for each column matrix C, the
+            diagonal first, then sqrt(2) Re and sqrt(2) Im of the upper
+            triangle.
+        rows: 2 x M^2 eigen-index pair (m, n) of each row of ``jac``.
+        powers: Length-K source powers.
+    """
+
+    lam: np.ndarray
+    jac: np.ndarray
+    rows: np.ndarray
+    powers: np.ndarray
+
+    def report(self, noise_power, n_snapshots):
+        """The :class:`CrbReport` at one noise power and N.
+
+        Row (m, n) of the Jacobian is scaled by d_m d_n with
+        d = (lam + sigma^2)^(-1/2), which whitens it. The power columns
+        are scaled by p_k and the noise column by sigma^2, so that every
+        column is invariant to a joint scaling of the powers and the
+        noise; one real thin SVD X = Q Sigma V^T of the result gives
+        the rank from Sigma, the FIM N V Sigma^2 V^T (unscaled back to
+        DOAs, powers and noise), and the DOA block of its inverse,
+
+            CRB = (1 / N) * V[:K] Sigma^(-2) V[:K]^T,
+
+        which the column scaling leaves unchanged. This block is the
+        inverse of the projected Gram matrix M_theta^H P_perp(M_s)
+        M_theta of the whitened DOA columns M_theta and power/noise
+        columns M_s.
+
+        The bound requires full column rank 2K + 1; otherwise the report
+        carries ``crb=None`` and the observed rank.
+        """
+        k = self.powers.size
+        required = 2 * k + 1
+        d = 1.0 / np.sqrt(self.lam + noise_power)
+        col_scale = np.concatenate((np.ones(k), self.powers, [noise_power]))
+        x = self.jac * np.outer(d[self.rows[0]] * d[self.rows[1]], col_scale)
+        _, sv, vt = np.linalg.svd(x, full_matrices=False)
+        fim_mat = (n_snapshots * ((vt.T * sv ** 2) @ vt)
+                   / np.outer(col_scale, col_scale))
+        fim_mat = 0.5 * (fim_mat + fim_mat.T)
+        rank = int(np.sum(sv > _RANK_RCOND * sv[0]))
+        if rank < required:
+            return CrbReport(fim=fim_mat, crb=None, jacobian_rank=rank,
+                             required_rank=required,
+                             gram_condition=float('nan'))
+        v_theta = vt[:, :k].T
+        gram_inv = (v_theta / sv ** 2) @ v_theta.T
+        gram_inv = 0.5 * (gram_inv + gram_inv.T)
+        ev = np.linalg.eigvalsh(gram_inv)
+        cond = float(ev[-1] / ev[0]) if ev[0] > 0 else float('inf')
+        defined = np.isfinite(cond) and cond <= 1.0 / _RANK_RCOND ** 2
+        return CrbReport(fim=fim_mat,
+                         crb=gram_inv / n_snapshots if defined else None,
+                         jacobian_rank=rank, required_rank=required,
+                         gram_condition=cond)
 
 
 def error_terms(geom, scenario):
@@ -317,38 +398,56 @@ def _jacobian_columns(a, a_dot, powers, noise):
         axis=1)
 
 
-def _whitened_jacobian(geom, scenario):
-    """Model Jacobian left-multiplied by (R^T ox R)^(-1/2).
+def crb_coefficients(geom, scenario):
+    """The SNR-free factors of :func:`crb` at one array, DOAs and powers.
 
-    The inverse square root acts column-wise as C -> W C W with the
-    Hermitian W = R^(-1/2), so W a a^H W = (W a)(W a)^H: the whitened
-    columns are the Jacobian columns of the whitened steering (W A,
-    W A_dot), with W W for the noise. Only the eigensystem of the M x M
-    covariance is needed, no M^2 x M^2 factorization.
+    With aw = A diag(sqrt(p)) = U Sigma V^H (one full SVD), the signal
+    covariance is S = U diag(lam) U^H with lam = Sigma^2, padded with
+    exact zeros to length M, and R = U diag(lam + sigma^2) U^H. The
+    whitening (R^T ox R)^(-1/2) acts on the vec of a Hermitian matrix C
+    as C -> W C W with W = R^(-1/2), and in the eigenbasis U that is
+    the row scaling (U^H C U)[m, n] -> d_m d_n (U^H C U)[m, n] with
+    d = (lam + sigma^2)^(-1/2). So the Jacobian columns are built once
+    in the eigenbasis, and each noise power only rescales their rows.
+
+    Args:
+        geom: Array geometry.
+        scenario: Source scenario; its noise power is unused.
+
+    Returns:
+        A :class:`CrbCoefficients` instance.
     """
+    m = geom.n_sensors
+    powers = np.asarray(scenario.powers)
     a, a_dot = steering_matrix(geom, scenario)
-    r_mat = true_covariance(geom, scenario)
-    lam, u = np.linalg.eigh(r_mat)
-    if lam[0] <= 0:
-        raise NumericalFailure('model covariance is not positive definite')
-    r_isqrt = (u * (1.0 / np.sqrt(lam))) @ u.conj().T
-    return _jacobian_columns(r_isqrt @ a, r_isqrt @ a_dot, scenario.powers,
-                             r_isqrt @ r_isqrt)
+    u, sv, _ = np.linalg.svd(a * np.sqrt(powers))
+    lam = np.zeros(m)
+    lam[:sv.size] = sv ** 2
+    uh = u.conj().T
+    cols = _jacobian_columns(uh @ a, uh @ a_dot, powers, np.eye(m))
+    # real Hermitian coordinates: the diagonal, then sqrt(2) Re and
+    # sqrt(2) Im of the upper triangle, so the real Gram matrix is the
+    # Frobenius one of the Hermitian column matrices
+    iu, ju = np.triu_indices(m, 1)
+    diag = np.arange(m)
+    upper = cols[iu + ju * m]
+    jac = np.concatenate((cols[diag * (m + 1)].real,
+                          np.sqrt(2.0) * upper.real,
+                          np.sqrt(2.0) * upper.imag))
+    rows = np.stack((np.concatenate((diag, iu, iu)),
+                     np.concatenate((diag, ju, ju))))
+    return CrbCoefficients(lam=lam, jac=jac, rows=rows, powers=powers)
 
 
 def crb(geom, scenario, n_snapshots):
     """Cramer-Rao bound on the DOAs with nuisance powers and noise.
 
-    The whitened Jacobian W has columns that are vec's of Hermitian
-    matrices, so W^H W is real and one thin SVD W = U Sigma V^H gives
-    everything: the rank from Sigma, the FIM N V Sigma^2 V^H, and the
-    DOA block of its inverse,
-
-        CRB = (1 / N) * V[:K] Sigma^(-2) V[:K]^H,
-
-    where V[:K] holds the DOA rows of V. This block is the inverse of
-    the projected Gram matrix M_theta^H P_perp(M_s) M_theta of the
-    whitened DOA columns M_theta and power/noise columns M_s.
+    The paper's CRB_theta = (1 / N) (M_theta^H P_perp(M_s) M_theta)^(-1),
+    with M = (R^T ox R)^(-1/2) dr/d eta, evaluated in the eigenbasis of
+    the signal covariance: see :func:`crb_coefficients` and
+    :meth:`CrbCoefficients.report`. A sweep over SNR and N at fixed
+    array, DOAs and powers builds the coefficients once and calls
+    ``report`` per point; this function does both for one point.
 
     The bound requires the whitened Jacobian to have full column rank
     2K + 1; otherwise the report carries ``crb=None`` and the observed
@@ -358,27 +457,8 @@ def crb(geom, scenario, n_snapshots):
     Returns:
         A :class:`CrbReport`.
     """
-    k = scenario.n_sources
-    required = 2 * k + 1
-    _, sv, vh = np.linalg.svd(_whitened_jacobian(geom, scenario),
-                              full_matrices=False)
-    fim_mat = n_snapshots * np.real((vh.conj().T * sv ** 2) @ vh)
-    fim_mat = 0.5 * (fim_mat + fim_mat.T)
-    rank = int(np.sum(sv > _RANK_RCOND * sv[0]))
-    if rank < required:
-        return CrbReport(fim=fim_mat, crb=None, jacobian_rank=rank,
-                         required_rank=required, gram_condition=float('nan'))
-    v_theta = vh[:, :k].conj().T
-    gram_inv = np.real((v_theta / sv ** 2) @ v_theta.conj().T)
-    gram_inv = 0.5 * (gram_inv + gram_inv.T)
-    lam = np.linalg.eigvalsh(gram_inv)
-    gram_cond = float(lam[-1] / lam[0]) if lam[0] > 0 else float('inf')
-    if not np.isfinite(gram_cond) or gram_cond > 1.0 / _RANK_RCOND ** 2:
-        return CrbReport(fim=fim_mat, crb=None, jacobian_rank=rank,
-                         required_rank=required, gram_condition=gram_cond)
-    return CrbReport(fim=fim_mat, crb=gram_inv / n_snapshots,
-                     jacobian_rank=rank, required_rank=required,
-                     gram_condition=gram_cond)
+    return crb_coefficients(geom, scenario).report(scenario.noise_power,
+                                                   n_snapshots)
 
 
 def efficiency_kappa(crb_report, mse_matrix):

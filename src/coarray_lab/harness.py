@@ -497,8 +497,24 @@ def _sweep(cfg):
     return points, notices
 
 
-def _with_mse_coefficients(points):
-    """Each point with the closed-form MSE coefficients of its scenario.
+class _Coefficients:
+    """The closed-form coefficients of one (geometry, DOAs, powers).
+
+    ``mse`` is built with the object; ``crb`` on first use, so sweeps
+    that never read the bound never build it.
+    """
+
+    def __init__(self, geom, scenario):
+        self.mse = analysis.mse_coefficients(geom, scenario)
+        self._geom, self._scenario = geom, scenario
+
+    @functools.cached_property
+    def crb(self):
+        return analysis.crb_coefficients(self._geom, self._scenario)
+
+
+def _with_coefficients(points):
+    """Each point with the closed-form coefficients of its scenario.
 
     A point reuses the previous point's coefficients while the geometry,
     DOAs and powers stay the same: the sweeps vary SNR and N innermost,
@@ -508,14 +524,15 @@ def _with_mse_coefficients(points):
     for p in points:
         if (p.geom, p.scenario.doas, p.scenario.powers) != key:
             key = (p.geom, p.scenario.doas, p.scenario.powers)
-            coeffs = analysis.mse_coefficients(p.geom, p.scenario)
+            coeffs = _Coefficients(p.geom, p.scenario)
         yield p, coeffs
 
 
 def _closed_form(p, coeffs):
     """MSE matrix, CRB report, kappa and CRB trace (NaN if undefined)."""
-    mse = coeffs.mse(p.scenario.noise_power, p.n)
-    report = analysis.crb(p.geom, p.scenario, p.n)
+    noise = p.scenario.noise_power
+    mse = coeffs.mse.mse(noise, p.n)
+    report = coeffs.crb.report(noise, p.n)
     if not report.defined:
         return mse, report, float('nan'), float('nan')
     return (mse, report, analysis.efficiency_kappa(report, mse),
@@ -536,9 +553,9 @@ def _trial_successes(cfg, combo, p, methods, threads, gate=None):
 
 def _verify_rows(cfg, points, threads):
     methods = _methods(cfg.method)
-    for combo, (p, coeffs) in enumerate(_with_mse_coefficients(points)):
+    for combo, (p, coeffs) in enumerate(_with_coefficients(points)):
         mse_an = float(np.mean(np.diag(
-            coeffs.mse(p.scenario.noise_power, p.n))))
+            coeffs.mse.mse(p.scenario.noise_power, p.n))))
         successes = _trial_successes(cfg, combo, p, methods, threads)
         for method, ok in zip(methods, successes):
             mse_em, se = _mse_stats(ok)
@@ -571,7 +588,7 @@ def _resolution_rows(cfg, points, threads):
 def _efficiency_rows(cfg, points, threads):
     """Trials run only where the CRB is defined, for the last method."""
     method = _methods(cfg.method)[-1]
-    for combo, (p, coeffs) in enumerate(_with_mse_coefficients(points)):
+    for combo, (p, coeffs) in enumerate(_with_coefficients(points)):
         _, report, kappa, crb_trace = _closed_form(p, coeffs)
         kappa_em = kappa_em_se = float('nan')
         trials = failed = 0
@@ -653,7 +670,7 @@ def run(cfg, threads=1):
 def _analyze_table(cfg):
     """Per-source closed forms over the points of the config's sweep."""
     rows = []
-    for p, coeffs in _with_mse_coefficients(_sweep(cfg)[0]):
+    for p, coeffs in _with_coefficients(_sweep(cfg)[0]):
         mse, report, kappa, crb_trace = _closed_form(p, coeffs)
         for i, theta in enumerate(p.scenario.doas):
             eps = float(mse[i, i])

@@ -4,8 +4,9 @@ Each computes the long way what :mod:`estimator` or :mod:`analysis`
 computes in a compact form: the coarray subarrays and the dense
 stacking matrix Gamma behind the augmentations, the MUSIC spectrum
 from explicit steering vectors, and the asymptotic MSE assembled from
-the exact second moments of the covariance perturbation, and the
-high-SNR limit as a projection onto the signal Kronecker basis. No
+the exact second moments of the covariance perturbation, the
+high-SNR limit as a projection onto the signal Kronecker basis, and the
+CRB from the Jacobian whitened by the eigendecomposition of R. No
 ``coarray-lab`` command calls them.
 """
 
@@ -13,13 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import error_terms
+from .analysis import (_RANK_RCOND, CrbReport, _jacobian_columns,
+                       error_terms)
 from .model import _steering, steering_matrix, true_covariance
 
 __all__ = [
     'subarray_select', 'gamma_stack', 'music_spectrum',
     'structured_cross_matrix', 'delta_r_moment_oracle',
     'analytical_mse_via_moments', 'limiting_mse_via_projection',
+    'crb_via_whitening',
 ]
 
 
@@ -153,3 +156,39 @@ def limiting_mse_via_projection(geom, scenario):
     a, _ = steering_matrix(geom, scenario)
     proj = terms.xi.conj() @ np.kron(a, a.conj())
     return np.sum(np.abs(proj) ** 2, axis=1) / terms.gamma ** 2
+
+
+def crb_via_whitening(geom, scenario, n_snapshots):
+    """The CRB report from the Jacobian whitened by R^(-1/2) itself.
+
+    W = R^(-1/2) comes from the eigendecomposition of the model
+    covariance R, and the whitened columns vec(W C W) are the Jacobian
+    columns of the whitened steering (W A, W A_dot), with W W for the
+    noise. One complex thin SVD of that M^2 x (2K + 1) matrix gives the
+    rank, the FIM and the DOA block of its inverse, with the rank and
+    Gram-condition rules of :func:`analysis.crb`, but without its
+    column scaling.
+    """
+    a, a_dot = steering_matrix(geom, scenario)
+    lam, u = np.linalg.eigh(true_covariance(geom, scenario))
+    r_isqrt = (u * (1.0 / np.sqrt(lam))) @ u.conj().T
+    jac = _jacobian_columns(r_isqrt @ a, r_isqrt @ a_dot, scenario.powers,
+                            r_isqrt @ r_isqrt)
+    k = scenario.n_sources
+    required = 2 * k + 1
+    _, sv, vh = np.linalg.svd(jac, full_matrices=False)
+    fim = n_snapshots * np.real((vh.conj().T * sv ** 2) @ vh)
+    fim = 0.5 * (fim + fim.T)
+    rank = int(np.sum(sv > _RANK_RCOND * sv[0]))
+    if rank < required:
+        return CrbReport(fim=fim, crb=None, jacobian_rank=rank,
+                         required_rank=required, gram_condition=float('nan'))
+    v_theta = vh[:, :k].conj().T
+    gram_inv = np.real((v_theta / sv ** 2) @ v_theta.conj().T)
+    gram_inv = 0.5 * (gram_inv + gram_inv.T)
+    ev = np.linalg.eigvalsh(gram_inv)
+    cond = float(ev[-1] / ev[0]) if ev[0] > 0 else float('inf')
+    defined = np.isfinite(cond) and cond <= 1.0 / _RANK_RCOND ** 2
+    return CrbReport(fim=fim, crb=gram_inv / n_snapshots if defined else None,
+                     jacobian_rank=rank, required_rank=required,
+                     gram_condition=cond)

@@ -166,15 +166,23 @@ def test_interleaved_mse_calls_match_cold_calls():
                                       analysis.analytical_mse(g, other, n))
 
 
-def test_efficiency_sweep_builds_coefficients_once_per_fan(monkeypatch):
+def count_builds(monkeypatch, name):
+    """Record the (geometry, DOAs) of each call of ``analysis.<name>``."""
     built = []
-    real = analysis.mse_coefficients
+    real = getattr(analysis, name)
 
     def counted(geom, scenario):
         built.append((geom, scenario.doas))
         return real(geom, scenario)
 
-    monkeypatch.setattr(analysis, 'mse_coefficients', counted)
+    monkeypatch.setattr(analysis, name, counted)
+    return built
+
+
+def test_efficiency_sweep_builds_coefficients_once_per_fan(monkeypatch):
+    mse_built = count_builds(monkeypatch, 'mse_coefficients')
+    crb_built = count_builds(monkeypatch, 'crb_coefficients')
+    monkeypatch.setattr(analysis, 'crb', None)
     cfg = harness.ExperimentConfig(
         kind='efficiency', arrays=('coprime:3,5', 'nested:4,6', 'mra:10'),
         k_sources=(1, 2, 4, 6, 8, 10, 12, 14),
@@ -182,7 +190,17 @@ def test_efficiency_sweep_builds_coefficients_once_per_fan(monkeypatch):
         n_snapshots=(500,), empirical=False)
     rows = harness.run(cfg)['efficiency'].rows
     assert len(rows) == 3 * 8 * 41
-    assert len(built) == len(set(built)) == 3 * 8
+    assert len(mse_built) == len(set(mse_built)) == 3 * 8
+    assert crb_built == mse_built
+
+
+def test_mse_sweep_never_builds_crb_coefficients(monkeypatch):
+    crb_built = count_builds(monkeypatch, 'crb_coefficients')
+    cfg = harness.ExperimentConfig(
+        kind='verify_mse', arrays=('coprime:2',), doas_deg=(-20.0, 25.0),
+        snr_db=(0.0, 10.0), n_snapshots=(100,), n_trials=2, method='both')
+    assert len(harness.run(cfg)['verify_mse'].rows) == 4
+    assert crb_built == []
 
 
 def test_mse_single_source_is_affine_in_noise_power():
@@ -561,16 +579,6 @@ def mse_via_pair_loop(geom, scenario, n):
     return 0.5 * (mse + mse.T)
 
 
-def whitened_per_column(geom, scenario):
-    """The model Jacobian whitened column by column, W C W per column."""
-    jac = analysis.model_jacobian(geom, scenario)
-    lam, u = np.linalg.eigh(model.true_covariance(geom, scenario))
-    r_isqrt = (u * (1.0 / np.sqrt(lam))) @ u.conj().T
-    m = geom.n_sensors
-    return np.stack([model.vec(r_isqrt @ model.unvec(c, m) @ r_isqrt)
-                     for c in jac.T], axis=1)
-
-
 def threshold_full_scan(geom, n_snapshots, mse, center=np.deg2rad(30.0),
                         noise_power=1.0):
     """Threshold from every scan point and all 60 bisection steps."""
@@ -614,14 +622,15 @@ def test_mse_matches_pair_loop():
                                 want) <= 1e-12
 
 
-def test_crb_matches_per_column_whitening(monkeypatch):
+def test_crb_matches_per_column_whitening():
+    # the eigenbasis row scaling against W C W with W = R^(-1/2) from
+    # the eigendecomposition of R
     cases = list(reference_scenarios())
     # ula(3) holds 3 sources with an undefined CRB
     cases.append((geometry.ula(3),
                   model.SourceScenario.with_snr((-0.5, 0.1, 0.6), 10.0)))
     got = [analysis.crb(geom, sc, 500) for geom, sc in cases]
-    monkeypatch.setattr(analysis, '_whitened_jacobian', whitened_per_column)
-    want = [analysis.crb(geom, sc, 500) for geom, sc in cases]
+    want = [reference.crb_via_whitening(geom, sc, 500) for geom, sc in cases]
     assert [r.defined for r in got] == [r.defined for r in want]
     assert [r.defined for r in want].count(False) >= 1
     for g, w in zip(got, want):
@@ -629,6 +638,62 @@ def test_crb_matches_per_column_whitening(monkeypatch):
         assert relative_gap(g.fim, w.fim) <= 1e-12
         if w.defined:
             assert relative_gap(g.crb, w.crb) <= 1e-12
+
+
+def crb_trace_form(geom, scenario, n_snapshots, digits=40):
+    """The CRB's DOA block from the trace-form FIM in mpmath.
+
+    FIM[p, q] = N Re tr(R^(-1) dR_p R^(-1) dR_q), inverted at
+    ``digits`` significant digits from the float inputs taken as exact.
+    """
+    mp = pytest.importorskip('mpmath')
+    with mp.workdps(digits):
+        rate = 2 * mp.pi * mp.mpf(geom.d0) / mp.mpf(geom.wavelength)
+        pos = [int(x) for x in geom.position_array()]
+        m, k = len(pos), scenario.n_sources
+        a = mp.matrix(m, k)
+        a_dot = mp.matrix(m, k)
+        for j, theta in enumerate(scenario.doas):
+            for i in range(m):
+                a[i, j] = mp.expj(pos[i] * rate * mp.sin(mp.mpf(theta)))
+                a_dot[i, j] = (1j * pos[i] * rate * mp.cos(mp.mpf(theta))
+                               * a[i, j])
+        powers = [mp.mpf(x) for x in scenario.powers]
+
+        def outer(x, y, j):
+            return mp.matrix([[x[r, j] * mp.conj(y[c, j]) for c in range(m)]
+                              for r in range(m)])
+
+        derivs = [powers[j] * (outer(a_dot, a, j) + outer(a, a_dot, j))
+                  for j in range(k)]
+        derivs += [outer(a, a, j) for j in range(k)]
+        derivs.append(mp.eye(m))
+        r_mat = derivs[-1] * mp.mpf(scenario.noise_power)
+        for j in range(k):
+            r_mat += powers[j] * derivs[k + j]
+        r_inv = mp.inverse(r_mat)
+        white = [r_inv * d for d in derivs]
+        size = len(white)
+        fim = mp.matrix(size, size)
+        for p in range(size):
+            for q in range(p, size):
+                tr = mp.fsum(white[p][r, c] * white[q][c, r]
+                             for r in range(m) for c in range(m))
+                fim[p, q] = fim[q, p] = n_snapshots * mp.re(tr)
+        inv = mp.inverse(fim)
+        return np.array([[float(inv[p, q]) for q in range(k)]
+                         for p in range(k)])
+
+
+@pytest.mark.parametrize('spec, k', [('mra:10', 6), ('coprime:3,5', 8),
+                                     ('coprime:3,5', 1)])
+def test_crb_matches_high_precision_trace_form(spec, k):
+    # at 60 dB the noise eigenvalues of R are 1e-6 of a source power;
+    # the exact null eigenvalues of A P A^H keep them to full precision
+    geom = harness._parse_array(spec)
+    sc = model.SourceScenario.with_snr(harness._fan(k), 60.0)
+    want = crb_trace_form(geom, sc, 500)
+    assert relative_gap(analysis.crb(geom, sc, 500).crb, want) <= 1e-12
 
 
 def test_resolution_threshold_never_repeats_a_doa_pair(monkeypatch):

@@ -1,6 +1,6 @@
 """Property tests of the coarray selection matrix, the augmentations,
-exact-model MUSIC, the closed forms, the resolution threshold and the
-chunking of Monte Carlo trials.
+exact-model MUSIC, the closed forms and the CRB, the resolution
+threshold and the chunking of Monte Carlo trials.
 
 Positions are drawn as random integer sets (mostly with coarray holes)
 and as nested arrays (hole-free coarrays). Each property must hold for
@@ -12,7 +12,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from coarray_lab import analysis, estimator, geometry, harness, model
+from coarray_lab import (analysis, estimator, geometry, harness, model,
+                         reference)
 from test_analysis import outcome, threshold_full_scan
 
 hypothesis = pytest.importorskip('hypothesis')
@@ -198,6 +199,31 @@ def test_mse_and_crb_invariant_to_joint_power_scaling(geom, seed, u, factor):
     assert other.jacobian_rank == base.jacobian_rank
     if base.defined:
         assert_same_up_to_rounding(other.crb, base.crb)
+
+
+@settings
+@hypothesis.given(arrays, seeds, st.floats(0.0, 1.0, exclude_max=True),
+                  st.lists(st.floats(-10.0, 30.0), min_size=1, max_size=4),
+                  st.integers(1, 5000))
+def test_crb_coefficients_match_whitening_reference(geom, seed, u, snrs, n):
+    # one coefficients object serves every noise power of the fan
+    hypothesis.assume(geometry.difference_coarray(geom).mv >= 2)
+    sc = random_scenario(geom, seed, u)
+    coeffs = analysis.crb_coefficients(geom, sc)
+    for snr in snrs:
+        at = dataclasses.replace(
+            sc, noise_power=min(sc.powers) * 10.0 ** (-snr / 10.0))
+        got = coeffs.report(at.noise_power, n)
+        want = reference.crb_via_whitening(geom, at, n)
+        assert got.defined == want.defined
+        assert got.jacobian_rank == want.jacobian_rank
+        if want.defined:
+            np.testing.assert_allclose(got.crb, want.crb, rtol=1e-9,
+                                       atol=1e-9 * np.max(np.abs(want.crb)))
+        again = analysis.crb(geom, at, n)
+        np.testing.assert_array_equal(again.fim, got.fim)
+        if got.defined:
+            np.testing.assert_array_equal(again.crb, got.crb)
 
 
 @settings
