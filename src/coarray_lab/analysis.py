@@ -496,11 +496,15 @@ def resolution_predict(mse_matrix, delta_theta):
     Returns:
         True when the pair is predicted resolvable.
     """
+    return bool(_rms_sum(mse_matrix) <= delta_theta)
+
+
+def _rms_sum(mse_matrix):
+    """Sum of the two RMS errors of a source pair's MSE matrix."""
     mse_matrix = np.atleast_2d(mse_matrix)
     if mse_matrix.shape != (2, 2):
         raise ValueError('the resolution criterion applies to source pairs')
-    rms_sum = np.sqrt(mse_matrix[0, 0]) + np.sqrt(mse_matrix[1, 1])
-    return bool(rms_sum <= delta_theta)
+    return float(np.sqrt(mse_matrix[0, 0]) + np.sqrt(mse_matrix[1, 1]))
 
 
 def _threshold_scan(geom, center):
@@ -521,6 +525,48 @@ def _threshold_scan(geom, center):
                            last * ratio ** np.arange(1, more + 1)))
 
 
+def _false_position(excess, a, b, ga, gb):
+    """Shrink a sign change of ``excess`` down to adjacent floats.
+
+    Safeguarded false position (the Illinois method) on a bracket with
+    ga = excess(a) > 0 >= excess(b) = gb; a NaN excess counts as > 0,
+    as it does in ``excess(x) <= 0``. Each step tries the secant point
+    of (a, ga) and (b, gb) and takes the midpoint instead when that
+    point is not strictly inside (a, b), which covers a NaN, or when
+    the last two steps together did not halve the bracket. An end kept
+    twice in a row has its excess halved, so a curved excess does not
+    pin one end. The invariant holds at every step.
+
+    Any three steps at least halve the bracket, so this takes at most
+    three times as many steps as bisection; on a smooth excess it takes
+    a handful before it reaches the excess's rounding noise.
+
+    Returns:
+        The final (a, b), adjacent floats.
+    """
+    kept = None
+    width2, width1 = np.inf, np.inf  # widths two steps and one step back
+    while True:
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            return a, b
+        x = b - gb * (b - a) / (gb - ga)
+        if not a < x < b or b - a > 0.5 * width2:
+            x = mid
+        width2, width1 = width1, b - a
+        gx = excess(x)
+        if gx <= 0:
+            b, gb = x, gx
+            if kept == 'a':
+                ga *= 0.5
+            kept = 'a'
+        else:
+            a, ga = x, gx
+            if kept == 'b':
+                gb *= 0.5
+            kept = 'b'
+
+
 def resolution_threshold(geom, n_snapshots, center=np.deg2rad(30.0),
                          power=1.0, noise_power=1.0):
     """Predicted resolution threshold separation for a source pair.
@@ -533,10 +579,20 @@ def resolution_threshold(geom, n_snapshots, center=np.deg2rad(30.0),
     every 8th scan point and the last one, in order, up to the first
     pair where :func:`resolution_predict` turns from False to True (an
     exact tie of RMS sum and separation is True). The fine pass takes
-    the scan points from that pair's first point on, up to the first
-    such turn between neighbours, which bisection polishes down to
-    adjacent floats. Where the verdict turns at most once between
-    coarse points, this is the first crossing of the full scan.
+    the scan points from that pair's first point on, or every scan
+    point when the coarse pass found no turn, up to the first such turn
+    between neighbours. So a run of resolvable separations that lies
+    between two coarse points, as it can at the top of the scan near
+    endfire, is still found. Where the verdict turns at most once
+    between coarse points, this is the first crossing of the full scan.
+
+    The verdict is exactly ``g(delta) <= 0`` for the signed excess
+    g = RMS sum - delta, since for floats x - y <= 0 iff x <= y. A
+    safeguarded false position on g (:func:`_false_position`) polishes
+    the fine bracket down to adjacent floats, in about a dozen MSE
+    evaluations where bisection took about 45. Near the root g is
+    rounding noise and any float where the verdict turns is a root;
+    the result can differ from bisection's in its last digits.
 
     Returns:
         Threshold separation in radians.
@@ -544,40 +600,34 @@ def resolution_threshold(geom, n_snapshots, center=np.deg2rad(30.0),
     Raises:
         NumericalFailure: If no crossing is found inside the scan.
     """
-    # MSE per DOA pair. The passes share scan points, and near the end
-    # of bisection center -/+ delta / 2 stops changing before delta
-    # does, so a pair can come back.
-    mses = {}
+    # RMS sum per DOA pair. The passes share scan points, and near the
+    # end of the polish center -/+ delta / 2 stops changing before
+    # delta does, so a pair can come back.
+    rms = {}
 
-    def resolvable(delta):
+    def excess(delta):
         doas = (center - delta / 2.0, center + delta / 2.0)
-        if doas not in mses:
-            mses[doas] = analytical_mse(
+        if doas not in rms:
+            rms[doas] = _rms_sum(analytical_mse(
                 geom, SourceScenario(doas, (power, power), noise_power),
-                n_snapshots)
-        return resolution_predict(mses[doas], delta)
+                n_snapshots))
+        return rms[doas] - delta
 
     scan = _threshold_scan(geom, center)
 
     def first_turn(points):
-        """First neighbours of ``points`` where the verdict turns."""
+        """First neighbours of ``points`` where the verdict turns, or None."""
         for i, j in zip(points, points[1:]):
-            if not resolvable(scan[i]) and resolvable(scan[j]):
+            if not excess(scan[i]) <= 0 and excess(scan[j]) <= 0:
                 return i, j
-        raise NumericalFailure('no resolution crossing inside the scan range')
+        return None
 
     last = scan.size - 1
-    start, _ = first_turn([*range(0, last, _THRESHOLD_STRIDE), last])
-    i, j = first_turn(range(start, last + 1))
-    a, b = scan[i], scan[j]
-    for _ in range(60):
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            # a and b are adjacent floats: whichever side mid takes,
-            # the bracket collapses onto mid
-            break
-        if resolvable(mid):
-            b = mid
-        else:
-            a = mid
+    coarse = first_turn([*range(0, last, _THRESHOLD_STRIDE), last])
+    turn = first_turn(range(coarse[0] if coarse else 0, last + 1))
+    if turn is None:
+        raise NumericalFailure('no resolution crossing inside the scan range')
+    i, j = turn
+    a, b = _false_position(excess, scan[i], scan[j],
+                           excess(scan[i]), excess(scan[j]))
     return 0.5 * (a + b)

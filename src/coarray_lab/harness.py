@@ -23,6 +23,7 @@ import io
 import itertools
 import json
 import math
+import multiprocessing
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -321,6 +322,10 @@ def _trial_block(geom, scenario, n_snapshots, methods, master_seed,
 # The executors open for the runs in progress, by worker count.
 _POOLS = {}
 
+# Thread-count variables of OpenBLAS, OpenMP and MKL, read once when
+# numpy loads in a worker.
+_BLAS_THREADS = ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')
+
 
 @contextlib.contextmanager
 def _worker_pool(threads):
@@ -329,16 +334,25 @@ def _worker_pool(threads):
     :func:`run` holds one open for its whole sweep, so the trials of
     every sweep point go to the same warm workers. No executor is made
     for one thread or fewer, where the trials run in this process.
+    Workers are spawned, not forked, with BLAS held to one thread each
+    unless the environment already sets a count: several workers with
+    a BLAS thread per core each would oversubscribe the cores.
     """
     if threads <= 1 or threads in _POOLS:
         yield _POOLS.get(threads)
         return
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        _POOLS[threads] = pool
-        try:
+    unset = [name for name in _BLAS_THREADS if name not in os.environ]
+    os.environ.update(dict.fromkeys(unset, '1'))
+    try:
+        with ProcessPoolExecutor(
+                max_workers=threads,
+                mp_context=multiprocessing.get_context('spawn')) as pool:
+            _POOLS[threads] = pool
             yield pool
-        finally:
-            del _POOLS[threads]
+    finally:
+        _POOLS.pop(threads, None)
+        for name in unset:
+            os.environ.pop(name, None)
 
 
 def run_trials(geom, scenario, n_snapshots, methods, master_seed,

@@ -460,8 +460,8 @@ def test_resolution_predict_verdicts():
     sep = np.deg2rad(1.0)
     assert analysis.resolution_predict(tiny, sep)
     assert not analysis.resolution_predict(huge, sep)
-    # an RMS sum equal to the separation is resolvable, as the
-    # threshold's bisection has always counted it
+    # an RMS sum equal to the separation is resolvable: the threshold
+    # reads the verdict as RMS sum - separation <= 0
     assert analysis.resolution_predict(np.diag([0.25, 0.25]), 1.0)
     assert not analysis.resolution_predict(np.diag([0.25, 0.25]),
                                            np.nextafter(1.0, 0.0))
@@ -512,8 +512,20 @@ def test_threshold_scan_continues_past_six_degrees_on_small_coarrays():
     for geom in (geometry.ula(3), geometry.ula(4)):
         thr = analysis.resolution_threshold(geom, 500, center=center)
         assert thr > np.deg2rad(6.0)
-        assert thr == threshold_full_scan(geom, 500, analysis.analytical_mse,
-                                          center=center)
+        check_threshold(thr, geom, 500, analysis.analytical_mse,
+                        center=center)
+
+
+def test_resolution_threshold_finds_a_crossing_between_coarse_points():
+    # the verdict is True on 7 scan points near the top of the scan,
+    # all between two coarse points where it is False; the coarse pass
+    # sees no turn and used to raise NumericalFailure
+    geom = geometry.custom((0, 1, 5, 7))
+    center, noise = np.deg2rad(35.0), 10.0 ** 0.8
+    thr = analysis.resolution_threshold(geom, 20, center=center,
+                                        noise_power=noise)
+    check_threshold(thr, geom, 20, analysis.analytical_mse, center=center,
+                    noise_power=noise)
 
 
 @pytest.mark.parametrize('center_deg', [88.0, 89.5, -89.5])
@@ -579,9 +591,9 @@ def mse_via_pair_loop(geom, scenario, n):
     return 0.5 * (mse + mse.T)
 
 
-def threshold_full_scan(geom, n_snapshots, mse, center=np.deg2rad(30.0),
-                        noise_power=1.0):
-    """Threshold from every scan point and all 60 bisection steps."""
+def full_scan_crossing(geom, n_snapshots, mse, center=np.deg2rad(30.0),
+                       noise_power=1.0):
+    """The verdict by separation, and the full scan's first crossing."""
     def resolvable(delta):
         sc = model.SourceScenario(
             (center - delta / 2.0, center + delta / 2.0), (1.0, 1.0),
@@ -593,7 +605,11 @@ def threshold_full_scan(geom, n_snapshots, mse, center=np.deg2rad(30.0),
     cross = np.nonzero(~verdicts[:-1] & verdicts[1:])[0]
     if cross.size == 0:
         raise analysis.NumericalFailure('no crossing in the full scan')
-    a, b = deltas[cross[0]], deltas[cross[0] + 1]
+    return resolvable, deltas[cross[0]], deltas[cross[0] + 1]
+
+
+def bisection(resolvable, a, b):
+    """Midpoint of (a, b) after 60 bisection steps on the verdict."""
     for _ in range(60):
         mid = 0.5 * (a + b)
         if resolvable(mid):
@@ -601,6 +617,36 @@ def threshold_full_scan(geom, n_snapshots, mse, center=np.deg2rad(30.0),
         else:
             a = mid
     return 0.5 * (a + b)
+
+
+def check_threshold(got, geom, n_snapshots, mse, center=np.deg2rad(30.0),
+                    noise_power=1.0, rtol=2e-12, strict=True):
+    """Hold a threshold, or the NumericalFailure type, to the full scan.
+
+    Both fail or neither does. A value lies in the full scan's first
+    crossing bracket, the verdict turns at it, and it is within ``rtol``
+    of the full scan's bisection. Near the root the excess RMS sum -
+    separation is rounding noise, so several adjacent-float pairs are
+    equally valid roots. ``strict`` asks for a False verdict at the
+    lower neighbour float and a True one at the upper; otherwise the
+    verdict need only turn between the value and one neighbour.
+    """
+    try:
+        resolvable, a, b = full_scan_crossing(geom, n_snapshots, mse, center,
+                                              noise_power)
+    except analysis.NumericalFailure:
+        assert got is analysis.NumericalFailure
+        return
+    assert got is not analysis.NumericalFailure
+    assert a <= got <= b
+    lower, upper = np.nextafter(got, 0.0), np.nextafter(got, np.inf)
+    if strict:
+        assert not resolvable(lower) and resolvable(upper)
+    else:
+        assert (not resolvable(lower) and resolvable(got)
+                or not resolvable(got) and resolvable(upper))
+    want = bisection(resolvable, a, b)
+    assert abs(got - want) <= rtol * want
 
 
 def relative_gap(got, want):
@@ -744,13 +790,56 @@ def test_resolution_threshold_matches_full_scan(monkeypatch):
                 got = outcome(analysis.resolution_threshold, geom, n,
                               center=center, power=1.0, noise_power=noise)
                 used = len(calls)
-                want = outcome(threshold_full_scan, geom, n, real,
-                               center=center, noise_power=noise)
-                assert got == want
+                check_threshold(got, geom, n, real, center=center,
+                                noise_power=noise)
                 if got is not analysis.NumericalFailure:
                     values += 1
-                    # at most 11 coarse points and 7 fine ones, then up
-                    # to 49 bisection steps on this grid (the full scan
-                    # took 80 + ~50)
-                    assert used <= 67
+                    # at most 11 coarse points and 7 fine ones, then the
+                    # polish: 49 in all on this grid, where bisection
+                    # took up to 67 (the full scan takes 80 + ~50)
+                    assert used <= 49
     assert values >= 55
+
+
+def bisection_steps(excess, a, b):
+    """Evaluations bisection takes to shrink (a, b) to adjacent floats."""
+    steps = 0
+    while 0.5 * (a + b) not in (a, b):
+        mid = 0.5 * (a + b)
+        steps += 1
+        if excess(mid) <= 0:
+            b = mid
+        else:
+            a = mid
+    return steps
+
+
+# Signed excesses, positive below the root, with a bracket of it.
+POLISH_CASES = {
+    'smooth': (lambda x: 1.0 / x ** 2 - 1.0 / 0.7 ** 2, 0.1, 3.0),
+    # the false-position point carries no information on a step
+    'step': (lambda x: 1.0 if x < 0.7318 else -1.0, 0.1, 3.0),
+    'lopsided step': (lambda x: 1.0 if x < 0.10001 else -1e-3, 0.1, 3.0),
+    # the sign is noise within about 1e-9 of the root
+    'noise band': (lambda x: 0.3 - x + 1e-9 * np.sin(1e15 * x), 0.1, 0.5),
+    'nan inside': (lambda x: np.nan if 0.1 < x < 0.55 else 0.36 - x * x,
+                   0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize('name', POLISH_CASES)
+def test_false_position_ends_on_adjacent_floats(name):
+    excess, a, b = POLISH_CASES[name]
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return excess(x)
+
+    lo, hi = analysis._false_position(counted, a, b, excess(a), excess(b))
+    assert a <= lo < hi <= b
+    assert np.nextafter(lo, hi) == hi
+    assert excess(lo) > 0 >= excess(hi)
+    assert all(a < x < b for x in calls)
+    # any three steps at least halve the bracket
+    assert len(calls) <= 3 * bisection_steps(excess, a, b)

@@ -580,8 +580,21 @@ def test_run_opens_one_worker_pool(monkeypatch):
     serial = harness.run(cfg)
     assert opened == []
     assert harness.run(cfg, threads=2) == serial
-    assert opened == [{'max_workers': 2}]
+    assert len(opened) == 1
+    assert opened[0]['max_workers'] == 2
+    assert opened[0]['mp_context'].get_start_method() == 'spawn'
     assert harness._POOLS == {}
+    # spawned workers read the BLAS thread counts when numpy loads; a
+    # count the user set is kept, and the environment is restored
+    for name in harness._BLAS_THREADS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv('MKL_NUM_THREADS', '3')
+    with harness._worker_pool(2) as pool:
+        seen = list(pool.map(os.getenv, harness._BLAS_THREADS))
+    assert seen == ['1', '1', '3']
+    assert 'OPENBLAS_NUM_THREADS' not in os.environ
+    assert 'OMP_NUM_THREADS' not in os.environ
+    assert os.environ['MKL_NUM_THREADS'] == '3'
 
 
 def test_cli_geom(tmp_path, capsys):

@@ -14,7 +14,7 @@ import pytest
 
 from coarray_lab import (analysis, estimator, geometry, harness, model,
                          reference)
-from test_analysis import outcome, threshold_full_scan
+from test_analysis import check_threshold, outcome
 
 hypothesis = pytest.importorskip('hypothesis')
 st = hypothesis.strategies
@@ -233,14 +233,17 @@ def test_crb_coefficients_match_whitening_reference(geom, seed, u, snrs, n):
 def test_resolution_threshold_matches_full_scan(geom, snr_db, n, center_deg):
     # the coarse-to-fine scan finds the full scan's first crossing; the
     # scan reaches four virtual-array beamwidths, so small coarrays
-    # cross inside it too and nearly every draw compares two values
+    # cross inside it too and nearly every draw compares two values.
+    # Near 30 dB the excess is rounding noise up to about 2e-11 of the
+    # threshold wide, where two bisections from different brackets
+    # differ as much, and near broadside the DOAs change at every float
+    # of the separation, so the verdict need only turn at the value.
     center = np.deg2rad(center_deg)
     noise = 10.0 ** (-snr_db / 10.0)
     got = outcome(analysis.resolution_threshold, geom, n, center=center,
                   power=1.0, noise_power=noise)
-    want = outcome(threshold_full_scan, geom, n, analysis.analytical_mse,
-                   center=center, noise_power=noise)
-    assert got == want
+    check_threshold(got, geom, n, analysis.analytical_mse, center=center,
+                    noise_power=noise, rtol=5e-11, strict=False)
 
 
 @settings
