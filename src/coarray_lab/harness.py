@@ -334,19 +334,25 @@ def _worker_pool(threads):
     :func:`run` holds one open for its whole sweep, so the trials of
     every sweep point go to the same warm workers. No executor is made
     for one thread or fewer, where the trials run in this process.
-    Workers are spawned, not forked, with BLAS held to one thread each
-    unless the environment already sets a count: several workers with
-    a BLAS thread per core each would oversubscribe the cores.
+
+    Several workers with a BLAS thread per core each would oversubscribe
+    the cores, so BLAS is held to one thread per worker unless the
+    environment already sets a count. A forked worker keeps the BLAS
+    threads numpy started in this process, so when a count has to be
+    set the workers are spawned instead: each imports numpy afresh, and
+    a script that starts a pool must guard its entry point with
+    ``if __name__ == '__main__'``. When the environment sets all three
+    counts, the workers are forked as before.
     """
     if threads <= 1 or threads in _POOLS:
         yield _POOLS.get(threads)
         return
     unset = [name for name in _BLAS_THREADS if name not in os.environ]
+    context = multiprocessing.get_context('spawn') if unset else None
     os.environ.update(dict.fromkeys(unset, '1'))
     try:
-        with ProcessPoolExecutor(
-                max_workers=threads,
-                mp_context=multiprocessing.get_context('spawn')) as pool:
+        with ProcessPoolExecutor(max_workers=threads,
+                                 mp_context=context) as pool:
             _POOLS[threads] = pool
             yield pool
     finally:

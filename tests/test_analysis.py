@@ -609,14 +609,21 @@ def full_scan_crossing(geom, n_snapshots, mse, center=np.deg2rad(30.0),
 
 
 def bisection(resolvable, a, b):
-    """Midpoint of (a, b) after 60 bisection steps on the verdict."""
-    for _ in range(60):
-        mid = 0.5 * (a + b)
+    """Bisect the verdict's turn in (a, b) down to adjacent floats.
+
+    Returns:
+        The midpoint of the final bracket and the verdicts it took.
+    """
+    steps = 0
+    mid = 0.5 * (a + b)
+    while mid != a and mid != b:
+        steps += 1
         if resolvable(mid):
             b = mid
         else:
             a = mid
-    return 0.5 * (a + b)
+        mid = 0.5 * (a + b)
+    return mid, steps
 
 
 def check_threshold(got, geom, n_snapshots, mse, center=np.deg2rad(30.0),
@@ -645,7 +652,7 @@ def check_threshold(got, geom, n_snapshots, mse, center=np.deg2rad(30.0),
     else:
         assert (not resolvable(lower) and resolvable(got)
                 or not resolvable(got) and resolvable(upper))
-    want = bisection(resolvable, a, b)
+    want, _ = bisection(resolvable, a, b)
     assert abs(got - want) <= rtol * want
 
 
@@ -801,19 +808,6 @@ def test_resolution_threshold_matches_full_scan(monkeypatch):
     assert values >= 55
 
 
-def bisection_steps(excess, a, b):
-    """Evaluations bisection takes to shrink (a, b) to adjacent floats."""
-    steps = 0
-    while 0.5 * (a + b) not in (a, b):
-        mid = 0.5 * (a + b)
-        steps += 1
-        if excess(mid) <= 0:
-            b = mid
-        else:
-            a = mid
-    return steps
-
-
 # Signed excesses, positive below the root, with a bracket of it.
 POLISH_CASES = {
     'smooth': (lambda x: 1.0 / x ** 2 - 1.0 / 0.7 ** 2, 0.1, 3.0),
@@ -842,4 +836,5 @@ def test_false_position_ends_on_adjacent_floats(name):
     assert excess(lo) > 0 >= excess(hi)
     assert all(a < x < b for x in calls)
     # any three steps at least halve the bracket
-    assert len(calls) <= 3 * bisection_steps(excess, a, b)
+    _, steps = bisection(lambda x: excess(x) <= 0, a, b)
+    assert len(calls) <= 3 * steps

@@ -579,15 +579,16 @@ def test_run_opens_one_worker_pool(monkeypatch):
                            grid_step_deg=0.5)
     serial = harness.run(cfg)
     assert opened == []
+    # with no BLAS count set, the workers are spawned with one BLAS
+    # thread each; a count the user set is kept, and the environment
+    # is restored
+    for name in harness._BLAS_THREADS:
+        monkeypatch.delenv(name, raising=False)
     assert harness.run(cfg, threads=2) == serial
     assert len(opened) == 1
     assert opened[0]['max_workers'] == 2
     assert opened[0]['mp_context'].get_start_method() == 'spawn'
     assert harness._POOLS == {}
-    # spawned workers read the BLAS thread counts when numpy loads; a
-    # count the user set is kept, and the environment is restored
-    for name in harness._BLAS_THREADS:
-        monkeypatch.delenv(name, raising=False)
     monkeypatch.setenv('MKL_NUM_THREADS', '3')
     with harness._worker_pool(2) as pool:
         seen = list(pool.map(os.getenv, harness._BLAS_THREADS))
@@ -595,6 +596,15 @@ def test_run_opens_one_worker_pool(monkeypatch):
     assert 'OPENBLAS_NUM_THREADS' not in os.environ
     assert 'OMP_NUM_THREADS' not in os.environ
     assert os.environ['MKL_NUM_THREADS'] == '3'
+    # with every count set, the workers are forked as before
+    monkeypatch.setenv('OPENBLAS_NUM_THREADS', '2')
+    monkeypatch.setenv('OMP_NUM_THREADS', '1')
+    opened.clear()
+    assert harness.run(cfg, threads=2) == serial
+    assert opened == [{'max_workers': 2, 'mp_context': None}]
+    with harness._worker_pool(2) as pool:
+        seen = list(pool.map(os.getenv, harness._BLAS_THREADS))
+    assert seen == ['2', '1', '3']
 
 
 def test_cli_geom(tmp_path, capsys):

@@ -234,10 +234,14 @@ def test_resolution_threshold_matches_full_scan(geom, snr_db, n, center_deg):
     # the coarse-to-fine scan finds the full scan's first crossing; the
     # scan reaches four virtual-array beamwidths, so small coarrays
     # cross inside it too and nearly every draw compares two values.
-    # Near 30 dB the excess is rounding noise up to about 2e-11 of the
-    # threshold wide, where two bisections from different brackets
-    # differ as much, and near broadside the DOAs change at every float
-    # of the separation, so the verdict need only turn at the value.
+    # Every float where the verdict turns inside the excess's rounding
+    # noise is a root. Sampled around the root, that noise band is up
+    # to 4.6e-11 of the threshold wide at 30 dB and N 5000, so two
+    # valid roots, bisection's among them, can differ by as much. Near
+    # broadside the DOAs change at every float of the separation and
+    # the verdict flips back and forth over neighbouring floats, where
+    # bisection's own value fails the strict turn; the value is then an
+    # end of an adjacent pair with False below and True above.
     center = np.deg2rad(center_deg)
     noise = 10.0 ** (-snr_db / 10.0)
     got = outcome(analysis.resolution_threshold, geom, n, center=center,
