@@ -24,10 +24,12 @@ The CRB follows the same split. Only sigma^2 in R = S + sigma^2 I moves
 along an SNR sweep, and R shares its eigenvectors U with S, so the
 model Jacobian is built once in that eigenbasis
 (:func:`crb_coefficients`). There the whitening by (R^T ox R)^(-1/2)
-is a scaling of the rows by products of (lam + sigma^2)^(-1/2), and
-each noise power costs one real thin SVD. The null eigenvalues of S
+is a scaling of the rows by products of (lam + sigma^2)^(-1/2), and a
+fan of noise powers costs one stacked real thin SVD of the scaled
+Jacobians (:meth:`CrbCoefficients.reports`). The null eigenvalues of S
 are exact zeros, so the noise eigenvalues of R keep full precision at
-any SNR.
+any SNR. Both sets of coefficients evaluate a whole fan of SNR and N
+points in one call, each point equal bit for bit to its own call.
 
 All angles are radians; MSE values are rad^2.
 """
@@ -122,10 +124,16 @@ class MseCoefficients:
     scale: np.ndarray
 
     def mse(self, noise_power, n_snapshots):
-        """K x K first-order MSE matrix at one noise power and N."""
-        quad = self.q0 + noise_power * self.q1 + noise_power ** 2 * self.q2
-        mse = quad / (n_snapshots * self.scale)
-        return 0.5 * (mse + mse.T)
+        """First-order MSE matrices at noise powers and N.
+
+        Scalars give one K x K matrix; arrays of noise powers and N
+        broadcast against each other and give a stack of them, each
+        equal bit for bit to its scalar call.
+        """
+        s = np.asarray(noise_power)[..., None, None]
+        quad = self.q0 + s * self.q1 + s ** 2 * self.q2
+        mse = quad / (np.asarray(n_snapshots)[..., None, None] * self.scale)
+        return 0.5 * (mse + np.swapaxes(mse, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -179,7 +187,12 @@ class CrbCoefficients:
     powers: np.ndarray
 
     def report(self, noise_power, n_snapshots):
-        """The :class:`CrbReport` at one noise power and N.
+        """The :class:`CrbReport` at one noise power and N: the one-point
+        case of :meth:`reports`."""
+        return self.reports((noise_power,), (n_snapshots,))[0]
+
+    def reports(self, noise_powers, n_snapshots):
+        """The :class:`CrbReport` at each noise power and N of a fan.
 
         Row (m, n) of the Jacobian is scaled by d_m d_n with
         d = (lam + sigma^2)^(-1/2), which whitens it. The power columns
@@ -196,33 +209,54 @@ class CrbCoefficients:
         M_theta of the whitened DOA columns M_theta and power/noise
         columns M_s.
 
+        The points are evaluated as one stack: one stacked SVD of the
+        S scaled Jacobians, then the FIMs, ranks, Gram inverses and
+        their eigenvalues on the stack. Each step acts on every point
+        on its own, so a point's report is that of its own length-1
+        call bit for bit.
+
         The bound requires full column rank 2K + 1; otherwise the report
         carries ``crb=None`` and the observed rank.
+
+        Args:
+            noise_powers: Length-S noise powers.
+            n_snapshots: Length-S snapshot counts.
+
+        Returns:
+            A list of S reports, in the order of the points.
         """
         k = self.powers.size
         required = 2 * k + 1
-        d = 1.0 / np.sqrt(self.lam + noise_power)
-        col_scale = np.concatenate((np.ones(k), self.powers, [noise_power]))
-        x = self.jac * np.outer(d[self.rows[0]] * d[self.rows[1]], col_scale)
-        _, sv, vt = np.linalg.svd(x, full_matrices=False)
-        fim_mat = (n_snapshots * ((vt.T * sv ** 2) @ vt)
-                   / np.outer(col_scale, col_scale))
-        fim_mat = 0.5 * (fim_mat + fim_mat.T)
-        rank = int(np.sum(sv > _RANK_RCOND * sv[0]))
-        if rank < required:
-            return CrbReport(fim=fim_mat, crb=None, jacobian_rank=rank,
-                             required_rank=required,
-                             gram_condition=float('nan'))
-        v_theta = vt[:, :k].T
-        gram_inv = (v_theta / sv ** 2) @ v_theta.T
-        gram_inv = 0.5 * (gram_inv + gram_inv.T)
-        ev = np.linalg.eigvalsh(gram_inv)
-        cond = float(ev[-1] / ev[0]) if ev[0] > 0 else float('inf')
-        defined = np.isfinite(cond) and cond <= 1.0 / _RANK_RCOND ** 2
-        return CrbReport(fim=fim_mat,
-                         crb=gram_inv / n_snapshots if defined else None,
-                         jacobian_rank=rank, required_rank=required,
-                         gram_condition=cond)
+        s = np.asarray(noise_powers, dtype=float)
+        n = np.asarray(n_snapshots)[:, None, None]
+        d = 1.0 / np.sqrt(self.lam + s[:, None])
+        col_scale = np.concatenate(
+            (np.ones((s.size, k)), np.broadcast_to(self.powers, (s.size, k)),
+             s[:, None]), axis=1)
+        x = (d[:, self.rows[0]] * d[:, self.rows[1]])[:, :, None] \
+            * col_scale[:, None, :]
+        x *= self.jac
+        # drop the scaled stack and U, the fan's largest arrays, at once
+        sv, vt = np.linalg.svd(x, full_matrices=False)[1:]
+        del x
+        fim = (n * ((np.swapaxes(vt, 1, 2) * sv[:, None, :] ** 2) @ vt)
+               / (col_scale[:, :, None] * col_scale[:, None, :]))
+        fim = 0.5 * (fim + np.swapaxes(fim, 1, 2))
+        rank = np.sum(sv > _RANK_RCOND * sv[:, :1], axis=1)
+        full = np.flatnonzero(rank >= required)
+        v_theta = np.swapaxes(vt[full][:, :, :k], 1, 2)
+        gram_inv = (v_theta / sv[full][:, None, :] ** 2) \
+            @ np.swapaxes(v_theta, 1, 2)
+        gram_inv = 0.5 * (gram_inv + np.swapaxes(gram_inv, 1, 2))
+        crbs, conds = [None] * s.size, [float('nan')] * s.size
+        for i, ev, g in zip(full, np.linalg.eigvalsh(gram_inv),
+                            gram_inv / n[full]):
+            conds[i] = float(ev[-1] / ev[0]) if ev[0] > 0 else float('inf')
+            if np.isfinite(conds[i]) and conds[i] <= 1.0 / _RANK_RCOND ** 2:
+                crbs[i] = g
+        return [CrbReport(fim=f, crb=c, jacobian_rank=int(r),
+                          required_rank=required, gram_condition=cond)
+                for f, c, r, cond in zip(fim, crbs, rank, conds)]
 
 
 def error_terms(geom, scenario):
@@ -445,9 +479,10 @@ def crb(geom, scenario, n_snapshots):
     The paper's CRB_theta = (1 / N) (M_theta^H P_perp(M_s) M_theta)^(-1),
     with M = (R^T ox R)^(-1/2) dr/d eta, evaluated in the eigenbasis of
     the signal covariance: see :func:`crb_coefficients` and
-    :meth:`CrbCoefficients.report`. A sweep over SNR and N at fixed
-    array, DOAs and powers builds the coefficients once and calls
-    ``report`` per point; this function does both for one point.
+    :meth:`CrbCoefficients.reports`. A sweep over SNR and N at fixed
+    array, DOAs and powers builds the coefficients once and evaluates
+    all of its points in one ``reports`` call; this function does both
+    for one point.
 
     The bound requires the whitened Jacobian to have full column rank
     2K + 1; otherwise the report carries ``crb=None`` and the observed

@@ -230,6 +230,7 @@ def difference_coarray(geom):
     return CoarrayStructure(geometry=geom, diff_matrix=diff, weights=weights, mv=mv)
 
 
+@lru_cache(maxsize=128)
 def _lag_gather(co):
     """The nonzeros of the selection matrix F, one per column at most.
 
@@ -238,8 +239,12 @@ def _lag_gather(co):
     central segment, and none otherwise. So F^T y is a gather:
     ``out[cols] = y[rows] * vals`` and zero elsewhere.
 
+    Memoized like :func:`difference_coarray`: a coarray hashes and
+    compares by its geometry and mv, which the geometry fixes, and the
+    gather is O(M^2) numbers where F would be O(mv M^2).
+
     Returns:
-        Tuple ``(cols, rows, vals)`` of equal-length vectors.
+        Tuple ``(cols, rows, vals)`` of equal-length read-only vectors.
     """
     mv = co.mv
     # Column p + q * M holds diff[p, q]: the column-major ravel.
@@ -248,6 +253,8 @@ def _lag_gather(co):
     rows = lags[cols] + mv - 1
     # the number of entries in a row is the weight of its lag
     vals = 1.0 / np.bincount(rows, minlength=2 * mv - 1)[rows]
+    for v in (cols, rows, vals):
+        v.setflags(write=False)
     return cols, rows, vals
 
 

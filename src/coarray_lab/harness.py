@@ -517,46 +517,41 @@ def _sweep(cfg):
     return points, notices
 
 
-class _Coefficients:
-    """The closed-form coefficients of one (geometry, DOAs, powers).
+def _closed_forms(points, bound=True):
+    """Each point's closed forms, evaluated one fan at a time.
 
-    ``mse`` is built with the object; ``crb`` on first use, so sweeps
-    that never read the bound never build it.
+    The sweeps vary SNR and N innermost, and the closed-form
+    coefficients depend on neither. So each fan, a run of points with
+    the same geometry, DOAs and powers, builds its coefficients once and
+    evaluates all of its points in one call. With ``bound=False`` the
+    CRB is never built.
+
+    Yields:
+        ``(combo, point, mse, report, kappa, crb_trace)`` per point in
+        order, ``combo`` its index in ``points``. ``report`` is None
+        without the bound; kappa and the trace are NaN where the bound
+        is missing or undefined.
     """
+    def fan_key(p):
+        return p.geom, p.scenario.doas, p.scenario.powers
 
-    def __init__(self, geom, scenario):
-        self.mse = analysis.mse_coefficients(geom, scenario)
-        self._geom, self._scenario = geom, scenario
-
-    @functools.cached_property
-    def crb(self):
-        return analysis.crb_coefficients(self._geom, self._scenario)
-
-
-def _with_coefficients(points):
-    """Each point with the closed-form coefficients of its scenario.
-
-    A point reuses the previous point's coefficients while the geometry,
-    DOAs and powers stay the same: the sweeps vary SNR and N innermost,
-    and the coefficients depend on neither.
-    """
-    key = coeffs = None
-    for p in points:
-        if (p.geom, p.scenario.doas, p.scenario.powers) != key:
-            key = (p.geom, p.scenario.doas, p.scenario.powers)
-            coeffs = _Coefficients(p.geom, p.scenario)
-        yield p, coeffs
-
-
-def _closed_form(p, coeffs):
-    """MSE matrix, CRB report, kappa and CRB trace (NaN if undefined)."""
-    noise = p.scenario.noise_power
-    mse = coeffs.mse.mse(noise, p.n)
-    report = coeffs.crb.report(noise, p.n)
-    if not report.defined:
-        return mse, report, float('nan'), float('nan')
-    return (mse, report, analysis.efficiency_kappa(report, mse),
-            float(np.trace(report.crb)))
+    combos = itertools.count()
+    for (geom, _, _), fan in itertools.groupby(points, key=fan_key):
+        fan = list(fan)
+        noise = [p.scenario.noise_power for p in fan]
+        n = [p.n for p in fan]
+        mse = analysis.mse_coefficients(geom, fan[0].scenario).mse(noise, n)
+        reports = [None] * len(fan)
+        if bound:
+            reports = analysis.crb_coefficients(
+                geom, fan[0].scenario).reports(noise, n)
+        mse_trace = np.trace(mse, axis1=1, axis2=2)
+        for p, m, report, m_trace in zip(fan, mse, reports, mse_trace):
+            crb_trace = (float(np.trace(report.crb))
+                         if report is not None and report.defined
+                         else float('nan'))
+            yield (next(combos), p, m, report, crb_trace / float(m_trace),
+                   crb_trace)
 
 
 def _trial_successes(cfg, combo, p, methods, threads, gate=None):
@@ -573,9 +568,8 @@ def _trial_successes(cfg, combo, p, methods, threads, gate=None):
 
 def _verify_rows(cfg, points, threads):
     methods = _methods(cfg.method)
-    for combo, (p, coeffs) in enumerate(_with_coefficients(points)):
-        mse_an = float(np.mean(np.diag(
-            coeffs.mse.mse(p.scenario.noise_power, p.n))))
+    for combo, p, mse, *_ in _closed_forms(points, bound=False):
+        mse_an = float(np.mean(np.diag(mse)))
         successes = _trial_successes(cfg, combo, p, methods, threads)
         for method, ok in zip(methods, successes):
             mse_em, se = _mse_stats(ok)
@@ -608,8 +602,7 @@ def _resolution_rows(cfg, points, threads):
 def _efficiency_rows(cfg, points, threads):
     """Trials run only where the CRB is defined, for the last method."""
     method = _methods(cfg.method)[-1]
-    for combo, (p, coeffs) in enumerate(_with_coefficients(points)):
-        _, report, kappa, crb_trace = _closed_form(p, coeffs)
+    for combo, p, _, report, kappa, crb_trace in _closed_forms(points):
         kappa_em = kappa_em_se = float('nan')
         trials = failed = 0
         if cfg.empirical and report.defined:
@@ -690,8 +683,7 @@ def run(cfg, threads=1):
 def _analyze_table(cfg):
     """Per-source closed forms over the points of the config's sweep."""
     rows = []
-    for p, coeffs in _with_coefficients(_sweep(cfg)[0]):
-        mse, report, kappa, crb_trace = _closed_form(p, coeffs)
+    for _, p, mse, report, kappa, crb_trace in _closed_forms(_sweep(cfg)[0]):
         for i, theta in enumerate(p.scenario.doas):
             eps = float(mse[i, i])
             rows.append((p.geom.name, p.scenario.n_sources, float(p.snr),

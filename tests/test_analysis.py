@@ -183,6 +183,15 @@ def test_efficiency_sweep_builds_coefficients_once_per_fan(monkeypatch):
     mse_built = count_builds(monkeypatch, 'mse_coefficients')
     crb_built = count_builds(monkeypatch, 'crb_coefficients')
     monkeypatch.setattr(analysis, 'crb', None)
+    # each fan's 41 points take one stacked evaluation
+    fans = []
+    real_reports = analysis.CrbCoefficients.reports
+
+    def reports(self, noise_powers, n_snapshots):
+        fans.append(len(noise_powers))
+        return real_reports(self, noise_powers, n_snapshots)
+
+    monkeypatch.setattr(analysis.CrbCoefficients, 'reports', reports)
     cfg = harness.ExperimentConfig(
         kind='efficiency', arrays=('coprime:3,5', 'nested:4,6', 'mra:10'),
         k_sources=(1, 2, 4, 6, 8, 10, 12, 14),
@@ -192,6 +201,7 @@ def test_efficiency_sweep_builds_coefficients_once_per_fan(monkeypatch):
     assert len(rows) == 3 * 8 * 41
     assert len(mse_built) == len(set(mse_built)) == 3 * 8
     assert crb_built == mse_built
+    assert fans == [41] * (3 * 8)
 
 
 def test_mse_sweep_never_builds_crb_coefficients(monkeypatch):
@@ -443,6 +453,18 @@ def test_crb_undefined_when_parameters_outnumber_lags():
     assert report.jacobian_rank <= 5
     with pytest.raises(analysis.CrbUndefined, match='rank'):
         analysis.efficiency_kappa(report, np.eye(3))
+    # a fan over mixed SNRs and N takes the stacked route to the same
+    # undefined reports
+    noise = [10.0 ** (-snr / 10.0) for snr in (-10.0, 10.0, 40.0)]
+    ns = (50, 500, 5000)
+    fan = analysis.crb_coefficients(geom, sc).reports(noise, ns)
+    for one, s, n in zip(fan, noise, ns):
+        point = analysis.crb(
+            geom, model.SourceScenario(sc.doas, sc.powers, s), n)
+        assert not one.defined and not point.defined
+        assert one.jacobian_rank == point.jacobian_rank <= 5
+        assert np.isnan(one.gram_condition)
+        np.testing.assert_array_equal(one.fim, point.fim)
 
 
 def test_efficiency_kappa_plausible_range():
@@ -526,6 +548,48 @@ def test_resolution_threshold_finds_a_crossing_between_coarse_points():
                                         noise_power=noise)
     check_threshold(thr, geom, 20, analysis.analytical_mse, center=center,
                     noise_power=noise)
+
+
+def test_resolution_threshold_skips_a_run_before_a_later_coarse_turn(
+        monkeypatch):
+    """A resolvable run between two coarse points is not seen when a
+    later coarse pair turns: the coarse pass stops at that later turn,
+    the fine pass starts at its first point, and the threshold is the
+    later crossing, not the full scan's first one. The fine pass scans
+    every point only when the coarse pass finds no turn at all. This
+    pins that behaviour on a synthetic excess; on the real closed form
+    such a run was not found in a 600-draw survey.
+    """
+    geom, center = geometry.mra(10), np.deg2rad(30.0)
+    scan = analysis._threshold_scan(geom, center)
+    # the verdict is True on scan points 20..22, between the False
+    # coarse points 16 and 24, and from 39 on, past the False coarse
+    # point 32 and before the True coarse point 40
+    sign = np.ones(scan.size)
+    sign[20:23] = sign[39:] = -1.0
+    seen = []
+
+    def synthetic(geom_, scenario, n_snapshots):
+        delta = scenario.doas[1] - scenario.doas[0]
+        seen.append(delta)
+        excess = np.interp(np.log(delta), np.log(scan), 0.5 * sign * scan)
+        return np.eye(2) * ((delta + excess) / 2.0) ** 2
+
+    monkeypatch.setattr(analysis, 'analytical_mse', synthetic)
+    thr = analysis.resolution_threshold(geom, 500, center=center)
+    assert scan[38] < thr < scan[39]
+    # nothing strictly between the coarse points 16 and 24 was read
+    # (a separation read back from the DOAs is off in its last bits)
+    assert not any(1.001 * scan[16] < d < 0.999 * scan[24] for d in seen)
+
+    def resolvable(delta):
+        return analysis.resolution_predict(
+            synthetic(geom, model.SourceScenario(
+                (center - delta / 2.0, center + delta / 2.0), (1.0, 1.0),
+                1.0), 500), delta)
+
+    assert [resolvable(d) for d in scan[19:24]] == [False] + [True] * 3 \
+        + [False]
 
 
 @pytest.mark.parametrize('center_deg', [88.0, 89.5, -89.5])

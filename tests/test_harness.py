@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from coarray_lab import cli, geometry, harness, model
+from coarray_lab import analysis, cli, geometry, harness, model
 from coarray_lab.harness import ExperimentConfig
 
 
@@ -297,6 +297,44 @@ def test_efficiency_runner_empirical_columns(trial_calls):
     assert np.isfinite(named['kappa_empirical_se'])
     # the table reports the last method only, so only that one runs
     assert trial_calls == [(0, ('ss',))]
+
+
+@pytest.mark.parametrize('placement', [
+    dict(arrays=('coprime:2', 'ula:3'), k_sources=(1, 2)),
+    # a pair 1e-3 degrees apart: the CRB is undefined at 0 and 20 dB
+    # and defined at 60 dB, so a fan mixes both
+    dict(arrays=('coprime:2',), doas_deg=(10.0, 10.001),
+         snr_db=(0.0, 20.0, 60.0))])
+def test_efficiency_fans_match_the_per_point_route(trial_calls, placement):
+    # each fan is evaluated in one call, yet every row equals the one
+    # built point by point, and trials stay seeded by the combo index,
+    # the point's place in the sweep
+    cfg = ExperimentConfig(**{
+        'kind': 'efficiency', 'snr_db': (0.0, 20.0), 'n_snapshots': (100, 400),
+        'n_trials': 3, 'grid_step_deg': 0.5, 'empirical': True, **placement})
+    rows = harness.run(cfg)['efficiency'].rows
+    points = harness._sweep(cfg)[0]
+    assert len(rows) == len(points)
+    ran = []
+    for combo, (p, row) in enumerate(zip(points, rows)):
+        report = analysis.crb(p.geom, p.scenario, p.n)
+        kappa = kappa_em = float('nan')
+        if report.defined:
+            kappa = analysis.efficiency_kappa(
+                report, analysis.analytical_mse(p.geom, p.scenario, p.n))
+            ran.append((combo, ('ss',)))
+            ok, = harness._trial_successes(cfg, combo, p, ('ss',), 1)
+            if ok:
+                kappa_em = float(np.trace(report.crb)) / float(np.sum(
+                    np.mean(np.square([rec.errors for rec in ok]), axis=0)))
+        assert row[:4] == (p.geom.name, p.scenario.n_sources, p.snr, p.n)
+        assert row[5] == int(report.defined)
+        np.testing.assert_array_equal(row[4:7:2], (kappa, kappa_em))
+    assert ran
+    if 'doas_deg' in placement:
+        assert len(ran) < len(points)
+    # the table's trial runs, then the replay's, at the same combos
+    assert trial_calls == ran + ran
 
 
 def test_scaling_runner_schema_and_slope(trial_calls):

@@ -206,14 +206,34 @@ def test_mse_and_crb_invariant_to_joint_power_scaling(geom, seed, u, factor):
                   st.lists(st.floats(-10.0, 30.0), min_size=1, max_size=4),
                   st.integers(1, 5000))
 def test_crb_coefficients_match_whitening_reference(geom, seed, u, snrs, n):
-    # one coefficients object serves every noise power of the fan
+    # one coefficients object serves every noise power of the fan, and
+    # the whole fan in one call gives each point's own report
     hypothesis.assume(geometry.difference_coarray(geom).mv >= 2)
     sc = random_scenario(geom, seed, u)
     coeffs = analysis.crb_coefficients(geom, sc)
-    for snr in snrs:
-        at = dataclasses.replace(
-            sc, noise_power=min(sc.powers) * 10.0 ** (-snr / 10.0))
-        got = coeffs.report(at.noise_power, n)
+    noise = [min(sc.powers) * 10.0 ** (-snr / 10.0) for snr in snrs]
+    ns = [n + i for i in range(len(snrs))]
+    fan = coeffs.reports(noise, ns)
+    assert len(fan) == len(snrs)
+    for one, s, m in zip(fan, noise, ns):
+        point = coeffs.report(s, m)
+        np.testing.assert_array_equal(one.fim, point.fim)
+        assert one.defined == point.defined
+        assert one.jacobian_rank == point.jacobian_rank
+        np.testing.assert_array_equal(one.gram_condition,
+                                      point.gram_condition)
+        if point.defined:
+            np.testing.assert_array_equal(one.crb, point.crb)
+    try:
+        mse = analysis.mse_coefficients(geom, sc)
+    except analysis.NumericalFailure:
+        pass
+    else:
+        for one, s, m in zip(mse.mse(noise, ns), noise, ns):
+            np.testing.assert_array_equal(one, mse.mse(s, m))
+    for s in noise:
+        at = dataclasses.replace(sc, noise_power=s)
+        got = coeffs.report(s, n)
         want = reference.crb_via_whitening(geom, at, n)
         assert got.defined == want.defined
         assert got.jacobian_rank == want.jacobian_rank
