@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -24,7 +23,7 @@ from . import analysis, geometry, model
 from .estimator import run_music
 from .harness import (ConfigError, Table, emit_outputs, load_config, run,
                       _analyze_table, _check_source_count, _csv_text,
-                      _is_real, _parse_array, _write_text)
+                      _is_real, _parse_array, _read_json, _write_text)
 
 
 def _load_scenario(path):
@@ -33,13 +32,7 @@ def _load_scenario(path):
     Expected keys: ``doas_deg`` (required), then either ``noise_power``
     or ``snr_db``, optionally ``powers`` (list) or ``power`` (scalar).
     """
-    try:
-        with open(path, encoding='utf-8') as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f'cannot read scenario {path}: {exc}') from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f'scenario {path} is not valid JSON: {exc}') from exc
+    data = _read_json(path, 'scenario')
     if not isinstance(data, dict):
         raise ConfigError('scenario root must be an object')
     known = {'doas_deg', 'powers', 'power', 'noise_power', 'snr_db'}

@@ -82,8 +82,8 @@ class TrialRecord:
         seed_key: ``(master_seed, combo_index, trial_index)``; the trial
             is reproducible from this key alone.
         estimates: Estimated DOAs in radians, ascending.
-        errors: Signed per-source errors in radians; empty when the
-            estimator returned fewer peaks than sources.
+        errors: Signed per-source errors in radians; empty when
+            unresolved.
         resolved: Whether the estimator found one peak per source.
         method: ``'da'`` or ``'ss'``.
     """
@@ -198,8 +198,10 @@ class ExperimentConfig:
                     and all(_is_real(v) for v in values)):
                 raise ConfigError(f'{name} must be a list of finite numbers, '
                                   f'got {values!r}')
-        if not -90.0 < self.center_deg < 90.0:
+        if not (_is_real(self.center_deg) and -90 < self.center_deg < 90):
             raise ConfigError('center_deg must lie inside (-90, 90)')
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f'out_dir must be a str, got {self.out_dir!r}')
         for name in ('k_sources', 'q_range', 'families', 'k_modes',
                      'delta_deg'):
             if getattr(self, name) is not None and not getattr(self, name):
@@ -245,16 +247,20 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
 
-def load_config(path):
-    """Load an :class:`ExperimentConfig` from a JSON file."""
+def _read_json(path, what):
+    """The JSON document in ``path``; ``what`` names it in the errors."""
     try:
         with open(path, encoding='utf-8') as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f'cannot read config {path}: {exc}') from exc
+        raise ConfigError(f'cannot read {what} {path}: {exc}') from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f'config {path} is not valid JSON: {exc}') from exc
-    return ExperimentConfig.from_mapping(data)
+        raise ConfigError(f'{what} {path} is not valid JSON: {exc}') from exc
+
+
+def load_config(path):
+    """Load an :class:`ExperimentConfig` from a JSON file."""
+    return ExperimentConfig.from_mapping(_read_json(path, 'config'))
 
 
 def config_digest(cfg):
@@ -311,9 +317,8 @@ def _trial_block(geom, scenario, n_snapshots, methods, master_seed,
                             grid_step=grid_step, d0=geom.d0,
                             wavelength=geom.wavelength)
             angles = tuple(float(a) for a in est.angles)
-            errors = ()
-            if est.resolved and len(angles) == scenario.n_sources:
-                errors = tuple(a - t for a, t in zip(angles, scenario.doas))
+            errors = (tuple(a - t for a, t in zip(angles, scenario.doas))
+                      if est.resolved else ())
             records.append(TrialRecord(trial, key, angles, errors,
                                        bool(est.resolved), method))
     return records
@@ -390,23 +395,14 @@ def run_trials(geom, scenario, n_snapshots, methods, master_seed,
         return [rec for recs in pool.map(block, chunks) for rec in recs]
 
 
-def _successes(records, method, gate):
-    """Trials of one method that resolved inside the pairing gate."""
-    ok = []
-    for rec in records:
-        if rec.method != method or not rec.resolved or not rec.errors:
-            continue
-        if max(abs(e) for e in rec.errors) < gate:
-            ok.append(rec)
-    return ok
+def _mse_stats(errors):
+    """Mean squared error over trials with its standard error.
 
-
-def _mse_stats(ok_records):
-    """Mean squared error over trials with its standard error."""
-    if not ok_records:
+    ``errors`` has a row of signed errors per successful trial.
+    """
+    if not len(errors):
         return float('nan'), float('nan')
-    per_trial = np.array([np.mean(np.square(rec.errors))
-                          for rec in ok_records])
+    per_trial = np.mean(np.square(errors), axis=1)
     mse = float(np.mean(per_trial))
     if per_trial.size < 2:
         return mse, float('nan')
@@ -435,16 +431,15 @@ def _family_member(family, q):
 
 @dataclass(frozen=True)
 class _Point:
-    """One sweep point; ``mv`` is the virtual-ULA size of ``geom``.
+    """One sweep point.
 
     ``tags`` are the kind's labels: ``(delta_deg,)`` for resolution,
-    ``(family, k_mode, q)`` for scaling. ``group`` numbers the points
-    that share a resolution threshold (one array, SNR and N) or a
-    scaling slope (one family and k_mode).
+    the row's leading ``(family, k_mode, q, m, mv)`` for scaling.
+    ``group`` numbers the points that share a resolution threshold
+    (one array, SNR and N) or a scaling slope (one family and k_mode).
     """
 
     geom: geometry.ArrayGeometry
-    mv: int
     scenario: model.SourceScenario
     n: int
     snr: float
@@ -475,7 +470,7 @@ def _sweep(cfg):
         except ValueError as exc:
             raise ConfigError(f'{geom.name}: {exc}') from exc
         _check_source_count(geom, mv, scenario)
-        points.append(_Point(geom, mv, scenario, n, snr, tags, group))
+        points.append(_Point(geom, scenario, n, snr, tags, group))
 
     if cfg.kind == 'scaling':
         for family, mode in itertools.product(cfg.families, cfg.k_modes):
@@ -486,10 +481,10 @@ def _sweep(cfg):
                     notices.append(f'{family} size {q} not available; '
                                    'skipped')
                     continue
-                add(geom, geometry.difference_coarray(geom).mv,
-                    _fan(1 if mode == 'one' else geom.n_sensors),
+                mv = geometry.difference_coarray(geom).mv
+                add(geom, mv, _fan(1 if mode == 'one' else geom.n_sensors),
                     cfg.snr_db[0], cfg.n_snapshots[0], group,
-                    (family, mode, q))
+                    (family, mode, q, geom.n_sensors, mv))
         return points, notices
 
     if cfg.kind == 'efficiency' and cfg.doas_deg is None:
@@ -520,11 +515,11 @@ def _sweep(cfg):
 def _closed_forms(points, bound=True):
     """Each point's closed forms, evaluated one fan at a time.
 
-    The sweeps vary SNR and N innermost, and the closed-form
-    coefficients depend on neither. So each fan, a run of points with
-    the same geometry, DOAs and powers, builds its coefficients once and
-    evaluates all of its points in one call. With ``bound=False`` the
-    CRB is never built.
+    Every kind's rows and ``analyze`` read them here. The sweeps vary
+    SNR and N innermost, and the coefficients depend on neither. So
+    each fan, a run of points with the same geometry, DOAs and powers,
+    builds its coefficients once and evaluates all of its points in one
+    call. With ``bound=False`` the CRB is never built.
 
     Yields:
         ``(combo, point, mse, report, kappa, crb_trace)`` per point in
@@ -555,15 +550,24 @@ def _closed_forms(points, bound=True):
 
 
 def _trial_successes(cfg, combo, p, methods, threads, gate=None):
-    """Run a point's trials; per method, those resolved inside the gate.
+    """Run a point's trials; per method, the errors of its successes.
 
-    The gate defaults to :func:`_failure_gate` of the point's sources.
+    A trial succeeds for a method when it resolved and every |error| is
+    strictly below the gate, by default :func:`_failure_gate` of the
+    point's sources. Each method gets an ``(n_ok, K)`` array of signed
+    errors in radians, one row per success in trial order.
     """
     records = run_trials(p.geom, p.scenario, p.n, methods, cfg.seed, combo,
                          cfg.n_trials, np.deg2rad(cfg.grid_step_deg), threads)
     if gate is None:
         gate = _failure_gate(p.scenario.doas)
-    return [_successes(records, m, gate) for m in methods]
+    successes = []
+    for method in methods:
+        errors = np.array([rec.errors for rec in records
+                           if rec.method == method and rec.resolved],
+                          dtype=float).reshape(-1, p.scenario.n_sources)
+        successes.append(errors[np.all(np.abs(errors) < gate, axis=1)])
+    return successes
 
 
 def _verify_rows(cfg, points, threads):
@@ -573,7 +577,7 @@ def _verify_rows(cfg, points, threads):
         successes = _trial_successes(cfg, combo, p, methods, threads)
         for method, ok in zip(methods, successes):
             mse_em, se = _mse_stats(ok)
-            rel = abs(mse_an - mse_em) / mse_em if ok else float('nan')
+            rel = abs(mse_an - mse_em) / mse_em
             yield (p.geom.name, method, float(p.snr), int(p.n), cfg.n_trials,
                    mse_an, mse_em, rel, se, cfg.n_trials - len(ok))
 
@@ -608,9 +612,8 @@ def _efficiency_rows(cfg, points, threads):
         if cfg.empirical and report.defined:
             ok, = _trial_successes(cfg, combo, p, (method,), threads)
             trials, failed = cfg.n_trials, cfg.n_trials - len(ok)
-            if ok:
-                per_source = np.mean(np.square([rec.errors for rec in ok]),
-                                     axis=0)
+            if len(ok):
+                per_source = np.mean(np.square(ok), axis=0)
                 kappa_em = crb_trace / float(np.sum(per_source))
                 _, se = _mse_stats(ok)
                 # relative SE of the summed MSE carries over
@@ -627,20 +630,18 @@ def _scaling_rows(cfg, points, threads):
     family and source mode.
     """
     method = _methods(cfg.method)[-1]
-    for _, group in itertools.groupby(enumerate(points),
-                                      key=lambda item: item[1].group):
+    forms = _closed_forms(points, bound=False)
+    for _, group in itertools.groupby(forms, key=lambda form: form[1].group):
         rows = []
-        for combo, p in group:
-            eps = float(np.mean(np.diag(
-                analysis.analytical_mse(p.geom, p.scenario, p.n))))
+        for combo, p, mse, *_ in group:
             eps_em = eps_se = float('nan')
             trials = failed = 0
             if cfg.empirical:
                 ok, = _trial_successes(cfg, combo, p, (method,), threads)
                 trials, failed = cfg.n_trials, cfg.n_trials - len(ok)
                 eps_em, eps_se = _mse_stats(ok)
-            rows.append(p.tags + (p.geom.n_sensors, p.mv, eps, eps_em, eps_se,
-                                  trials, failed))
+            rows.append(p.tags + (float(np.mean(np.diag(mse))), eps_em,
+                                  eps_se, trials, failed))
         slope = float('nan')
         if len(rows) >= 3:
             slope = float(np.polyfit(np.log10([row[3] for row in rows]),

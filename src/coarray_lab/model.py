@@ -72,10 +72,10 @@ class SourceScenario:
             raise ValueError('DOAs must lie strictly inside (-pi/2, pi/2)')
         if any(b <= a for a, b in zip(doas, doas[1:])):
             raise ValueError('DOAs must be strictly increasing')
-        if any(p <= 0 for p in powers):
-            raise ValueError('source powers must be positive')
-        if not self.noise_power > 0:
-            raise ValueError('noise power must be positive')
+        if not all(0 < p < np.inf for p in powers):
+            raise ValueError('source powers must be finite and positive')
+        if not 0 < self.noise_power < np.inf:
+            raise ValueError('noise power must be finite and positive')
         object.__setattr__(self, 'doas', doas)
         object.__setattr__(self, 'powers', powers)
         object.__setattr__(self, 'noise_power', float(self.noise_power))
@@ -89,7 +89,10 @@ class SourceScenario:
         doas = tuple(float(t) for t in doas)
         powers = ((float(power),) * len(doas) if np.isscalar(power)
                   else tuple(float(p) for p in power))
-        noise = min(powers) * 10.0 ** (-float(snr_db) / 10.0)
+        try:
+            noise = min(powers) * 10.0 ** (-float(snr_db) / 10.0)
+        except OverflowError:
+            raise ValueError(f'SNR {snr_db} dB is out of range') from None
         return cls(doas, powers, noise)
 
     @property

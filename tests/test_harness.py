@@ -84,11 +84,14 @@ def test_config_validation():
                        ('doas_deg', '10'), ('doas_deg', ('10',)),
                        ('doas_deg', (True,)), ('doas_deg', (np.inf,)),
                        ('delta_deg', ('0.5',)), ('delta_deg', (np.nan,)),
-                       ('snr_db', (True,))):
+                       ('snr_db', (True,)), ('center_deg', True),
+                       ('center_deg', np.nan), ('center_deg', '30'),
+                       ('out_dir', 5), ('out_dir', None)):
         with pytest.raises(harness.ConfigError):
             ExperimentConfig(kind='efficiency', **{field: bad})
     for bad in ({'empirical': 'no'}, {'doas_deg': '10'},
-                {'power': float('inf')}, {'grid_step_deg': float('inf')}):
+                {'power': float('inf')}, {'grid_step_deg': float('inf')},
+                {'center_deg': True}, {'out_dir': 5}):
         with pytest.raises(harness.ConfigError):
             ExperimentConfig.from_mapping({'kind': 'efficiency', **bad})
 
@@ -324,9 +327,9 @@ def test_efficiency_fans_match_the_per_point_route(trial_calls, placement):
                 report, analysis.analytical_mse(p.geom, p.scenario, p.n))
             ran.append((combo, ('ss',)))
             ok, = harness._trial_successes(cfg, combo, p, ('ss',), 1)
-            if ok:
+            if len(ok):
                 kappa_em = float(np.trace(report.crb)) / float(np.sum(
-                    np.mean(np.square([rec.errors for rec in ok]), axis=0)))
+                    np.mean(np.square(ok), axis=0)))
         assert row[:4] == (p.geom.name, p.scenario.n_sources, p.snr, p.n)
         assert row[5] == int(report.defined)
         np.testing.assert_array_equal(row[4:7:2], (kappa, kappa_em))
@@ -359,6 +362,97 @@ def test_scaling_runner_schema_and_slope(trial_calls):
     assert [msg.split()[2] for (msg,) in notices.rows] == ['2', '13']
     # skipped sizes take no combo index
     assert trial_calls == [(0, ('ss',)), (1, ('ss',)), (2, ('ss',))]
+
+
+def test_scaling_rows_match_the_point_by_point_closed_form(monkeypatch):
+    # the scaling rows read the fan route: a repeated size forms one
+    # two-point fan, and every eps is the mean of the point's own
+    # analytical_mse diagonal, bit for bit
+    built = []
+    real_coefficients = analysis.mse_coefficients
+    real_mse = analysis.analytical_mse
+
+    def counted(geom, scenario):
+        built.append(geom)
+        return real_coefficients(geom, scenario)
+
+    def unused(*args):
+        raise AssertionError('the harness calls analytical_mse')
+
+    monkeypatch.setattr(analysis, 'mse_coefficients', counted)
+    monkeypatch.setattr(analysis, 'analytical_mse', unused)
+    cfg = tiny_scaling_config(q_range=(3, 4, 4, 5))
+    rows = harness.run(cfg)['scaling'].rows
+    points = harness._sweep(cfg)[0]
+    assert [g.name for g in built] == ['mra(3)', 'mra(4)', 'mra(5)']
+    assert len(rows) == len(points) == 4
+    for p, row in zip(points, rows):
+        co = geometry.difference_coarray(p.geom)
+        assert row[:5] == p.tags == ('mra', 'one', p.geom.n_sensors,
+                                     p.geom.n_sensors, co.mv)
+        want = np.mean(np.diag(real_mse(p.geom, p.scenario, p.n)))
+        np.testing.assert_array_equal(row[5], want)
+
+
+def _synthetic_record(trial, method, errors, resolved=True):
+    return harness.TrialRecord(trial, (0, 0, trial), (), tuple(errors),
+                               resolved, method)
+
+
+def test_trial_successes_pins_the_success_rule(monkeypatch):
+    records = [
+        _synthetic_record(0, 'da', (0.01, -0.02)),
+        _synthetic_record(0, 'ss', (0.03, 0.04)),
+        # unresolved, though its errors would pass the gate
+        _synthetic_record(1, 'da', (0.0, 0.0), resolved=False),
+        # an error equal to the gate fails it
+        _synthetic_record(1, 'ss', (0.05, -0.1)),
+        _synthetic_record(2, 'da', (-0.0999, 0.0)),
+        _synthetic_record(2, 'ss', (0.2, 0.0)),
+    ]
+    monkeypatch.setattr(harness, 'run_trials', lambda *args: records)
+    cfg = ExperimentConfig(kind='verify_mse', n_trials=3)
+    p = harness._Point(geometry.coprime(2),
+                       model.SourceScenario((0.1, 0.5), (1.0, 1.0), 1.0),
+                       100, 0.0, (), 0)
+    da, ss = harness._trial_successes(cfg, 0, p, ('da', 'ss'), 1, gate=0.1)
+    assert da.dtype == ss.dtype == float
+    np.testing.assert_array_equal(da, [[0.01, -0.02], [-0.0999, 0.0]])
+    np.testing.assert_array_equal(ss, [[0.03, 0.04]])
+    none, = harness._trial_successes(cfg, 0, p, ('ss',), 1, gate=0.01)
+    assert none.shape == (0, 2)
+
+
+def test_rows_without_a_successful_trial_read_nan(monkeypatch):
+    # every trial misses by a radian, outside every gate
+    def missed(geom, scenario, n, methods, seed, combo, n_trials, *args):
+        return [_synthetic_record(t, m, (1.0,) * scenario.n_sources)
+                for t in range(n_trials) for m in methods]
+
+    monkeypatch.setattr(harness, 'run_trials', missed)
+    cfg = ExperimentConfig(kind='verify_mse', arrays=('coprime:2',),
+                           snr_db=(10.0,), n_snapshots=(100,), n_trials=3,
+                           method='both', doas_deg=(-20.0, 25.0))
+    table = harness.run(cfg)['verify_mse']
+    assert len(table.rows) == 2
+    for row in table.rows:
+        named = dict(zip(table.header, row))
+        assert np.isfinite(named['mse_an_rad2'])
+        assert np.isnan(named['mse_em_rad2'])
+        assert np.isnan(named['rel_err'])
+        assert np.isnan(named['mse_em_se_rad2'])
+        assert named['failed_trials'] == 3
+    for kind, empirical in (('efficiency', ('kappa_empirical',
+                                            'kappa_empirical_se')),
+                            ('scaling', ('eps_em_rad2', 'eps_em_se_rad2'))):
+        cfg = ExperimentConfig(kind=kind, arrays=('coprime:2',),
+                               k_sources=(1,), families=('mra',),
+                               q_range=(3,), k_modes=('one',), n_trials=3,
+                               empirical=True)
+        table = harness.run(cfg)[kind]
+        named = dict(zip(table.header, table.rows[0]))
+        assert all(np.isnan(named[c]) for c in empirical), kind
+        assert named['trials'] == named['failed_trials'] == 3, kind
 
 
 def test_scaling_runner_too_few_points_gives_nan_slope():
@@ -702,11 +796,15 @@ def test_cli_estimate_rejects_bad_scenario(tmp_path, capsys):
                 {'doas_deg': [10, 40], 'snr_db': 0, 'powers': [True, 2]},
                 {'doas_deg': [10, 40], 'snr_db': 0, 'power': True},
                 {'doas_deg': [10, 40], 'noise_power': True},
-                {'doas_deg': ['10'], 'snr_db': 0}):
+                {'doas_deg': ['10'], 'snr_db': 0},
+                # noise floors that overflow or come out infinite
+                {'doas_deg': [10.0], 'snr_db': -4000.0},
+                {'doas_deg': [10.0], 'snr_db': -10.0, 'power': 1e308}):
         scenario.write_text(json.dumps(bad))
         assert cli.main(['estimate', '--array', 'coprime:2',
                          '--scenario', str(scenario)]) == 2, bad
-        assert 'bad scenario' in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == '' and 'bad scenario' in err, bad
     scenario.write_text(json.dumps({'doas_deg': [0.0], 'snr_db': 0.0}))
     for step in ('0', '-0.1', 'inf', 'nan'):
         assert cli.main(['estimate', '--array', 'coprime:2',
@@ -781,6 +879,31 @@ def test_cli_run_rejects_bad_config(tmp_path, capsys):
     cfg.write_text(json.dumps({'kind': 'scaling', 'typo_field': 1}))
     assert cli.main(['run', '--config', str(cfg)]) == 2
     assert 'unknown config fields' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize('bad, named', [
+    ({'snr_db': [-4000.0]}, 'out of range'),  # the noise floor overflows
+    ({'snr_db': [-10.0], 'power': 1e308}, 'noise power'),  # infinite
+    ({'kind': 'resolution', 'center_deg': True}, 'center_deg'),
+    ({'out_dir': 5}, 'out_dir'),
+])
+def test_cli_run_rejects_bad_values_before_any_trial(tmp_path, capsys,
+                                                     trial_calls, bad, named):
+    out_dir = tmp_path / 'out'
+    cfg = tmp_path / 'cfg.json'
+    cfg.write_text(json.dumps({
+        'kind': 'verify_mse', 'arrays': ['coprime:2'], 'snr_db': [0.0],
+        'n_snapshots': [100], 'n_trials': 2, 'delta_deg': [1.0],
+        'out_dir': str(out_dir), **bad}))
+    assert cli.main(['run', '--config', str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ''
+    assert err.startswith('error: ') and err.count('\n') == 1, err
+    assert named in err
+    assert trial_calls == []
+    # the output directory may be made, as the writability check, but
+    # nothing is written into it
+    assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
 def test_cli_unwritable_output_is_an_error_before_any_trial(tmp_path, capsys,

@@ -36,6 +36,11 @@ def test_scenario_validation():
         model.SourceScenario((0.1,), (0.0,), 1.0)
     with pytest.raises(ValueError):
         model.SourceScenario((0.1,), (1.0,), 0.0)
+    # powers and noise must be finite, and NaN is neither
+    for powers, noise in (((np.nan,), 1.0), ((np.inf,), 1.0),
+                          ((1.0,), np.inf), ((1.0,), np.nan)):
+        with pytest.raises(ValueError, match='finite and positive'):
+            model.SourceScenario((0.1,), powers, noise)
 
 
 def test_with_snr_noise_floor():
@@ -47,6 +52,12 @@ def test_with_snr_noise_floor():
     sc = model.SourceScenario.with_snr((-0.3, 0.4), 0.0, power=(4.0, 0.25))
     assert sc.noise_power == pytest.approx(0.25)
     assert sc.snr_db() == pytest.approx(0.0)
+    # a noise floor out of float range is a ValueError, not an
+    # OverflowError or an infinite noise power
+    with pytest.raises(ValueError, match='out of range'):
+        model.SourceScenario.with_snr((0.1,), -4000.0)
+    with pytest.raises(ValueError, match='finite and positive'):
+        model.SourceScenario.with_snr((0.1,), -10.0, power=1e308)
 
 
 def test_scaled_scenario():
