@@ -61,7 +61,6 @@ from .analysis import (
 from .harness import (
     ConfigError,
     ExperimentConfig,
-    TrialRecord,
     emit_outputs,
     fifty_percent_crossing,
     load_config,
@@ -83,6 +82,6 @@ __all__ = [
     'analytical_mse', 'limiting_mse', 'model_jacobian',
     'crb_coefficients', 'crb', 'efficiency_kappa', 'resolution_predict',
     'resolution_threshold',
-    'ExperimentConfig', 'TrialRecord', 'ConfigError', 'load_config',
-    'run', 'run_trials', 'emit_outputs', 'fifty_percent_crossing',
+    'ExperimentConfig', 'ConfigError', 'load_config', 'run', 'run_trials',
+    'emit_outputs', 'fifty_percent_crossing',
 ]

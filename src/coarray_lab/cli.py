@@ -143,8 +143,20 @@ def _cmd_run(args):
         overrides['out_dir'] = args.out
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
+    # making the directory checks, before any trial, that it can be
+    # written; a bad sweep point, also found before any trial, takes
+    # away the directories made here (listed deepest first)
+    made, path = [], os.path.abspath(cfg.out_dir)
+    while not os.path.lexists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    tables = run(cfg, threads=args.threads)
+    try:
+        tables = run(cfg, threads=args.threads)
+    except ConfigError:
+        for path in made:
+            os.rmdir(path)
+        raise
     for path in emit_outputs(tables, cfg.out_dir, cfg):
         print(path)
     return 0

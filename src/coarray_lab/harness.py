@@ -36,7 +36,7 @@ from . import analysis, geometry, model
 from .estimator import run_music
 
 __all__ = [
-    'ConfigError', 'ExperimentConfig', 'TrialRecord', 'Table',
+    'ConfigError', 'ExperimentConfig', 'Table',
     'load_config', 'config_digest', 'run', 'run_trials', 'emit_outputs',
     'fifty_percent_crossing',
 ]
@@ -71,29 +71,6 @@ class Table:
 
     header: tuple[str, ...]
     rows: tuple[tuple, ...]
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """Outcome of one Monte Carlo trial for one method.
-
-    Attributes:
-        trial_index: Trial number within its sweep combination.
-        seed_key: ``(master_seed, combo_index, trial_index)``; the trial
-            is reproducible from this key alone.
-        estimates: Estimated DOAs in radians, ascending.
-        errors: Signed per-source errors in radians; empty when
-            unresolved.
-        resolved: Whether the estimator found one peak per source.
-        method: ``'da'`` or ``'ss'``.
-    """
-
-    trial_index: int
-    seed_key: tuple[int, int, int]
-    estimates: tuple[float, ...]
-    errors: tuple[float, ...]
-    resolved: bool
-    method: str
 
 
 @dataclass(frozen=True)
@@ -301,27 +278,28 @@ def _failure_gate(doas):
 
 def _trial_block(geom, scenario, n_snapshots, methods, master_seed,
                  combo_index, grid_step, trials):
-    """Records of the trials in the range ``trials``, by (trial, method)."""
+    """Estimates of the trials in the range ``trials``, in radians.
+
+    Shape ``(len(methods), len(trials), K)``: a resolved estimate's row
+    holds its ascending angles, an unresolved one's is NaN.
+    """
     co = geometry.difference_coarray(geom)
     f = geometry.selection_matrix(co)
     chol = np.linalg.cholesky(model.true_covariance(geom, scenario))
-    records = []
-    for trial in trials:
-        key = (master_seed, combo_index, trial)
+    estimates = np.full((len(methods), len(trials), scenario.n_sources),
+                        np.nan)
+    for i, trial in enumerate(trials):
         seed = np.random.SeedSequence(entropy=master_seed,
                                       spawn_key=(combo_index, trial))
         r_hat = model.sample_covariance_draw(chol, n_snapshots, seed)
         z = model.virtual_observation(f, r_hat)
-        for method in methods:
+        for row, method in zip(estimates, methods):
             est = run_music(z, co.mv, scenario.n_sources, method=method,
                             grid_step=grid_step, d0=geom.d0,
                             wavelength=geom.wavelength)
-            angles = tuple(float(a) for a in est.angles)
-            errors = (tuple(a - t for a, t in zip(angles, scenario.doas))
-                      if est.resolved else ())
-            records.append(TrialRecord(trial, key, angles, errors,
-                                       bool(est.resolved), method))
-    return records
+            if est.resolved:
+                row[i] = est.angles
+    return estimates
 
 
 # The executors open for the runs in progress, by worker count.
@@ -375,24 +353,27 @@ def run_trials(geom, scenario, n_snapshots, methods, master_seed,
     share each trial's sample covariance so method comparisons see
     identical noise. With ``threads > 1`` the trials are split into
     contiguous ranges run in worker processes, those of the enclosing
-    :func:`run` when there is one; each trial depends on its seed key
-    alone, so the records, ordered by (trial, method), do not depend on
-    ``threads``.
+    :func:`run` when there is one; each trial depends on its seed
+    ``(master_seed, combo_index, trial)`` alone, so the result does not
+    depend on ``threads``.
 
     Returns:
-        List of :class:`TrialRecord`.
+        Float array of shape ``(len(methods), n_trials, K)``: row
+        ``[m, t]`` holds the ascending DOA estimates in radians of
+        method ``methods[m]`` in trial ``t``, or NaN where that estimate
+        was unresolved.
     """
     block = functools.partial(
         _trial_block, geom, scenario, int(n_snapshots), tuple(methods),
         int(master_seed), int(combo_index), float(grid_step))
     n_trials = int(n_trials)
-    if threads <= 1:
+    if threads <= 1 or n_trials < 2:
         return block(range(n_trials))
     step = max(1, -(-n_trials // (threads * 8)))
     chunks = [range(start, min(start + step, n_trials))
               for start in range(0, n_trials, step)]
     with _worker_pool(threads) as pool:
-        return [rec for recs in pool.map(block, chunks) for rec in recs]
+        return np.concatenate(list(pool.map(block, chunks)), axis=1)
 
 
 def _mse_stats(errors):
@@ -519,27 +500,32 @@ def _closed_forms(points, bound=True):
     SNR and N innermost, and the coefficients depend on neither. So
     each fan, a run of points with the same geometry, DOAs and powers,
     builds its coefficients once and evaluates all of its points in one
-    call. With ``bound=False`` the CRB is never built.
+    call. The DOA forms depend on the powers and the noise only through
+    their ratios, so each fan is evaluated with its powers and noise
+    powers divided by its smallest power, and a large finite power
+    cannot overflow them. With ``bound=False`` the CRB is never built.
 
     Yields:
         ``(combo, point, mse, report, kappa, crb_trace)`` per point in
         order, ``combo`` its index in ``points``. ``report`` is None
-        without the bound; kappa and the trace are NaN where the bound
-        is missing or undefined.
+        without the bound, and its FIM is in those scaled powers. Kappa
+        and the trace are NaN where the bound is missing or undefined.
     """
     def fan_key(p):
         return p.geom, p.scenario.doas, p.scenario.powers
 
     combos = itertools.count()
-    for (geom, _, _), fan in itertools.groupby(points, key=fan_key):
+    for (geom, doas, powers), fan in itertools.groupby(points, key=fan_key):
         fan = list(fan)
-        noise = [p.scenario.noise_power for p in fan]
+        ref = min(powers)
+        scenario = model.SourceScenario(doas, [q / ref for q in powers], 1.0)
+        noise = [p.scenario.noise_power / ref for p in fan]
         n = [p.n for p in fan]
-        mse = analysis.mse_coefficients(geom, fan[0].scenario).mse(noise, n)
+        mse = analysis.mse_coefficients(geom, scenario).mse(noise, n)
         reports = [None] * len(fan)
         if bound:
-            reports = analysis.crb_coefficients(
-                geom, fan[0].scenario).reports(noise, n)
+            reports = analysis.crb_coefficients(geom, scenario).reports(
+                noise, n)
         mse_trace = np.trace(mse, axis1=1, axis2=2)
         for p, m, report, m_trace in zip(fan, mse, reports, mse_trace):
             crb_trace = (float(np.trace(report.crb))
@@ -552,22 +538,19 @@ def _closed_forms(points, bound=True):
 def _trial_successes(cfg, combo, p, methods, threads, gate=None):
     """Run a point's trials; per method, the errors of its successes.
 
-    A trial succeeds for a method when it resolved and every |error| is
-    strictly below the gate, by default :func:`_failure_gate` of the
-    point's sources. Each method gets an ``(n_ok, K)`` array of signed
-    errors in radians, one row per success in trial order.
+    A trial succeeds for a method when every |error| is strictly below
+    the gate, by default :func:`_failure_gate` of the point's sources;
+    an unresolved trial's NaN row fails every gate. Each method gets an
+    ``(n_ok, K)`` array of signed errors in radians, one row per success
+    in trial order.
     """
-    records = run_trials(p.geom, p.scenario, p.n, methods, cfg.seed, combo,
-                         cfg.n_trials, np.deg2rad(cfg.grid_step_deg), threads)
+    errors = run_trials(p.geom, p.scenario, p.n, methods, cfg.seed, combo,
+                        cfg.n_trials, np.deg2rad(cfg.grid_step_deg),
+                        threads) - np.asarray(p.scenario.doas)
     if gate is None:
         gate = _failure_gate(p.scenario.doas)
-    successes = []
-    for method in methods:
-        errors = np.array([rec.errors for rec in records
-                           if rec.method == method and rec.resolved],
-                          dtype=float).reshape(-1, p.scenario.n_sources)
-        successes.append(errors[np.all(np.abs(errors) < gate, axis=1)])
-    return successes
+    ok = np.all(np.abs(errors) < gate, axis=2)
+    return [e[keep] for e, keep in zip(errors, ok)]
 
 
 def _verify_rows(cfg, points, threads):
@@ -590,8 +573,8 @@ def _resolution_rows(cfg, points, threads):
         if p.group not in thresholds:
             thresholds[p.group] = float(np.rad2deg(
                 analysis.resolution_threshold(
-                    p.geom, p.n, center=np.deg2rad(cfg.center_deg),
-                    power=cfg.power, noise_power=p.scenario.noise_power)))
+                    p.geom, p.n, center=np.deg2rad(cfg.center_deg), power=1.0,
+                    noise_power=p.scenario.noise_power / cfg.power)))
         delta_deg, = p.tags
         successes = _trial_successes(cfg, combo, p, methods, threads,
                                      gate=np.deg2rad(delta_deg) / 2)

@@ -64,3 +64,27 @@ def test_estimator_results_feed_the_observers():
     assert tracer.counts['estimator.estimate_doas.angles'] == 2
     assert (tracer.counts['estimator.estimate_doas.refined']
             == int(est.refined.sum()))
+
+
+def test_trial_path_feeds_the_tracer():
+    # the benchmark's own check of the trial path: run_trials calls the
+    # estimator through the harness binding, once per (trial, method)
+    tracing = load_tracing()
+    original = estimator.run_music
+    tracer = tracing.Tracer()
+    tracer.patch(coarray_lab, MODULES)
+    try:
+        assert harness.run_music is estimator.run_music is not original
+        est = harness.run_trials(
+            geometry.coprime(2), model.SourceScenario.with_snr((0.1,), 10.0),
+            50, ('ss',), 1, 0, 2, 0.01)
+    finally:
+        tracer.close()
+    assert harness.run_music is estimator.run_music is original
+    summary = tracing.summarize(tracer.spans)
+    assert summary['estimator.run_music'][0] == 2
+    assert summary['estimator.noise_subspace'][0] == 2
+    assert summary['harness.run_trials'][0] == 1
+    assert tracer.counts['estimator.run_music.resolved'] == 2
+    assert est.shape == (1, 2, 1)
+    assert np.all(np.isfinite(est))
