@@ -31,6 +31,13 @@ are exact zeros, so the noise eigenvalues of R keep full precision at
 any SNR. Both sets of coefficients evaluate a whole fan of SNR and N
 points in one call, each point equal bit for bit to its own call.
 
+The error terms and MSE coefficients of many DOA sets are built as one
+stack (:func:`_mse_stack`), each row equal bit for bit to its own
+one-row call; :func:`error_terms` and :func:`mse_coefficients` are that
+one-row case. The resolution threshold evaluates each pass of its
+separation scan, coarse and fine, as one stack of source pairs, and
+only its false-position polish goes one separation at a time.
+
 All angles are radians; MSE values are rad^2.
 """
 
@@ -62,6 +69,9 @@ _RANK_RCOND = 1e-10
 _THRESHOLD_SCAN = np.geomspace(np.deg2rad(1e-3), np.deg2rad(6.0), 80)
 _THRESHOLD_STRIDE = 8
 
+_NONPOSITIVE_CURVATURE = ('nonpositive curvature: sources too close to '
+                          'degenerate for first-order analysis')
+
 
 class NumericalFailure(RuntimeError):
     """A computation could not be completed reliably."""
@@ -91,6 +101,9 @@ class ErrorTerms:
             ``a_dot_v^H proj_perp a_dot_v``.
         xi: K x M^2 rows; row k maps dr directly to the error of
             source k.
+
+    The stacked builder :func:`_mse_stack` returns the same fields with
+    a leading axis of S DOA sets.
     """
 
     mv: int
@@ -259,11 +272,84 @@ class CrbCoefficients:
                 for f, c, r, cond in zip(fim, crbs, rank, conds)]
 
 
+def _mse_stack(geom, doas, powers):
+    """Error terms and MSE coefficients for a stack of DOA sets.
+
+    The one builder behind :func:`error_terms`, :func:`mse_coefficients`
+    and the scans of :func:`resolution_threshold`. Row s of ``doas`` is
+    one set of K DOAs, and every array field of the results carries that
+    leading axis of S rows. No row raises: a row whose curvature gamma
+    is not positive keeps it as it is, and its coefficients mean
+    nothing. Each step acts on every row on its own (a stacked ``pinv``
+    cuts each matrix at its own rcond, products are per-slice, and each
+    row and source takes its own ``np.convolve``), so a row equals its
+    own one-row call bit for bit.
+
+    Args:
+        geom: Array geometry.
+        doas: S x K DOAs in radians, K < mv.
+        powers: Length-K source powers, shared by every row.
+
+    Returns:
+        Tuple ``(terms, coeffs)``: an :class:`ErrorTerms` and an
+        :class:`MseCoefficients` with stacked fields.
+    """
+    co = difference_coarray(geom)
+    mv = co.mv
+    doas = np.asarray(doas, dtype=float)
+    n_rows, k = doas.shape
+    if k >= mv:
+        raise ValueError(f'need K < mv = {mv} sources, got K = {k}')
+    rate = _phase_rate(geom)
+    # virtual-ULA steering matrices and their derivatives, S x mv x K
+    av, av_dot = _steering(np.arange(mv), doas, rate)
+    av_pinv = np.linalg.pinv(av, rcond=_RANK_RCOND)
+    alpha = -av_pinv
+    beta = av_dot - av @ (av_pinv @ av_dot)
+    gamma = np.real(np.sum(av_dot.conj() * beta, axis=-2))
+    # Gamma^T (beta ox alpha) is the full correlation of alpha_j with
+    # beta_j, laid out over lags -(mv-1) .. mv-1; xi_j is F^T of it.
+    folded = np.array([[np.convolve(b[::-1, j], al[j], mode='full')
+                        for j in range(k)] for b, al in zip(beta, alpha)])
+    cols, rows, vals = _lag_gather(co)
+    m = geom.n_sensors
+    xi = np.zeros((n_rows, k, m * m), dtype=complex)
+    xi[..., cols] = folded[..., rows] * vals
+    powers = np.asarray(powers, dtype=float)
+    a, _ = _steering(geom.position_array(), doas, rate)
+    aw = (a * np.sqrt(powers))[:, None]
+    x = xi.reshape(n_rows, k, m, m)
+    vt = np.swapaxes(aw.conj(), -1, -2) @ x
+    scale = powers * gamma
+    terms = ErrorTerms(mv=mv, alpha=alpha, beta=np.swapaxes(beta, -1, -2),
+                       gamma=gamma, xi=xi)
+    coeffs = MseCoefficients(
+        q0=_gram(vt @ aw), q1=_gram(vt) + _gram(x @ aw), q2=_gram(xi),
+        scale=scale[..., :, None] * scale[..., None, :])
+    return terms, coeffs
+
+
+def _one_row(geom, scenario):
+    """The :func:`_mse_stack` row of one scenario, as unstacked fields.
+
+    Raises:
+        NumericalFailure: If a curvature gamma_k is not positive.
+    """
+    terms, coeffs = _mse_stack(geom, [scenario.doas], scenario.powers)
+    if np.any(terms.gamma <= 0):
+        raise NumericalFailure(_NONPOSITIVE_CURVATURE)
+    return (ErrorTerms(mv=terms.mv, alpha=terms.alpha[0], beta=terms.beta[0],
+                       gamma=terms.gamma[0], xi=terms.xi[0]),
+            MseCoefficients(q0=coeffs.q0[0], q1=coeffs.q1[0],
+                            q2=coeffs.q2[0], scale=coeffs.scale[0]))
+
+
 def error_terms(geom, scenario):
     """First-order error functionals for every source in a scenario.
 
     The terms depend on the array and the DOAs only, not on powers or
-    noise.
+    noise. This is the one-row case of the stacked builder that also
+    gives :func:`mse_coefficients`.
 
     Args:
         geom: Array geometry.
@@ -272,39 +358,18 @@ def error_terms(geom, scenario):
     Returns:
         An :class:`ErrorTerms` instance.
     """
-    co = difference_coarray(geom)
-    mv = co.mv
-    k = scenario.n_sources
-    if k >= mv:
-        raise ValueError(f'need K < mv = {mv} sources, got K = {k}')
-    # virtual-ULA steering matrix and its derivative, mv x K
-    av, av_dot = _steering(np.arange(mv), scenario.doas, _phase_rate(geom))
-    av_pinv = np.linalg.pinv(av, rcond=_RANK_RCOND)
-    alpha = -av_pinv
-    beta = av_dot - av @ (av_pinv @ av_dot)
-    gamma = np.real(np.sum(av_dot.conj() * beta, axis=0))
-    if np.any(gamma <= 0):
-        raise NumericalFailure('nonpositive curvature: sources too close '
-                               'to degenerate for first-order analysis')
-    # Gamma^T (beta ox alpha) is the full correlation of alpha_j with
-    # beta_j, laid out over lags -(mv-1) .. mv-1; xi_j is F^T of it.
-    folded = np.stack([np.convolve(beta[::-1, j], alpha[j, :], mode='full')
-                       for j in range(k)])
-    cols, rows, vals = _lag_gather(co)
-    xi = np.zeros((k, geom.n_sensors ** 2), dtype=complex)
-    xi[:, cols] = folded[:, rows] * vals
-    return ErrorTerms(mv=mv, alpha=alpha, beta=beta.T.copy(), gamma=gamma,
-                      xi=xi)
+    return _one_row(geom, scenario)[0]
 
 
 def _gram(z):
-    """Re(conj(z) z^T) over the flattened trailing axes of a complex stack.
+    """Re(conj(z) z^T) per row of an S x K stack, over its trailing axes.
 
-    Read as reals, each row interleaves its real and imaginary parts, so
-    one real product sums Re * Re + Im * Im without a copy.
+    Read as reals, each source's flattened block interleaves its real
+    and imaginary parts, so one real product per row sums Re * Re +
+    Im * Im without a copy.
     """
-    flat = z.reshape(len(z), -1).view(float)
-    return flat @ flat.T
+    flat = z.reshape(*z.shape[:2], -1).view(float)
+    return flat @ np.swapaxes(flat, -1, -2)
 
 
 def mse_coefficients(geom, scenario):
@@ -320,7 +385,8 @@ def mse_coefficients(geom, scenario):
     times 1, sigma^2 and sigma^4, where gram(z) = Re(conj(z) z^T) over
     each source's flattened block. The coefficients depend on the
     array, the DOAs and the powers, not on the noise power or N, so a
-    sweep over SNR and N builds them once.
+    sweep over SNR and N builds them once. Like :func:`error_terms`,
+    this is the one-row case of the stacked builder.
 
     Args:
         geom: Array geometry.
@@ -329,18 +395,7 @@ def mse_coefficients(geom, scenario):
     Returns:
         An :class:`MseCoefficients` instance.
     """
-    terms = error_terms(geom, scenario)
-    m = geom.n_sensors
-    powers = np.asarray(scenario.powers)
-    a, _ = steering_matrix(geom, scenario)
-    aw = a * np.sqrt(powers)
-    x = terms.xi.reshape(-1, m, m)
-    vt = aw.conj().T @ x
-    q0 = _gram(vt @ aw)
-    q1 = _gram(vt) + _gram(x @ aw)
-    scale = powers * terms.gamma
-    return MseCoefficients(q0=q0, q1=q1, q2=_gram(terms.xi),
-                           scale=np.outer(scale, scale))
+    return _one_row(geom, scenario)[1]
 
 
 def analytical_mse(geom, scenario, n_snapshots):
@@ -572,6 +627,11 @@ def _false_position(excess, a, b, ga, gb):
     twice in a row has its excess halved, so a curved excess does not
     pin one end. The invariant holds at every step.
 
+    Once b has an excess of exactly 0, every secant point is b itself.
+    The first time that happens, the step tries b's inner neighbour
+    float instead: where b is the root that ends the search, and
+    otherwise the midpoint steps follow as before.
+
     Any three steps at least halve the bracket, so this takes at most
     three times as many steps as bisection; on a smooth excess it takes
     a handful before it reaches the excess's rounding noise.
@@ -580,13 +640,18 @@ def _false_position(excess, a, b, ga, gb):
         The final (a, b), adjacent floats.
     """
     kept = None
+    nudged = False
     width2, width1 = np.inf, np.inf  # widths two steps and one step back
     while True:
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
             return a, b
         x = b - gb * (b - a) / (gb - ga)
-        if not a < x < b or b - a > 0.5 * width2:
+        if b - a > 0.5 * width2:
+            x = mid
+        elif gb == 0 and not nudged:
+            x, nudged = np.nextafter(b, a), True
+        elif not a < x < b:
             x = mid
         width2, width1 = width1, b - a
         gx = excess(x)
@@ -621,37 +686,68 @@ def resolution_threshold(geom, n_snapshots, center=np.deg2rad(30.0),
     endfire, is still found. Where the verdict turns at most once
     between coarse points, this is the first crossing of the full scan.
 
+    Each pass evaluates its points in one stacked call of the MSE
+    builder: the coarse pass all of its points, the fine pass the
+    points of the coarse pair's bracket (or of the whole scan) not yet
+    evaluated. The verdicts are then read in the order above, stopping
+    at the first turn, so a point past the turn changes nothing; a pair
+    whose first-order analysis fails raises :class:`NumericalFailure`
+    only where the scan reads it.
+
     The verdict is exactly ``g(delta) <= 0`` for the signed excess
     g = RMS sum - delta, since for floats x - y <= 0 iff x <= y. A
     safeguarded false position on g (:func:`_false_position`) polishes
-    the fine bracket down to adjacent floats, in about a dozen MSE
-    evaluations where bisection took about 45. Near the root g is
-    rounding noise and any float where the verdict turns is a root;
-    the result can differ from bisection's in its last digits.
+    the fine bracket down to adjacent floats, one separation per call
+    of the builder, where bisection took about 45 evaluations. Near the
+    root g is rounding noise and any float where the verdict turns is a
+    root; the result can differ from bisection's in its last digits.
 
     Returns:
         Threshold separation in radians.
 
     Raises:
-        NumericalFailure: If no crossing is found inside the scan.
+        NumericalFailure: If no crossing is found inside the scan, or a
+            pair the scan reads has a nonpositive curvature.
     """
-    # RMS sum per DOA pair. The passes share scan points, and near the
-    # end of the polish center -/+ delta / 2 stops changing before
-    # delta does, so a pair can come back.
+    scan = _threshold_scan(geom, center)
+    # RMS sum per DOA pair, None where the analysis failed. The passes
+    # share scan points, and near the end of the polish center -/+
+    # delta / 2 stops changing before delta does, so a pair can come
+    # back.
     rms = {}
 
-    def excess(delta):
-        doas = (center - delta / 2.0, center + delta / 2.0)
-        if doas not in rms:
-            rms[doas] = _rms_sum(analytical_mse(
-                geom, SourceScenario(doas, (power, power), noise_power),
-                n_snapshots))
-        return rms[doas] - delta
+    def pair(delta):
+        return center - delta / 2.0, center + delta / 2.0
 
-    scan = _threshold_scan(geom, center)
+    def evaluate(deltas):
+        """Evaluate the pairs of ``deltas`` not yet seen in one call."""
+        pairs = [p for p in map(pair, deltas) if p not in rms]
+        if not pairs:
+            return
+        if not rms:
+            # bad powers or noise raise ValueError, as in a scenario
+            SourceScenario(pairs[0], (power, power), noise_power)
+        terms, coeffs = _mse_stack(geom, pairs, (power, power))
+        # a failed row may divide by a zero curvature; it is never read
+        with np.errstate(divide='ignore', invalid='ignore'):
+            mse = coeffs.mse(noise_power, n_snapshots)
+        sums = np.sqrt(mse[:, 0, 0]) + np.sqrt(mse[:, 1, 1])
+        failed = np.any(terms.gamma <= 0, axis=1)
+        rms.update((p, None if f else float(v))
+                   for p, v, f in zip(pairs, sums, failed))
+
+    def excess(delta):
+        doas = pair(delta)
+        if doas not in rms:
+            evaluate((delta,))
+        if rms[doas] is None:
+            raise NumericalFailure(_NONPOSITIVE_CURVATURE)
+        return rms[doas] - delta
 
     def first_turn(points):
         """First neighbours of ``points`` where the verdict turns, or None."""
+        if len(points) > 1:
+            evaluate(scan[points])
         for i, j in zip(points, points[1:]):
             if not excess(scan[i]) <= 0 and excess(scan[j]) <= 0:
                 return i, j
@@ -659,7 +755,9 @@ def resolution_threshold(geom, n_snapshots, center=np.deg2rad(30.0),
 
     last = scan.size - 1
     coarse = first_turn([*range(0, last, _THRESHOLD_STRIDE), last])
-    turn = first_turn(range(coarse[0] if coarse else 0, last + 1))
+    # a coarse turn (i, j) holds a turn between neighbours in i .. j
+    turn = first_turn(range(coarse[0], coarse[1] + 1) if coarse
+                      else range(last + 1))
     if turn is None:
         raise NumericalFailure('no resolution crossing inside the scan range')
     i, j = turn

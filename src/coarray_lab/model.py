@@ -145,11 +145,13 @@ def _steering(pos, theta, rate):
     """Steering matrix over positions ``pos`` and its DOA derivative.
 
     Element (i, k) is ``exp(j * rate * pos_i * sin(theta_k))``, with
-    ``rate`` the phase per unit position (see :func:`_phase_rate`).
+    ``rate`` the phase per unit position (see :func:`_phase_rate`). A
+    stack of DOA sets, S x K, gives S x M x K stacks, each equal bit for
+    bit to its own call.
     """
     theta = np.asarray(theta)
-    a = np.exp(1j * rate * np.outer(pos, np.sin(theta)))
-    a_dot = 1j * rate * np.cos(theta)[None, :] * pos[:, None] * a
+    a = np.exp(1j * rate * (pos[:, None] * np.sin(theta)[..., None, :]))
+    a_dot = 1j * rate * np.cos(theta)[..., None, :] * pos[:, None] * a
     return a, a_dot
 
 

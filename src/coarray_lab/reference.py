@@ -6,7 +6,8 @@ stacking matrix Gamma behind the augmentations, the MUSIC spectrum
 from explicit steering vectors, and the asymptotic MSE assembled from
 the exact second moments of the covariance perturbation, the
 high-SNR limit as a projection onto the signal Kronecker basis, and the
-CRB from the Jacobian whitened by the eigendecomposition of R. No
+CRB from the Jacobian whitened by the eigendecomposition of R, and
+the resolution threshold scanned one separation at a time. No
 ``coarray-lab`` command calls them.
 """
 
@@ -14,15 +15,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import (_RANK_RCOND, CrbReport, _jacobian_columns,
-                       error_terms)
-from .model import _steering, steering_matrix, true_covariance
+from .analysis import (_RANK_RCOND, _THRESHOLD_STRIDE, CrbReport,
+                       NumericalFailure, _false_position, _jacobian_columns,
+                       _rms_sum, _threshold_scan, analytical_mse, error_terms)
+from .model import (SourceScenario, _steering, steering_matrix,
+                    true_covariance)
 
 __all__ = [
     'subarray_select', 'gamma_stack', 'music_spectrum',
     'structured_cross_matrix', 'delta_r_moment_oracle',
     'analytical_mse_via_moments', 'limiting_mse_via_projection',
-    'crb_via_whitening',
+    'crb_via_whitening', 'resolution_threshold',
 ]
 
 
@@ -192,3 +195,73 @@ def crb_via_whitening(geom, scenario, n_snapshots):
     return CrbReport(fim=fim, crb=gram_inv / n_snapshots if defined else None,
                      jacobian_rank=rank, required_rank=required,
                      gram_condition=cond)
+
+
+def resolution_threshold(geom, n_snapshots, center=np.deg2rad(30.0),
+                         power=1.0, noise_power=1.0):
+    """The resolution threshold read one MSE evaluation at a time.
+
+    :func:`analysis.resolution_threshold` evaluates each scan pass as
+    one stack and must return this value exactly, and raise where this
+    raises.
+
+    Finds the separation at which the summed RMS error of two
+    equal-power sources straddling ``center`` equals the separation
+    itself; below it the pair is predicted unresolvable. The crossing
+    is bracketed on a log-spaced scan from 1e-3 degrees to 6 degrees or
+    four virtual beamwidths, coarse to fine. The coarse pass takes
+    every 8th scan point and the last one, in order, up to the first
+    pair where :func:`resolution_predict` turns from False to True (an
+    exact tie of RMS sum and separation is True). The fine pass takes
+    the scan points from that pair's first point on, or every scan
+    point when the coarse pass found no turn, up to the first such turn
+    between neighbours. So a run of resolvable separations that lies
+    between two coarse points, as it can at the top of the scan near
+    endfire, is still found. Where the verdict turns at most once
+    between coarse points, this is the first crossing of the full scan.
+
+    The verdict is exactly ``g(delta) <= 0`` for the signed excess
+    g = RMS sum - delta, since for floats x - y <= 0 iff x <= y. A
+    safeguarded false position on g (:func:`_false_position`) polishes
+    the fine bracket down to adjacent floats, one MSE evaluation per
+    step. Near the root g is
+    rounding noise and any float where the verdict turns is a root;
+    the result can differ from bisection's in its last digits.
+
+    Returns:
+        Threshold separation in radians.
+
+    Raises:
+        NumericalFailure: If no crossing is found inside the scan.
+    """
+    # RMS sum per DOA pair. The passes share scan points, and near the
+    # end of the polish center -/+ delta / 2 stops changing before
+    # delta does, so a pair can come back.
+    rms = {}
+
+    def excess(delta):
+        doas = (center - delta / 2.0, center + delta / 2.0)
+        if doas not in rms:
+            rms[doas] = _rms_sum(analytical_mse(
+                geom, SourceScenario(doas, (power, power), noise_power),
+                n_snapshots))
+        return rms[doas] - delta
+
+    scan = _threshold_scan(geom, center)
+
+    def first_turn(points):
+        """First neighbours of ``points`` where the verdict turns, or None."""
+        for i, j in zip(points, points[1:]):
+            if not excess(scan[i]) <= 0 and excess(scan[j]) <= 0:
+                return i, j
+        return None
+
+    last = scan.size - 1
+    coarse = first_turn([*range(0, last, _THRESHOLD_STRIDE), last])
+    turn = first_turn(range(coarse[0] if coarse else 0, last + 1))
+    if turn is None:
+        raise NumericalFailure('no resolution crossing inside the scan range')
+    i, j = turn
+    a, b = _false_position(excess, scan[i], scan[j],
+                           excess(scan[i]), excess(scan[j]))
+    return 0.5 * (a + b)

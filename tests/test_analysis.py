@@ -550,6 +550,48 @@ def test_resolution_threshold_finds_a_crossing_between_coarse_points():
                     noise_power=noise)
 
 
+def synthetic_stack(excess, stacks, failed=lambda delta: False):
+    """A stand-in for ``analysis._mse_stack`` with a chosen excess.
+
+    Each row's RMS sum at N = 1 is delta + excess(delta), for the
+    separation delta read back from the row's DOAs; rows where
+    ``failed(delta)`` get a zero curvature. The DOA stacks of every call
+    are appended to ``stacks``.
+    """
+    def build(geom, doas, powers):
+        doas = np.array(doas, dtype=float)
+        stacks.append(doas)
+        rows = len(doas)
+        delta = doas[:, 1] - doas[:, 0]
+        half = np.array([(d + excess(d)) / 2.0 for d in delta])
+        q0 = np.zeros((rows, 2, 2))
+        q0[:, 0, 0] = q0[:, 1, 1] = half ** 2
+        gamma = np.ones((rows, 2))
+        gamma[[failed(d) for d in delta]] = 0.0
+        empty = np.zeros((rows, 2, 1))
+        return (analysis.ErrorTerms(mv=2, alpha=empty, beta=empty,
+                                    gamma=gamma, xi=empty),
+                analysis.MseCoefficients(q0=q0, q1=np.zeros_like(q0),
+                                         q2=np.zeros_like(q0),
+                                         scale=np.ones_like(q0)))
+    return build
+
+
+def scan_excess(scan, sign):
+    """An excess of size 0.5 delta whose sign at scan point i is sign[i]."""
+    return lambda d: np.interp(np.log(d), np.log(scan), 0.5 * sign * scan)
+
+
+def scan_pairs(center, deltas):
+    """The S x 2 DOA pairs the threshold builds for separations."""
+    return np.stack((center - deltas / 2.0, center + deltas / 2.0), axis=1)
+
+
+def coarse_points(scan):
+    last = scan.size - 1
+    return [*range(0, last, analysis._THRESHOLD_STRIDE), last]
+
+
 def test_resolution_threshold_skips_a_run_before_a_later_coarse_turn(
         monkeypatch):
     """A resolvable run between two coarse points is not seen when a
@@ -567,29 +609,66 @@ def test_resolution_threshold_skips_a_run_before_a_later_coarse_turn(
     # point 32 and before the True coarse point 40
     sign = np.ones(scan.size)
     sign[20:23] = sign[39:] = -1.0
-    seen = []
-
-    def synthetic(geom_, scenario, n_snapshots):
-        delta = scenario.doas[1] - scenario.doas[0]
-        seen.append(delta)
-        excess = np.interp(np.log(delta), np.log(scan), 0.5 * sign * scan)
-        return np.eye(2) * ((delta + excess) / 2.0) ** 2
-
-    monkeypatch.setattr(analysis, 'analytical_mse', synthetic)
-    thr = analysis.resolution_threshold(geom, 500, center=center)
+    excess = scan_excess(scan, sign)
+    stacks = []
+    monkeypatch.setattr(analysis, '_mse_stack',
+                        synthetic_stack(excess, stacks))
+    thr = analysis.resolution_threshold(geom, 1, center=center)
     assert scan[38] < thr < scan[39]
+    # one stacked call holds every coarse point, the next the points
+    # strictly inside the coarse turn (32, 40), then one per call
+    seen = [row[1] - row[0] for stack in stacks for row in stack]
+    np.testing.assert_array_equal(
+        stacks[0], scan_pairs(center, scan[coarse_points(scan)]))
+    np.testing.assert_array_equal(stacks[1], scan_pairs(center, scan[33:40]))
+    assert all(len(stack) == 1 for stack in stacks[2:])
     # nothing strictly between the coarse points 16 and 24 was read
     # (a separation read back from the DOAs is off in its last bits)
     assert not any(1.001 * scan[16] < d < 0.999 * scan[24] for d in seen)
-
-    def resolvable(delta):
-        return analysis.resolution_predict(
-            synthetic(geom, model.SourceScenario(
-                (center - delta / 2.0, center + delta / 2.0), (1.0, 1.0),
-                1.0), 500), delta)
-
-    assert [resolvable(d) for d in scan[19:24]] == [False] + [True] * 3 \
+    assert [excess(d) <= 0 for d in scan[19:24]] == [False] + [True] * 3 \
         + [False]
+    # the sequential route reads the same verdicts
+    assert reference.resolution_threshold(geom, 1, center=center) == thr
+
+
+def test_resolution_threshold_ignores_unread_points(monkeypatch):
+    """A stacked pass also evaluates points that the scan never reads:
+    coarse points past the first coarse turn. A failed (zero-curvature)
+    or non-finite row there neither raises nor moves the threshold; the
+    same failed row at a point the scan reads raises NumericalFailure,
+    as the one-point-at-a-time route does.
+    """
+    geom, center = geometry.mra(10), np.deg2rad(30.0)
+    scan = analysis._threshold_scan(geom, center)
+    sign = np.where(np.arange(scan.size) < 27, 1.0, -1.0)
+    excess = scan_excess(scan, sign)
+
+    def threshold(route, bad, broken):
+        stacks = []
+        monkeypatch.setattr(analysis, '_mse_stack', synthetic_stack(
+            lambda d: np.nan if np.isclose(d, broken, rtol=1e-9)
+            else excess(d), stacks,
+            lambda d: np.isclose(d, bad, rtol=1e-9)))
+        return outcome(route, geom, 1, center=center), stacks
+
+    clean, _ = threshold(analysis.resolution_threshold, -1.0, -1.0)
+    assert scan[26] < clean < scan[27]
+    # the coarse turn is (24, 32); coarse points 40 and on are evaluated
+    # in the first stack but never read
+    for bad, broken in ((scan[40], scan[48]), (scan[48], scan[40]),
+                        (scan[scan.size - 1], scan[56])):
+        got, stacks = threshold(analysis.resolution_threshold, bad, broken)
+        assert got == clean
+        evaluated = stacks[0][:, 1] - stacks[0][:, 0]
+        assert np.isclose(evaluated, bad, rtol=1e-9).any()
+        assert np.isclose(evaluated, broken, rtol=1e-9).any()
+    # a failed row the scan reads: a coarse point before the turn, a
+    # fine point before the turn, and the fine turn's own upper point
+    for bad in (scan[8], scan[25], scan[27]):
+        for route in (analysis.resolution_threshold,
+                      reference.resolution_threshold):
+            got, _ = threshold(route, bad, -1.0)
+            assert got is analysis.NumericalFailure
 
 
 @pytest.mark.parametrize('center_deg', [88.0, 89.5, -89.5])
@@ -813,22 +892,30 @@ def test_crb_matches_high_precision_trace_form(spec, k):
     assert relative_gap(analysis.crb(geom, sc, 500).crb, want) <= 1e-12
 
 
+def recorded_stacks(monkeypatch):
+    """Record the DOA stack of every ``analysis._mse_stack`` call."""
+    stacks = []
+    real = analysis._mse_stack
+
+    def recorded(geom, doas, powers):
+        stacks.append(np.array(doas, dtype=float))
+        return real(geom, doas, powers)
+
+    monkeypatch.setattr(analysis, '_mse_stack', recorded)
+    return stacks
+
+
 def test_resolution_threshold_never_repeats_a_doa_pair(monkeypatch):
-    pairs = []
-    real = analysis.analytical_mse
-
-    def recorded(geom, scenario, n):
-        pairs.append(scenario.doas)
-        return real(geom, scenario, n)
-
-    monkeypatch.setattr(analysis, 'analytical_mse', recorded)
+    stacks = recorded_stacks(monkeypatch)
     for geom in (geometry.coprime(3, 5), geometry.nested(4, 6),
                  geometry.mra(10)):
         for snr in (-5.0, 20.0):
             for n in (100, 2000):
-                pairs.clear()
+                stacks.clear()
                 analysis.resolution_threshold(
                     geom, n, noise_power=10.0 ** (-snr / 10.0))
+                pairs = [tuple(row) for stack in stacks for row in stack]
+                assert len(stacks) > 2
                 assert len(pairs) == len(set(pairs))
 
 
@@ -840,36 +927,100 @@ def outcome(fn, *args, **kwargs):
         return type(exc)
 
 
-def test_resolution_threshold_matches_full_scan(monkeypatch):
-    # the benchmark's threshold grid, plus a holey custom array
-    calls = []
-    real = analysis.analytical_mse
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(analysis, 'analytical_mse', counted)
-    center = np.deg2rad(30.0)
-    values = 0
+def threshold_grid():
+    """The benchmark's threshold grid, plus a holey custom array."""
     for geom in (geometry.coprime(3, 5), geometry.nested(4, 6),
                  geometry.mra(10), geometry.custom((0, 2, 3, 7, 20))):
         for snr in (-5.0, 0.0, 5.0, 10.0, 20.0):
-            noise = 10.0 ** (-snr / 10.0)
             for n in (100, 500, 2000):
-                calls.clear()
-                got = outcome(analysis.resolution_threshold, geom, n,
-                              center=center, power=1.0, noise_power=noise)
-                used = len(calls)
-                check_threshold(got, geom, n, real, center=center,
-                                noise_power=noise)
-                if got is not analysis.NumericalFailure:
-                    values += 1
-                    # at most 11 coarse points and 7 fine ones, then the
-                    # polish: 49 in all on this grid, where bisection
-                    # took up to 67 (the full scan takes 80 + ~50)
-                    assert used <= 49
+                yield geom, n, 10.0 ** (-snr / 10.0)
+
+
+# The most single-separation evaluations the polish makes on the grid
+# of threshold_grid, at centre 30 deg.
+POLISH_EVALUATIONS = 35
+
+
+def test_resolution_threshold_matches_full_scan(monkeypatch):
+    stacks = recorded_stacks(monkeypatch)
+    center = np.deg2rad(30.0)
+    values = 0
+    for geom, n, noise in threshold_grid():
+        stacks.clear()
+        got = outcome(analysis.resolution_threshold, geom, n,
+                      center=center, power=1.0, noise_power=noise)
+        sizes = [len(stack) for stack in stacks]
+        check_threshold(got, geom, n, analysis.analytical_mse,
+                        center=center, noise_power=noise)
+        if got is not analysis.NumericalFailure:
+            values += 1
+            # one call with every coarse point, one with at most the
+            # stride - 1 points inside the coarse turn, then the polish
+            # one separation per call
+            coarse = len(coarse_points(analysis._threshold_scan(geom,
+                                                                center)))
+            assert sizes[0] == coarse
+            assert sizes[1] <= analysis._THRESHOLD_STRIDE - 1
+            assert sizes[2:] == [1] * (len(sizes) - 2)
+            assert len(sizes) <= 2 + POLISH_EVALUATIONS
+            assert sum(sizes) <= (coarse + analysis._THRESHOLD_STRIDE - 1
+                                  + POLISH_EVALUATIONS)
     assert values >= 55
+
+
+def test_resolution_threshold_equals_the_sequential_reference():
+    center = np.deg2rad(30.0)
+    got, want = [], []
+    for geom, n, noise in threshold_grid():
+        for route, results in ((analysis.resolution_threshold, got),
+                               (reference.resolution_threshold, want)):
+            results.append(outcome(route, geom, n, center=center,
+                                   power=1.0, noise_power=noise))
+    assert got == want
+    # near endfire, where some cases raise NumericalFailure
+    for geom in (geometry.mra(10), geometry.ula(3)):
+        for center_deg in (88.0, 89.5, -89.5):
+            for n, noise in ((500, 1.0), (50_000, 1e-3)):
+                args = (geom, n)
+                kwargs = dict(center=np.deg2rad(center_deg),
+                              noise_power=noise)
+                got.append(outcome(analysis.resolution_threshold, *args,
+                                   **kwargs))
+                want.append(outcome(reference.resolution_threshold, *args,
+                                    **kwargs))
+    assert got == want
+    assert analysis.NumericalFailure in want
+
+
+@pytest.mark.parametrize('geom', [geometry.coprime(3, 5),
+                                  geometry.nested(4, 6),
+                                  geometry.custom((0, 2, 3, 7, 20))],
+                         ids=['coprime35', 'nested46', 'custom'])
+def test_mse_stack_rows_equal_one_row_calls(geom):
+    rng = np.random.default_rng(19)
+    mv = geometry.difference_coarray(geom).mv
+    failed = 0
+    for k in range(1, mv):
+        doas = np.sort(rng.uniform(-1.4, 1.4, size=(4, k)), axis=1)
+        powers = rng.uniform(0.5, 2.0, size=k)
+        terms, coeffs = analysis._mse_stack(geom, doas, powers)
+        for i, row in enumerate(doas):
+            sc = model.SourceScenario(tuple(row), tuple(powers), 1.0)
+            if np.any(terms.gamma[i] <= 0):
+                failed += 1
+                with pytest.raises(analysis.NumericalFailure):
+                    analysis.mse_coefficients(geom, sc)
+                continue
+            one = analysis.error_terms(geom, sc)
+            assert one.mv == terms.mv == mv
+            for name in ('alpha', 'beta', 'gamma', 'xi'):
+                np.testing.assert_array_equal(getattr(one, name),
+                                              getattr(terms, name)[i])
+            one = analysis.mse_coefficients(geom, sc)
+            for name in ('q0', 'q1', 'q2', 'scale'):
+                np.testing.assert_array_equal(getattr(one, name),
+                                              getattr(coeffs, name)[i])
+    assert failed < 4 * (mv - 1)
 
 
 # Signed excesses, positive below the root, with a bracket of it.
@@ -902,3 +1053,11 @@ def test_false_position_ends_on_adjacent_floats(name):
     # any three steps at least halve the bracket
     _, steps = bisection(lambda x: excess(x) <= 0, a, b)
     assert len(calls) <= 3 * steps
+    if name in POLISH_STEPS:
+        assert len(calls) == POLISH_STEPS[name]
+
+
+# Steps where a secant point lands on an end whose excess is exactly 0,
+# and the end's inner neighbour float ends the search (38 and 53 steps
+# when the rest of the bracket was bisected).
+POLISH_STEPS = {'smooth': 14, 'nan inside': 5}

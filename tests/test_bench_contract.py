@@ -1,29 +1,39 @@
-"""The benchmark's tracer still fits the package.
+"""The benchmark's tracer and workloads still fit the package.
 
 ``bench/tracing.py`` wraps package functions by name and reads the
-results of the estimator at span boundaries. A renamed function or a
-changed result type would otherwise surface only when a traced
-benchmark pass runs. The tracer is loaded from its file as it stands.
+results of the estimator at span boundaries, and ``bench/workloads.py``
+calls ``analysis.resolution_threshold`` directly, past the CLI. A
+renamed function, a changed signature or a changed result type would
+otherwise surface only when a benchmark pass runs. Both files are
+loaded as they stand.
 """
 
 import importlib.util
 import pathlib
+import sys
 
 import numpy as np
 
 import coarray_lab
-from coarray_lab import analysis, cli, estimator, geometry, harness, model
+from coarray_lab import (analysis, cli, estimator, geometry, harness, model,
+                         reference)
 
 MODULES = {'geometry': geometry, 'model': model, 'estimator': estimator,
            'analysis': analysis, 'harness': harness, 'cli': cli}
 
 
-def load_tracing():
-    path = pathlib.Path(__file__).resolve().parents[1] / 'bench' / 'tracing.py'
-    spec = importlib.util.spec_from_file_location('bench_tracing', path)
+def load_bench(name):
+    path = pathlib.Path(__file__).resolve().parents[1] / 'bench' / f'{name}.py'
+    spec = importlib.util.spec_from_file_location(f'bench_{name}', path)
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up by name
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_bench('tracing')
 
 
 def test_every_traced_function_resolves():
@@ -88,3 +98,22 @@ def test_trial_path_feeds_the_tracer():
     assert tracer.counts['estimator.run_music.resolved'] == 2
     assert est.shape == (1, 2, 1)
     assert np.all(np.isfinite(est))
+
+
+def test_threshold_part_matches_the_reference_route():
+    # the closed_form workload's direct threshold calls, as the
+    # benchmark makes them
+    workloads = load_bench('workloads')
+    rows = workloads.run_thresholds(geometry, analysis)
+    assert len(rows) == 45
+    want = []
+    for spec in workloads.ARRAYS:
+        geom = harness._parse_array(spec)
+        for snr in workloads.THRESHOLD_SNR_DB:
+            for n in workloads.THRESHOLD_N:
+                thr = reference.resolution_threshold(
+                    geom, n, center=np.deg2rad(workloads.THRESHOLD_CENTER_DEG),
+                    power=1.0, noise_power=10.0 ** (-snr / 10.0))
+                want.append((geom.name, snr, n, float(np.rad2deg(thr))))
+    assert rows == want
+    assert all(np.isfinite(row[-1]) for row in rows)
