@@ -34,9 +34,9 @@ points in one call, each point equal bit for bit to its own call.
 The error terms and MSE coefficients of many DOA sets are built as one
 stack (:func:`_mse_stack`), each row equal bit for bit to its own
 one-row call; :func:`error_terms` and :func:`mse_coefficients` are that
-one-row case. The resolution threshold evaluates each pass of its
-separation scan, coarse and fine, as one stack of source pairs, and
-only its false-position polish goes one separation at a time.
+one-row case. The resolution threshold evaluates its whole separation
+scan as one stack of source pairs, shared by every SNR and N, and only
+its false-position polish goes one separation at a time.
 
 All angles are radians; MSE values are rad^2.
 """
@@ -44,6 +44,7 @@ All angles are radians; MSE values are rad^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,10 +65,8 @@ __all__ = [
 # Relative singular-value cutoff for pseudo-inverses and rank decisions.
 _RANK_RCOND = 1e-10
 
-# The first separations (radians) scanned for the resolution crossing,
-# and the stride of the coarse pass over the scan.
+# The first separations (radians) scanned for the resolution crossing.
 _THRESHOLD_SCAN = np.geomspace(np.deg2rad(1e-3), np.deg2rad(6.0), 80)
-_THRESHOLD_STRIDE = 8
 
 _NONPOSITIVE_CURVATURE = ('nonpositive curvature: sources too close to '
                           'degenerate for first-order analysis')
@@ -310,7 +309,8 @@ def _mse_stack(geom, doas, powers):
     # Gamma^T (beta ox alpha) is the full correlation of alpha_j with
     # beta_j, laid out over lags -(mv-1) .. mv-1; xi_j is F^T of it.
     folded = np.array([[np.convolve(b[::-1, j], al[j], mode='full')
-                        for j in range(k)] for b, al in zip(beta, alpha)])
+                        for j in range(k)] for b, al in zip(beta, alpha)]
+                      ).reshape(n_rows, k, 2 * mv - 1)
     cols, rows, vals = _lag_gather(co)
     m = geom.n_sensors
     xi = np.zeros((n_rows, k, m * m), dtype=complex)
@@ -368,7 +368,8 @@ def _gram(z):
     and imaginary parts, so one real product per row sums Re * Re +
     Im * Im without a copy.
     """
-    flat = z.reshape(*z.shape[:2], -1).view(float)
+    flat = z.reshape(*z.shape[:2], np.prod(z.shape[2:], dtype=int))
+    flat = flat.view(float)
     return flat @ np.swapaxes(flat, -1, -2)
 
 
@@ -667,6 +668,23 @@ def _false_position(excess, a, b, ga, gb):
             kept = 'b'
 
 
+@lru_cache(maxsize=128)
+def _scan_stack(geom, center, power):
+    """The separations of :func:`_threshold_scan`, their S x 2 DOA pairs
+    center -/+ delta / 2, the stacked :class:`MseCoefficients` of two
+    sources of ``power`` at those pairs, and the rows whose curvature is
+    not positive, all read-only. The coefficients depend on neither the
+    noise power nor N, so one build serves every SNR and N."""
+    scan = _threshold_scan(geom, center)
+    pairs = np.stack((center - scan / 2.0, center + scan / 2.0), axis=-1)
+    terms, coeffs = _mse_stack(geom, pairs, (power, power))
+    failed = np.any(terms.gamma <= 0, axis=1)
+    for a in (scan, pairs, failed, coeffs.q0, coeffs.q1, coeffs.q2,
+              coeffs.scale):
+        a.setflags(write=False)
+    return scan, pairs, coeffs, failed
+
+
 def resolution_threshold(geom, n_snapshots, center=np.deg2rad(30.0),
                          power=1.0, noise_power=1.0):
     """Predicted resolution threshold separation for a source pair.
@@ -674,30 +692,21 @@ def resolution_threshold(geom, n_snapshots, center=np.deg2rad(30.0),
     Finds the separation at which the summed RMS error of two
     equal-power sources straddling ``center`` equals the separation
     itself; below it the pair is predicted unresolvable. The crossing
-    is bracketed on a log-spaced scan from 1e-3 degrees to 6 degrees or
-    four virtual beamwidths, coarse to fine. The coarse pass takes
-    every 8th scan point and the last one, in order, up to the first
-    pair where :func:`resolution_predict` turns from False to True (an
-    exact tie of RMS sum and separation is True). The fine pass takes
-    the scan points from that pair's first point on, or every scan
-    point when the coarse pass found no turn, up to the first such turn
-    between neighbours. So a run of resolvable separations that lies
-    between two coarse points, as it can at the top of the scan near
-    endfire, is still found. Where the verdict turns at most once
-    between coarse points, this is the first crossing of the full scan.
+    is the first turn of :func:`resolution_predict` from False to True
+    (an exact tie of RMS sum and separation is True) between
+    neighbouring points of a log-spaced scan from 1e-3 degrees to 6
+    degrees or four virtual beamwidths.
 
-    Each pass evaluates its points in one stacked call of the MSE
-    builder: the coarse pass all of its points, the fine pass the
-    points of the coarse pair's bracket (or of the whole scan) not yet
-    evaluated. The verdicts are then read in the order above, stopping
-    at the first turn, so a point past the turn changes nothing; a pair
-    whose first-order analysis fails raises :class:`NumericalFailure`
-    only where the scan reads it.
+    The scan is evaluated as one stack (:func:`_scan_stack`), shared by
+    every SNR and N at the same array, centre and power. A pair whose
+    first-order analysis fails raises :class:`NumericalFailure` only
+    where a read of the scan in order, stopping at the first turn,
+    would meet it.
 
     The verdict is exactly ``g(delta) <= 0`` for the signed excess
     g = RMS sum - delta, since for floats x - y <= 0 iff x <= y. A
     safeguarded false position on g (:func:`_false_position`) polishes
-    the fine bracket down to adjacent floats, one separation per call
+    the turn's bracket down to adjacent floats, one separation per call
     of the builder, where bisection took about 45 evaluations. Near the
     root g is rounding noise and any float where the verdict turns is a
     root; the result can differ from bisection's in its last digits.
@@ -706,61 +715,40 @@ def resolution_threshold(geom, n_snapshots, center=np.deg2rad(30.0),
         Threshold separation in radians.
 
     Raises:
+        ValueError: If the centre, power or noise power is invalid, as
+            in a :class:`SourceScenario`.
         NumericalFailure: If no crossing is found inside the scan, or a
             pair the scan reads has a nonpositive curvature.
     """
-    scan = _threshold_scan(geom, center)
-    # RMS sum per DOA pair, None where the analysis failed. The passes
-    # share scan points, and near the end of the polish center -/+
-    # delta / 2 stops changing before delta does, so a pair can come
-    # back.
-    rms = {}
-
-    def pair(delta):
-        return center - delta / 2.0, center + delta / 2.0
-
-    def evaluate(deltas):
-        """Evaluate the pairs of ``deltas`` not yet seen in one call."""
-        pairs = [p for p in map(pair, deltas) if p not in rms]
-        if not pairs:
-            return
-        if not rms:
-            # bad powers or noise raise ValueError, as in a scenario
-            SourceScenario(pairs[0], (power, power), noise_power)
-        terms, coeffs = _mse_stack(geom, pairs, (power, power))
-        # a failed row may divide by a zero curvature; it is never read
-        with np.errstate(divide='ignore', invalid='ignore'):
-            mse = coeffs.mse(noise_power, n_snapshots)
-        sums = np.sqrt(mse[:, 0, 0]) + np.sqrt(mse[:, 1, 1])
-        failed = np.any(terms.gamma <= 0, axis=1)
-        rms.update((p, None if f else float(v))
-                   for p, v, f in zip(pairs, sums, failed))
+    SourceScenario((center,), (power,), noise_power)  # ValueError if bad
+    scan, pairs, coeffs, failed = _scan_stack(geom, center, power)
+    # a failed row may divide by a zero curvature; it is never read
+    with np.errstate(divide='ignore', invalid='ignore'):
+        mse = coeffs.mse(noise_power, n_snapshots)
+    sums = np.sqrt(mse[:, 0, 0]) + np.sqrt(mse[:, 1, 1])
+    ok = sums - scan <= 0
+    # neighbours (i, i + 1) where the verdict turns, and where a read in
+    # order meets a failed row: at i, or at i + 1 when i is unresolvable
+    turns = ~ok[:-1] & ok[1:]
+    stops = failed[:-1] | (~ok[:-1] & failed[1:])
+    hits = np.flatnonzero(turns | stops)
+    if hits.size == 0:
+        raise NumericalFailure('no resolution crossing inside the scan range')
+    i = hits[0]
+    if stops[i]:
+        raise NumericalFailure(_NONPOSITIVE_CURVATURE)
+    # RMS sum per DOA pair: near the end of the polish center -/+
+    # delta / 2 stops changing before delta does, so a pair can come back
+    rms = {tuple(pairs[j]): sums[j] for j in (i, i + 1)}
 
     def excess(delta):
-        doas = pair(delta)
+        doas = center - delta / 2.0, center + delta / 2.0
         if doas not in rms:
-            evaluate((delta,))
-        if rms[doas] is None:
-            raise NumericalFailure(_NONPOSITIVE_CURVATURE)
+            rms[doas] = _rms_sum(analytical_mse(
+                geom, SourceScenario(doas, (power, power), noise_power),
+                n_snapshots))
         return rms[doas] - delta
 
-    def first_turn(points):
-        """First neighbours of ``points`` where the verdict turns, or None."""
-        if len(points) > 1:
-            evaluate(scan[points])
-        for i, j in zip(points, points[1:]):
-            if not excess(scan[i]) <= 0 and excess(scan[j]) <= 0:
-                return i, j
-        return None
-
-    last = scan.size - 1
-    coarse = first_turn([*range(0, last, _THRESHOLD_STRIDE), last])
-    # a coarse turn (i, j) holds a turn between neighbours in i .. j
-    turn = first_turn(range(coarse[0], coarse[1] + 1) if coarse
-                      else range(last + 1))
-    if turn is None:
-        raise NumericalFailure('no resolution crossing inside the scan range')
-    i, j = turn
-    a, b = _false_position(excess, scan[i], scan[j],
-                           excess(scan[i]), excess(scan[j]))
+    a, b = _false_position(excess, scan[i], scan[i + 1],
+                           excess(scan[i]), excess(scan[i + 1]))
     return 0.5 * (a + b)

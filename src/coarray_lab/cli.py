@@ -22,7 +22,7 @@ from . import __version__
 from . import analysis, geometry, model
 from .estimator import run_music
 from .harness import (ConfigError, Table, emit_outputs, load_config, run,
-                      _analyze_table, _check_source_count, _csv_text,
+                      _analyze_table, _check_estimable, _csv_text,
                       _is_real, _parse_array, _read_json, _write_text)
 
 
@@ -93,7 +93,7 @@ def _cmd_estimate(args):
     geom = _parse_array(args.array)
     scenario = _load_scenario(args.scenario)
     co = geometry.difference_coarray(geom)
-    _check_source_count(geom, co.mv, scenario)
+    _check_estimable(geom, co.mv, scenario, args.grid_step_deg)
     f = geometry.selection_matrix(co)
     seed = np.random.SeedSequence(args.seed)
     snapshots = model.simulate_snapshots(geom, scenario, args.n, seed)
@@ -144,8 +144,9 @@ def _cmd_run(args):
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     # making the directory checks, before any trial, that it can be
-    # written; a bad sweep point, also found before any trial, takes
-    # away the directories made here (listed deepest first)
+    # written; a run that raises anything, a bad sweep point or a
+    # numerical failure among them, takes away the directories made
+    # here (listed deepest first), which it has not written to yet
     made, path = [], os.path.abspath(cfg.out_dir)
     while not os.path.lexists(path):
         made.append(path)
@@ -153,7 +154,7 @@ def _cmd_run(args):
     os.makedirs(cfg.out_dir, exist_ok=True)
     try:
         tables = run(cfg, threads=args.threads)
-    except ConfigError:
+    except BaseException:
         for path in made:
             os.rmdir(path)
         raise

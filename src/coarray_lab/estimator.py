@@ -37,10 +37,15 @@ import numpy as np
 __all__ = [
     'DoaEstimate', 'augment_direct', 'augment_spatial_smoothing',
     'noise_subspace', 'estimate_doas', 'run_music', 'default_grid',
+    'scan_size', 'MAX_SCAN_SIZE',
 ]
 
 # Newton steps that refine each grid minimum of the null spectrum.
 _NEWTON_STEPS = 3
+
+# The most phases one scan of the null spectrum takes: at d0 =
+# wavelength / 2 a broadside grid step down to about 1.1e-4 deg.
+MAX_SCAN_SIZE = 1 << 20
 
 # The last run_music input, keyed by (z, mv, k, estimator keywords):
 # its eigensystem and the estimate for each noise column set scanned so
@@ -192,12 +197,36 @@ def default_grid(grid_step=np.deg2rad(0.1)):
     return np.arange(-np.pi / 2 + grid_step, np.pi / 2, grid_step)
 
 
+def scan_size(mv, grid_step, d0=0.5, wavelength=1.0):
+    """The number n of phases :func:`estimate_doas` scans.
+
+    n is the smallest power of two, and >= 2 mv, whose step 2 pi / n is
+    no coarser than ``grid_step`` at broadside.
+
+    Raises:
+        ValueError: If the grid step is not finite and positive, or n
+            would pass :data:`MAX_SCAN_SIZE`.
+    """
+    if not (np.isfinite(grid_step) and grid_step > 0):
+        raise ValueError(f'grid step must be finite and positive, got '
+                         f'{grid_step}')
+    ratio = d0 / wavelength
+    # in products, so that a step too fine to invert fails here too
+    if not (ratio * grid_step * MAX_SCAN_SIZE >= 1.0
+            and 2 * mv <= MAX_SCAN_SIZE):
+        raise ValueError(f'a grid step of {grid_step} rad at mv = {mv} '
+                         f'needs more than {MAX_SCAN_SIZE} scan phases')
+    return 1 << int(np.ceil(np.log2(max(1.0 / (ratio * grid_step),
+                                        2.0 * mv))))
+
+
 def estimate_doas(en, k, grid_step=np.deg2rad(0.1), d0=0.5, wavelength=1.0):
     """MUSIC on a noise-subspace basis: a phase-grid scan, then Newton.
 
     One real FFT evaluates the null spectrum d on n phases 2 pi i / n,
     n the smallest power of two (and >= 2 mv) whose step is no coarser
-    than ``grid_step`` at broadside. The k deepest local minima are kept
+    than ``grid_step`` at broadside (:func:`scan_size`, at most
+    :data:`MAX_SCAN_SIZE`). The k deepest local minima are kept
     (ties toward the smaller angle) and refined together by Newton steps
     on d' = 0; one that leaves its grid cell keeps its grid phase. Each
     angle is arcsin(phi / (2 pi d0 / wavelength)), phi wrapped into
@@ -227,11 +256,8 @@ def estimate_doas(en, k, grid_step=np.deg2rad(0.1), d0=0.5, wavelength=1.0):
     if not 1 <= k < mv or en.shape != (mv, mv - k):
         raise ValueError(f'need an mv x (mv - k) basis with 1 <= k < mv, '
                          f'got shape {en.shape} and k = {k}')
-    if not (np.isfinite(grid_step) and grid_step > 0):
-        raise ValueError(f'grid step must be finite and positive, got '
-                         f'{grid_step}')
+    n = scan_size(mv, grid_step, d0, wavelength)
     ratio = d0 / wavelength
-    n = 1 << int(np.ceil(np.log2(max(1.0 / (ratio * grid_step), 2.0 * mv))))
     # Grid indices i of the scanned phases 2 pi i / n, ascending: the arc
     # between its two ends, or the whole circle with one point repeated
     # past each end, so that every point on it has both neighbours.

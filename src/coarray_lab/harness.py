@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from . import analysis, geometry, model
-from .estimator import run_music
+from .estimator import run_music, scan_size
 
 __all__ = [
     'ConfigError', 'ExperimentConfig', 'Table',
@@ -428,11 +428,16 @@ class _Point:
     group: int
 
 
-def _check_source_count(geom, mv, scenario):
-    """Raise :class:`ConfigError` unless K < mv, as coarray MUSIC needs."""
+def _check_estimable(geom, mv, scenario, grid_step_deg):
+    """Raise :class:`ConfigError` unless coarray MUSIC can run: K < mv,
+    and a grid step that :func:`estimator.scan_size` accepts."""
     if scenario.n_sources >= mv:
         raise ConfigError(f'{geom.name} needs fewer than mv = {mv} '
                           f'sources, got {scenario.n_sources}')
+    try:
+        scan_size(mv, np.deg2rad(grid_step_deg), geom.d0, geom.wavelength)
+    except ValueError as exc:
+        raise ConfigError(f'{geom.name}: {exc}') from exc
 
 
 def _sweep(cfg):
@@ -450,7 +455,7 @@ def _sweep(cfg):
             scenario = model.SourceScenario.with_snr(doas, snr, cfg.power)
         except ValueError as exc:
             raise ConfigError(f'{geom.name}: {exc}') from exc
-        _check_source_count(geom, mv, scenario)
+        _check_estimable(geom, mv, scenario, cfg.grid_step_deg)
         points.append(_Point(geom, scenario, n, snr, tags, group))
 
     if cfg.kind == 'scaling':

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import (_RANK_RCOND, _THRESHOLD_STRIDE, CrbReport,
-                       NumericalFailure, _false_position, _jacobian_columns,
-                       _rms_sum, _threshold_scan, analytical_mse, error_terms)
+from .analysis import (_RANK_RCOND, CrbReport, NumericalFailure,
+                       _false_position, _jacobian_columns, _rms_sum,
+                       _threshold_scan, analytical_mse, error_terms)
 from .model import (SourceScenario, _steering, steering_matrix,
                     true_covariance)
 
@@ -201,42 +201,26 @@ def resolution_threshold(geom, n_snapshots, center=np.deg2rad(30.0),
                          power=1.0, noise_power=1.0):
     """The resolution threshold read one MSE evaluation at a time.
 
-    :func:`analysis.resolution_threshold` evaluates each scan pass as
-    one stack and must return this value exactly, and raise where this
+    :func:`analysis.resolution_threshold` evaluates the scan as one
+    stack and must return this value exactly, and raise where this
     raises.
 
-    Finds the separation at which the summed RMS error of two
-    equal-power sources straddling ``center`` equals the separation
-    itself; below it the pair is predicted unresolvable. The crossing
-    is bracketed on a log-spaced scan from 1e-3 degrees to 6 degrees or
-    four virtual beamwidths, coarse to fine. The coarse pass takes
-    every 8th scan point and the last one, in order, up to the first
-    pair where :func:`resolution_predict` turns from False to True (an
-    exact tie of RMS sum and separation is True). The fine pass takes
-    the scan points from that pair's first point on, or every scan
-    point when the coarse pass found no turn, up to the first such turn
-    between neighbours. So a run of resolvable separations that lies
-    between two coarse points, as it can at the top of the scan near
-    endfire, is still found. Where the verdict turns at most once
-    between coarse points, this is the first crossing of the full scan.
-
-    The verdict is exactly ``g(delta) <= 0`` for the signed excess
-    g = RMS sum - delta, since for floats x - y <= 0 iff x <= y. A
-    safeguarded false position on g (:func:`_false_position`) polishes
-    the fine bracket down to adjacent floats, one MSE evaluation per
-    step. Near the root g is
-    rounding noise and any float where the verdict turns is a root;
-    the result can differ from bisection's in its last digits.
+    Reads the scan of :func:`analysis._threshold_scan` in order, one
+    pair of neighbours at a time, up to the first pair where
+    :func:`resolution_predict` turns from False to True (an exact tie
+    of RMS sum and separation is True), and polishes that bracket by
+    the safeguarded false position :func:`_false_position` on the
+    signed excess g = RMS sum - delta, one MSE evaluation per step.
 
     Returns:
         Threshold separation in radians.
 
     Raises:
-        NumericalFailure: If no crossing is found inside the scan.
+        NumericalFailure: If no crossing is found inside the scan, or a
+            pair the scan reads has a nonpositive curvature.
     """
-    # RMS sum per DOA pair. The passes share scan points, and near the
-    # end of the polish center -/+ delta / 2 stops changing before
-    # delta does, so a pair can come back.
+    # RMS sum per DOA pair: near the end of the polish center -/+
+    # delta / 2 stops changing before delta does, so a pair can come back
     rms = {}
 
     def excess(delta):
@@ -248,20 +232,9 @@ def resolution_threshold(geom, n_snapshots, center=np.deg2rad(30.0),
         return rms[doas] - delta
 
     scan = _threshold_scan(geom, center)
-
-    def first_turn(points):
-        """First neighbours of ``points`` where the verdict turns, or None."""
-        for i, j in zip(points, points[1:]):
-            if not excess(scan[i]) <= 0 and excess(scan[j]) <= 0:
-                return i, j
-        return None
-
-    last = scan.size - 1
-    coarse = first_turn([*range(0, last, _THRESHOLD_STRIDE), last])
-    turn = first_turn(range(coarse[0] if coarse else 0, last + 1))
-    if turn is None:
-        raise NumericalFailure('no resolution crossing inside the scan range')
-    i, j = turn
-    a, b = _false_position(excess, scan[i], scan[j],
-                           excess(scan[i]), excess(scan[j]))
-    return 0.5 * (a + b)
+    for i in range(scan.size - 1):
+        if not excess(scan[i]) <= 0 and excess(scan[i + 1]) <= 0:
+            a, b = _false_position(excess, scan[i], scan[i + 1],
+                                   excess(scan[i]), excess(scan[i + 1]))
+            return 0.5 * (a + b)
+    raise NumericalFailure('no resolution crossing inside the scan range')

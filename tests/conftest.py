@@ -1,4 +1,8 @@
-"""Shared fixtures: acceptance verdict reporting.
+"""Shared fixtures: empty caches and acceptance verdict reporting.
+
+Every test starts with the package's ``functools.lru_cache`` memos
+empty, so that no test reads an entry that another built, such as a
+threshold scan from a stand-in MSE builder.
 
 The acceptance tests each report one PASS/FAIL line with measured
 margins. Captured stdout only surfaces on failure, so the lines are
@@ -7,8 +11,25 @@ where they are visible in any run mode.
 """
 
 import re
+import sys
 
 import pytest
+
+
+@pytest.fixture(autouse=True)
+def clear_package_caches():
+    """Empty every ``lru_cache`` of the package's modules, before and
+    after the test."""
+    def clear():
+        for name, mod in list(sys.modules.items()):
+            if name == 'coarray_lab' or name.startswith('coarray_lab.'):
+                for value in vars(mod).values():
+                    if callable(getattr(value, 'cache_clear', None)):
+                        value.cache_clear()
+
+    clear()
+    yield
+    clear()
 
 
 def pytest_configure(config):

@@ -540,8 +540,8 @@ def test_threshold_scan_continues_past_six_degrees_on_small_coarrays():
 
 def test_resolution_threshold_finds_a_crossing_between_coarse_points():
     # the verdict is True on 7 scan points near the top of the scan,
-    # all between two coarse points where it is False; the coarse pass
-    # sees no turn and used to raise NumericalFailure
+    # all between two points 8 apart where it is False; a pass over
+    # every 8th point sees no turn there, the full scan does
     geom = geometry.custom((0, 1, 5, 7))
     center, noise = np.deg2rad(35.0), 10.0 ** 0.8
     thr = analysis.resolution_threshold(geom, 20, center=center,
@@ -587,55 +587,35 @@ def scan_pairs(center, deltas):
     return np.stack((center - deltas / 2.0, center + deltas / 2.0), axis=1)
 
 
-def coarse_points(scan):
-    last = scan.size - 1
-    return [*range(0, last, analysis._THRESHOLD_STRIDE), last]
-
-
-def test_resolution_threshold_skips_a_run_before_a_later_coarse_turn(
-        monkeypatch):
-    """A resolvable run between two coarse points is not seen when a
-    later coarse pair turns: the coarse pass stops at that later turn,
-    the fine pass starts at its first point, and the threshold is the
-    later crossing, not the full scan's first one. The fine pass scans
-    every point only when the coarse pass finds no turn at all. This
-    pins that behaviour on a synthetic excess; on the real closed form
-    such a run was not found in a 600-draw survey.
+def test_resolution_threshold_finds_a_run_before_a_later_turn(monkeypatch):
+    """The threshold is the full scan's first turn, also where a short
+    resolvable run comes before a later turn, as it can near endfire.
+    This pins that on a synthetic excess; a pass over every 8th point
+    stepped over the short run and returned the later crossing.
     """
     geom, center = geometry.mra(10), np.deg2rad(30.0)
     scan = analysis._threshold_scan(geom, center)
-    # the verdict is True on scan points 20..22, between the False
-    # coarse points 16 and 24, and from 39 on, past the False coarse
-    # point 32 and before the True coarse point 40
+    # the verdict is True on scan points 20..22 and from 39 on
     sign = np.ones(scan.size)
     sign[20:23] = sign[39:] = -1.0
-    excess = scan_excess(scan, sign)
     stacks = []
     monkeypatch.setattr(analysis, '_mse_stack',
-                        synthetic_stack(excess, stacks))
+                        synthetic_stack(scan_excess(scan, sign), stacks))
     thr = analysis.resolution_threshold(geom, 1, center=center)
-    assert scan[38] < thr < scan[39]
-    # one stacked call holds every coarse point, the next the points
-    # strictly inside the coarse turn (32, 40), then one per call
-    seen = [row[1] - row[0] for stack in stacks for row in stack]
-    np.testing.assert_array_equal(
-        stacks[0], scan_pairs(center, scan[coarse_points(scan)]))
-    np.testing.assert_array_equal(stacks[1], scan_pairs(center, scan[33:40]))
-    assert all(len(stack) == 1 for stack in stacks[2:])
-    # nothing strictly between the coarse points 16 and 24 was read
-    # (a separation read back from the DOAs is off in its last bits)
-    assert not any(1.001 * scan[16] < d < 0.999 * scan[24] for d in seen)
-    assert [excess(d) <= 0 for d in scan[19:24]] == [False] + [True] * 3 \
-        + [False]
+    assert scan[19] < thr < scan[20]
+    # one stacked call holds the whole scan, then the polish goes one
+    # separation per call
+    np.testing.assert_array_equal(stacks[0], scan_pairs(center, scan))
+    assert all(len(stack) == 1 for stack in stacks[1:])
     # the sequential route reads the same verdicts
     assert reference.resolution_threshold(geom, 1, center=center) == thr
 
 
 def test_resolution_threshold_ignores_unread_points(monkeypatch):
-    """A stacked pass also evaluates points that the scan never reads:
-    coarse points past the first coarse turn. A failed (zero-curvature)
+    """The stacked scan also evaluates points that a read in order never
+    reaches: the points past the first turn. A failed (zero-curvature)
     or non-finite row there neither raises nor moves the threshold; the
-    same failed row at a point the scan reads raises NumericalFailure,
+    same failed row at a point the read reaches raises NumericalFailure,
     as the one-point-at-a-time route does.
     """
     geom, center = geometry.mra(10), np.deg2rad(30.0)
@@ -645,6 +625,8 @@ def test_resolution_threshold_ignores_unread_points(monkeypatch):
 
     def threshold(route, bad, broken):
         stacks = []
+        # the scan stack is memoized; drop the last stand-in's rows
+        analysis._scan_stack.cache_clear()
         monkeypatch.setattr(analysis, '_mse_stack', synthetic_stack(
             lambda d: np.nan if np.isclose(d, broken, rtol=1e-9)
             else excess(d), stacks,
@@ -653,22 +635,62 @@ def test_resolution_threshold_ignores_unread_points(monkeypatch):
 
     clean, _ = threshold(analysis.resolution_threshold, -1.0, -1.0)
     assert scan[26] < clean < scan[27]
-    # the coarse turn is (24, 32); coarse points 40 and on are evaluated
-    # in the first stack but never read
-    for bad, broken in ((scan[40], scan[48]), (scan[48], scan[40]),
+    # the first turn is (26, 27); points 28 and on are evaluated in the
+    # scan's stack but never read
+    for bad, broken in ((scan[28], scan[48]), (scan[48], scan[28]),
                         (scan[scan.size - 1], scan[56])):
         got, stacks = threshold(analysis.resolution_threshold, bad, broken)
         assert got == clean
         evaluated = stacks[0][:, 1] - stacks[0][:, 0]
         assert np.isclose(evaluated, bad, rtol=1e-9).any()
         assert np.isclose(evaluated, broken, rtol=1e-9).any()
-    # a failed row the scan reads: a coarse point before the turn, a
-    # fine point before the turn, and the fine turn's own upper point
-    for bad in (scan[8], scan[25], scan[27]):
+    # a non-finite RMS sum the read reaches is unresolvable: the turn
+    # moves up one point
+    moved, _ = threshold(analysis.resolution_threshold, -1.0, scan[27])
+    assert scan[27] < moved < scan[28]
+    assert threshold(reference.resolution_threshold, -1.0, scan[27])[0] \
+        == moved
+    # a failed row the read reaches: the first point, one before the
+    # turn, and the turn's own upper point
+    for bad in (scan[0], scan[25], scan[27]):
         for route in (analysis.resolution_threshold,
                       reference.resolution_threshold):
             got, _ = threshold(route, bad, -1.0)
             assert got is analysis.NumericalFailure
+
+
+def failure(fn, *args, **kwargs):
+    """The message of the NumericalFailure a call raises."""
+    with pytest.raises(analysis.NumericalFailure) as info:
+        fn(*args, **kwargs)
+    return str(info.value)
+
+
+NO_CROSSING = 'no resolution crossing inside the scan range'
+
+
+def test_resolution_threshold_scan_ends_match_the_reference(monkeypatch):
+    # a scan of no point or of one point has no pair of neighbours
+    geom = geometry.mra(10)
+    for gap, size in ((5e-6, 0), (9.3e-6, 1)):
+        center = np.pi / 2 - gap
+        assert analysis._threshold_scan(geom, center).size == size
+        for route in (analysis.resolution_threshold,
+                      reference.resolution_threshold):
+            assert failure(route, geom, 500, center=center) == NO_CROSSING
+    # a failed last point with no turn before it: a read in order
+    # reaches it only from an unresolvable neighbour
+    center = np.deg2rad(30.0)
+    scan = analysis._threshold_scan(geom, center)
+    for sign, want in ((1.0, analysis._NONPOSITIVE_CURVATURE),
+                       (-1.0, NO_CROSSING)):
+        analysis._scan_stack.cache_clear()
+        monkeypatch.setattr(analysis, '_mse_stack', synthetic_stack(
+            scan_excess(scan, np.full(scan.size, sign)), [],
+            lambda d: np.isclose(d, scan[-1], rtol=1e-9)))
+        for route in (analysis.resolution_threshold,
+                      reference.resolution_threshold):
+            assert failure(route, geom, 1, center=center) == want
 
 
 @pytest.mark.parametrize('center_deg', [88.0, 89.5, -89.5])
@@ -770,7 +792,7 @@ def bisection(resolvable, a, b):
 
 
 def check_threshold(got, geom, n_snapshots, mse, center=np.deg2rad(30.0),
-                    noise_power=1.0, rtol=2e-12, strict=True):
+                    noise_power=1.0, rtol=2e-12, strict=True, brackets=None):
     """Hold a threshold, or the NumericalFailure type, to the full scan.
 
     Both fail or neither does. A value lies in the full scan's first
@@ -780,14 +802,18 @@ def check_threshold(got, geom, n_snapshots, mse, center=np.deg2rad(30.0),
     equally valid roots. ``strict`` asks for a False verdict at the
     lower neighbour float and a True one at the upper; otherwise the
     verdict need only turn between the value and one neighbour.
+    ``brackets``, when given, lists the brackets the threshold polished:
+    the full scan's one, or none when it failed.
     """
     try:
         resolvable, a, b = full_scan_crossing(geom, n_snapshots, mse, center,
                                               noise_power)
     except analysis.NumericalFailure:
         assert got is analysis.NumericalFailure
+        assert not brackets
         return
     assert got is not analysis.NumericalFailure
+    assert brackets is None or brackets == [(a, b)]
     assert a <= got <= b
     lower, upper = np.nextafter(got, 0.0), np.nextafter(got, np.inf)
     if strict:
@@ -892,6 +918,19 @@ def test_crb_matches_high_precision_trace_form(spec, k):
     assert relative_gap(analysis.crb(geom, sc, 500).crb, want) <= 1e-12
 
 
+def recorded_brackets(monkeypatch):
+    """Record the (a, b) of every ``analysis._false_position`` call."""
+    brackets = []
+    real = analysis._false_position
+
+    def recorded(excess, a, b, ga, gb):
+        brackets.append((a, b))
+        return real(excess, a, b, ga, gb)
+
+    monkeypatch.setattr(analysis, '_false_position', recorded)
+    return brackets
+
+
 def recorded_stacks(monkeypatch):
     """Record the DOA stack of every ``analysis._mse_stack`` call."""
     stacks = []
@@ -912,6 +951,7 @@ def test_resolution_threshold_never_repeats_a_doa_pair(monkeypatch):
         for snr in (-5.0, 20.0):
             for n in (100, 2000):
                 stacks.clear()
+                analysis._scan_stack.cache_clear()
                 analysis.resolution_threshold(
                     geom, n, noise_power=10.0 ** (-snr / 10.0))
                 pairs = [tuple(row) for stack in stacks for row in stack]
@@ -943,29 +983,35 @@ POLISH_EVALUATIONS = 35
 
 def test_resolution_threshold_matches_full_scan(monkeypatch):
     stacks = recorded_stacks(monkeypatch)
+    brackets = recorded_brackets(monkeypatch)
     center = np.deg2rad(30.0)
     values = 0
+    builds = {}
     for geom, n, noise in threshold_grid():
         stacks.clear()
+        brackets.clear()
         got = outcome(analysis.resolution_threshold, geom, n,
                       center=center, power=1.0, noise_power=noise)
         sizes = [len(stack) for stack in stacks]
         check_threshold(got, geom, n, analysis.analytical_mse,
-                        center=center, noise_power=noise)
+                        center=center, noise_power=noise, brackets=brackets)
+        # a build of the whole scan in one call, then the polish one
+        # separation per call
+        scan = analysis._threshold_scan(geom, center)
+        if sizes and sizes[0] == scan.size:
+            np.testing.assert_array_equal(stacks[0],
+                                          scan_pairs(center, scan))
+            builds[geom] = builds.get(geom, 0) + 1
+            sizes = sizes[1:]
+        assert sizes == [1] * len(sizes)
+        assert len(sizes) <= POLISH_EVALUATIONS
         if got is not analysis.NumericalFailure:
             values += 1
-            # one call with every coarse point, one with at most the
-            # stride - 1 points inside the coarse turn, then the polish
-            # one separation per call
-            coarse = len(coarse_points(analysis._threshold_scan(geom,
-                                                                center)))
-            assert sizes[0] == coarse
-            assert sizes[1] <= analysis._THRESHOLD_STRIDE - 1
-            assert sizes[2:] == [1] * (len(sizes) - 2)
-            assert len(sizes) <= 2 + POLISH_EVALUATIONS
-            assert sum(sizes) <= (coarse + analysis._THRESHOLD_STRIDE - 1
-                                  + POLISH_EVALUATIONS)
+        else:
+            assert not sizes
     assert values >= 55
+    # the 15 (SNR, N) thresholds of an array share one build of its scan
+    assert list(builds.values()) == [1] * 4
 
 
 def test_resolution_threshold_equals_the_sequential_reference():

@@ -311,9 +311,24 @@ def test_estimate_doas_checks_its_grid_step():
     as_array = estimator.estimate_doas(en, 2, grid_step=np.asarray(step))
     np.testing.assert_array_equal(as_array.angles, as_float.angles)
     np.testing.assert_allclose(as_float.angles, sc.doas, rtol=0, atol=1e-6)
-    for bad in (0.0, -0.1, np.inf, np.nan):
+    # 1e-300 asks for an FFT of about 2^997 points: it fails on the
+    # ceiling, before anything is allocated
+    for bad in (0.0, -0.1, np.inf, np.nan, 1e-300, 5e-324):
         with pytest.raises(ValueError, match='grid step'):
             estimator.estimate_doas(en, 2, grid_step=bad)
+
+
+def test_scan_size_stops_at_its_ceiling():
+    # at d0 = wavelength / 2 a step of 2^-19 rad is 2^20 phases a cycle
+    assert estimator.scan_size(8, np.deg2rad(0.1)) == 2048
+    assert estimator.scan_size(8, 2.0 ** -19) == estimator.MAX_SCAN_SIZE
+    assert estimator.scan_size(8, 2.0 ** -20, d0=1.0) \
+        == estimator.MAX_SCAN_SIZE
+    assert estimator.scan_size(40, 1.0) == 128  # at least 2 mv phases
+    for step, d0 in ((np.nextafter(2.0 ** -19, 0.0), 0.5), (1e-300, 0.5),
+                     (2.0 ** -19, 0.25)):
+        with pytest.raises(ValueError, match='scan phases'):
+            estimator.scan_size(8, step, d0=d0)
 
 
 # Dense references for estimate_doas at d0 = wavelength / 2: the null

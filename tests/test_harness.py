@@ -866,6 +866,21 @@ def test_cli_estimate_checks_source_count_before_simulating(tmp_path,
     assert not dump.exists()
 
 
+def test_cli_estimate_checks_scan_size_before_simulating(tmp_path, capsys):
+    # a grid step this fine needs an FFT far past the estimator's
+    # ceiling; it fails as a bad argument, before any snapshot is drawn
+    scenario = tmp_path / 'scenario.json'
+    scenario.write_text(json.dumps({'doas_deg': [-20.0, 25.0],
+                                    'snr_db': 0.0}))
+    dump = tmp_path / 'snaps.csv'
+    assert cli.main(['estimate', '--array', 'coprime:2',
+                     '--scenario', str(scenario), '--grid-step-deg', '1e-300',
+                     '--dump-snapshots', str(dump)]) == 2
+    out, err = capsys.readouterr()
+    assert out == '' and 'grid step' in err and 'scan phases' in err
+    assert not dump.exists()
+
+
 def test_cli_analyze(tmp_path, capsys):
     cfg = tmp_path / 'cfg.json'
     cfg.write_text(json.dumps({'kind': 'efficiency',
@@ -921,6 +936,8 @@ def test_cli_run_rejects_bad_config(tmp_path, capsys):
     ({'snr_db': [-10.0], 'power': 1e308}, 'noise power'),  # infinite
     ({'kind': 'resolution', 'center_deg': True}, 'center_deg'),
     ({'out_dir': 5}, 'out_dir'),
+    # an FFT far past the ceiling
+    ({'grid_step_deg': 1e-300, 'doas_deg': [-20, 25]}, 'scan phases'),
 ])
 def test_cli_run_rejects_bad_values_before_any_trial(tmp_path, capsys,
                                                      trial_calls, bad, named):
@@ -937,6 +954,23 @@ def test_cli_run_rejects_bad_values_before_any_trial(tmp_path, capsys,
     assert err.startswith('error: ') and err.count('\n') == 1, err
     assert named in err
     assert trial_calls == []
+    assert not out_dir.parent.exists()
+
+
+def test_cli_run_removes_its_directories_on_a_numerical_failure(tmp_path,
+                                                                capsys):
+    # the predicted threshold fails half a degree off endfire: exit 3,
+    # and the run takes away the two directory levels it made
+    out_dir = tmp_path / 'out' / 'run'
+    cfg = tmp_path / 'cfg.json'
+    cfg.write_text(json.dumps({
+        'kind': 'resolution', 'arrays': ['ula:3'], 'center_deg': 89.5,
+        'delta_deg': [0.5], 'snr_db': [0.0], 'n_snapshots': [500],
+        'n_trials': 2}))
+    assert cli.main(['run', '--config', str(cfg), '--out',
+                     str(out_dir)]) == 3
+    out, err = capsys.readouterr()
+    assert out == '' and 'nonpositive curvature' in err
     assert not out_dir.parent.exists()
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from coarray_lab import (analysis, estimator, geometry, harness, model,
                          reference)
-from test_analysis import check_threshold, outcome
+from test_analysis import check_threshold, outcome, recorded_brackets
 
 hypothesis = pytest.importorskip('hypothesis')
 st = hypothesis.strategies
@@ -251,7 +251,7 @@ def test_crb_coefficients_match_whitening_reference(geom, seed, u, snrs, n):
     holey.filter(lambda geom: geometry.difference_coarray(geom).mv >= 3),
     st.floats(-10.0, 30.0), st.integers(20, 5000), st.floats(-50.0, 50.0))
 def test_resolution_threshold_matches_full_scan(geom, snr_db, n, center_deg):
-    # the coarse-to-fine scan finds the full scan's first crossing; the
+    # the threshold polishes the full scan's first crossing bracket; the
     # scan reaches four virtual-array beamwidths, so small coarrays
     # cross inside it too and nearly every draw compares two values.
     # Every float where the verdict turns inside the excess's rounding
@@ -264,10 +264,13 @@ def test_resolution_threshold_matches_full_scan(geom, snr_db, n, center_deg):
     # end of an adjacent pair with False below and True above.
     center = np.deg2rad(center_deg)
     noise = 10.0 ** (-snr_db / 10.0)
-    got = outcome(analysis.resolution_threshold, geom, n, center=center,
-                  power=1.0, noise_power=noise)
+    with pytest.MonkeyPatch.context() as patch:
+        brackets = recorded_brackets(patch)
+        got = outcome(analysis.resolution_threshold, geom, n, center=center,
+                      power=1.0, noise_power=noise)
     check_threshold(got, geom, n, analysis.analytical_mse, center=center,
-                    noise_power=noise, rtol=5e-11, strict=False)
+                    noise_power=noise, rtol=5e-11, strict=False,
+                    brackets=brackets)
 
 
 @settings
