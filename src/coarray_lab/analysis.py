@@ -311,10 +311,16 @@ def _mse_stack(geom, doas, powers):
     folded = np.array([[np.convolve(b[::-1, j], al[j], mode='full')
                         for j in range(k)] for b, al in zip(beta, alpha)]
                       ).reshape(n_rows, k, 2 * mv - 1)
+    # only the lag copy and xi, each S x K x M^2, are live at the gather
+    del av, av_dot, av_pinv
     cols, rows, vals = _lag_gather(co)
+    gathered = folded[..., rows]
+    del folded
+    gathered *= vals
     m = geom.n_sensors
     xi = np.zeros((n_rows, k, m * m), dtype=complex)
-    xi[..., cols] = folded[..., rows] * vals
+    xi[..., cols] = gathered
+    del gathered
     powers = np.asarray(powers, dtype=float)
     a, _ = _steering(geom.position_array(), doas, rate)
     aw = (a * np.sqrt(powers))[:, None]

@@ -276,6 +276,12 @@ def _failure_gate(doas):
     return 0.5 * float(np.min(np.diff(doas)))
 
 
+# Trials whose sample covariances are drawn as one stack, so a block's
+# memory does not grow with its trial count: at M = 48 each stacked
+# M x M complex array of a slice takes 64 * 48^2 * 16 B = 2.36 MB.
+_DRAW_SLICE = 64
+
+
 def _trial_block(geom, scenario, n_snapshots, methods, master_seed,
                  combo_index, grid_step, trials):
     """Estimates of the trials in the range ``trials``, in radians.
@@ -284,21 +290,24 @@ def _trial_block(geom, scenario, n_snapshots, methods, master_seed,
     holds its ascending angles, an unresolved one's is NaN.
     """
     co = geometry.difference_coarray(geom)
-    f = geometry.selection_matrix(co)
+    # cast once: a real F would be promoted to complex in every product
+    f = geometry.selection_matrix(co).astype(complex)
     chol = np.linalg.cholesky(model.true_covariance(geom, scenario))
     estimates = np.full((len(methods), len(trials), scenario.n_sources),
                         np.nan)
-    for i, trial in enumerate(trials):
-        seed = np.random.SeedSequence(entropy=master_seed,
-                                      spawn_key=(combo_index, trial))
-        r_hat = model.sample_covariance_draw(chol, n_snapshots, seed)
-        z = model.virtual_observation(f, r_hat)
-        for row, method in zip(estimates, methods):
-            est = run_music(z, co.mv, scenario.n_sources, method=method,
-                            grid_step=grid_step, d0=geom.d0,
-                            wavelength=geom.wavelength)
-            if est.resolved:
-                row[i] = est.angles
+    for start in range(0, len(trials), _DRAW_SLICE):
+        seeds = [np.random.SeedSequence(entropy=master_seed,
+                                        spawn_key=(combo_index, trial))
+                 for trial in trials[start:start + _DRAW_SLICE]]
+        draws = model.sample_covariance_draws(chol, n_snapshots, seeds)
+        for i, r_hat in enumerate(draws, start):
+            z = model.virtual_observation(f, r_hat)
+            for row, method in zip(estimates, methods):
+                est = run_music(z, co.mv, scenario.n_sources, method=method,
+                                grid_step=grid_step, d0=geom.d0,
+                                wavelength=geom.wavelength)
+                if est.resolved:
+                    row[i] = est.angles
     return estimates
 
 
@@ -349,7 +358,9 @@ def run_trials(geom, scenario, n_snapshots, methods, master_seed,
     """Monte Carlo trials for one sweep point.
 
     Each trial draws its sample covariance from the complex Wishart law
-    CW(N, R) / N (:func:`model.sample_covariance_draw`), and DA and SS
+    CW(N, R) / N on its own stream; a block draws its trials as stacks
+    (:func:`model.sample_covariance_draws`), and each stack slice equals
+    the trial's own :func:`model.sample_covariance_draw`. DA and SS
     share each trial's sample covariance so method comparisons see
     identical noise. With ``threads > 1`` the trials are split into
     contiguous ranges run in worker processes, those of the enclosing

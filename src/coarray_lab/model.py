@@ -7,7 +7,10 @@ from degrees.
 
 Monte Carlo trials see their data only through the sample covariance,
 so they draw it directly from its complex Wishart law,
-N R_hat ~ CW_M(N, R), with :func:`sample_covariance_draw`.
+N R_hat ~ CW_M(N, R). A block of trials draws its covariances as one
+stack with :func:`sample_covariance_draws`, each from its own trial's
+stream read in the same order as the one-trial
+:func:`sample_covariance_draw`, which is the stack's one-seed case.
 :func:`simulate_snapshots` and :func:`sample_covariance` form it the
 long way, for single estimates with a snapshot dump and as the
 reference the draw is tested against.
@@ -30,7 +33,7 @@ __all__ = [
     'SourceScenario',
     'steering_vector', 'steering_matrix', 'true_covariance',
     'simulate_snapshots', 'sample_covariance', 'sample_covariance_draw',
-    'virtual_observation',
+    'sample_covariance_draws', 'virtual_observation',
     'vec', 'unvec', 'dump_snapshots_csv',
 ]
 
@@ -214,8 +217,8 @@ def sample_covariance(snapshots):
     return 0.5 * (r_mat + r_mat.conj().T)
 
 
-def sample_covariance_draw(chol, n_snapshots, seed):
-    """Sample covariance of N snapshots, drawn from its Wishart law.
+def sample_covariance_draws(chol, n_snapshots, seeds):
+    """Sample covariances of N snapshots, one per seed, from their Wishart law.
 
     For N independent CN(0, R) snapshots, N R_hat is complex Wishart
     CW_M(N, R). With R = L L^H this draws N R_hat = (L T)(L T)^H from
@@ -227,34 +230,49 @@ def sample_covariance_draw(chol, n_snapshots, seed):
     followed by :func:`sample_covariance`; the two have one law but
     are different draws for the same seed.
 
+    Each seed is its own Philox stream, read in its own order; only the
+    products and the symmetrization after the draws act on the whole
+    stack, per slice, so slice b equals the one-seed draw of
+    ``seeds[b]`` bit for bit.
+
     Args:
         chol: Lower Cholesky factor L of the model covariance R.
         n_snapshots: Number of snapshots N >= 1.
-        seed: Integer or ``numpy.random.SeedSequence`` of one Philox
-            stream: first the below-diagonal entries of T, row-major,
-            then its diagonal.
+        seeds: Sequence of B integers or ``numpy.random.SeedSequence``,
+            each of one Philox stream: first the below-diagonal entries
+            of T, row-major, then its diagonal.
 
     Returns:
-        Hermitian-symmetrized M x M sample covariance R_hat.
+        B x M x M stack of Hermitian-symmetrized sample covariances.
     """
     if n_snapshots < 1:
         raise ValueError('need at least one snapshot')
     chol = np.asarray(chol)
     m = chol.shape[0]
     p = min(m, n_snapshots)
-    rng = np.random.Generator(np.random.Philox(seed))
-    below = np.tri(m, p, -1, dtype=bool)
-    t = np.zeros((m, p), dtype=complex)
+    rows, cols = np.nonzero(np.tri(m, p, -1, dtype=bool))
+    diag = np.arange(p)
+    shapes = n_snapshots - diag
+    normals = np.empty((len(seeds), rows.size, 2))
+    gammas = np.empty((len(seeds), p))
+    for seed, normal, gamma in zip(seeds, normals, gammas):
+        rng = np.random.Generator(np.random.Philox(seed))
+        rng.standard_normal(out=normal)
+        # chi^2_{2k} / 2 is Gamma(k, 1)
+        rng.standard_gamma(shapes, out=gamma)
+    t = np.zeros((len(seeds), m, p), dtype=complex)
     # CN(0, 1): each (re, im) pair of N(0, 1) draws, scaled by sqrt(1/2),
     # is read in place as one complex
-    t[below] = np.sqrt(0.5) * rng.standard_normal(
-        (np.count_nonzero(below), 2)).view(complex)[:, 0]
-    # chi^2_{2k} / 2 is Gamma(k, 1)
-    np.fill_diagonal(t, np.sqrt(rng.standard_gamma(
-        n_snapshots - np.arange(p))))
+    t[:, rows, cols] = np.sqrt(0.5) * normals.view(complex)[..., 0]
+    t[:, diag, diag] = np.sqrt(gammas)
     lt = chol @ t
-    r_mat = lt @ lt.conj().T / n_snapshots
-    return 0.5 * (r_mat + r_mat.conj().T)
+    r_mat = lt @ np.swapaxes(lt.conj(), -1, -2) / n_snapshots
+    return 0.5 * (r_mat + np.swapaxes(r_mat.conj(), -1, -2))
+
+
+def sample_covariance_draw(chol, n_snapshots, seed):
+    """The one-seed case of :func:`sample_covariance_draws`, M x M."""
+    return sample_covariance_draws(chol, n_snapshots, [seed])[0]
 
 
 def virtual_observation(f, r_mat):

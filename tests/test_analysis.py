@@ -587,6 +587,24 @@ def scan_pairs(center, deltas):
     return np.stack((center - deltas / 2.0, center + deltas / 2.0), axis=1)
 
 
+def test_whole_scan_build_peak_stays_within_four_xi():
+    # the xi gather multiplies its lag copy in place, after the steering
+    # stacks and the folded correlations are freed; with all of them
+    # live beside the product, the mra(10) build peaked near 6 xi
+    import tracemalloc
+    geom = geometry.mra(10)
+    center = np.deg2rad(30.0)
+    pairs = scan_pairs(center, analysis._threshold_scan(geom, center))
+    analysis._mse_stack(geom, pairs, (1.0, 1.0))  # warm the memos
+    tracemalloc.start()
+    try:
+        terms, _ = analysis._mse_stack(geom, pairs, (1.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * terms.xi.nbytes
+
+
 def test_resolution_threshold_finds_a_run_before_a_later_turn(monkeypatch):
     """The threshold is the full scan's first turn, also where a short
     resolvable run comes before a later turn, as it can near endfire.

@@ -215,6 +215,37 @@ def test_trial_matches_direct_replay():
     assert resolved == {True, False}
 
 
+def test_trials_past_a_draw_slice_match_direct_replay():
+    # a block draws its trials in stacks of harness._DRAW_SLICE; the
+    # three trials past the first stack replay from their own seeds too,
+    # through the one-seed draw and the real selection matrix
+    from coarray_lab import estimator
+    geom = geometry.nested(2, 3)
+    sc = model.SourceScenario.with_snr(np.deg2rad([-5.0, 20.0]), 0.0)
+    n_trials = harness._DRAW_SLICE + 3
+    methods = ('da', 'ss')
+    est = harness.run_trials(geom, sc, 40, methods, master_seed=5,
+                             combo_index=2, n_trials=n_trials,
+                             grid_step=np.deg2rad(0.5))
+    assert est.shape == (2, n_trials, 2)
+    co = geometry.difference_coarray(geom)
+    f = geometry.selection_matrix(co)
+    assert f.dtype == float
+    chol = np.linalg.cholesky(model.true_covariance(geom, sc))
+    for trial in range(n_trials):
+        seed = np.random.SeedSequence(entropy=5, spawn_key=(2, trial))
+        z = model.virtual_observation(
+            f, model.sample_covariance_draw(chol, 40, seed))
+        for m, method in enumerate(methods):
+            estimator._TRIAL_CACHE.clear()
+            replay = estimator.run_music(z, co.mv, 2, method=method,
+                                         grid_step=np.deg2rad(0.5),
+                                         d0=geom.d0)
+            want = replay.angles if replay.resolved else [np.nan] * 2
+            np.testing.assert_array_equal(est[m, trial], want)
+    assert np.all(np.isfinite(est[:, -3:]))
+
+
 def test_run_trials_uses_the_geometry_spacing():
     # quarter-wavelength spacing: an estimator that assumed half a
     # wavelength put a 20 deg source near 9.8 deg and still resolved it

@@ -249,6 +249,75 @@ def test_sample_covariance_draw_seeding_and_validation():
             model.sample_covariance_draw(chol, bad, 1)
 
 
+def _trial_seed(trial):
+    return np.random.SeedSequence(entropy=7, spawn_key=(1, trial))
+
+
+@pytest.mark.parametrize('spec, n', [
+    (('coprime', 3, 5), 500), (('mra', 10), 10),
+    (('nested', 2, 3), 1), (('nested', 2, 3), 3)],
+    ids=['coprime35-N500', 'mra10-N10', 'nested23-N1', 'nested23-N3'])
+def test_sample_covariance_draws_slices_equal_one_seed_draws(spec, n):
+    # N >= M on two arrays, and the singular N < M draw on nested(2,3)
+    geom = geometry.make_array(*spec)
+    sc = model.SourceScenario((-0.4, 0.5), (2.0, 0.5), 0.7)
+    chol = np.linalg.cholesky(model.true_covariance(geom, sc))
+    seeds = [_trial_seed(t) for t in range(6)] + [11]
+    stack = model.sample_covariance_draws(chol, n, seeds)
+    m = geom.n_sensors
+    assert stack.shape == (7, m, m)
+    for t, r_hat in enumerate(stack[:6]):
+        assert np.array_equal(
+            r_hat, model.sample_covariance_draw(chol, n, _trial_seed(t)))
+    assert np.array_equal(stack[6], model.sample_covariance_draw(chol, n, 11))
+
+
+def test_sample_covariance_draws_read_each_stream_in_bartlett_order():
+    # one stream per seed: the below-diagonal normals row by row, then
+    # the diagonal gammas, whatever the seed's place in the stack
+    geom = geometry.nested(2, 3)
+    sc = model.SourceScenario((-0.4, 0.5), (2.0, 0.5), 0.7)
+    chol = np.linalg.cholesky(model.true_covariance(geom, sc))
+    m, n = geom.n_sensors, 3
+    stack = model.sample_covariance_draws(chol, n, [_trial_seed(t)
+                                                    for t in range(3)])
+    for t, r_hat in enumerate(stack):
+        rng = np.random.Generator(np.random.Philox(_trial_seed(t)))
+        bartlett = np.zeros((m, n), dtype=complex)
+        for i in range(1, m):
+            for j in range(min(i, n)):
+                re, im = rng.standard_normal(2)
+                bartlett[i, j] = np.sqrt(0.5) * (re + 1j * im)
+        for i in range(n):
+            bartlett[i, i] = np.sqrt(rng.standard_gamma(n - i))
+        lt = chol @ bartlett
+        np.testing.assert_allclose(r_hat, lt @ lt.conj().T / n,
+                                   rtol=1e-13, atol=1e-13)
+
+
+def test_sample_covariance_draws_checks_snapshots_before_any_stream(
+        monkeypatch):
+    geom = geometry.ula(4)
+    chol = np.linalg.cholesky(model.true_covariance(
+        geom, model.SourceScenario.with_snr((0.1,), 0.0)))
+    streams = []
+    real = np.random.Philox
+
+    def counting(seed):
+        streams.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, 'Philox', counting)
+    for bad in (0, -2):
+        with pytest.raises(ValueError):
+            model.sample_covariance_draws(chol, bad, [1, 2])
+    assert streams == []
+    empty = model.sample_covariance_draws(chol, 8, [])
+    assert empty.shape == (0, 4, 4)
+    assert empty.dtype == complex
+    assert streams == []
+
+
 def test_virtual_observation_averages_lag_entries():
     geom = geometry.custom([0, 1, 4])
     co = geometry.difference_coarray(geom)
