@@ -43,6 +43,7 @@ All angles are radians; MSE values are rad^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,8 +52,8 @@ import numpy as np
 # selection_matrix is unused here but stays bound: bench/selftest.py
 # checks that the tracer wraps it at this lookup site.
 from .geometry import _lag_gather, difference_coarray, selection_matrix  # noqa: F401
-from .model import (SourceScenario, _phase_rate, _steering, steering_matrix,
-                    vec)
+from .model import (SourceScenario, _phase_rate, _response, _steering,
+                    steering_matrix, vec)
 
 __all__ = [
     'ErrorTerms', 'MseCoefficients', 'CrbReport', 'CrbCoefficients',
@@ -78,6 +79,19 @@ class NumericalFailure(RuntimeError):
 
 class CrbUndefined(NumericalFailure):
     """The CRB does not exist for the requested scenario."""
+
+
+def _snapshot_counts(n_snapshots):
+    """Snapshot counts N as an array, each finite and positive.
+
+    Raises:
+        ValueError: If an N is not finite and positive.
+    """
+    n = np.asarray(n_snapshots)
+    if not ((n > 0) & (n < np.inf)).all():
+        raise ValueError('snapshot counts must be finite and positive, got '
+                         f'{n_snapshots!r}')
+    return n
 
 
 @dataclass(frozen=True)
@@ -141,11 +155,15 @@ class MseCoefficients:
         Scalars give one K x K matrix; arrays of noise powers and N
         broadcast against each other and give a stack of them, each
         equal bit for bit to its scalar call.
+
+        Raises:
+            ValueError: If an N is not finite and positive.
         """
+        n = _snapshot_counts(n_snapshots)[..., None, None]
         s = np.asarray(noise_power)[..., None, None]
         quad = self.q0 + s * self.q1 + s ** 2 * self.q2
-        mse = quad / (np.asarray(n_snapshots)[..., None, None] * self.scale)
-        return 0.5 * (mse + np.swapaxes(mse, -1, -2))
+        mse = quad / (n * self.scale)
+        return 0.5 * (mse + mse.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -200,7 +218,11 @@ class CrbCoefficients:
 
     def report(self, noise_power, n_snapshots):
         """The :class:`CrbReport` at one noise power and N: the one-point
-        case of :meth:`reports`."""
+        case of :meth:`reports`.
+
+        Raises:
+            ValueError: If N is not finite and positive.
+        """
         return self.reports((noise_power,), (n_snapshots,))[0]
 
     def reports(self, noise_powers, n_snapshots):
@@ -236,11 +258,14 @@ class CrbCoefficients:
 
         Returns:
             A list of S reports, in the order of the points.
+
+        Raises:
+            ValueError: If an N is not finite and positive.
         """
+        n = _snapshot_counts(n_snapshots)[:, None, None]
         k = self.powers.size
         required = 2 * k + 1
         s = np.asarray(noise_powers, dtype=float)
-        n = np.asarray(n_snapshots)[:, None, None]
         d = 1.0 / np.sqrt(self.lam + s[:, None])
         col_scale = np.concatenate(
             (np.ones((s.size, k)), np.broadcast_to(self.powers, (s.size, k)),
@@ -269,6 +294,19 @@ class CrbCoefficients:
         return [CrbReport(fim=f, crb=c, jacobian_rank=int(r),
                           required_rank=required, gram_condition=cond)
                 for f, c, r, cond in zip(fim, crbs, rank, conds)]
+
+
+def _pinv(a):
+    """``np.linalg.pinv(a, rcond=_RANK_RCOND)`` of a stack, step for step.
+
+    The same SVD, cutoff and product as numpy's, without its argument
+    handling, which costs more than the arithmetic on a small stack.
+    """
+    u, s, vt = np.linalg.svd(a.conj(), full_matrices=False)
+    large = s > _RANK_RCOND * s.max(axis=-1, keepdims=True)
+    s = np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    return vt.swapaxes(-1, -2) @ (s[..., None] * u.swapaxes(-1, -2))
 
 
 def _mse_stack(geom, doas, powers):
@@ -302,19 +340,20 @@ def _mse_stack(geom, doas, powers):
     rate = _phase_rate(geom)
     # virtual-ULA steering matrices and their derivatives, S x mv x K
     av, av_dot = _steering(np.arange(mv), doas, rate)
-    av_pinv = np.linalg.pinv(av, rcond=_RANK_RCOND)
+    av_pinv = _pinv(av)
     alpha = -av_pinv
     beta = av_dot - av @ (av_pinv @ av_dot)
-    gamma = np.real(np.sum(av_dot.conj() * beta, axis=-2))
+    gamma = (av_dot.conj() * beta).sum(axis=-2).real
     # Gamma^T (beta ox alpha) is the full correlation of alpha_j with
     # beta_j, laid out over lags -(mv-1) .. mv-1; xi_j is F^T of it.
-    folded = np.array([[np.convolve(b[::-1, j], al[j], mode='full')
-                        for j in range(k)] for b, al in zip(beta, alpha)]
-                      ).reshape(n_rows, k, 2 * mv - 1)
+    folded = np.empty((n_rows, k, 2 * mv - 1), dtype=complex)
+    for i, (b, al) in enumerate(zip(beta, alpha)):
+        for j in range(k):
+            folded[i, j] = np.convolve(b[::-1, j], al[j], mode='full')
     # only the lag copy and xi, each S x K x M^2, are live at the gather
     del av, av_dot, av_pinv
     cols, rows, vals = _lag_gather(co)
-    gathered = folded[..., rows]
+    gathered = folded.take(rows, axis=-1)
     del folded
     gathered *= vals
     m = geom.n_sensors
@@ -322,12 +361,12 @@ def _mse_stack(geom, doas, powers):
     xi[..., cols] = gathered
     del gathered
     powers = np.asarray(powers, dtype=float)
-    a, _ = _steering(geom.position_array(), doas, rate)
-    aw = (a * np.sqrt(powers))[:, None]
+    aw = (_response(geom.position_array(), doas, rate)
+          * np.sqrt(powers))[:, None]
     x = xi.reshape(n_rows, k, m, m)
-    vt = np.swapaxes(aw.conj(), -1, -2) @ x
+    vt = aw.conj().swapaxes(-1, -2) @ x
     scale = powers * gamma
-    terms = ErrorTerms(mv=mv, alpha=alpha, beta=np.swapaxes(beta, -1, -2),
+    terms = ErrorTerms(mv=mv, alpha=alpha, beta=beta.swapaxes(-1, -2),
                        gamma=gamma, xi=xi)
     coeffs = MseCoefficients(
         q0=_gram(vt @ aw), q1=_gram(vt) + _gram(x @ aw), q2=_gram(xi),
@@ -336,18 +375,15 @@ def _mse_stack(geom, doas, powers):
 
 
 def _one_row(geom, scenario):
-    """The :func:`_mse_stack` row of one scenario, as unstacked fields.
+    """The one-row :func:`_mse_stack` of a scenario, fields still stacked.
 
     Raises:
         NumericalFailure: If a curvature gamma_k is not positive.
     """
     terms, coeffs = _mse_stack(geom, [scenario.doas], scenario.powers)
-    if np.any(terms.gamma <= 0):
+    if (terms.gamma <= 0).any():
         raise NumericalFailure(_NONPOSITIVE_CURVATURE)
-    return (ErrorTerms(mv=terms.mv, alpha=terms.alpha[0], beta=terms.beta[0],
-                       gamma=terms.gamma[0], xi=terms.xi[0]),
-            MseCoefficients(q0=coeffs.q0[0], q1=coeffs.q1[0],
-                            q2=coeffs.q2[0], scale=coeffs.scale[0]))
+    return terms, coeffs
 
 
 def error_terms(geom, scenario):
@@ -364,7 +400,9 @@ def error_terms(geom, scenario):
     Returns:
         An :class:`ErrorTerms` instance.
     """
-    return _one_row(geom, scenario)[0]
+    terms = _one_row(geom, scenario)[0]
+    return ErrorTerms(mv=terms.mv, alpha=terms.alpha[0], beta=terms.beta[0],
+                      gamma=terms.gamma[0], xi=terms.xi[0])
 
 
 def _gram(z):
@@ -374,9 +412,8 @@ def _gram(z):
     and imaginary parts, so one real product per row sums Re * Re +
     Im * Im without a copy.
     """
-    flat = z.reshape(*z.shape[:2], np.prod(z.shape[2:], dtype=int))
-    flat = flat.view(float)
-    return flat @ np.swapaxes(flat, -1, -2)
+    flat = z.reshape(*z.shape[:2], math.prod(z.shape[2:])).view(float)
+    return flat @ flat.swapaxes(-1, -2)
 
 
 def mse_coefficients(geom, scenario):
@@ -402,7 +439,9 @@ def mse_coefficients(geom, scenario):
     Returns:
         An :class:`MseCoefficients` instance.
     """
-    return _one_row(geom, scenario)[1]
+    coeffs = _one_row(geom, scenario)[1]
+    return MseCoefficients(q0=coeffs.q0[0], q1=coeffs.q1[0], q2=coeffs.q2[0],
+                           scale=coeffs.scale[0])
 
 
 def analytical_mse(geom, scenario, n_snapshots):
@@ -428,6 +467,10 @@ def analytical_mse(geom, scenario, n_snapshots):
 
     Returns:
         Real symmetric K x K matrix with positive diagonal (rad^2).
+
+    Raises:
+        ValueError: If N is not finite and positive, or K >= mv.
+        NumericalFailure: If a curvature gamma_k is not positive.
     """
     return mse_coefficients(geom, scenario).mse(scenario.noise_power,
                                                 n_snapshots)
@@ -553,6 +596,9 @@ def crb(geom, scenario, n_snapshots):
 
     Returns:
         A :class:`CrbReport`.
+
+    Raises:
+        ValueError: If N is not finite and positive.
     """
     return crb_coefficients(geom, scenario).report(scenario.noise_power,
                                                    n_snapshots)
@@ -722,7 +768,8 @@ def resolution_threshold(geom, n_snapshots, center=np.deg2rad(30.0),
 
     Raises:
         ValueError: If the centre, power or noise power is invalid, as
-            in a :class:`SourceScenario`.
+            in a :class:`SourceScenario`, or N is not finite and
+            positive.
         NumericalFailure: If no crossing is found inside the scan, or a
             pair the scan reads has a nonpositive curvature.
     """

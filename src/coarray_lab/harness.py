@@ -457,16 +457,21 @@ def _sweep(cfg):
     A point's index in the list is its combo index, which keys the
     seeds of its trials. Every scenario is built and checked here, so a
     bad point raises :class:`ConfigError` before any trial runs.
+    Estimability depends on the array and K alone, so each (array, K)
+    is checked once, at its first point.
     """
     points, notices = [], []
     groups = itertools.count()
+    estimable = set()
 
     def add(geom, mv, doas, snr, n, group, tags=()):
         try:
             scenario = model.SourceScenario.with_snr(doas, snr, cfg.power)
         except ValueError as exc:
             raise ConfigError(f'{geom.name}: {exc}') from exc
-        _check_estimable(geom, mv, scenario, cfg.grid_step_deg)
+        if (geom, scenario.n_sources) not in estimable:
+            _check_estimable(geom, mv, scenario, cfg.grid_step_deg)
+            estimable.add((geom, scenario.n_sources))
         points.append(_Point(geom, scenario, n, snr, tags, group))
 
     if cfg.kind == 'scaling':
@@ -718,6 +723,10 @@ def fifty_percent_crossing(x, p):
 
 
 def _fmt_cell(value):
+    # np.float64 is a float whose repr names its type, so only an exact
+    # float skips the .item() below
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, (np.floating, np.integer, np.bool_)):
         value = value.item()
     if isinstance(value, bool):

@@ -88,12 +88,11 @@ class SourceScenario:
         """Scenario with unit-reference powers and a noise floor set by SNR.
 
         The SNR convention is ``10 log10(min_k p_k / noise_power)``.
+        DOAs and powers are converted to floats once, by the scenario.
         """
-        doas = tuple(float(t) for t in doas)
-        powers = ((float(power),) * len(doas) if np.isscalar(power)
-                  else tuple(float(p) for p in power))
+        powers = (power,) * len(doas) if np.isscalar(power) else power
         try:
-            noise = min(powers) * 10.0 ** (-float(snr_db) / 10.0)
+            noise = float(min(powers)) * 10.0 ** (-float(snr_db) / 10.0)
         except OverflowError:
             raise ValueError(f'SNR {snr_db} dB is out of range') from None
         return cls(doas, powers, noise)
@@ -124,8 +123,7 @@ def steering_vector(geom, theta):
     units of d0. The first element is 1 only when the first sensor sits
     at the origin.
     """
-    a, _ = _steering(geom.position_array(), [theta], _phase_rate(geom))
-    return a[:, 0]
+    return _response(geom.position_array(), [theta], _phase_rate(geom))[:, 0]
 
 
 def steering_matrix(geom, scenario):
@@ -144,16 +142,21 @@ def steering_matrix(geom, scenario):
     return _steering(geom.position_array(), scenario.doas, _phase_rate(geom))
 
 
-def _steering(pos, theta, rate):
-    """Steering matrix over positions ``pos`` and its DOA derivative.
+def _response(pos, theta, rate):
+    """Steering matrix over positions ``pos``, without its derivative.
 
     Element (i, k) is ``exp(j * rate * pos_i * sin(theta_k))``, with
     ``rate`` the phase per unit position (see :func:`_phase_rate`). A
     stack of DOA sets, S x K, gives S x M x K stacks, each equal bit for
     bit to its own call.
     """
+    return np.exp(1j * rate * (pos[:, None] * np.sin(theta)[..., None, :]))
+
+
+def _steering(pos, theta, rate):
+    """:func:`_response` over positions ``pos`` and its DOA derivative."""
     theta = np.asarray(theta)
-    a = np.exp(1j * rate * (pos[:, None] * np.sin(theta)[..., None, :]))
+    a = _response(pos, theta, rate)
     a_dot = 1j * rate * np.cos(theta)[..., None, :] * pos[:, None] * a
     return a, a_dot
 

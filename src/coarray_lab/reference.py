@@ -18,7 +18,7 @@ import numpy as np
 from .analysis import (_RANK_RCOND, CrbReport, NumericalFailure,
                        _false_position, _jacobian_columns, _rms_sum,
                        _threshold_scan, analytical_mse, error_terms)
-from .model import (SourceScenario, _steering, steering_matrix,
+from .model import (SourceScenario, _response, steering_matrix,
                     true_covariance)
 
 __all__ = [
@@ -72,8 +72,7 @@ def music_spectrum(en, grid, d0=0.5, wavelength=1.0):
     """
     en = np.asarray(en)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    a, _ = _steering(np.arange(en.shape[0]), grid,
-                     2.0 * np.pi * d0 / wavelength)
+    a = _response(np.arange(en.shape[0]), grid, 2.0 * np.pi * d0 / wavelength)
     d = np.sum(np.abs(en.conj().T @ a) ** 2, axis=0)
     return 1.0 / np.maximum(d, np.finfo(float).tiny)
 

@@ -13,6 +13,9 @@ import pytest
 
 from coarray_lab import analysis, geometry, harness, model, reference
 
+# The closed forms raise no RuntimeWarning on any input they accept.
+pytestmark = pytest.mark.filterwarnings('error::RuntimeWarning')
+
 
 def random_scenario(rng, k, span=1.2, min_sep=0.15):
     while True:
@@ -1085,6 +1088,24 @@ def test_mse_stack_rows_equal_one_row_calls(geom):
                 np.testing.assert_array_equal(getattr(one, name),
                                               getattr(coeffs, name)[i])
     assert failed < 4 * (mv - 1)
+
+
+@pytest.mark.parametrize('n', [-5, 0, 0.0, -0.0, np.nan, np.inf, -np.inf])
+def test_closed_forms_reject_snapshot_counts_that_are_not_positive(n):
+    geom = geometry.coprime(3, 5)
+    sc = model.SourceScenario((0.5, 0.52), (1.0, 1.0), 0.1)
+    coeffs = analysis.mse_coefficients(geom, sc)
+    bound = analysis.crb_coefficients(geom, sc)
+    for call in (lambda: coeffs.mse(0.1, n),
+                 lambda: coeffs.mse([0.1, 0.2], [500, n]),
+                 lambda: bound.report(0.1, n),
+                 lambda: bound.reports([0.1, 0.2], [n, 500]),
+                 lambda: analysis.analytical_mse(geom, sc, n),
+                 lambda: analysis.crb(geom, sc, n),
+                 lambda: analysis.resolution_threshold(geom, n)):
+        with pytest.raises(ValueError, match='snapshot counts must be '
+                                             'finite and positive'):
+            call()
 
 
 # Signed excesses, positive below the root, with a bracket of it.

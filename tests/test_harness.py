@@ -543,6 +543,69 @@ def test_bad_sweep_points_fail_before_any_trial(trial_calls, overrides):
     assert trial_calls == []
 
 
+@pytest.mark.parametrize('overrides, message', [
+    (dict(kind='efficiency', arrays=('coprime:3,5', 'coprime:2'),
+          k_sources=(1, 12)),
+     'coprime(2,3) needs fewer than mv = 8 sources, got 12'),
+    # the SNR of the K = 1 fan fails before the K = 12 fan is reached
+    (dict(kind='efficiency', arrays=('coprime:2',), k_sources=(1, 12),
+          snr_db=(0.0, -4000.0)),
+     'coprime(2,3): SNR -4000.0 dB is out of range'),
+    (dict(kind='efficiency', arrays=('coprime:2',), k_sources=(12, 1),
+          snr_db=(0.0, -4000.0)),
+     'coprime(2,3) needs fewer than mv = 8 sources, got 12'),
+    (dict(kind='verify_mse', arrays=('coprime:3,5',), grid_step_deg=1e-300),
+     'coprime(3,5): a grid step of 1.7453292519943295e-302 rad at mv = 18 '
+     'needs more than 1048576 scan phases'),
+    (dict(kind='scaling', families=('coprime',), q_range=(2, 3),
+          snr_db=(-4000.0,)),
+     'coprime(2,3): SNR -4000.0 dB is out of range'),
+])
+def test_sweep_raises_the_first_bad_points_message(overrides, message):
+    cfg = ExperimentConfig(**{'snr_db': (0.0,), 'n_snapshots': (100,),
+                              **overrides})
+    with pytest.raises(harness.ConfigError) as info:
+        harness._sweep(cfg)
+    assert str(info.value) == message
+
+
+def test_sweep_checks_estimability_once_per_array_and_k(monkeypatch):
+    checked = []
+    real = harness._check_estimable
+
+    def counted(geom, mv, scenario, grid_step_deg):
+        checked.append((geom.name, scenario.n_sources))
+        return real(geom, mv, scenario, grid_step_deg)
+
+    monkeypatch.setattr(harness, '_check_estimable', counted)
+    cfg = ExperimentConfig(kind='efficiency',
+                           arrays=('coprime:3,5', 'nested:4,6', 'mra:10'),
+                           k_sources=(1, 2, 4), snr_db=(-10.0, 0.0, 10.0),
+                           n_snapshots=(100, 500), empirical=False)
+    points = harness._sweep(cfg)[0]
+    assert len(points) == 3 * 3 * 3 * 2
+    assert checked == [(name, k) for name in ('coprime(3,5)', 'nested(4,6)',
+                                              'mra(10)') for k in (1, 2, 4)]
+
+
+def test_csv_text_formats_python_and_numpy_cells():
+    table = harness.Table(('a', 'b', 'c', 'd', 'e', 'f', 'g', 'h'), (
+        (0.1, 3, True, 'coprime(3,5)', np.float64(0.1), np.int64(7),
+         np.bool_(False), np.float64('nan')),
+        (1e-300, -0, False, 'x,y', np.float64(2.5e16), np.int64(-2),
+         np.bool_(True), float('inf')),
+        (float('nan'), 10 ** 20, 1.0, '', np.float32(0.1), np.int32(5), -0.0,
+         np.float64(-0.0)),
+    ))
+    text = harness._csv_text(table)
+    assert text == (
+        'a,b,c,d,e,f,g,h\n'
+        '0.1,3,1,"coprime(3,5)",0.1,7,0,nan\n'
+        '1e-300,0,0,"x,y",2.5e+16,-2,1,inf\n'
+        'nan,100000000000000000000,1.0,,0.10000000149011612,5,-0.0,-0.0\n')
+    assert 'np.' not in text
+
+
 @pytest.mark.parametrize('placement, calls', [
     (dict(arrays=('coprime:2',), k_sources=(1, 2)),
      [(0, ('ss',)), (1, ('ss',))]),
