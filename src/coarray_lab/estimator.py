@@ -24,6 +24,11 @@ Newton steps on the analytic derivatives refine all kept minima at
 once. Only the final angles are mapped back through
 theta = arcsin(phi / (2 pi d0 / wavelength)).
 
+What a call needs besides its data is memoized on scalars: the scan
+plan (phase count and grid indices) per (mv, grid step, d0,
+wavelength), the Toeplitz index of :func:`augment_direct` and the lag
+powers of the Newton steps per mv. Each memo returns read-only arrays.
+
 The subarray, Gamma-matrix and steering-vector routes that the tests
 check this module against live in :mod:`coarray_lab.reference`.
 """
@@ -31,6 +36,7 @@ check this module against live in :mod:`coarray_lab.reference`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,8 +89,15 @@ def augment_direct(z, mv):
     z = np.asarray(z)
     if z.shape[0] != 2 * mv - 1:
         raise ValueError(f'z must have length {2 * mv - 1}, got {z.shape[0]}')
+    return z.take(_toeplitz_index(mv))
+
+
+@lru_cache(maxsize=128)
+def _toeplitz_index(mv):
+    """Index of z at each entry of Rv1, ``idx[a, c] = mv - 1 + a - c``."""
     idx = np.arange(mv)[:, None] + (mv - 1 - np.arange(mv))[None, :]
-    return z[idx]
+    idx.setflags(write=False)
+    return idx
 
 
 def augment_spatial_smoothing(z, mv):
@@ -141,8 +154,9 @@ def _noise_columns(values, k, method):
     n = values.shape[0] - k
     if method == 'da':
         return tuple(range(n))
-    return tuple(np.sort(np.argsort(np.abs(values), kind='stable')[:n])
-                 .tolist())
+    cols = np.abs(values).argsort(kind='stable')[:n]
+    cols.sort()
+    return tuple(cols.tolist())
 
 
 def _null_polynomial(en):
@@ -155,13 +169,16 @@ def _null_polynomial(en):
     """
     mv = en.shape[0]
     buf = np.zeros(mv * (2 * mv + 1), dtype=complex)
-    buf[:2 * mv * mv].reshape(mv, 2 * mv)[:, :mv] = en @ en.conj().T
+    np.matmul(en, en.conj().T,
+              out=buf[:2 * mv * mv].reshape(mv, 2 * mv)[:, :mv])
     return buf.reshape(mv, 2 * mv + 1)[:, :mv].sum(axis=0)
 
 
 def _null_scan(coef, n):
     """Null spectrum d(2 pi i / n), i = 0 .. n - 1, by one real FFT."""
-    return np.fft.irfft(coef, n) * n
+    d = np.fft.irfft(coef, n)
+    d *= n
+    return d
 
 
 def _newton_minima(coef, phi, step):
@@ -172,21 +189,34 @@ def _newton_minima(coef, phi, step):
     Returns (phases, refined): a phase that is not finite or ends more
     than ``step`` from its start falls back to the start, unrefined.
     """
-    lags = np.arange(coef.shape[0])
-    weights = np.stack((lags * coef, lags * lags * coef), axis=1)
+    lags, squares = _lag_powers(coef.shape[0])
+    weights = np.empty((coef.shape[0], 2), dtype=complex)
+    weights[:, 0] = lags * coef
+    weights[:, 1] = squares * coef
     x = phi
     for _ in range(_NEWTON_STEPS):
-        s1, s2 = (np.exp(1j * np.outer(x, lags)) @ weights).T
-        x = x - s1.imag / s2.real
+        s = np.exp(1j * (x[:, None] * lags)) @ weights
+        x = x - s[:, 0].imag / s[:, 1].real
     refined = np.abs(x - phi) <= step
     return np.where(refined, x, phi), refined
 
 
+@lru_cache(maxsize=128)
+def _lag_powers(mv):
+    """The lags 0 .. mv - 1 of the null polynomial and their squares."""
+    lags = np.arange(mv)
+    squares = lags * lags
+    lags.setflags(write=False)
+    squares.setflags(write=False)
+    return lags, squares
+
+
 def _find_peaks(d):
     """Indices of interior local minima of the null power d."""
-    left = d[1:-1] < d[:-2]
-    right = d[1:-1] <= d[2:]
-    return np.nonzero(left & right)[0] + 1
+    inner = d[1:-1]
+    minima = inner < d[:-2]
+    minima &= inner <= d[2:]
+    return minima.nonzero()[0] + 1
 
 
 def default_grid(grid_step=np.deg2rad(0.1)):
@@ -220,6 +250,25 @@ def scan_size(mv, grid_step, d0=0.5, wavelength=1.0):
                                         2.0 * mv))))
 
 
+@lru_cache(maxsize=32)
+def _scan_plan(mv, grid_step, d0, wavelength):
+    """What :func:`estimate_doas` scans, by float grid step, d0 and wavelength.
+
+    Returns ``(n, half, gather, arc)``: the scan covers the grid indices
+    ``i = -half, -half + 1, ...`` of the phases 2 pi i / n, ascending,
+    and ``gather`` holds each i modulo n. That is the arc between its two
+    ends (``arc`` True), or the whole circle with one point repeated
+    past each end, so that every point on it has both neighbours.
+    """
+    n = scan_size(mv, grid_step, d0, wavelength)
+    ratio = d0 / wavelength
+    arc = ratio < 0.5
+    half = min(int(ratio * n), n // 2)
+    gather = np.arange(-half, half + 1 + (not arc)) % n
+    gather.setflags(write=False)
+    return n, half, gather, arc
+
+
 def estimate_doas(en, k, grid_step=np.deg2rad(0.1), d0=0.5, wavelength=1.0):
     """MUSIC on a noise-subspace basis: a phase-grid scan, then Newton.
 
@@ -239,7 +288,10 @@ def estimate_doas(en, k, grid_step=np.deg2rad(0.1), d0=0.5, wavelength=1.0):
     and holds the peaks that were found.
 
     The basis is scanned as given, never decomposed: from an augmented
-    covariance ``rv`` pass ``noise_subspace(rv, k)``.
+    covariance ``rv`` pass ``noise_subspace(rv, k)``. The scan plan (n
+    and the scanned grid indices) is memoized per (mv, grid step, d0,
+    wavelength), keyed on their float values, so a float, an
+    ``np.float64`` and a 0-d array step share one plan.
 
     Args:
         en: mv x (mv - k) noise-subspace basis with orthonormal columns.
@@ -256,26 +308,33 @@ def estimate_doas(en, k, grid_step=np.deg2rad(0.1), d0=0.5, wavelength=1.0):
     if not 1 <= k < mv or en.shape != (mv, mv - k):
         raise ValueError(f'need an mv x (mv - k) basis with 1 <= k < mv, '
                          f'got shape {en.shape} and k = {k}')
-    n = scan_size(mv, grid_step, d0, wavelength)
-    ratio = d0 / wavelength
-    # Grid indices i of the scanned phases 2 pi i / n, ascending: the arc
-    # between its two ends, or the whole circle with one point repeated
-    # past each end, so that every point on it has both neighbours.
-    arc = ratio < 0.5
-    half = min(int(ratio * n), n // 2)
-    index = np.arange(-half, half + 1 + (not arc))
+    try:
+        n, half, gather, arc = _scan_plan(mv, float(grid_step),
+                                          float(d0), float(wavelength))
+    except (TypeError, ValueError):
+        # the message names the values as the caller gave them
+        scan_size(mv, grid_step, d0, wavelength)
+        raise
     coef = _null_polynomial(en)
-    d = _null_scan(coef, n)[index % n]
+    d = _null_scan(coef, n).take(gather)
     peaks = _find_peaks(d)
-    kept = peaks[np.lexsort((index[peaks], d[peaks]))[:k]]
-    edges = d[[0, -1]][d[[0, -1]] < d[[1, -2]]] if arc else d[:0]
-    resolved = kept.shape[0] == k and not np.any(edges < d[kept].max())
+    # scan indices ascend, so a stable sort breaks ties toward the
+    # smaller angle
+    kept = peaks[d[peaks].argsort(kind='stable')[:k]]
+    resolved = kept.shape[0] == k
+    if resolved and arc:
+        worst = d[kept].max()
+        resolved = not (d[0] < d[1] and d[0] < worst
+                        or d[-1] < d[-2] and d[-1] < worst)
 
     step = 2.0 * np.pi / n
-    phi, refined = _newton_minima(coef, index[kept] * step, step)
+    phi, refined = _newton_minima(coef, (kept - half) * step, step)
     wrapped = np.pi - (np.pi - phi) % (2.0 * np.pi)
-    angles = np.arcsin(np.clip(wrapped / (2.0 * np.pi * ratio), -1.0, 1.0))
-    order = np.argsort(angles)
+    sines = wrapped / (2.0 * np.pi * (d0 / wavelength))
+    # np.clip(sines, -1, 1) without its dispatch; NaN stays NaN
+    np.minimum(np.maximum(sines, -1.0, out=sines), 1.0, out=sines)
+    angles = np.arcsin(sines)
+    order = angles.argsort()
     return DoaEstimate(angles=angles[order], resolved=resolved,
                        refined=refined[order])
 

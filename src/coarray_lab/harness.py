@@ -293,8 +293,10 @@ def _trial_block(geom, scenario, n_snapshots, methods, master_seed,
     # cast once: a real F would be promoted to complex in every product
     f = geometry.selection_matrix(co).astype(complex)
     chol = np.linalg.cholesky(model.true_covariance(geom, scenario))
-    estimates = np.full((len(methods), len(trials), scenario.n_sources),
-                        np.nan)
+    mv, k = co.mv, scenario.n_sources
+    options = {'grid_step': grid_step, 'd0': geom.d0,
+               'wavelength': geom.wavelength}
+    estimates = np.full((len(methods), len(trials), k), np.nan)
     for start in range(0, len(trials), _DRAW_SLICE):
         seeds = [np.random.SeedSequence(entropy=master_seed,
                                         spawn_key=(combo_index, trial))
@@ -303,9 +305,7 @@ def _trial_block(geom, scenario, n_snapshots, methods, master_seed,
         for i, r_hat in enumerate(draws, start):
             z = model.virtual_observation(f, r_hat)
             for row, method in zip(estimates, methods):
-                est = run_music(z, co.mv, scenario.n_sources, method=method,
-                                grid_step=grid_step, d0=geom.d0,
-                                wavelength=geom.wavelength)
+                est = run_music(z, mv, k, method, **options)
                 if est.resolved:
                     row[i] = est.angles
     return estimates

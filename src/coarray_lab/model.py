@@ -65,22 +65,35 @@ class SourceScenario:
     noise_power: float
 
     def __post_init__(self):
-        doas = tuple(float(t) for t in self.doas)
-        powers = tuple(float(p) for p in self.powers)
-        if len(doas) == 0:
+        # One pass over each tuple; when several checks fail, the first
+        # in the order raised below wins.
+        edge = np.pi / 2
+        doas, inside, ordered, last = [], True, True, -np.inf
+        for t in self.doas:
+            t = float(t)
+            inside = inside and -edge < t < edge
+            ordered = ordered and last < t
+            last = t
+            doas.append(t)
+        powers, positive = [], True
+        for p in self.powers:
+            p = float(p)
+            positive = positive and 0 < p < np.inf
+            powers.append(p)
+        if not doas:
             raise ValueError('at least one source is required')
         if len(powers) != len(doas):
             raise ValueError('need one power per source')
-        if any(not -np.pi / 2 < t < np.pi / 2 for t in doas):
+        if not inside:
             raise ValueError('DOAs must lie strictly inside (-pi/2, pi/2)')
-        if any(b <= a for a, b in zip(doas, doas[1:])):
+        if not ordered:
             raise ValueError('DOAs must be strictly increasing')
-        if not all(0 < p < np.inf for p in powers):
+        if not positive:
             raise ValueError('source powers must be finite and positive')
         if not 0 < self.noise_power < np.inf:
             raise ValueError('noise power must be finite and positive')
-        object.__setattr__(self, 'doas', doas)
-        object.__setattr__(self, 'powers', powers)
+        object.__setattr__(self, 'doas', tuple(doas))
+        object.__setattr__(self, 'powers', tuple(powers))
         object.__setattr__(self, 'noise_power', float(self.noise_power))
 
     @classmethod

@@ -13,6 +13,9 @@ import pytest
 
 from coarray_lab import estimator, geometry, harness, model, reference
 
+# The estimator raises no RuntimeWarning on any input it accepts.
+pytestmark = pytest.mark.filterwarnings('error::RuntimeWarning')
+
 
 def exact_virtual(geom, scenario):
     """Exact z, mv for a scenario on the given array."""
@@ -316,6 +319,90 @@ def test_estimate_doas_checks_its_grid_step():
     for bad in (0.0, -0.1, np.inf, np.nan, 1e-300, 5e-324):
         with pytest.raises(ValueError, match='grid step'):
             estimator.estimate_doas(en, 2, grid_step=bad)
+
+
+def test_estimate_doas_raises_on_every_call_with_a_bad_grid_step():
+    sc = model.SourceScenario.with_snr((-0.3, 0.4), 0.0)
+    z, mv = exact_virtual(geometry.coprime(2), sc)
+    en = estimator.noise_subspace(estimator.augment_direct(z, mv), 2)
+    for bad in (0.0, -0.1, np.inf, np.nan, 1e-300, 5e-324):
+        for _ in range(2):
+            with pytest.raises(ValueError, match='grid step'):
+                estimator.estimate_doas(en, 2, grid_step=bad)
+            with pytest.raises(ValueError, match='grid step'):
+                estimator.run_music(z, mv, 2, method='ss', grid_step=bad)
+    # the message names the value as given, not as its float
+    for bad, shown in ((0, 'got 0$'), (np.asarray(-2), 'got -2$')):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=shown):
+                estimator.estimate_doas(en, 2, grid_step=bad)
+
+
+# Every memo of the estimator module: each is a function of scalars.
+ESTIMATOR_MEMOS = (estimator._scan_plan, estimator._toeplitz_index,
+                   estimator._lag_powers)
+
+
+def test_memoized_plans_give_the_estimates_of_fresh_ones():
+    # (array, d0, wavelength): each array on the whole circle at
+    # d0 = wavelength / 2 and on an arc, where the edge rule applies
+    arrays = ((geometry.coprime(3, 5), 0.5, 1.0),
+              (geometry.coprime(3, 5), 0.25, 1.0),
+              (geometry.nested(2, 3), 0.3, 1.0),
+              (geometry.nested(2, 3), 1.0, 2.0))
+    # each step as a float, an np.float64 or a 0-d array
+    fine, coarse = np.deg2rad(0.1), np.deg2rad(0.5)
+    steps = (float(fine), np.float64(fine), np.asarray(coarse),
+             float(coarse))
+    rng = np.random.default_rng(23)
+    calls = []
+    for round_ in range(3):
+        for (geom, d0, wavelength), step in itertools.product(arrays, steps):
+            geom = geometry.make_array('custom', geom.positions, d0=d0,
+                                       wavelength=wavelength)
+            # every other pair has an endfire source
+            doas = rng.uniform(-1.4, 1.4, 2)
+            if len(calls) % 2:
+                doas[0] = rng.choice((-1.0, 1.0)) * np.deg2rad(89.99)
+            sc = model.SourceScenario.with_snr(np.sort(doas), 10.0)
+            z, mv = sampled_virtual(geom, sc, 200, seed=round_)
+            options = {'grid_step': step, 'd0': d0, 'wavelength': wavelength}
+            calls.append((z, mv, options))
+
+    def estimates(z, mv, options):
+        en = estimator.noise_subspace(estimator.augment_direct(z, mv), 2)
+        return [estimator.estimate_doas(en, 2, **options),
+                *(estimator.run_music(z, mv, 2, method, **options)
+                  for method in ('da', 'ss'))]
+
+    for memo in ESTIMATOR_MEMOS:
+        memo.cache_clear()
+    warm = [estimates(*call) for call in calls]
+    # one plan per (mv, step value, d0, wavelength), whatever the type
+    info = estimator._scan_plan.cache_info()
+    assert info.misses == len(arrays) * 2 and info.hits >= len(calls)
+    endfire = 0
+    for call, memoized in zip(calls, warm):
+        for memo in ESTIMATOR_MEMOS:
+            memo.cache_clear()
+        estimator._TRIAL_CACHE.clear()
+        for fresh, est in zip(estimates(*call), memoized):
+            assert fresh.resolved == est.resolved
+            np.testing.assert_array_equal(fresh.angles, est.angles)
+            np.testing.assert_array_equal(fresh.refined, est.refined)
+        _, _, options = call
+        endfire += options['d0'] < 0.5 * options['wavelength'] \
+            and not memoized[0].resolved
+    assert endfire > 0, endfire
+
+
+def test_memoized_arrays_are_read_only():
+    arrays = [estimator._toeplitz_index(5), *estimator._lag_powers(5),
+              estimator._scan_plan(5, 0.01, 0.5, 1.0)[2],
+              estimator._scan_plan(5, 0.01, 0.25, 1.0)[2]]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0] = 1
 
 
 def test_scan_size_stops_at_its_ceiling():

@@ -7,6 +7,9 @@ import pytest
 
 from coarray_lab import geometry, model, reference
 
+# The signal model raises no RuntimeWarning on any input it accepts.
+pytestmark = pytest.mark.filterwarnings('error::RuntimeWarning')
+
 
 def test_vec_is_column_major():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -41,6 +44,34 @@ def test_scenario_validation():
                           ((1.0,), np.inf), ((1.0,), np.nan)):
         with pytest.raises(ValueError, match='finite and positive'):
             model.SourceScenario((0.1,), powers, noise)
+
+
+def test_scenario_checks_fail_in_a_fixed_order():
+    # each case also breaks checks later in the order; in the first two
+    # the order break comes before the out-of-range DOA in the tuple
+    inside = 'strictly inside'
+    cases = (
+        ((0.2, 0.1, 2.0), (1.0, 1.0, 1.0), 1.0, inside),
+        ((0.2, np.nan, 0.1), (1.0, -1.0, 1.0), 0.0, inside),
+        ((0.2, 0.1), (1.0,), 1.0, 'one power per source'),
+        ((), (np.inf,), np.nan, 'at least one source'),
+        ((0.2, 0.1), (0.0, 1.0), np.inf, 'strictly increasing'),
+        ((0.1, 0.1), (np.nan, 1.0), 0.0, 'strictly increasing'),
+        ((0.1, 0.2), (1.0, -np.inf), 0.0, 'source powers'),
+        ((0.1, 0.2), (1.0, 2.0), -1.0, 'noise power'),
+    )
+    for doas, powers, noise, message in cases:
+        with pytest.raises(ValueError, match=message):
+            model.SourceScenario(doas, powers, noise)
+    # a value that is no number fails before any range or order check
+    with pytest.raises(ValueError, match='could not convert'):
+        model.SourceScenario((2.0, 'x'), (1.0, 1.0), 1.0)
+    with pytest.raises(ValueError, match='could not convert'):
+        model.SourceScenario((0.2, 0.1), ('y', 1.0), 1.0)
+    sc = model.SourceScenario(np.array([-0.3, 0.4]), [1, np.float32(2)], 1)
+    assert sc.doas == (-0.3, 0.4) and sc.powers == (1.0, 2.0)
+    assert all(type(v) is float for v in sc.doas + sc.powers)
+    assert type(sc.noise_power) is float
 
 
 def test_with_snr_noise_floor():
