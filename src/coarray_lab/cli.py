@@ -135,6 +135,10 @@ def _cmd_analyze(args):
 
 
 def _cmd_run(args):
+    cores = os.cpu_count() or 1
+    if not 1 <= args.threads <= cores:
+        raise ConfigError(f'--threads must be 1 to {cores}, the CPU count, '
+                          f'got {args.threads}')
     cfg = load_config(args.config)
     overrides = {}
     if args.seed is not None:

@@ -234,13 +234,16 @@ def scan_size(mv, grid_step, d0=0.5, wavelength=1.0):
     no coarser than ``grid_step`` at broadside.
 
     Raises:
-        ValueError: If the grid step is not finite and positive, or n
-            would pass :data:`MAX_SCAN_SIZE`.
+        ValueError: If the grid step or d0 / wavelength is not finite
+            and positive, or n would pass :data:`MAX_SCAN_SIZE`.
     """
     if not (np.isfinite(grid_step) and grid_step > 0):
         raise ValueError(f'grid step must be finite and positive, got '
                          f'{grid_step}')
-    ratio = d0 / wavelength
+    ratio = d0 / wavelength if wavelength else np.nan
+    if not (np.isfinite(ratio) and ratio > 0):
+        raise ValueError(f'spacing d0 / wavelength must be finite and '
+                         f'positive, got {d0} / {wavelength}')
     # in products, so that a step too fine to invert fails here too
     if not (ratio * grid_step * MAX_SCAN_SIZE >= 1.0
             and 2 * mv <= MAX_SCAN_SIZE):

@@ -276,9 +276,9 @@ def _failure_gate(doas):
     return 0.5 * float(np.min(np.diff(doas)))
 
 
-# Trials whose sample covariances are drawn as one stack, so a block's
-# memory does not grow with its trial count: at M = 48 each stacked
-# M x M complex array of a slice takes 64 * 48^2 * 16 B = 2.36 MB.
+# Trials in one block, whose sample covariances are drawn as one stack,
+# so a block's memory does not grow with a point's trial count: at
+# M = 48 each stacked M x M complex array takes 64 * 48^2 * 16 B = 2.36 MB.
 _DRAW_SLICE = 64
 
 
@@ -296,23 +296,19 @@ def _trial_block(geom, scenario, n_snapshots, methods, master_seed,
     mv, k = co.mv, scenario.n_sources
     options = {'grid_step': grid_step, 'd0': geom.d0,
                'wavelength': geom.wavelength}
+    seeds = [np.random.SeedSequence(entropy=master_seed,
+                                    spawn_key=(combo_index, trial))
+             for trial in trials]
+    draws = model.sample_covariance_draws(chol, n_snapshots, seeds)
     estimates = np.full((len(methods), len(trials), k), np.nan)
-    for start in range(0, len(trials), _DRAW_SLICE):
-        seeds = [np.random.SeedSequence(entropy=master_seed,
-                                        spawn_key=(combo_index, trial))
-                 for trial in trials[start:start + _DRAW_SLICE]]
-        draws = model.sample_covariance_draws(chol, n_snapshots, seeds)
-        for i, r_hat in enumerate(draws, start):
-            z = model.virtual_observation(f, r_hat)
-            for row, method in zip(estimates, methods):
-                est = run_music(z, mv, k, method, **options)
-                if est.resolved:
-                    row[i] = est.angles
+    for i, r_hat in enumerate(draws):
+        z = model.virtual_observation(f, r_hat)
+        for row, method in zip(estimates, methods):
+            est = run_music(z, mv, k, method, **options)
+            if est.resolved:
+                row[i] = est.angles
     return estimates
 
-
-# The executors open for the runs in progress, by worker count.
-_POOLS = {}
 
 # Thread-count variables of OpenBLAS, OpenMP and MKL, read once when
 # numpy loads in a worker.
@@ -321,23 +317,20 @@ _BLAS_THREADS = ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')
 
 @contextlib.contextmanager
 def _worker_pool(threads):
-    """The open executor with ``threads`` workers, else one for the block.
+    """An executor with ``threads`` worker processes; None for one or fewer.
 
-    :func:`run` holds one open for its whole sweep, so the trials of
-    every sweep point go to the same warm workers. No executor is made
-    for one thread or fewer, where the trials run in this process.
-
-    Several workers with a BLAS thread per core each would oversubscribe
-    the cores, so BLAS is held to one thread per worker unless the
-    environment already sets a count. A forked worker keeps the BLAS
-    threads numpy started in this process, so when a count has to be
-    set the workers are spawned instead: each imports numpy afresh, and
-    a script that starts a pool must guard its entry point with
-    ``if __name__ == '__main__'``. When the environment sets all three
-    counts, the workers are forked as before.
+    :func:`run` opens one for its whole sweep and passes it to every
+    :func:`run_trials` call, so every sweep point has the same warm
+    workers. BLAS is held to one thread per worker unless the environment
+    sets a count, so that the workers do not oversubscribe the cores. A
+    forked worker keeps the BLAS threads numpy started in this process,
+    so when a count has to be set the workers are spawned instead, and a
+    script that starts a pool must guard its entry point with
+    ``if __name__ == '__main__'``. With all three counts set, the workers
+    are forked.
     """
-    if threads <= 1 or threads in _POOLS:
-        yield _POOLS.get(threads)
+    if threads <= 1:
+        yield None
         return
     unset = [name for name in _BLAS_THREADS if name not in os.environ]
     context = multiprocessing.get_context('spawn') if unset else None
@@ -345,28 +338,25 @@ def _worker_pool(threads):
     try:
         with ProcessPoolExecutor(max_workers=threads,
                                  mp_context=context) as pool:
-            _POOLS[threads] = pool
             yield pool
     finally:
-        _POOLS.pop(threads, None)
         for name in unset:
             os.environ.pop(name, None)
 
 
 def run_trials(geom, scenario, n_snapshots, methods, master_seed,
-               combo_index, n_trials, grid_step, threads=1):
+               combo_index, n_trials, grid_step, pool=None):
     """Monte Carlo trials for one sweep point.
 
     Each trial draws its sample covariance from the complex Wishart law
-    CW(N, R) / N on its own stream; a block draws its trials as stacks
-    (:func:`model.sample_covariance_draws`), and each stack slice equals
-    the trial's own :func:`model.sample_covariance_draw`. DA and SS
-    share each trial's sample covariance so method comparisons see
-    identical noise. With ``threads > 1`` the trials are split into
-    contiguous ranges run in worker processes, those of the enclosing
-    :func:`run` when there is one; each trial depends on its seed
-    ``(master_seed, combo_index, trial)`` alone, so the result does not
-    depend on ``threads``.
+    CW(N, R) / N on its own stream, and DA and SS share it, so method
+    comparisons see identical noise. The trials run in blocks of at most
+    :data:`_DRAW_SLICE`, each drawn as one stack whose slices equal the
+    trials' own :func:`model.sample_covariance_draw`. The blocks run here
+    or on ``pool`` (a :func:`_worker_pool`), where a short point is split
+    into one block per worker. A trial depends on its seed
+    ``(master_seed, combo_index, trial)`` alone, so the result depends
+    neither on the blocks nor on where they run.
 
     Returns:
         Float array of shape ``(len(methods), n_trials, K)``: row
@@ -378,13 +368,12 @@ def run_trials(geom, scenario, n_snapshots, methods, master_seed,
         _trial_block, geom, scenario, int(n_snapshots), tuple(methods),
         int(master_seed), int(combo_index), float(grid_step))
     n_trials = int(n_trials)
-    if threads <= 1 or n_trials < 2:
-        return block(range(n_trials))
-    step = max(1, -(-n_trials // (threads * 8)))
-    chunks = [range(start, min(start + step, n_trials))
-              for start in range(0, n_trials, step)]
-    with _worker_pool(threads) as pool:
-        return np.concatenate(list(pool.map(block, chunks)), axis=1)
+    workers = 1 if pool is None else pool._max_workers
+    size = max(1, min(_DRAW_SLICE, -(-n_trials // workers)))
+    blocks = [range(start, min(start + size, n_trials))
+              for start in range(0, n_trials, size)] or [range(0)]
+    run_map = map if pool is None else pool.map
+    return np.concatenate(list(run_map(block, blocks)), axis=1)
 
 
 def _mse_stats(errors):
@@ -556,7 +545,7 @@ def _closed_forms(points, bound=True):
                    crb_trace)
 
 
-def _trial_successes(cfg, combo, p, methods, threads, gate=None):
+def _trial_successes(cfg, combo, p, methods, pool, gate=None):
     """Run a point's trials; per method, the errors of its successes.
 
     A trial succeeds for a method when every |error| is strictly below
@@ -567,18 +556,18 @@ def _trial_successes(cfg, combo, p, methods, threads, gate=None):
     """
     errors = run_trials(p.geom, p.scenario, p.n, methods, cfg.seed, combo,
                         cfg.n_trials, np.deg2rad(cfg.grid_step_deg),
-                        threads) - np.asarray(p.scenario.doas)
+                        pool) - np.asarray(p.scenario.doas)
     if gate is None:
         gate = _failure_gate(p.scenario.doas)
     ok = np.all(np.abs(errors) < gate, axis=2)
     return [e[keep] for e, keep in zip(errors, ok)]
 
 
-def _verify_rows(cfg, points, threads):
+def _verify_rows(cfg, points, pool):
     methods = _methods(cfg.method)
     for combo, p, mse, *_ in _closed_forms(points, bound=False):
         mse_an = float(np.mean(np.diag(mse)))
-        successes = _trial_successes(cfg, combo, p, methods, threads)
+        successes = _trial_successes(cfg, combo, p, methods, pool)
         for method, ok in zip(methods, successes):
             mse_em, se = _mse_stats(ok)
             rel = abs(mse_an - mse_em) / mse_em
@@ -586,7 +575,7 @@ def _verify_rows(cfg, points, threads):
                    mse_an, mse_em, rel, se, cfg.n_trials - len(ok))
 
 
-def _resolution_rows(cfg, points, threads):
+def _resolution_rows(cfg, points, pool):
     """A trial succeeds when both peaks fall within half the separation."""
     methods = _methods(cfg.method)
     thresholds = {}
@@ -597,7 +586,7 @@ def _resolution_rows(cfg, points, threads):
                     p.geom, p.n, center=np.deg2rad(cfg.center_deg), power=1.0,
                     noise_power=p.scenario.noise_power / cfg.power)))
         delta_deg, = p.tags
-        successes = _trial_successes(cfg, combo, p, methods, threads,
+        successes = _trial_successes(cfg, combo, p, methods, pool,
                                      gate=np.deg2rad(delta_deg) / 2)
         for method, ok in zip(methods, successes):
             prob = len(ok) / cfg.n_trials
@@ -607,14 +596,14 @@ def _resolution_rows(cfg, points, threads):
                    thresholds[p.group])
 
 
-def _efficiency_rows(cfg, points, threads):
+def _efficiency_rows(cfg, points, pool):
     """Trials run only where the CRB is defined, for the last method."""
     method = _methods(cfg.method)[-1]
     for combo, p, _, report, kappa, crb_trace in _closed_forms(points):
         kappa_em = kappa_em_se = float('nan')
         trials = failed = 0
         if cfg.empirical and report.defined:
-            ok, = _trial_successes(cfg, combo, p, (method,), threads)
+            ok, = _trial_successes(cfg, combo, p, (method,), pool)
             trials, failed = cfg.n_trials, cfg.n_trials - len(ok)
             if len(ok):
                 per_source = np.mean(np.square(ok), axis=0)
@@ -627,7 +616,7 @@ def _efficiency_rows(cfg, points, threads):
                failed)
 
 
-def _scaling_rows(cfg, points, threads):
+def _scaling_rows(cfg, points, pool):
     """Trials run for the last method only.
 
     The log-log slope of MSE against the sensor count is fitted per
@@ -641,7 +630,7 @@ def _scaling_rows(cfg, points, threads):
             eps_em = eps_se = float('nan')
             trials = failed = 0
             if cfg.empirical:
-                ok, = _trial_successes(cfg, combo, p, (method,), threads)
+                ok, = _trial_successes(cfg, combo, p, (method,), pool)
                 trials, failed = cfg.n_trials, cfg.n_trials - len(ok)
                 eps_em, eps_se = _mse_stats(ok)
             rows.append(p.tags + (float(np.mean(np.diag(mse))), eps_em,
@@ -678,8 +667,8 @@ def run(cfg, threads=1):
     """
     points, notices = _sweep(cfg)
     header, rows = _TABLES[cfg.kind]
-    with _worker_pool(threads):
-        tables = {cfg.kind: Table(header, tuple(rows(cfg, points, threads)))}
+    with _worker_pool(threads) as pool:
+        tables = {cfg.kind: Table(header, tuple(rows(cfg, points, pool)))}
     if notices:
         tables['notices'] = Table(('message',), tuple((s,) for s in notices))
     return tables

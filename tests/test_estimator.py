@@ -418,6 +418,20 @@ def test_scan_size_stops_at_its_ceiling():
             estimator.scan_size(8, step, d0=d0)
 
 
+@pytest.mark.parametrize('d0, wavelength', [
+    (0.0, 1.0), (-0.5, 1.0), (np.nan, 1.0), (0.5, 0.0), (1e300, 1e-300)])
+def test_a_bad_spacing_is_named_not_the_grid_step(d0, wavelength):
+    # every route to the scan rejects the spacing itself, whatever the
+    # grid step, with a ValueError rather than a ZeroDivisionError
+    options = {'grid_step': 0.01, 'd0': d0, 'wavelength': wavelength}
+    calls = [lambda: estimator.scan_size(8, **options),
+             lambda: estimator.estimate_doas(np.eye(8)[:, 2:], 2, **options),
+             lambda: estimator.run_music(np.ones(15), 8, 2, **options)]
+    for call in calls:
+        with pytest.raises(ValueError, match='spacing d0 / wavelength'):
+            call()
+
+
 # Dense references for estimate_doas at d0 = wavelength / 2: the null
 # power ||E_n^H a||^2 with explicit steering vectors a, on a circle of
 # phases four times finer than the scan's and on a fine angle window

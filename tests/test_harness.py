@@ -172,16 +172,49 @@ def test_run_trials_detailed_records():
 
 
 def test_run_trials_reproducible_and_chunking_invariant():
+    # past one draw slice the trials run as two blocks, in this process
+    # and on the workers alike
     geom = geometry.coprime(2)
     sc = model.SourceScenario.with_snr(np.deg2rad([-20.0, 25.0]), 0.0)
-    kwargs = dict(n_snapshots=80, methods=('ss',), master_seed=99,
-                  combo_index=0, n_trials=6, grid_step=np.deg2rad(0.5))
-    serial = harness.run_trials(geom, sc, **kwargs)
-    again = harness.run_trials(geom, sc, **kwargs)
-    parallel = harness.run_trials(geom, sc, threads=2, **kwargs)
-    assert serial.shape == (1, 6, 2)
-    np.testing.assert_array_equal(serial, again)
-    np.testing.assert_array_equal(serial, parallel)
+    with harness._worker_pool(2) as pool:
+        for n_trials in (6, harness._DRAW_SLICE + 5):
+            kwargs = dict(n_snapshots=80, methods=('ss',), master_seed=99,
+                          combo_index=0, n_trials=n_trials,
+                          grid_step=np.deg2rad(0.5))
+            serial = harness.run_trials(geom, sc, **kwargs)
+            again = harness.run_trials(geom, sc, **kwargs)
+            parallel = harness.run_trials(geom, sc, pool=pool, **kwargs)
+            assert serial.shape == (1, n_trials, 2)
+            np.testing.assert_array_equal(serial, again)
+            np.testing.assert_array_equal(serial, parallel)
+
+
+def test_run_trials_blocks_are_draw_slices_shared_over_workers(monkeypatch):
+    # in this process a point runs in draw slices; on a pool a point of
+    # fewer than a slice per worker runs as one block per worker
+    seen = []
+
+    def block(geom, scenario, n, methods, seed, combo, step, trials):
+        seen.append((trials.start, trials.stop))
+        return np.zeros((len(methods), len(trials), 2))
+
+    class ThreeWorkers:
+        _max_workers = 3
+        map = staticmethod(map)
+
+    monkeypatch.setattr(harness, '_trial_block', block)
+    s = harness._DRAW_SLICE
+    for pool, n_trials, want in [
+            (None, 2 * s + 1, [(0, s), (s, 2 * s), (2 * s, 2 * s + 1)]),
+            (None, 0, [(0, 0)]),
+            (ThreeWorkers(), 10, [(0, 4), (4, 8), (8, 10)]),
+            (ThreeWorkers(), 3 * s + 1, [(0, s), (s, 2 * s), (2 * s, 3 * s),
+                                         (3 * s, 3 * s + 1)])]:
+        seen.clear()
+        est = harness.run_trials(None, None, 50, ('da', 'ss'), 1, 0,
+                                 n_trials, 0.01, pool)
+        assert est.shape == (2, n_trials, 2)
+        assert seen == want
 
 
 def test_trial_matches_direct_replay():
@@ -368,7 +401,7 @@ def test_efficiency_fans_match_the_per_point_route(trial_calls, placement):
             kappa = analysis.efficiency_kappa(
                 report, analysis.analytical_mse(p.geom, p.scenario, p.n))
             ran.append((combo, ('ss',)))
-            ok, = harness._trial_successes(cfg, combo, p, ('ss',), 1)
+            ok, = harness._trial_successes(cfg, combo, p, ('ss',), None)
             if len(ok):
                 kappa_em = float(np.trace(report.crb)) / float(np.sum(
                     np.mean(np.square(ok), axis=0)))
@@ -478,13 +511,15 @@ def test_trial_successes_pins_the_success_rule(monkeypatch):
     p = harness._Point(geometry.coprime(2),
                        model.SourceScenario(doas, (1.0, 1.0), 1.0),
                        100, 0.0, (), 0)
-    da, ss = harness._trial_successes(cfg, 0, p, ('da', 'ss'), 1, gate=0.125)
+    da, ss = harness._trial_successes(cfg, 0, p, ('da', 'ss'), None,
+                                      gate=0.125)
     assert da.dtype == ss.dtype == float
     np.testing.assert_array_equal(da, [[2 ** -6, -2 ** -5], [-31 / 256, 0.0]])
     np.testing.assert_array_equal(ss, [[3 / 64, 1 / 16]])
     monkeypatch.setattr(harness, 'run_trials',
                         lambda *args: estimates[1:])
-    none, = harness._trial_successes(cfg, 0, p, ('ss',), 1, gate=2 ** -7)
+    none, = harness._trial_successes(cfg, 0, p, ('ss',), None,
+                                     gate=2 ** -7)
     assert none.shape == (0, 2)
 
 
@@ -849,7 +884,6 @@ def test_run_opens_one_worker_pool(monkeypatch):
     assert len(opened) == 1
     assert opened[0]['max_workers'] == 2
     assert opened[0]['mp_context'].get_start_method() == 'spawn'
-    assert harness._POOLS == {}
     monkeypatch.setenv('MKL_NUM_THREADS', '3')
     with harness._worker_pool(2) as pool:
         seen = list(pool.map(os.getenv, harness._BLAS_THREADS))
@@ -1066,6 +1100,30 @@ def test_cli_run_removes_its_directories_on_a_numerical_failure(tmp_path,
     out, err = capsys.readouterr()
     assert out == '' and 'nonpositive curvature' in err
     assert not out_dir.parent.exists()
+
+
+@pytest.mark.parametrize('threads', [0, -1, 10 ** 6])
+def test_cli_run_bounds_threads_before_anything_starts(tmp_path, capsys,
+                                                       monkeypatch,
+                                                       trial_calls, threads):
+    # a count outside 1..cpu_count exits 2 with no directory made and no
+    # worker pool constructed, so no process starts
+    def refuse(*args, **kwargs):
+        raise AssertionError('a worker pool was constructed')
+
+    monkeypatch.setattr(harness, 'ProcessPoolExecutor', refuse)
+    out_dir = tmp_path / 'out'
+    cfg = tmp_path / 'cfg.json'
+    cfg.write_text(json.dumps({'kind': 'verify_mse', 'arrays': ['coprime:2'],
+                               'snr_db': [0.0], 'n_snapshots': [100],
+                               'n_trials': 2}))
+    assert cli.main(['run', '--config', str(cfg), '--out', str(out_dir),
+                     '--threads', str(threads)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ''
+    assert err.startswith('error: --threads') and err.count('\n') == 1, err
+    assert trial_calls == []
+    assert not out_dir.exists()
 
 
 def test_cli_unwritable_output_is_an_error_before_any_trial(tmp_path, capsys,

@@ -285,7 +285,7 @@ def test_trial_records_do_not_depend_on_chunking(n_trials, cuts, methods,
     sc = model.SourceScenario.with_snr(np.deg2rad([-20.0, 25.0]), 0.0)
     point = (geom, sc, 40, methods, seed, 3)
     step = np.deg2rad(0.5)
-    serial = harness.run_trials(*point, n_trials, step, threads=1)
+    serial = harness.run_trials(*point, n_trials, step)
     bounds = sorted({0, n_trials, *(round(c * n_trials) for c in cuts)})
     pieces = [harness._trial_block(*point, step, range(lo, hi))
               for lo, hi in zip(bounds, bounds[1:])]
