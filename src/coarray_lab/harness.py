@@ -41,7 +41,6 @@ __all__ = [
     'fifty_percent_crossing',
 ]
 
-_KINDS = ('verify_mse', 'resolution', 'efficiency', 'scaling')
 _METHODS = ('da', 'ss', 'both')
 _FAMILIES = ('coprime', 'nested', 'mra')
 _K_MODES = ('one', 'm')
@@ -139,8 +138,9 @@ class ExperimentConfig:
     empirical: bool = False
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ConfigError(f'kind must be one of {_KINDS}, got {self.kind!r}')
+        if self.kind not in _TABLES:
+            raise ConfigError(
+                f'kind must be one of {tuple(_TABLES)}, got {self.kind!r}')
         if self.method not in _METHODS:
             raise ConfigError(f'method must be one of {_METHODS}, got {self.method!r}')
         if not self.arrays:

@@ -41,8 +41,11 @@ def trial_calls(monkeypatch):
 
 
 def test_config_validation():
-    with pytest.raises(harness.ConfigError):
+    with pytest.raises(harness.ConfigError) as err:
         ExperimentConfig(kind='frobnicate')
+    assert str(err.value) == (
+        "kind must be one of ('verify_mse', 'resolution', 'efficiency', "
+        "'scaling'), got 'frobnicate'")
     with pytest.raises(harness.ConfigError):
         ExperimentConfig(kind='verify_mse', method='music')
     for bad in (0, 2.7, True):
