@@ -26,8 +26,10 @@ theta = arcsin(phi / (2 pi d0 / wavelength)).
 
 What a call needs besides its data is memoized on scalars: the scan
 plan (phase count and grid indices) per (mv, grid step, d0,
-wavelength), the Toeplitz index of :func:`augment_direct` and the lag
-powers of the Newton steps per mv. Each memo returns read-only arrays.
+wavelength), and per mv the Toeplitz index of :func:`augment_direct`
+and the Newton steps' lags, as the vector j l of their exponents and
+the (mv, 2) stack of l and l^2 that weighs the coefficients. Each memo
+returns read-only arrays.
 
 The subarray, Gamma-matrix and steering-vector routes that the tests
 check this module against live in :mod:`coarray_lab.reference`.
@@ -163,22 +165,28 @@ def _null_polynomial(en):
     """Coefficients c_0 .. c_{mv-1} of the null spectrum.
 
     c_l is the sum of the l-th superdiagonal of P = E_n E_n^H. P is
-    written into the left half of an mv x 2 mv buffer; reading the
-    same memory with rows one entry longer shifts row m left by m, so
-    P[m, m + l] lands in column l.
+    written into the left half of an mv x 2 mv buffer and the right
+    half is zeroed; reading the same memory with rows one entry longer
+    shifts row m left by m, so P[m, m + l] lands in column l. That read
+    never reaches the mv entries past the buffer's rows, which stay
+    unset.
     """
     mv = en.shape[0]
-    buf = np.zeros(mv * (2 * mv + 1), dtype=complex)
-    np.matmul(en, en.conj().T,
-              out=buf[:2 * mv * mv].reshape(mv, 2 * mv)[:, :mv])
+    buf = np.empty(mv * (2 * mv + 1), dtype=complex)
+    rows = buf[:2 * mv * mv].reshape(mv, 2 * mv)
+    rows[:, mv:] = 0.0
+    np.matmul(en, en.conj().T, out=rows[:, :mv])
     return buf.reshape(mv, 2 * mv + 1)[:, :mv].sum(axis=0)
 
 
 def _null_scan(coef, n):
-    """Null spectrum d(2 pi i / n), i = 0 .. n - 1, by one real FFT."""
-    d = np.fft.irfft(coef, n)
-    d *= n
-    return d
+    """Null spectrum d(2 pi i / n), i = 0 .. n - 1, by one real FFT.
+
+    The inverse transform is taken unscaled (``norm='forward'``). That
+    is n times the default 1 / n scaled one to the bit, since n is a
+    power of two (:func:`scan_size`) and so the scale is exact.
+    """
+    return np.fft.irfft(coef, n, norm='forward')
 
 
 def _newton_minima(coef, phi, step):
@@ -189,13 +197,11 @@ def _newton_minima(coef, phi, step):
     Returns (phases, refined): a phase that is not finite or ends more
     than ``step`` from its start falls back to the start, unrefined.
     """
-    lags, squares = _lag_powers(coef.shape[0])
-    weights = np.empty((coef.shape[0], 2), dtype=complex)
-    weights[:, 0] = lags * coef
-    weights[:, 1] = squares * coef
+    ilags, powers = _lag_powers(coef.shape[0])
+    weights = powers * coef[:, None]
     x = phi
     for _ in range(_NEWTON_STEPS):
-        s = np.exp(1j * (x[:, None] * lags)) @ weights
+        s = np.exp(x[:, None] * ilags) @ weights
         x = x - s[:, 0].imag / s[:, 1].real
     refined = np.abs(x - phi) <= step
     return np.where(refined, x, phi), refined
@@ -203,12 +209,14 @@ def _newton_minima(coef, phi, step):
 
 @lru_cache(maxsize=128)
 def _lag_powers(mv):
-    """The lags 0 .. mv - 1 of the null polynomial and their squares."""
+    """The lags l = 0 .. mv - 1 of the null polynomial times 1j, and the
+    (mv, 2) stack of each l and l^2."""
     lags = np.arange(mv)
-    squares = lags * lags
-    lags.setflags(write=False)
-    squares.setflags(write=False)
-    return lags, squares
+    ilags = 1j * lags
+    powers = np.stack([lags, lags * lags], axis=1)
+    ilags.setflags(write=False)
+    powers.setflags(write=False)
+    return ilags, powers
 
 
 def _find_peaks(d):
@@ -334,8 +342,11 @@ def estimate_doas(en, k, grid_step=np.deg2rad(0.1), d0=0.5, wavelength=1.0):
     phi, refined = _newton_minima(coef, (kept - half) * step, step)
     wrapped = np.pi - (np.pi - phi) % (2.0 * np.pi)
     sines = wrapped / (2.0 * np.pi * (d0 / wavelength))
-    # np.clip(sines, -1, 1) without its dispatch; NaN stays NaN
-    np.minimum(np.maximum(sines, -1.0, out=sines), 1.0, out=sines)
+    if arc:
+        # np.clip(sines, -1, 1) without its dispatch; NaN stays NaN. On
+        # the whole circle |wrapped| <= pi <= 2 pi d0 / wavelength, so
+        # the sines are within [-1, 1] already
+        np.minimum(np.maximum(sines, -1.0, out=sines), 1.0, out=sines)
     angles = np.arcsin(sines)
     order = angles.argsort()
     return DoaEstimate(angles=angles[order], resolved=resolved,
@@ -384,7 +395,7 @@ def run_music(z, mv, k, method='ss', *, grid_step=np.deg2rad(0.1), d0=0.5,
     cols = _noise_columns(values, k, method)
     est = estimates.get(cols)
     if est is None:
-        est = estimate_doas(vectors[:, list(cols)], k, *options)
+        est = estimate_doas(vectors.take(cols, axis=1), k, *options)
         est.angles.setflags(write=False)
         est.refined.setflags(write=False)
         estimates[cols] = est

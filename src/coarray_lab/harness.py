@@ -315,9 +315,18 @@ def _trial_block(geom, scenario, n_snapshots, methods, master_seed,
 _BLAS_THREADS = ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')
 
 
+@dataclass(frozen=True)
+class _Pool:
+    """An executor's ``map`` and its worker count, as run_trials needs."""
+
+    map: object
+    workers: int
+
+
 @contextlib.contextmanager
 def _worker_pool(threads):
-    """An executor with ``threads`` worker processes; None for one or fewer.
+    """A :class:`_Pool` of ``threads`` worker processes; None for one or
+    fewer.
 
     :func:`run` opens one for its whole sweep and passes it to every
     :func:`run_trials` call, so every sweep point has the same warm
@@ -337,8 +346,8 @@ def _worker_pool(threads):
     os.environ.update(dict.fromkeys(unset, '1'))
     try:
         with ProcessPoolExecutor(max_workers=threads,
-                                 mp_context=context) as pool:
-            yield pool
+                                 mp_context=context) as executor:
+            yield _Pool(executor.map, threads)
     finally:
         for name in unset:
             os.environ.pop(name, None)
@@ -353,8 +362,8 @@ def run_trials(geom, scenario, n_snapshots, methods, master_seed,
     comparisons see identical noise. The trials run in blocks of at most
     :data:`_DRAW_SLICE`, each drawn as one stack whose slices equal the
     trials' own :func:`model.sample_covariance_draw`. The blocks run here
-    or on ``pool`` (a :func:`_worker_pool`), where a short point is split
-    into one block per worker. A trial depends on its seed
+    or on ``pool`` (the :class:`_Pool` of a :func:`_worker_pool`), where a
+    short point is split into one block per worker. A trial depends on its seed
     ``(master_seed, combo_index, trial)`` alone, so the result depends
     neither on the blocks nor on where they run.
 
@@ -368,7 +377,7 @@ def run_trials(geom, scenario, n_snapshots, methods, master_seed,
         _trial_block, geom, scenario, int(n_snapshots), tuple(methods),
         int(master_seed), int(combo_index), float(grid_step))
     n_trials = int(n_trials)
-    workers = 1 if pool is None else pool._max_workers
+    workers = 1 if pool is None else pool.workers
     size = max(1, min(_DRAW_SLICE, -(-n_trials // workers)))
     blocks = [range(start, min(start + size, n_trials))
               for start in range(0, n_trials, size)] or [range(0)]

