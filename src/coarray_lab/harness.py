@@ -77,18 +77,11 @@ class ExperimentConfig:
     """Declarative description of one experiment sweep.
 
     Angles are in degrees and SNRs in dB; conversion to radians happens
-    inside the sweep. Every kind reads ``seed``, ``n_trials``,
-    ``method``, ``grid_step_deg``, ``power`` and ``out_dir``; beyond
-    those each kind reads only its own fields and ignores the rest:
-
-    - ``verify_mse``: ``arrays``, ``snr_db``, ``n_snapshots``,
-      ``doas_deg``.
-    - ``resolution``: ``arrays``, ``snr_db``, ``n_snapshots``,
-      ``center_deg``, ``delta_deg``.
-    - ``efficiency``: ``arrays``, ``snr_db``, ``n_snapshots``,
-      ``k_sources`` (or ``doas_deg``), ``empirical``.
-    - ``scaling``: ``families``, ``k_modes``, ``q_range``, the first
-      ``snr_db`` and ``n_snapshots`` entries, ``empirical``.
+    inside the sweep. Each kind reads the fields :data:`_TABLES` lists
+    for it, and a field it does not read must keep its default, so that
+    no setting is silently dropped. ``efficiency`` takes ``doas_deg`` or
+    ``k_sources``, not both; ``scaling`` takes one ``snr_db`` and one
+    ``n_snapshots`` entry; and neither runs ``method='both'``.
 
     Attributes:
         kind: One of ``verify_mse``, ``resolution``, ``efficiency``,
@@ -195,6 +188,21 @@ class ExperimentConfig:
         for mode in self.k_modes:
             if mode not in _K_MODES:
                 raise ConfigError("k_modes entries must be 'one' or 'm'")
+        reads = _TABLES[self.kind][2]
+        unread = [f.name for f in dataclasses.fields(self)
+                  if f.name not in reads and getattr(self, f.name) != f.default]
+        if unread:
+            raise ConfigError(f'{self.kind} does not read {", ".join(unread)}')
+        if (self.kind == 'efficiency' and self.doas_deg is not None
+                and self.k_sources != ExperimentConfig.k_sources):
+            raise ConfigError('efficiency reads doas_deg or k_sources, not both')
+        if self.kind in ('efficiency', 'scaling') and self.method == 'both':
+            raise ConfigError(f"{self.kind} runs one method: method must be "
+                              f"'da' or 'ss', got 'both'")
+        for name in ('snr_db', 'n_snapshots'):
+            if self.kind == 'scaling' and len(getattr(self, name)) > 1:
+                raise ConfigError(f'scaling reads one {name} entry, got '
+                                  f'{len(getattr(self, name))}')
 
     @classmethod
     def from_mapping(cls, mapping):
@@ -606,13 +614,12 @@ def _resolution_rows(cfg, points, pool):
 
 
 def _efficiency_rows(cfg, points, pool):
-    """Trials run only where the CRB is defined, for the last method."""
-    method = _methods(cfg.method)[-1]
+    """Trials run only where the CRB is defined."""
     for combo, p, _, report, kappa, crb_trace in _closed_forms(points):
         kappa_em = kappa_em_se = float('nan')
         trials = failed = 0
         if cfg.empirical and report.defined:
-            ok, = _trial_successes(cfg, combo, p, (method,), pool)
+            ok, = _trial_successes(cfg, combo, p, (cfg.method,), pool)
             trials, failed = cfg.n_trials, cfg.n_trials - len(ok)
             if len(ok):
                 per_source = np.mean(np.square(ok), axis=0)
@@ -626,12 +633,8 @@ def _efficiency_rows(cfg, points, pool):
 
 
 def _scaling_rows(cfg, points, pool):
-    """Trials run for the last method only.
-
-    The log-log slope of MSE against the sensor count is fitted per
-    family and source mode.
-    """
-    method = _methods(cfg.method)[-1]
+    """The log-log slope of MSE against the sensor count is fitted per
+    family and source mode."""
     forms = _closed_forms(points, bound=False)
     for _, group in itertools.groupby(forms, key=lambda form: form[1].group):
         rows = []
@@ -639,7 +642,7 @@ def _scaling_rows(cfg, points, pool):
             eps_em = eps_se = float('nan')
             trials = failed = 0
             if cfg.empirical:
-                ok, = _trial_successes(cfg, combo, p, (method,), pool)
+                ok, = _trial_successes(cfg, combo, p, (cfg.method,), pool)
                 trials, failed = cfg.n_trials, cfg.n_trials - len(ok)
                 eps_em, eps_se = _mse_stats(ok)
             rows.append(p.tags + (float(np.mean(np.diag(mse))), eps_em,
@@ -652,20 +655,32 @@ def _scaling_rows(cfg, points, pool):
         yield from (row + (slope,) for row in rows)
 
 
-# Per kind: the table header and the row function over the sweep points.
+# The config fields every kind reads.
+_COMMON = ('kind', 'seed', 'n_trials', 'method', 'grid_step_deg', 'power',
+           'out_dir')
+
+# Per kind: the table header, the row function over the sweep points and
+# the config fields the kind reads; every other field keeps its default.
 _TABLES = {
     'verify_mse': (('array', 'method', 'snr_db', 'n_snapshots', 'trials',
                     'mse_an_rad2', 'mse_em_rad2', 'rel_err',
-                    'mse_em_se_rad2', 'failed_trials'), _verify_rows),
+                    'mse_em_se_rad2', 'failed_trials'), _verify_rows,
+                   _COMMON + ('arrays', 'snr_db', 'n_snapshots', 'doas_deg')),
     'resolution': (('array', 'method', 'snr_db', 'n_snapshots', 'delta_deg',
                     'trials', 'p_resolve', 'p_resolve_se',
-                    'predicted_threshold_deg'), _resolution_rows),
+                    'predicted_threshold_deg'), _resolution_rows,
+                   _COMMON + ('arrays', 'snr_db', 'n_snapshots', 'center_deg',
+                              'delta_deg')),
     'efficiency': (('array', 'k', 'snr_db', 'n_snapshots', 'kappa_analytic',
                     'crb_defined', 'kappa_empirical', 'kappa_empirical_se',
-                    'trials', 'failed_trials'), _efficiency_rows),
+                    'trials', 'failed_trials'), _efficiency_rows,
+                   _COMMON + ('arrays', 'snr_db', 'n_snapshots', 'k_sources',
+                              'doas_deg', 'empirical')),
     'scaling': (('family', 'k_mode', 'q', 'm', 'mv', 'eps_an_rad2',
                  'eps_em_rad2', 'eps_em_se_rad2', 'trials', 'failed_trials',
-                 'fitted_slope'), _scaling_rows),
+                 'fitted_slope'), _scaling_rows,
+                _COMMON + ('families', 'k_modes', 'q_range', 'snr_db',
+                           'n_snapshots', 'empirical')),
 }
 
 
@@ -675,7 +690,7 @@ def run(cfg, threads=1):
     Every sweep point is built and checked before the first trial runs.
     """
     points, notices = _sweep(cfg)
-    header, rows = _TABLES[cfg.kind]
+    header, rows, _ = _TABLES[cfg.kind]
     with _worker_pool(threads) as pool:
         tables = {cfg.kind: Table(header, tuple(rows(cfg, points, pool)))}
     if notices:

@@ -8,6 +8,7 @@ depend on how work is chunked across processes.
 import dataclasses
 import json
 import os
+import pathlib
 import warnings
 
 import numpy as np
@@ -127,14 +128,29 @@ def test_load_config(tmp_path):
 
 
 def test_config_digest_tracks_every_field():
-    cfg = ExperimentConfig(kind='verify_mse')
-    assert harness.config_digest(cfg) == harness.config_digest(
-        ExperimentConfig(kind='verify_mse'))
-    changed = dict(seed=1, n_trials=9, method='da', out_dir='elsewhere',
-                   snr_db=(5.0,), power=2.0, empirical=True)
-    for field, value in changed.items():
-        other = dataclasses.replace(cfg, **{field: value})
-        assert harness.config_digest(other) != harness.config_digest(cfg), field
+    # every field but the kind, each changed on a kind that reads it
+    changed = {
+        'verify_mse': dict(seed=1, n_trials=9, method='da',
+                           out_dir='elsewhere', grid_step_deg=0.5, power=2.0,
+                           arrays=('mra:10',), snr_db=(5.0,),
+                           n_snapshots=(100,), doas_deg=(10.0, 20.0)),
+        'resolution': dict(center_deg=10.0, delta_deg=(1.0,)),
+        'efficiency': dict(k_sources=(2,), empirical=True),
+        'scaling': dict(q_range=(3, 4), families=('mra',), k_modes=('one',)),
+    }
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert {'kind'}.union(*changed.values()) == fields
+    digests = {harness.config_digest(ExperimentConfig(kind=kind))
+               for kind in changed}
+    assert len(digests) == len(changed)
+    for kind, values in changed.items():
+        cfg = ExperimentConfig(kind=kind)
+        assert harness.config_digest(cfg) == harness.config_digest(
+            ExperimentConfig(kind=kind))
+        for field, value in values.items():
+            other = dataclasses.replace(cfg, **{field: value})
+            assert harness.config_digest(other) != harness.config_digest(
+                cfg), (kind, field)
 
 
 def test_parse_array_specs():
@@ -367,15 +383,18 @@ def test_efficiency_runner_empirical_columns(trial_calls):
     cfg = ExperimentConfig(kind='efficiency', arrays=('coprime:2',),
                            k_sources=(1,), snr_db=(10.0,),
                            n_snapshots=(150,), n_trials=12,
-                           grid_step_deg=0.5, empirical=True, method='both')
+                           grid_step_deg=0.5, empirical=True)
     table = harness.run(cfg)['efficiency']
     named = dict(zip(table.header, table.rows[0]))
     assert named['trials'] == 12
     assert np.isfinite(named['kappa_empirical'])
     assert named['kappa_empirical'] > 0
     assert np.isfinite(named['kappa_empirical_se'])
-    # the table reports the last method only, so only that one runs
     assert trial_calls == [(0, ('ss',))]
+    # the table has no method column, so it cannot hold two methods
+    with pytest.raises(harness.ConfigError,
+                       match="efficiency runs one method"):
+        dataclasses.replace(cfg, method='both')
 
 
 @pytest.mark.parametrize('placement', [
@@ -418,7 +437,7 @@ def test_efficiency_fans_match_the_per_point_route(trial_calls, placement):
 
 def test_scaling_runner_schema_and_slope(trial_calls):
     cfg = tiny_scaling_config(q_range=(2, 3, 4, 5, 13), empirical=True,
-                              method='both')
+                              method='da')
     tables = harness.run(cfg)
     table = tables['scaling']
     assert table.header == ('family', 'k_mode', 'q', 'm', 'mv',
@@ -436,8 +455,11 @@ def test_scaling_runner_schema_and_slope(trial_calls):
     notices = tables['notices']
     assert notices.header == ('message',)
     assert [msg.split()[2] for (msg,) in notices.rows] == ['2', '13']
-    # skipped sizes take no combo index
-    assert trial_calls == [(0, ('ss',)), (1, ('ss',)), (2, ('ss',))]
+    # skipped sizes take no combo index, and the config's method runs
+    assert trial_calls == [(0, ('da',)), (1, ('da',)), (2, ('da',))]
+    # the table has no method column, so it cannot hold two methods
+    with pytest.raises(harness.ConfigError, match="scaling runs one method"):
+        dataclasses.replace(cfg, method='both')
 
 
 def test_scaling_rows_match_the_point_by_point_closed_form(monkeypatch):
@@ -476,12 +498,14 @@ def test_scaling_rows_match_the_point_by_point_closed_form(monkeypatch):
 def test_closed_forms_hold_at_a_large_finite_power(kind, column):
     # the closed forms depend on the powers only through the SNR: a
     # power of 1e200 gives the unit-power values, with no overflow
+    placement = (dict(delta_deg=(2.0,)) if kind == 'resolution'
+                 else dict(doas_deg=(-20.0, 25.0)))
+
     def closed_form(power):
         cfg = ExperimentConfig(kind=kind, arrays=('coprime:2',),
                                snr_db=(0.0, 20.0), n_snapshots=(100,),
-                               n_trials=2, doas_deg=(-20.0, 25.0),
-                               delta_deg=(2.0,), grid_step_deg=0.5,
-                               power=power)
+                               n_trials=2, grid_step_deg=0.5, power=power,
+                               **placement)
         table = harness.run(cfg)[kind]
         return [row[table.header.index(column)] for row in table.rows]
 
@@ -544,13 +568,13 @@ def test_rows_without_a_successful_trial_read_nan(monkeypatch):
         assert np.isnan(named['rel_err'])
         assert np.isnan(named['mse_em_se_rad2'])
         assert named['failed_trials'] == 3
-    for kind, empirical in (('efficiency', ('kappa_empirical',
-                                            'kappa_empirical_se')),
-                            ('scaling', ('eps_em_rad2', 'eps_em_se_rad2'))):
-        cfg = ExperimentConfig(kind=kind, arrays=('coprime:2',),
-                               k_sources=(1,), families=('mra',),
-                               q_range=(3,), k_modes=('one',), n_trials=3,
-                               empirical=True)
+    for kind, empirical, placement in (
+            ('efficiency', ('kappa_empirical', 'kappa_empirical_se'),
+             dict(arrays=('coprime:2',), k_sources=(1,))),
+            ('scaling', ('eps_em_rad2', 'eps_em_se_rad2'),
+             dict(families=('mra',), q_range=(3,), k_modes=('one',)))):
+        cfg = ExperimentConfig(kind=kind, n_trials=3, empirical=True,
+                               **placement)
         table = harness.run(cfg)[kind]
         named = dict(zip(table.header, table.rows[0]))
         assert all(np.isnan(named[c]) for c in empirical), kind
@@ -701,7 +725,7 @@ def test_csv_text_formats_python_and_numpy_cells():
 def test_analyze_matches_efficiency_run(trial_calls, placement, calls):
     cfg = ExperimentConfig(kind='efficiency', snr_db=(10.0,),
                            n_snapshots=(150,), n_trials=3, grid_step_deg=0.5,
-                           empirical=True, method='both', **placement)
+                           empirical=True, **placement)
     table = harness.run(cfg)['efficiency']
     ran = [dict(zip(table.header, row)) for row in table.rows]
     table = harness._analyze_table(cfg)
@@ -737,11 +761,13 @@ def test_emit_outputs_deterministic(tmp_path):
     tables = harness.run(cfg)
     out = tmp_path / 'results'
     first = harness.emit_outputs(tables, out, cfg)
-    snapshot = {os.path.basename(p): open(p, 'rb').read() for p in first}
+    snapshot = {os.path.basename(p): pathlib.Path(p).read_bytes()
+                for p in first}
     second = harness.emit_outputs(harness.run(cfg), out, cfg)
     assert sorted(first) == sorted(second)
     for path in second:
-        assert open(path, 'rb').read() == snapshot[os.path.basename(path)]
+        assert pathlib.Path(path).read_bytes() == snapshot[
+            os.path.basename(path)]
     names = {os.path.basename(p) for p in first}
     assert {'scaling.csv', 'scaling.gp', 'manifest.json'} <= names
 
@@ -1123,8 +1149,8 @@ def test_cli_run_rejects_bad_values_before_any_trial(tmp_path, capsys,
     cfg = tmp_path / 'cfg.json'
     cfg.write_text(json.dumps({
         'kind': 'verify_mse', 'arrays': ['coprime:2'], 'snr_db': [0.0],
-        'n_snapshots': [100], 'n_trials': 2, 'delta_deg': [1.0],
-        'out_dir': str(out_dir), **bad}))
+        'n_snapshots': [100], 'n_trials': 2, 'out_dir': str(out_dir),
+        **bad}))
     assert cli.main(['run', '--config', str(cfg)]) == 2
     out, err = capsys.readouterr()
     assert out == ''
@@ -1132,6 +1158,50 @@ def test_cli_run_rejects_bad_values_before_any_trial(tmp_path, capsys,
     assert named in err
     assert trial_calls == []
     assert not out_dir.parent.exists()
+
+
+# Settings that a kind would drop without notice, and the field each
+# error names: a field the kind does not read, a second placement, a
+# sweep where scaling reads one value, two methods where one runs
+DROPPED_SETTINGS = [
+    # the 30 dB and N = 1000 points have no column to show up in
+    ({'kind': 'scaling', 'snr_db': [0, 30], 'n_snapshots': [100, 1000],
+      'arrays': ['mra:10'], 'doas_deg': [1, 2]}, 'arrays'),
+    ({'kind': 'scaling', 'snr_db': [0, 30]}, 'snr_db'),
+    ({'kind': 'scaling', 'n_snapshots': [100, 1000]}, 'n_snapshots'),
+    ({'kind': 'resolution', 'doas_deg': [29, 31]}, 'doas_deg'),
+    ({'kind': 'verify_mse', 'center_deg': 10}, 'center_deg'),
+    ({'kind': 'efficiency', 'center_deg': 10}, 'center_deg'),
+    ({'kind': 'scaling', 'center_deg': 10}, 'center_deg'),
+    ({'kind': 'verify_mse', 'delta_deg': [1.0]}, 'delta_deg'),
+    ({'kind': 'efficiency', 'delta_deg': [1.0]}, 'delta_deg'),
+    ({'kind': 'scaling', 'delta_deg': [1.0]}, 'delta_deg'),
+    ({'kind': 'verify_mse', 'empirical': True}, 'empirical'),
+    ({'kind': 'resolution', 'empirical': True}, 'empirical'),
+    ({'kind': 'efficiency', 'doas_deg': [-20, 25], 'k_sources': [2]},
+     'k_sources'),
+    ({'kind': 'efficiency', 'method': 'both'}, 'method'),
+    ({'kind': 'scaling', 'method': 'both'}, 'method'),
+]
+
+
+@pytest.mark.parametrize('command', ['run', 'analyze'])
+@pytest.mark.parametrize('mapping, field', DROPPED_SETTINGS,
+                         ids=[f'{m["kind"]}-{f}' for m, f in DROPPED_SETTINGS])
+def test_cli_rejects_a_setting_its_kind_would_drop(tmp_path, capsys,
+                                                   trial_calls, command,
+                                                   mapping, field):
+    cfg = tmp_path / 'cfg.json'
+    cfg.write_text(json.dumps(mapping))
+    # a run's two directory levels, or the CSV analyze writes
+    out = tmp_path / ('out/run' if command == 'run' else 'analyze.csv')
+    assert cli.main([command, '--config', str(cfg), '--out', str(out)]) == 2
+    printed, err = capsys.readouterr()
+    assert printed == ''
+    assert err.startswith('error: ') and err.count('\n') == 1, err
+    assert mapping['kind'] in err and field in err, err
+    assert trial_calls == []
+    assert os.listdir(tmp_path) == ['cfg.json']
 
 
 def test_cli_run_removes_its_directories_on_a_numerical_failure(tmp_path,

@@ -290,3 +290,48 @@ def test_trial_records_do_not_depend_on_chunking(n_trials, cuts, methods,
     pieces = [harness._trial_block(*point, step, range(lo, hi))
               for lo, hi in zip(bounds, bounds[1:])]
     np.testing.assert_array_equal(np.concatenate(pieces, axis=1), serial)
+
+
+# Valid values other than the default for every config field but the
+# kind, as a JSON config gives them; method 'both' is left out, since
+# efficiency and scaling refuse it for running one method
+FIELD_VALUES = {
+    'arrays': (['mra:10'], ['coprime:2', 'ula:4']),
+    'snr_db': ([10.0], [-5]),
+    'n_snapshots': ([100], [2000]),
+    'n_trials': (3, 1000),
+    'seed': (0, 7),
+    'method': ('da',),
+    'out_dir': ('elsewhere', 'out/run'),
+    'doas_deg': ([10.0, 20.0], [-30]),
+    'center_deg': (10.0, -45),
+    'delta_deg': ([1.0], [0.5, 2.0]),
+    'k_sources': ([2], [1, 3]),
+    'q_range': ([3, 4], [5]),
+    'families': (['mra'], ['nested', 'coprime']),
+    'k_modes': (['one'], ['m']),
+    'grid_step_deg': (0.5, 0.01),
+    'power': (2.0, 0.25),
+    'empirical': (True,),
+}
+field_settings = st.sampled_from(sorted(FIELD_VALUES)).flatmap(
+    lambda name: st.tuples(st.just(name), st.sampled_from(FIELD_VALUES[name])))
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(st.sampled_from(sorted(harness._TABLES)), field_settings)
+def test_a_config_may_set_only_the_fields_its_kind_reads(kind, setting):
+    # the table alone decides: a field the kind reads takes the value,
+    # any other field is refused by name, and no trial runs either way
+    assert set(FIELD_VALUES) | {'kind'} == {
+        f.name for f in dataclasses.fields(harness.ExperimentConfig)}
+    name, value = setting
+    mapping = {'kind': kind, name: value}
+    if name in harness._TABLES[kind][2]:
+        cfg = harness.ExperimentConfig.from_mapping(mapping)
+        want = tuple(value) if isinstance(value, list) else value
+        assert getattr(cfg, name) == want
+    else:
+        with pytest.raises(harness.ConfigError) as info:
+            harness.ExperimentConfig.from_mapping(mapping)
+        assert str(info.value) == f'{kind} does not read {name}'

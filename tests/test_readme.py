@@ -1,7 +1,10 @@
-"""The README's Quick-start block runs against the current API."""
+"""The README's Quick-start block runs against the current API, and its
+list of config fields per kind is the harness's table."""
 
 import pathlib
 import re
+
+from coarray_lab import harness
 
 README = pathlib.Path(__file__).resolve().parents[1] / 'README.md'
 
@@ -13,3 +16,18 @@ def test_quick_start_block_runs():
     exec(compile(block, f'{README.name} (Quick start)', 'exec'), names)
     assert names['est'].resolved
     assert names['spectrum'].shape == names['grid'].shape
+
+
+def test_config_kinds_list_the_fields_of_the_table():
+    text = README.read_text(encoding='utf-8')
+    section = text.split('Config kinds, ', 1)[1].split('\n\nA config', 1)[0]
+    head, *bullets = section.split('\n- ')
+    assert re.findall(r'`(\w+)`', head) == list(harness._COMMON)
+    listed = {}
+    for bullet in bullets:
+        kind = re.match(r'`(\w+)`', bullet).group(1)
+        # the fields follow the kind's parenthesised description
+        listed[kind] = re.findall(
+            r'`(\w+)`', re.split(r'\):\s', bullet)[-1])
+    assert listed == {kind: [f for f in fields if f not in harness._COMMON]
+                      for kind, (_, _, fields) in harness._TABLES.items()}
