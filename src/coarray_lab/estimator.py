@@ -8,7 +8,8 @@ gives, the smoothed matrix is Rv2 = Rv1^2 / mv, so the two share their
 eigenvectors and MUSIC applied to either yields the same asymptotic
 behavior. :func:`run_music` therefore decomposes the direct
 augmentation only: DA takes the eigenvectors with the smallest
-eigenvalues, SS those with the smallest |eigenvalue|.
+eigenvalues, SS those with the smallest |eigenvalue|, of Rv1 in the real
+form that unitary MUSIC uses (Lee 1980; Huarng and Yeh 1991).
 
 On the virtual uniform array the MUSIC null spectrum
 a(phi)^H E_n E_n^H a(phi) is a real trigonometric polynomial of
@@ -26,10 +27,10 @@ theta = arcsin(phi / (2 pi d0 / wavelength)).
 
 What a call needs besides its data is memoized on scalars: the scan
 plan (phase count and grid indices) per (mv, grid step, d0,
-wavelength), and per mv the Toeplitz index of :func:`augment_direct`
-and the Newton steps' lags, as the vector j l of their exponents and
-the (mv, 2) stack of l and l^2 that weighs the coefficients. Each memo
-returns read-only arrays.
+wavelength), and per mv the gather of Rv1's real form and the Newton
+steps' lags, as the vector j l of their exponents and the (mv, 2) stack
+of l and l^2 that weighs the coefficients. Each memo returns read-only
+arrays.
 
 The subarray, Gamma-matrix and steering-vector routes that the tests
 check this module against live in :mod:`coarray_lab.reference`.
@@ -91,15 +92,68 @@ def augment_direct(z, mv):
     z = np.asarray(z)
     if z.shape[0] != 2 * mv - 1:
         raise ValueError(f'z must have length {2 * mv - 1}, got {z.shape[0]}')
-    return z.take(_toeplitz_index(mv))
+    return z[mv - 1 + np.arange(mv)[:, None] - np.arange(mv)]
+
+
+def _real_augmentation(z, mv):
+    """T = Q^H Rv1 Q (:func:`_unitary_gather`) from the lags >= 0 of z."""
+    if z.shape[0] != 2 * mv - 1:
+        raise ValueError(f'z must have length {2 * mv - 1}, got {z.shape[0]}')
+    lags = z[mv - 1:]
+    index, weight = _unitary_gather(mv)
+    terms = np.concatenate((lags.real, lags.imag, [0.0])).take(index)
+    terms *= weight
+    return np.add(terms[0], terms[1], out=terms[0])
 
 
 @lru_cache(maxsize=128)
-def _toeplitz_index(mv):
-    """Index of z at each entry of Rv1, ``idx[a, c] = mv - 1 + a - c``."""
-    idx = np.arange(mv)[:, None] + (mv - 1 - np.arange(mv))[None, :]
-    idx.setflags(write=False)
-    return idx
+def _unitary_gather(mv):
+    """Slots and weights, (2, mv, mv), of T = Q^H Rv1 Q as w1 v[i1] + w2 v[i2].
+
+    Q = [[I, 0, jI], [0, sqrt(2), 0], [J, 0, -jJ]] / sqrt(2), J the p x p
+    exchange, p = mv // 2, the middle row and column for an odd mv only;
+    v = [Re z_0 .. Re z_{mv-1}, Im z_0 .. Im z_{mv-1}, 0]. With t = |a - c|,
+    h = mv - 1 - a - c and s = sign(a - c), a, c < p, T's blocks are
+    Re z_t + Re z_h, -s Im z_t - Im z_h (top) and s Im z_t - Im z_h,
+    Re z_t - Re z_h (bottom); its middle row and column hold
+    sqrt(2) Re z_{p-a} at a, Re z_0 at p and -sqrt(2) Im z_{p-a} at p + 1 + a.
+    """
+    p = mv // 2
+    a, c = np.ogrid[:p, :p]
+    t, h, s = abs(a - c), mv - 1 - a - c, np.sign(a - c)
+    im_t = np.where(s == 0, 2 * mv, mv + t)
+    top, bottom = slice(0, p), slice(mv - p, mv)
+    index = np.full((2, mv, mv), 2 * mv)
+    weight = np.zeros((2, mv, mv))
+    for rows, cols, term, slot, w in (
+            (top, top, 0, t, 1.0), (top, top, 1, h, 1.0),
+            (top, bottom, 0, im_t, -s), (top, bottom, 1, mv + h, -1.0),
+            (bottom, top, 0, im_t, s), (bottom, top, 1, mv + h, -1.0),
+            (bottom, bottom, 0, t, 1.0), (bottom, bottom, 1, h, -1.0)):
+        index[term, rows, cols] = slot
+        weight[term, rows, cols] = w
+    if mv % 2:
+        lag = p - np.arange(p)
+        index[0, :, p] = index[0, p] = np.concatenate((lag, [0], mv + lag))
+        weight[0, :, p] = weight[0, p] = np.repeat(
+            [np.sqrt(2.0), 1.0, -np.sqrt(2.0)], (p, 1, p))
+    index.setflags(write=False)
+    weight.setflags(write=False)
+    return index, weight
+
+
+def _unitary_basis(vectors):
+    """Q V by slicing: (V1 + j V2) / sqrt(2) over J (V1 - j V2) / sqrt(2),
+    V1 and V2 the top and bottom p rows of V, and V's middle row if any."""
+    mv, p = vectors.shape[0], vectors.shape[0] // 2
+    en = np.empty(vectors.shape, dtype=complex)
+    top = en[:p]
+    top.real = vectors[:p]
+    top.imag = vectors[mv - p:]
+    top *= np.sqrt(0.5)
+    en[mv - p:] = top[::-1].conj()
+    en[p:mv - p] = vectors[p:mv - p]
+    return en
 
 
 def augment_spatial_smoothing(z, mv):
@@ -126,13 +180,13 @@ def noise_subspace(rv, k, return_eigensystem=False):
     augmentations may be indefinite, which is fine here.
 
     Args:
-        rv: Hermitian mv x mv matrix.
+        rv: Hermitian mv x mv matrix; a real symmetric one, a real basis.
         k: Number of sources, 1 <= k < mv.
         return_eigensystem: Also return the eigensystem the basis was
             taken from.
 
     Returns:
-        Complex mv x (mv - k) matrix with orthonormal columns; with
+        mv x (mv - k) matrix with orthonormal columns; with
         ``return_eigensystem`` the tuple ``(basis, values, vectors)``,
         eigenvalues ascending and eigenvectors as columns.
     """
@@ -148,10 +202,10 @@ def noise_subspace(rv, k, return_eigensystem=False):
 def _noise_columns(values, k, method):
     """Ascending indices of a method's mv - k noise eigenvectors of Rv1.
 
-    ``values`` are the eigenvalues of the direct augmentation Rv1,
-    ascending. DA keeps the first mv - k. SS keeps the mv - k smallest
-    in absolute value: Rv2 = Rv1^2 / mv has eigenvalues lambda^2 / mv
-    on the same eigenvectors.
+    ``values`` are the eigenvalues of the direct augmentation Rv1, or of
+    its real form, ascending. DA keeps the first mv - k. SS keeps the
+    mv - k smallest in absolute value: Rv2 = Rv1^2 / mv has eigenvalues
+    lambda^2 / mv on the same eigenvectors.
     """
     n = values.shape[0] - k
     if method == 'da':
@@ -358,13 +412,18 @@ def run_music(z, mv, k, method='ss', *, grid_step=np.deg2rad(0.1), d0=0.5,
     """Coarray MUSIC on a virtual observation.
 
     Both methods read their noise subspace off one eigendecomposition,
-    that of the direct augmentation Rv1 (:func:`augment_direct`). DA
-    takes the mv - k eigenvectors with the smallest eigenvalues, SS the
-    mv - k with the smallest |eigenvalue|: since the spatially smoothed
-    Rv2 equals Rv1^2 / mv, those span the noise subspace of Rv2, which
-    is never formed. The eigensystem of the last input (z, mv, k and
-    the keyword values) is kept with the estimate of each noise column
-    set, so the second method on the same input makes no second
+    that of the direct augmentation Rv1 (:func:`augment_direct`). Rv1 is
+    Hermitian Toeplitz, so centro-Hermitian, and T = Q^H Rv1 Q is real
+    symmetric for the sparse unitary Q of Lee (1980), as in unitary MUSIC
+    (Huarng and Yeh, 1991); T is decomposed and its eigenvectors V map
+    back as Q V. Only the lags >= 0, ``z[mv - 1:]``, are read: the lower
+    triangle of Rv1, all that a Hermitian eigensolver reads. DA takes the
+    mv - k eigenvectors with the smallest eigenvalues, SS the mv - k
+    with the smallest |eigenvalue|: since the spatially smoothed Rv2
+    equals Rv1^2 / mv, those span the noise subspace of Rv2, which is
+    never formed. The eigensystem of the last input (z, mv, k and the
+    keyword values) is kept with the estimate of each noise column set,
+    so the second method on the same input makes no second
     decomposition, and no second scan when both methods pick the same
     columns (the usual case). Results may thus be shared between calls;
     their arrays are read-only.
@@ -388,14 +447,15 @@ def run_music(z, mv, k, method='ss', *, grid_step=np.deg2rad(0.1), d0=0.5,
     trial = _TRIAL_CACHE.get(key)
     if trial is None:
         _TRIAL_CACHE.clear()
-        _, values, vectors = noise_subspace(augment_direct(z, mv), k,
+        _, values, vectors = noise_subspace(_real_augmentation(z, mv), k,
                                             return_eigensystem=True)
         trial = _TRIAL_CACHE[key] = (values, vectors, {})
     values, vectors, estimates = trial
     cols = _noise_columns(values, k, method)
     est = estimates.get(cols)
     if est is None:
-        est = estimate_doas(vectors.take(cols, axis=1), k, *options)
+        est = estimate_doas(_unitary_basis(vectors.take(cols, axis=1)), k,
+                            *options)
         est.angles.setflags(write=False)
         est.refined.setflags(write=False)
         estimates[cols] = est

@@ -359,7 +359,7 @@ def test_estimate_doas_raises_on_every_call_with_a_bad_grid_step():
 
 
 # Every memo of the estimator module: each is a function of scalars.
-ESTIMATOR_MEMOS = (estimator._scan_plan, estimator._toeplitz_index,
+ESTIMATOR_MEMOS = (estimator._scan_plan, estimator._unitary_gather,
                    estimator._lag_powers)
 
 
@@ -417,7 +417,7 @@ def test_memoized_plans_give_the_estimates_of_fresh_ones():
 
 
 def test_memoized_arrays_are_read_only():
-    arrays = [estimator._toeplitz_index(5), *estimator._lag_powers(5),
+    arrays = [*estimator._unitary_gather(5), *estimator._lag_powers(5),
               estimator._scan_plan(5, 0.01, 0.5, 1.0)[2],
               estimator._scan_plan(5, 0.01, 0.25, 1.0)[2]]
     for array in arrays:
@@ -530,7 +530,7 @@ def test_polynomial_estimator_matches_scalar_reference(spec):
 
 
 # Reference for the shared eigensystem: each method decomposes its own
-# augmentation, SS the spatially smoothed matrix, then scans it.
+# complex augmentation, SS the spatially smoothed matrix, then scans it.
 
 SHARED_ARRAYS = ('coprime:3,5', 'nested:4,6', 'mra:10')
 
@@ -557,11 +557,13 @@ def test_shared_eigensystem_matches_separate_decompositions(spec):
                 ref_ss = estimator.estimate_doas(estimator.noise_subspace(
                     estimator.augment_spatial_smoothing(z, mv), k), k)
                 label = (k, snr, n, seed)
+                # run_music decomposes the real unitary image of Rv1,
+                # so DA agrees to rounding, not bit for bit
                 assert da.resolved == ref_da.resolved, label
-                np.testing.assert_array_equal(da.angles, ref_da.angles,
-                                              err_msg=str(label))
                 np.testing.assert_array_equal(da.refined, ref_da.refined,
                                               err_msg=str(label))
+                err = np.abs(da.angles - ref_da.angles)
+                assert np.all(err <= 1e-10), (label, err.max())
                 assert ss.resolved == ref_ss.resolved, label
                 np.testing.assert_array_equal(ss.refined, ref_ss.refined,
                                               err_msg=str(label))
@@ -632,3 +634,103 @@ def test_noise_columns_rank_by_method():
     en, vals, vecs = estimator.noise_subspace(rv, 2, return_eigensystem=True)
     np.testing.assert_array_equal(vals, values)
     np.testing.assert_array_equal(en, vecs[:, :3])
+
+
+# The real form of the direct augmentation: T = Q^H Rv1 Q for the
+# sparse unitary Q of Lee (1980), against a dense Q built here.
+
+def lee_unitary(mv):
+    """Dense Q = [[I, 0, jI], [0, sqrt(2), 0], [J, 0, -jJ]] / sqrt(2)."""
+    p = mv // 2
+    eye, exchange = np.eye(p), np.eye(p)[::-1]
+    q = np.zeros((mv, mv), dtype=complex)
+    q[:p, :p], q[:p, mv - p:] = eye, 1j * eye
+    q[mv - p:, :p], q[mv - p:, mv - p:] = exchange, -1j * exchange
+    if mv % 2:
+        q[p, p] = np.sqrt(2.0)
+    return q / np.sqrt(2.0)
+
+
+def conjugate_symmetric(mv, rng):
+    """A random z with z[mv - 1 - l] = conj(z[mv - 1 + l]), z[mv - 1] real."""
+    lags = rng.standard_normal(mv) + 1j * rng.standard_normal(mv)
+    lags[0] = lags[0].real
+    return np.concatenate((lags[:0:-1].conj(), lags))
+
+
+@pytest.mark.parametrize('mv', [2, 3, 4, 5, 6, 7, 8, 9, 18, 30, 36])
+def test_real_form_is_the_unitary_image_of_the_direct_augmentation(mv):
+    rng = np.random.default_rng(mv)
+    q = lee_unitary(mv)
+    np.testing.assert_allclose(q.conj().T @ q, np.eye(mv), rtol=0,
+                               atol=1e-15)
+    for _ in range(5):
+        z = conjugate_symmetric(mv, rng)
+        rv = estimator.augment_direct(z, mv)
+        image = q.conj().T @ rv @ q
+        t = estimator._real_augmentation(z, mv)
+        scale = np.linalg.norm(rv)
+        assert t.dtype == np.float64
+        np.testing.assert_array_equal(t, t.T)
+        np.testing.assert_allclose(image.imag, 0.0, rtol=0,
+                                   atol=1e-15 * scale)
+        np.testing.assert_allclose(t, image.real, rtol=0,
+                                   atol=1e-15 * scale)
+        values, vectors = np.linalg.eigh(t)
+        expected = np.linalg.eigvalsh(rv)
+        np.testing.assert_allclose(values, expected, rtol=0,
+                                   atol=1e-13 * np.abs(expected).max())
+        en = estimator._unitary_basis(vectors)
+        np.testing.assert_allclose(en, q @ vectors, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(en.conj().T @ en, np.eye(mv), rtol=0,
+                                   atol=1e-13)
+        np.testing.assert_allclose(rv @ en, en * values, rtol=0,
+                                   atol=1e-13 * scale)
+
+
+def test_real_form_reads_only_the_lags_at_or_above_zero():
+    # on any z, T is the image of the Hermitian matrix of Rv1's lower
+    # triangle, which is all that a Hermitian eigensolver reads
+    rng = np.random.default_rng(5)
+    for mv in (1, 2, 7, 8):
+        z = rng.standard_normal(2 * mv - 1) + 1j * rng.standard_normal(
+            2 * mv - 1)
+        lower = np.tril(estimator.augment_direct(z, mv))
+        hermitian = lower + np.tril(lower, -1).conj().T
+        hermitian[np.diag_indices(mv)] = lower.diagonal().real
+        q = lee_unitary(mv)
+        np.testing.assert_allclose(estimator._real_augmentation(z, mv),
+                                   (q.conj().T @ hermitian @ q).real,
+                                   rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize('geom', [geometry.coprime(3, 5),
+                                  geometry.nested(2, 3), geometry.ula(7)],
+                         ids=['coprime35', 'nested23', 'ula7'])
+def test_run_music_reads_only_the_lags_at_or_above_zero(geom):
+    rng = np.random.default_rng(31)
+    sc = model.SourceScenario.with_snr(np.deg2rad([-20.0, 35.0]), 0.0)
+    for seed in range(4):
+        z, mv = sampled_virtual(geom, sc, 200, seed=seed)
+        scrambled = z.copy()
+        scrambled[:mv - 1] = rng.standard_normal(mv - 1) * 1e3 + 1j
+        for method in ('da', 'ss'):
+            estimator._TRIAL_CACHE.clear()
+            want = estimator.run_music(z, mv, 2, method)
+            estimator._TRIAL_CACHE.clear()
+            got = estimator.run_music(scrambled, mv, 2, method)
+            assert got.resolved == want.resolved
+            np.testing.assert_array_equal(got.angles, want.angles)
+            np.testing.assert_array_equal(got.refined, want.refined)
+
+
+def test_run_music_rejects_a_virtual_observation_of_the_wrong_length():
+    rng = np.random.default_rng(8)
+    for mv in (7, 8):
+        z = rng.standard_normal(2 * mv - 1) + 0j
+        for bad in (z[:-1], np.append(z, 0.0), z[:mv]):
+            estimator._TRIAL_CACHE.clear()
+            for method in ('da', 'ss'):
+                with pytest.raises(ValueError,
+                                   match=f'must have length {2 * mv - 1},'):
+                    estimator.run_music(bad, mv, 2, method)

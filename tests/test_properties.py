@@ -8,6 +8,7 @@ every draw.
 """
 
 import dataclasses
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -109,6 +110,45 @@ def test_smallest_magnitude_eigenvectors_span_smoothed_noise(geom, seed, u):
         estimator.augment_spatial_smoothing(z, mv), k)
     np.testing.assert_allclose(en_da @ en_da.conj().T,
                                en_ss @ en_ss.conj().T, rtol=0, atol=1e-10)
+
+
+def scanned_bases(z, mv, k):
+    """run_music's DA and SS estimates and the noise bases it scanned."""
+    bases = []
+    scan = estimator.estimate_doas
+
+    def spy(en, *args):
+        bases.append(en)
+        return scan(en, *args)
+
+    estimator._TRIAL_CACHE.clear()
+    with unittest.mock.patch.object(estimator, 'estimate_doas', spy):
+        ests = [estimator.run_music(z, mv, k, m) for m in ('da', 'ss')]
+    # SS scans a second basis only when it picks other columns than DA
+    return ests, (bases[0], bases[-1])
+
+
+@settings
+@hypothesis.given(arrays, seeds, st.floats(0.0, 1.0, exclude_max=True))
+def test_real_form_gives_the_noise_projectors_of_the_complex_route(geom, seed,
+                                                                   u):
+    mv, z = random_virtual(geom, seed)
+    hypothesis.assume(mv >= 2)
+    k = 1 + int(u * (mv - 1))
+    _, values, vectors = estimator.noise_subspace(
+        estimator.augment_direct(z, mv), k, return_eigensystem=True)
+    order = np.argsort(np.abs(values))
+    mags = np.abs(values[order])
+    # only where the gap at each method's cut is clear
+    hypothesis.assume(values[mv - k] - values[mv - k - 1] > 1e-3 * mags[-1])
+    hypothesis.assume(mags[mv - k] - mags[mv - k - 1] > 1e-3 * mags[-1])
+    ests, bases = scanned_bases(z, mv, k)
+    for est, en, cols in zip(ests, bases, (np.arange(mv - k),
+                                           np.sort(order[:mv - k]))):
+        want = vectors[:, cols]
+        np.testing.assert_allclose(en @ en.conj().T, want @ want.conj().T,
+                                   rtol=0, atol=1e-10)
+        assert est.resolved == estimator.estimate_doas(want, k).resolved
 
 
 def separated_scenario(geom, seed, u):
