@@ -52,7 +52,7 @@ import numpy as np
 # selection_matrix is unused here but stays bound: bench/selftest.py
 # checks that the tracer wraps it at this lookup site.
 from .geometry import _lag_gather, difference_coarray, selection_matrix  # noqa: F401
-from .model import (SourceScenario, _phase_rate, _response, _steering,
+from .model import (SourceScenario, _response, _steering,
                     steering_matrix, vec)
 
 __all__ = [
@@ -337,9 +337,8 @@ def _mse_stack(geom, doas, powers):
     n_rows, k = doas.shape
     if k >= mv:
         raise ValueError(f'need K < mv = {mv} sources, got K = {k}')
-    rate = _phase_rate(geom)
     # virtual-ULA steering matrices and their derivatives, S x mv x K
-    av, av_dot = _steering(np.arange(mv), doas, rate)
+    av, av_dot = _steering(np.arange(mv), doas)
     av_pinv = _pinv(av)
     alpha = -av_pinv
     beta = av_dot - av @ (av_pinv @ av_dot)
@@ -361,8 +360,7 @@ def _mse_stack(geom, doas, powers):
     xi[..., cols] = gathered
     del gathered
     powers = np.asarray(powers, dtype=float)
-    aw = (_response(geom.position_array(), doas, rate)
-          * np.sqrt(powers))[:, None]
+    aw = (_response(geom.position_array(), doas) * np.sqrt(powers))[:, None]
     x = xi.reshape(n_rows, k, m, m)
     vt = aw.conj().swapaxes(-1, -2) @ x
     scale = powers * gamma
@@ -654,15 +652,14 @@ def _threshold_scan(geom, center):
     """Separations (radians) scanned for the first resolution crossing.
 
     :data:`_THRESHOLD_SCAN` continued at its ratio up to four virtual
-    beamwidths, 4 wavelength / (mv d0). No point, of the base scan or
+    beamwidths, 8 / mv. No point, of the base scan or
     its continuation, passes 1.98 (pi/2 - |center|), which keeps both
     sources off endfire.
     """
     edge = 1.98 * (np.pi / 2 - abs(center))
     last = _THRESHOLD_SCAN[-1]
     ratio = _THRESHOLD_SCAN[1] / _THRESHOLD_SCAN[0]
-    top = min(4.0 * geom.wavelength / (difference_coarray(geom).mv * geom.d0),
-              edge)
+    top = min(8.0 / difference_coarray(geom).mv, edge)
     more = int(np.log(max(top / last, 1.0)) / np.log(ratio))
     return np.concatenate((_THRESHOLD_SCAN[_THRESHOLD_SCAN <= edge],
                            last * ratio ** np.arange(1, more + 1)))

@@ -73,9 +73,8 @@ def _cmd_geom(args):
         _write_text(args.f_csv, ''.join(
             ','.join(repr(float(v)) for v in row) + '\n' for row in f))
     print(f'array: {geom.name}')
-    print('positions (units of d0):',
+    print('positions (half-wavelengths):',
           ' '.join(str(p) for p in geom.positions))
-    print(f'd0: {geom.d0}  wavelength: {geom.wavelength}')
     print(f'sensors: {geom.n_sensors}  aperture: {geom.aperture}'
           f'  virtual ULA size: {co.mv}')
     print('lag  weight')
@@ -101,8 +100,7 @@ def _cmd_estimate(args):
         model.dump_snapshots_csv(snapshots, args.dump_snapshots)
     z = model.virtual_observation(f, model.sample_covariance(snapshots))
     est = run_music(z, co.mv, scenario.n_sources, method=args.method,
-                    grid_step=np.deg2rad(args.grid_step_deg), d0=geom.d0,
-                    wavelength=geom.wavelength)
+                    grid_step=np.deg2rad(args.grid_step_deg))
     if not est.resolved:
         print(f'unresolved: found {len(est.angles)} of '
               f'{scenario.n_sources} sources', file=sys.stderr)

@@ -22,14 +22,15 @@ observation behind root-MUSIC). :func:`estimate_doas` forms the mv
 coefficients once per call and works in phi throughout: one real FFT
 of the coefficients evaluates d on a uniform circular phase grid, and
 Newton steps on the analytic derivatives refine all kept minima at
-once. Only the final angles are mapped back through
-theta = arcsin(phi / (2 pi d0 / wavelength)).
+once. The virtual array has half-wavelength spacing, so phi = pi sin
+theta, and only the final angles are mapped back through
+theta = arcsin(phi / pi).
 
 What a call needs besides its data is memoized on scalars: the scan
-plan (phase count and grid indices) per (mv, grid step, d0,
-wavelength), and per mv the gather of Rv1's real form and the Newton
-steps' lags, as the vector j l of their exponents and the (mv, 2) stack
-of l and l^2 that weighs the coefficients. Each memo returns read-only
+plan (phase count and grid indices) per (mv, grid step), and per mv
+the gather of Rv1's real form and the Newton steps' lags, as the vector
+j l of their exponents and the (mv, 2) stack of l and l^2 that weighs
+the coefficients. Each memo returns read-only
 arrays.
 
 The subarray, Gamma-matrix and steering-vector routes that the tests
@@ -52,11 +53,11 @@ __all__ = [
 # Newton steps that refine each grid minimum of the null spectrum.
 _NEWTON_STEPS = 3
 
-# The most phases one scan of the null spectrum takes: at d0 =
-# wavelength / 2 a broadside grid step down to about 1.1e-4 deg.
+# The most phases one scan of the null spectrum takes: a broadside grid
+# step down to about 1.1e-4 deg.
 MAX_SCAN_SIZE = 1 << 20
 
-# The last run_music input, keyed by (z, mv, k, estimator keywords):
+# The last run_music input, keyed by (z, mv, k, grid step):
 # its eigensystem and the estimate for each noise column set scanned so
 # far. One entry, so the DA and SS calls of a trial share one eigh.
 _TRIAL_CACHE = {}
@@ -70,8 +71,7 @@ class DoaEstimate:
         angles: Estimated DOAs in radians, ascending. Holds fewer than
             the requested number of entries when ``resolved`` is False.
         resolved: True when the spectrum produced the requested number
-            of peaks and no end of the scanned arc hides a deeper one
-            (see :func:`estimate_doas`).
+            of peaks.
         refined: Per-angle flag, True where the Newton refinement
             converged inside its phase cell (False entries fall back to
             the grid point).
@@ -289,81 +289,68 @@ def default_grid(grid_step=np.deg2rad(0.1)):
     return np.arange(-np.pi / 2 + grid_step, np.pi / 2, grid_step)
 
 
-def scan_size(mv, grid_step, d0=0.5, wavelength=1.0):
+def scan_size(mv, grid_step):
     """The number n of phases :func:`estimate_doas` scans.
 
     n is the smallest power of two, and >= 2 mv, whose step 2 pi / n is
-    no coarser than ``grid_step`` at broadside.
+    no coarser than ``grid_step`` at broadside, where the phase moves pi
+    times as far as the angle: n >= 2 / grid_step.
 
     Raises:
-        ValueError: If the grid step or d0 / wavelength is not finite
-            and positive, or n would pass :data:`MAX_SCAN_SIZE`.
+        ValueError: If the grid step is not finite and positive, or n
+            would pass :data:`MAX_SCAN_SIZE`.
     """
     if not (np.isfinite(grid_step) and grid_step > 0):
         raise ValueError(f'grid step must be finite and positive, got '
                          f'{grid_step}')
-    ratio = d0 / wavelength if wavelength else np.nan
-    if not (np.isfinite(ratio) and ratio > 0):
-        raise ValueError(f'spacing d0 / wavelength must be finite and '
-                         f'positive, got {d0} / {wavelength}')
-    # in products, so that a step too fine to invert fails here too
-    if not (ratio * grid_step * MAX_SCAN_SIZE >= 1.0
-            and 2 * mv <= MAX_SCAN_SIZE):
+    # compared before inverting, so that a step too fine to invert
+    # fails here too
+    if not (grid_step >= 2.0 / MAX_SCAN_SIZE and 2 * mv <= MAX_SCAN_SIZE):
         raise ValueError(f'a grid step of {grid_step} rad at mv = {mv} '
                          f'needs more than {MAX_SCAN_SIZE} scan phases')
-    return 1 << int(np.ceil(np.log2(max(1.0 / (ratio * grid_step),
-                                        2.0 * mv))))
+    return 1 << int(np.ceil(np.log2(max(2.0 / grid_step, 2.0 * mv))))
 
 
 @lru_cache(maxsize=32)
-def _scan_plan(mv, grid_step, d0, wavelength):
-    """What :func:`estimate_doas` scans, by float grid step, d0 and wavelength.
+def _scan_plan(mv, grid_step):
+    """What :func:`estimate_doas` scans, by mv and float grid step.
 
-    Returns ``(n, half, gather, arc)``: the scan covers the grid indices
-    ``i = -half, -half + 1, ...`` of the phases 2 pi i / n, ascending,
-    and ``gather`` holds each i modulo n. That is the arc between its two
-    ends (``arc`` True), or the whole circle with one point repeated
-    past each end, so that every point on it has both neighbours.
+    Returns ``(n, gather)``: the scan covers the grid indices
+    ``i = -n / 2, ..., n / 2 + 1`` of the phases 2 pi i / n, ascending,
+    and ``gather`` holds each i modulo n. That is the whole circle with
+    one point repeated past each end, so that every point on it has
+    both neighbours.
     """
-    n = scan_size(mv, grid_step, d0, wavelength)
-    ratio = d0 / wavelength
-    arc = ratio < 0.5
-    half = min(int(ratio * n), n // 2)
-    gather = np.arange(-half, half + 1 + (not arc)) % n
+    n = scan_size(mv, grid_step)
+    gather = np.arange(-(n // 2), n // 2 + 2) % n
     gather.setflags(write=False)
-    return n, half, gather, arc
+    return n, gather
 
 
-def estimate_doas(en, k, grid_step=np.deg2rad(0.1), d0=0.5, wavelength=1.0):
+def estimate_doas(en, k, grid_step=np.deg2rad(0.1)):
     """MUSIC on a noise-subspace basis: a phase-grid scan, then Newton.
 
     One real FFT evaluates the null spectrum d on n phases 2 pi i / n,
-    n the smallest power of two (and >= 2 mv) whose step is no coarser
-    than ``grid_step`` at broadside (:func:`scan_size`, at most
-    :data:`MAX_SCAN_SIZE`). The k deepest local minima are kept
-    (ties toward the smaller angle) and refined together by Newton steps
-    on d' = 0; one that leaves its grid cell keeps its grid phase. Each
-    angle is arcsin(phi / (2 pi d0 / wavelength)), phi wrapped into
-    (-pi, pi]. At d0 = wavelength / 2 the whole circle is scanned: an
-    endfire source is found, on either side of +-90 deg, which share
-    phi = +-pi. For smaller d0 only the arc |phi| <= 2 pi d0 / wavelength
-    is scanned, and the estimate is unresolved when d falls at an end of
-    the arc to below the weakest kept peak: a spurious peak then stands
-    in for an endfire source. With fewer than k minima it is unresolved
-    and holds the peaks that were found.
+    the whole circle, n the smallest power of two (and >= 2 mv) whose
+    step is no coarser than ``grid_step`` at broadside
+    (:func:`scan_size`, at most :data:`MAX_SCAN_SIZE`). The k deepest
+    local minima are kept (ties toward the smaller angle) and refined
+    together by Newton steps on d' = 0; one that leaves its grid cell
+    keeps its grid phase. Each angle is arcsin(phi / pi), phi wrapped
+    into (-pi, pi]. An endfire source is found, on either side of
+    +-90 deg, which share phi = +-pi. With fewer than k minima the
+    estimate is unresolved and holds the peaks that were found.
 
     The basis is scanned as given, never decomposed: from an augmented
     covariance ``rv`` pass ``noise_subspace(rv, k)``. The scan plan (n
-    and the scanned grid indices) is memoized per (mv, grid step, d0,
-    wavelength), keyed on their float values, so a float, an
-    ``np.float64`` and a 0-d array step share one plan.
+    and the scanned grid indices) is memoized per (mv, grid step), keyed
+    on the step's float value, so a float, an ``np.float64`` and a 0-d
+    array step share one plan.
 
     Args:
         en: mv x (mv - k) noise-subspace basis with orthonormal columns.
         k: Number of sources to estimate, 1 <= k < mv.
         grid_step: Broadside-equivalent grid spacing in radians.
-        d0: Virtual-ULA spacing.
-        wavelength: Carrier wavelength.
 
     Returns:
         A :class:`DoaEstimate` with ascending angles.
@@ -374,11 +361,10 @@ def estimate_doas(en, k, grid_step=np.deg2rad(0.1), d0=0.5, wavelength=1.0):
         raise ValueError(f'need an mv x (mv - k) basis with 1 <= k < mv, '
                          f'got shape {en.shape} and k = {k}')
     try:
-        n, half, gather, arc = _scan_plan(mv, float(grid_step),
-                                          float(d0), float(wavelength))
+        n, gather = _scan_plan(mv, float(grid_step))
     except (TypeError, ValueError):
-        # the message names the values as the caller gave them
-        scan_size(mv, grid_step, d0, wavelength)
+        # the message names the step as the caller gave it
+        scan_size(mv, grid_step)
         raise
     coef = _null_polynomial(en)
     d = _null_scan(coef, n).take(gather)
@@ -386,29 +372,17 @@ def estimate_doas(en, k, grid_step=np.deg2rad(0.1), d0=0.5, wavelength=1.0):
     # scan indices ascend, so a stable sort breaks ties toward the
     # smaller angle
     kept = peaks[d[peaks].argsort(kind='stable')[:k]]
-    resolved = kept.shape[0] == k
-    if resolved and arc:
-        worst = d[kept].max()
-        resolved = not (d[0] < d[1] and d[0] < worst
-                        or d[-1] < d[-2] and d[-1] < worst)
 
     step = 2.0 * np.pi / n
-    phi, refined = _newton_minima(coef, (kept - half) * step, step)
+    phi, refined = _newton_minima(coef, (kept - n // 2) * step, step)
     wrapped = np.pi - (np.pi - phi) % (2.0 * np.pi)
-    sines = wrapped / (2.0 * np.pi * (d0 / wavelength))
-    if arc:
-        # np.clip(sines, -1, 1) without its dispatch; NaN stays NaN. On
-        # the whole circle |wrapped| <= pi <= 2 pi d0 / wavelength, so
-        # the sines are within [-1, 1] already
-        np.minimum(np.maximum(sines, -1.0, out=sines), 1.0, out=sines)
-    angles = np.arcsin(sines)
+    angles = np.arcsin(wrapped / np.pi)
     order = angles.argsort()
-    return DoaEstimate(angles=angles[order], resolved=resolved,
+    return DoaEstimate(angles=angles[order], resolved=kept.shape[0] == k,
                        refined=refined[order])
 
 
-def run_music(z, mv, k, method='ss', *, grid_step=np.deg2rad(0.1), d0=0.5,
-              wavelength=1.0):
+def run_music(z, mv, k, method='ss', *, grid_step=np.deg2rad(0.1)):
     """Coarray MUSIC on a virtual observation.
 
     Both methods read their noise subspace off one eigendecomposition,
@@ -422,7 +396,7 @@ def run_music(z, mv, k, method='ss', *, grid_step=np.deg2rad(0.1), d0=0.5,
     with the smallest |eigenvalue|: since the spatially smoothed Rv2
     equals Rv1^2 / mv, those span the noise subspace of Rv2, which is
     never formed. The eigensystem of the last input (z, mv, k and the
-    keyword values) is kept with the estimate of each noise column set,
+    grid step) is kept with the estimate of each noise column set,
     so the second method on the same input makes no second
     decomposition, and no second scan when both methods pick the same
     columns (the usual case). Results may thus be shared between calls;
@@ -434,7 +408,7 @@ def run_music(z, mv, k, method='ss', *, grid_step=np.deg2rad(0.1), d0=0.5,
         k: Number of sources.
         method: ``'ss'`` for spatial smoothing, ``'da'`` for direct
             augmentation.
-        grid_step, d0, wavelength: As for :func:`estimate_doas`.
+        grid_step: As for :func:`estimate_doas`.
 
     Returns:
         A :class:`DoaEstimate`.
@@ -442,8 +416,8 @@ def run_music(z, mv, k, method='ss', *, grid_step=np.deg2rad(0.1), d0=0.5,
     if method not in ('ss', 'da'):
         raise ValueError(f"method must be 'ss' or 'da', got {method!r}")
     z = np.asarray(z)
-    options = (float(grid_step), float(d0), float(wavelength))
-    key = (z.dtype.str, z.shape, z.tobytes(), mv, k, options)
+    grid_step = float(grid_step)
+    key = (z.dtype.str, z.shape, z.tobytes(), mv, k, grid_step)
     trial = _TRIAL_CACHE.get(key)
     if trial is None:
         _TRIAL_CACHE.clear()
@@ -455,7 +429,7 @@ def run_music(z, mv, k, method='ss', *, grid_step=np.deg2rad(0.1), d0=0.5,
     est = estimates.get(cols)
     if est is None:
         est = estimate_doas(_unitary_basis(vectors.take(cols, axis=1)), k,
-                            *options)
+                            grid_step)
         est.angles.setflags(write=False)
         est.refined.setflags(write=False)
         estimates[cols] = est

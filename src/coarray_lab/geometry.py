@@ -1,10 +1,10 @@
 """Sparse linear array geometries and their difference coarrays.
 
-Sensor positions live on the integer grid, in units of a base spacing
-``d0`` (half a wavelength unless stated otherwise). The difference
-coarray of an array collects all pairwise position differences; its
-central contiguous segment determines the size of the virtual uniform
-linear array that coarray-based estimators can exploit.
+Sensor positions live on the integer grid, in units of half a
+wavelength, so no coarray aliases. The difference coarray of an array
+collects all pairwise position differences; its central contiguous
+segment determines the size of the virtual uniform linear array that
+coarray-based estimators can exploit.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ __all__ = [
 
 # Minimum-redundancy arrays with hole-free coarrays, from the classic
 # published tables (Ishiguro 1980). Keys are sensor counts, values are
-# positions in units of d0.
+# positions in half-wavelengths.
 _MRA_TABLE = {
     3: (0, 1, 3),
     4: (0, 1, 4, 6),
@@ -44,10 +44,7 @@ class ArrayGeometry:
 
     Attributes:
         positions: Strictly increasing integer sensor positions, in
-            units of ``d0``.
-        d0: Base spacing (same length unit as ``wavelength``), at most
-            half the wavelength so the coarray does not alias.
-        wavelength: Carrier wavelength.
+            half-wavelengths.
         name: Human-readable label used in reports and CSV output.
 
     Instances are immutable and hashable, so they are safe to share
@@ -55,8 +52,6 @@ class ArrayGeometry:
     """
 
     positions: tuple[int, ...]
-    d0: float = 0.5
-    wavelength: float = 1.0
     name: str = 'custom'
 
     def __post_init__(self):
@@ -64,14 +59,10 @@ class ArrayGeometry:
         if len(pos) < 2:
             raise ValueError('an array needs at least two sensors')
         if any(p != q for p, q in zip(pos, self.positions)):
-            raise ValueError('sensor positions must be integers (units of d0)')
+            raise ValueError('sensor positions must be integers '
+                             '(half-wavelengths)')
         if any(b <= a for a, b in zip(pos, pos[1:])):
             raise ValueError('sensor positions must be strictly increasing')
-        if not (self.d0 > 0 and self.wavelength > 0):
-            raise ValueError('d0 and wavelength must be positive')
-        if self.d0 > self.wavelength / 2:
-            raise ValueError(f'd0 = {self.d0} exceeds half the wavelength '
-                             f'{self.wavelength}; the coarray would alias')
         object.__setattr__(self, 'positions', pos)
 
     @property
@@ -83,7 +74,7 @@ class ArrayGeometry:
         return self.positions[-1] - self.positions[0]
 
     def position_array(self):
-        """Positions as a float vector in units of d0."""
+        """Positions as a float vector in half-wavelengths."""
         return np.asarray(self.positions, dtype=float)
 
 
@@ -107,12 +98,12 @@ class CoarrayStructure:
     mv: int = 0
 
 
-def ula(m, d0=0.5, wavelength=1.0):
+def ula(m):
     """Uniform linear array with ``m`` sensors at 0, 1, ..., m - 1."""
-    return ArrayGeometry(tuple(range(m)), d0, wavelength, name=f'ula({m})')
+    return ArrayGeometry(tuple(range(m)), name=f'ula({m})')
 
 
-def nested(n1, n2, d0=0.5, wavelength=1.0):
+def nested(n1, n2):
     """Two-level nested array.
 
     The dense level places ``n1`` sensors at 1, ..., n1; the sparse
@@ -126,10 +117,10 @@ def nested(n1, n2, d0=0.5, wavelength=1.0):
     if n1 < 1 or n2 < 1:
         raise ValueError('nested levels need n1 >= 1 and n2 >= 1')
     pos = tuple(range(1, n1 + 1)) + tuple((n1 + 1) * k for k in range(1, n2 + 1))
-    return ArrayGeometry(pos, d0, wavelength, name=f'nested({n1},{n2})')
+    return ArrayGeometry(pos, name=f'nested({n1},{n2})')
 
 
-def coprime(q, q2=None, d0=0.5, wavelength=1.0):
+def coprime(q, q2=None):
     """Co-prime array for the pair (q, q2), extended form.
 
     Sensors sit at the union of two uniform grids,
@@ -154,10 +145,10 @@ def coprime(q, q2=None, d0=0.5, wavelength=1.0):
     grid_a = set(q * k for k in range(q2 + 1))
     grid_b = set(q2 * k for k in range(1, 2 * q))
     pos = tuple(sorted(grid_a | grid_b))
-    return ArrayGeometry(pos, d0, wavelength, name=f'coprime({q},{q2})')
+    return ArrayGeometry(pos, name=f'coprime({q},{q2})')
 
 
-def mra(m, d0=0.5, wavelength=1.0):
+def mra(m):
     """Minimum-redundancy array with ``m`` sensors, from a static table.
 
     Only tabulated sizes are supported; larger designs would require an
@@ -166,23 +157,20 @@ def mra(m, d0=0.5, wavelength=1.0):
     if m not in _MRA_TABLE:
         sizes = ', '.join(str(k) for k in sorted(_MRA_TABLE))
         raise ValueError(f'no tabulated MRA with {m} sensors (available: {sizes})')
-    return ArrayGeometry(_MRA_TABLE[m], d0, wavelength, name=f'mra({m})')
+    return ArrayGeometry(_MRA_TABLE[m], name=f'mra({m})')
 
 
-def custom(positions, d0=0.5, wavelength=1.0, name=None):
-    """Array at explicitly given integer positions (units of d0)."""
-    geom = ArrayGeometry(tuple(positions), d0, wavelength,
-                         name='custom' if name is None else name)
-    if name is None:
-        label = 'custom[' + ','.join(str(p) for p in geom.positions) + ']'
-        geom = ArrayGeometry(geom.positions, d0, wavelength, name=label)
-    return geom
+def custom(positions, name=None):
+    """Array at explicitly given integer positions (half-wavelengths)."""
+    geom = ArrayGeometry(tuple(positions))
+    label = 'custom[' + ','.join(str(p) for p in geom.positions) + ']'
+    return ArrayGeometry(geom.positions, name=label if name is None else name)
 
 
 _KINDS = {'ula': ula, 'nested': nested, 'coprime': coprime, 'mra': mra}
 
 
-def make_array(kind, *params, d0=0.5, wavelength=1.0):
+def make_array(kind, *params):
     """Construct an array by kind name.
 
     Args:
@@ -198,12 +186,12 @@ def make_array(kind, *params, d0=0.5, wavelength=1.0):
     if kind == 'custom':
         if len(params) != 1:
             raise ValueError('custom arrays take one iterable of positions')
-        return custom(params[0], d0, wavelength)
+        return custom(params[0])
     if kind not in _KINDS:
         known = ', '.join(sorted(_KINDS) + ['custom'])
         raise ValueError(f'unknown array kind {kind!r} (known: {known})')
     try:
-        return _KINDS[kind](*params, d0=d0, wavelength=wavelength)
+        return _KINDS[kind](*params)
     except TypeError as exc:
         raise ValueError(f'bad parameters for {kind}: {params}') from exc
 

@@ -136,6 +136,14 @@ class ExperimentConfig:
                 f'kind must be one of {tuple(_TABLES)}, got {self.kind!r}')
         if self.method not in _METHODS:
             raise ConfigError(f'method must be one of {_METHODS}, got {self.method!r}')
+        # no string or scalar where a list belongs; a field whose default
+        # is None may stay None
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if (f.type.startswith('tuple')
+                    and not isinstance(value, (tuple, list))
+                    and not (value is None and f.default is None)):
+                raise ConfigError(f'{f.name} must be a list, got {value!r}')
         if not self.arrays:
             raise ConfigError('at least one array spec is required')
         for spec in self.arrays:
@@ -163,9 +171,7 @@ class ExperimentConfig:
                               f'{self.empirical!r}')
         for name in ('doas_deg', 'delta_deg'):
             values = getattr(self, name)
-            if values is not None and not (
-                    isinstance(values, (tuple, list))
-                    and all(_is_real(v) for v in values)):
+            if values is not None and not all(_is_real(v) for v in values):
                 raise ConfigError(f'{name} must be a list of finite numbers, '
                                   f'got {values!r}')
         if not (_is_real(self.center_deg) and -90 < self.center_deg < 90):
@@ -302,8 +308,6 @@ def _trial_block(geom, scenario, n_snapshots, methods, master_seed,
     f = geometry.selection_matrix(co).astype(complex)
     chol = np.linalg.cholesky(model.true_covariance(geom, scenario))
     mv, k = co.mv, scenario.n_sources
-    options = {'grid_step': grid_step, 'd0': geom.d0,
-               'wavelength': geom.wavelength}
     seeds = [np.random.SeedSequence(entropy=master_seed,
                                     spawn_key=(combo_index, trial))
              for trial in trials]
@@ -312,7 +316,7 @@ def _trial_block(geom, scenario, n_snapshots, methods, master_seed,
     for i, r_hat in enumerate(draws):
         z = model.virtual_observation(f, r_hat)
         for row, method in zip(estimates, methods):
-            est = run_music(z, mv, k, method, **options)
+            est = run_music(z, mv, k, method, grid_step=grid_step)
             if est.resolved:
                 row[i] = est.angles
     return estimates
@@ -452,7 +456,7 @@ def _check_estimable(geom, mv, scenario, grid_step_deg):
         raise ConfigError(f'{geom.name} needs fewer than mv = {mv} '
                           f'sources, got {scenario.n_sources}')
     try:
-        scan_size(mv, np.deg2rad(grid_step_deg), geom.d0, geom.wavelength)
+        scan_size(mv, np.deg2rad(grid_step_deg))
     except ValueError as exc:
         raise ConfigError(f'{geom.name}: {exc}') from exc
 
@@ -493,6 +497,10 @@ def _sweep(cfg):
                 add(geom, mv, _fan(1 if mode == 'one' else geom.n_sensors),
                     cfg.snr_db[0], cfg.n_snapshots[0], group,
                     (family, mode, q, geom.n_sensors, mv))
+        if not points:
+            raise ConfigError(f'scaling has no point: no array of families '
+                              f'{list(cfg.families)} has a size in '
+                              f'{list(cfg.q_range)}')
         return points, notices
 
     if cfg.kind == 'efficiency' and cfg.doas_deg is None:

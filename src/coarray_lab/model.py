@@ -3,7 +3,8 @@
 Sources are uncorrelated zero-mean circular complex Gaussians with
 per-source powers, observed in white circular complex Gaussian noise.
 All angles are in radians internally; command-line front ends convert
-from degrees.
+from degrees. Sensor positions are in half-wavelengths, so a source at
+theta reaches position p with phase pi p sin(theta).
 
 Monte Carlo trials see their data only through the sample covariance,
 so they draw it directly from its complex Wishart law,
@@ -124,19 +125,14 @@ class SourceScenario:
                               factor * self.noise_power)
 
 
-def _phase_rate(geom):
-    """Phase per unit position: 2 pi d0 / wavelength."""
-    return 2.0 * np.pi * geom.d0 / geom.wavelength
-
-
 def steering_vector(geom, theta):
     """Array response a(theta) with elements exp(j * pos_i * phi).
 
-    Here ``phi = 2 pi d0 sin(theta) / wavelength`` and positions are in
-    units of d0. The first element is 1 only when the first sensor sits
-    at the origin.
+    Here ``phi = pi sin(theta)``, the phase per half-wavelength of
+    position. The first element is 1 only when the first sensor sits at
+    the origin.
     """
-    return _response(geom.position_array(), [theta], _phase_rate(geom))[:, 0]
+    return _response(geom.position_array(), [theta])[:, 0]
 
 
 def steering_matrix(geom, scenario):
@@ -150,27 +146,26 @@ def steering_matrix(geom, scenario):
         Tuple ``(A, A_dot)`` of M x K complex matrices; column k of
         ``A_dot`` is the derivative of column k of ``A`` with respect
         to the k-th DOA: ``j * phi_dot_k * diag(pos) @ a(theta_k)``
-        with ``phi_dot_k = 2 pi d0 cos(theta_k) / wavelength``.
+        with ``phi_dot_k = pi cos(theta_k)``.
     """
-    return _steering(geom.position_array(), scenario.doas, _phase_rate(geom))
+    return _steering(geom.position_array(), scenario.doas)
 
 
-def _response(pos, theta, rate):
+def _response(pos, theta):
     """Steering matrix over positions ``pos``, without its derivative.
 
-    Element (i, k) is ``exp(j * rate * pos_i * sin(theta_k))``, with
-    ``rate`` the phase per unit position (see :func:`_phase_rate`). A
-    stack of DOA sets, S x K, gives S x M x K stacks, each equal bit for
-    bit to its own call.
+    Element (i, k) is ``exp(j * pi * pos_i * sin(theta_k))``, positions
+    in half-wavelengths. A stack of DOA sets, S x K, gives S x M x K
+    stacks, each equal bit for bit to its own call.
     """
-    return np.exp(1j * rate * (pos[:, None] * np.sin(theta)[..., None, :]))
+    return np.exp(1j * np.pi * (pos[:, None] * np.sin(theta)[..., None, :]))
 
 
-def _steering(pos, theta, rate):
+def _steering(pos, theta):
     """:func:`_response` over positions ``pos`` and its DOA derivative."""
     theta = np.asarray(theta)
-    a = _response(pos, theta, rate)
-    a_dot = 1j * rate * np.cos(theta)[..., None, :] * pos[:, None] * a
+    a = _response(pos, theta)
+    a_dot = 1j * np.pi * np.cos(theta)[..., None, :] * pos[:, None] * a
     return a, a_dot
 
 

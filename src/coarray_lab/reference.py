@@ -58,21 +58,19 @@ def gamma_stack(mv):
     return gamma
 
 
-def music_spectrum(en, grid, d0=0.5, wavelength=1.0):
+def music_spectrum(en, grid):
     """MUSIC pseudo-spectrum 1 / (a^H E_n E_n^H a) over a grid.
 
     Args:
         en: Noise-subspace basis, mv x (mv - k).
         grid: Angles in radians.
-        d0: Virtual-ULA spacing.
-        wavelength: Carrier wavelength.
 
     Returns:
         Strictly positive spectrum values, one per grid angle.
     """
     en = np.asarray(en)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    a = _response(np.arange(en.shape[0]), grid, 2.0 * np.pi * d0 / wavelength)
+    a = _response(np.arange(en.shape[0]), grid)
     d = np.sum(np.abs(en.conj().T @ a) ** 2, axis=0)
     return 1.0 / np.maximum(d, np.finfo(float).tiny)
 

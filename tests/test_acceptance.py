@@ -171,12 +171,9 @@ def _smoothed_music_deviation(draws, snr_db, n):
             if np.linalg.norm(aug - rv_ss) > 1e-12 * np.linalg.norm(rv_ss):
                 return float('inf'), differ
             want = estimator.estimate_doas(
-                estimator.noise_subspace(rv_ss, k), k, d0=geom.d0,
-                wavelength=geom.wavelength)
-            got = estimator.run_music(z, mv, k, method='ss', d0=geom.d0,
-                                      wavelength=geom.wavelength)
-            da = estimator.run_music(z, mv, k, method='da', d0=geom.d0,
-                                     wavelength=geom.wavelength)
+                estimator.noise_subspace(rv_ss, k), k)
+            got = estimator.run_music(z, mv, k, method='ss')
+            da = estimator.run_music(z, mv, k, method='da')
             differ += not np.array_equal(got.angles, da.angles)
             if (got.resolved != want.resolved
                     or got.angles.shape != want.angles.shape):

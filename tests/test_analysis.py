@@ -26,11 +26,10 @@ def random_scenario(rng, k, span=1.2, min_sep=0.15):
 
 def virtual_manifold(geom, scenario, mv):
     """Virtual steering matrix and derivative, rebuilt inline."""
-    rate = 2.0 * np.pi * geom.d0 / geom.wavelength
     theta = np.asarray(scenario.doas)
     lags = np.arange(mv)
-    av = np.exp(1j * rate * np.outer(lags, np.sin(theta)))
-    av_dot = 1j * rate * np.cos(theta)[None, :] * lags[:, None] * av
+    av = np.exp(1j * np.pi * np.outer(lags, np.sin(theta)))
+    av_dot = 1j * np.pi * np.cos(theta)[None, :] * lags[:, None] * av
     return av, av_dot
 
 
@@ -101,8 +100,7 @@ def test_error_functionals_are_nondegenerate():
         terms = analysis.error_terms(geom, sc)
         # the virtual manifold is, bit for bit, the steering matrix of
         # the virtual ULA
-        av, _ = model.steering_matrix(
-            geometry.ula(terms.mv, geom.d0, geom.wavelength), sc)
+        av, _ = model.steering_matrix(geometry.ula(terms.mv), sc)
         np.testing.assert_array_equal(
             terms.alpha, -np.linalg.pinv(av, rcond=analysis._RANK_RCOND))
         assert np.all(np.linalg.norm(terms.beta, axis=1) > 1e-8)
@@ -123,18 +121,6 @@ def test_error_terms_ignore_powers_and_noise():
     louder = model.SourceScenario(sc.doas, (2.0, 1.0, 3.0), 0.1)
     assert_terms_equal(analysis.error_terms(geometry.coprime(3, 5), louder),
                        analysis.error_terms(geom, sc))
-
-
-def test_error_terms_depend_on_spacing_and_wavelength():
-    pos = (0, 2, 3, 7, 20)
-    geoms = [geometry.custom(pos), geometry.custom(pos, d0=0.25),
-             geometry.custom(pos, wavelength=2.0)]
-    sc = model.SourceScenario.with_snr(np.deg2rad([-10.0, 35.0]), 5.0)
-    want = [analysis.error_terms(g, sc) for g in geoms]
-    assert not np.array_equal(want[0].xi, want[1].xi)
-    assert not np.array_equal(want[0].xi, want[2].xi)
-    for g, w in zip(geoms + geoms[::-1], want + want[::-1]):
-        assert_terms_equal(analysis.error_terms(g, sc), w)
 
 
 def test_interleaved_mse_calls_match_cold_calls():
@@ -516,14 +502,13 @@ def test_threshold_scan_continues_past_six_degrees_on_small_coarrays():
     base = np.geomspace(np.deg2rad(1e-3), np.deg2rad(6.0), 80)
     center = np.deg2rad(30.0)
     for geom in (geometry.ula(3), geometry.ula(4), geometry.coprime(3, 5),
-                 geometry.mra(10), geometry.coprime(2, d0=0.25)):
+                 geometry.mra(10), geometry.coprime(2)):
         scan = analysis._threshold_scan(geom, center)
         np.testing.assert_array_equal(scan[:80], base)
         steps = scan[1:] / scan[:-1]
         np.testing.assert_allclose(steps, steps[0], rtol=1e-12)
         mv = geometry.difference_coarray(geom).mv
-        top = min(4.0 * geom.wavelength / (mv * geom.d0),
-                  1.98 * (np.pi / 2 - center))
+        top = min(8.0 / mv, 1.98 * (np.pi / 2 - center))
         assert scan[-1] <= top * (1.0 + 1e-12) < scan[-1] * steps[0]
     # near endfire the base scan itself stops where the pair would
     # reach endfire, and there is no continuation
@@ -888,7 +873,7 @@ def crb_trace_form(geom, scenario, n_snapshots, digits=40):
     """
     mp = pytest.importorskip('mpmath')
     with mp.workdps(digits):
-        rate = 2 * mp.pi * mp.mpf(geom.d0) / mp.mpf(geom.wavelength)
+        rate = mp.pi
         pos = [int(x) for x in geom.position_array()]
         m, k = len(pos), scenario.n_sources
         a = mp.matrix(m, k)

@@ -172,20 +172,14 @@ def test_merged_pair_keeps_one_true_null():
 
 def test_peakless_spectrum_reports_unresolved():
     # the noise eigenvector (1, 1) / sqrt(2) gives d(phi) = 1 + cos(phi):
-    # at d0 = wavelength / 2 its one null, at phi = pi, is endfire and
-    # found, so a second source has no peak; on the quarter-wave arc
-    # |phi| <= pi / 2 the null power falls toward both ends, leaving no
-    # interior peak
+    # its one null, at phi = pi, is endfire and found, so a second
+    # source has no peak
     u = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
     en = estimator.noise_subspace(np.outer(u, u.conj()), 1)
     est = estimator.estimate_doas(en, 1)
     assert est.resolved
     np.testing.assert_allclose(np.abs(est.angles), np.pi / 2, rtol=0,
                                atol=1e-6)
-    est = estimator.estimate_doas(en, 1, d0=0.25)
-    assert not est.resolved
-    assert est.angles.shape == (0,)
-    assert est.refined.shape == (0,)
     en = np.array([[1.0], [1.0], [0.0]], dtype=complex) / np.sqrt(2.0)
     est = estimator.estimate_doas(en, 2)
     assert not est.resolved
@@ -226,38 +220,21 @@ def fold_endfire(theta):
     ((-89.99,), False), ((89.99,), False), ((-89.99, 10.0), False),
     ((-85.0,), True), ((30.0,), True), ((-89.9,), False)])
 def test_endfire_source_is_flagged(doas_deg, interior):
-    # at d0 = wavelength / 2 the phase scan covers the whole circle, so
-    # an endfire source is found, but +-90 deg share phi = +-pi and it
-    # may come back on either side; on a quarter-wave array only the arc
-    # |phi| <= pi / 2 is scanned and an endfire source beyond its last
-    # grid phase is flagged, its place taken by a spurious peak
+    # the phase scan covers the whole circle, so an endfire source is
+    # found and resolved, but +-90 deg share phi = +-pi and it may come
+    # back on either side
     truth = np.deg2rad(doas_deg)
-    for geom in (geometry.coprime(3, 5), geometry.coprime(2, d0=0.25)):
-        half_wave = geom.d0 == 0.5
-        sc = model.SourceScenario.with_snr(truth, 10.0)
-        z, mv = exact_virtual(geom, sc)
-        for method in ('da', 'ss'):
-            est = estimator.run_music(z, mv, len(doas_deg), method=method,
-                                      d0=geom.d0)
-            assert est.resolved is (half_wave or interior)
-            if interior:
-                np.testing.assert_allclose(est.angles, truth, rtol=0,
-                                           atol=1e-6)
-            elif half_wave:
-                np.testing.assert_allclose(fold_endfire(est.angles),
-                                           fold_endfire(truth), rtol=0,
-                                           atol=1e-6)
-
-
-def test_nondefault_spacing_round_trip():
-    # quarter-wavelength physical array; the estimator must be told
-    geom = geometry.coprime(2, d0=0.25, wavelength=1.0)
-    truth = np.deg2rad([-35.0, 25.0])
-    sc = model.SourceScenario.with_snr(truth, 0.0)
-    z, mv = exact_virtual(geom, sc)
-    est = estimator.run_music(z, mv, 2, method='ss', d0=0.25, wavelength=1.0)
-    assert est.resolved
-    np.testing.assert_allclose(est.angles, truth, rtol=0, atol=1e-6)
+    sc = model.SourceScenario.with_snr(truth, 10.0)
+    z, mv = exact_virtual(geometry.coprime(3, 5), sc)
+    for method in ('da', 'ss'):
+        est = estimator.run_music(z, mv, len(doas_deg), method=method)
+        assert est.resolved
+        if interior:
+            np.testing.assert_allclose(est.angles, truth, rtol=0, atol=1e-6)
+        else:
+            np.testing.assert_allclose(fold_endfire(est.angles),
+                                       fold_endfire(truth), rtol=0,
+                                       atol=1e-6)
 
 
 def test_direct_and_smoothed_share_noise_projector():
@@ -364,12 +341,7 @@ ESTIMATOR_MEMOS = (estimator._scan_plan, estimator._unitary_gather,
 
 
 def test_memoized_plans_give_the_estimates_of_fresh_ones():
-    # (array, d0, wavelength): each array on the whole circle at
-    # d0 = wavelength / 2 and on an arc, where the edge rule applies
-    arrays = ((geometry.coprime(3, 5), 0.5, 1.0),
-              (geometry.coprime(3, 5), 0.25, 1.0),
-              (geometry.nested(2, 3), 0.3, 1.0),
-              (geometry.nested(2, 3), 1.0, 2.0))
+    arrays = (geometry.coprime(3, 5), geometry.nested(2, 3))
     # each step as a float, an np.float64 or a 0-d array
     fine, coarse = np.deg2rad(0.1), np.deg2rad(0.5)
     steps = (float(fine), np.float64(fine), np.asarray(coarse),
@@ -377,28 +349,25 @@ def test_memoized_plans_give_the_estimates_of_fresh_ones():
     rng = np.random.default_rng(23)
     calls = []
     for round_ in range(3):
-        for (geom, d0, wavelength), step in itertools.product(arrays, steps):
-            geom = geometry.make_array('custom', geom.positions, d0=d0,
-                                       wavelength=wavelength)
+        for geom, step in itertools.product(arrays, steps):
             # every other pair has an endfire source
             doas = rng.uniform(-1.4, 1.4, 2)
             if len(calls) % 2:
                 doas[0] = rng.choice((-1.0, 1.0)) * np.deg2rad(89.99)
             sc = model.SourceScenario.with_snr(np.sort(doas), 10.0)
             z, mv = sampled_virtual(geom, sc, 200, seed=round_)
-            options = {'grid_step': step, 'd0': d0, 'wavelength': wavelength}
-            calls.append((z, mv, options))
+            calls.append((z, mv, step))
 
-    def estimates(z, mv, options):
+    def estimates(z, mv, step):
         en = estimator.noise_subspace(estimator.augment_direct(z, mv), 2)
-        return [estimator.estimate_doas(en, 2, **options),
-                *(estimator.run_music(z, mv, 2, method, **options)
+        return [estimator.estimate_doas(en, 2, step),
+                *(estimator.run_music(z, mv, 2, method, grid_step=step)
                   for method in ('da', 'ss'))]
 
     for memo in ESTIMATOR_MEMOS:
         memo.cache_clear()
     warm = [estimates(*call) for call in calls]
-    # one plan per (mv, step value, d0, wavelength), whatever the type
+    # one plan per (mv, step value), whatever the type
     info = estimator._scan_plan.cache_info()
     assert info.misses == len(arrays) * 2 and info.hits >= len(calls)
     endfire = 0
@@ -410,49 +379,30 @@ def test_memoized_plans_give_the_estimates_of_fresh_ones():
             assert fresh.resolved == est.resolved
             np.testing.assert_array_equal(fresh.angles, est.angles)
             np.testing.assert_array_equal(fresh.refined, est.refined)
-        _, _, options = call
-        endfire += options['d0'] < 0.5 * options['wavelength'] \
-            and not memoized[0].resolved
+        endfire += bool(np.any(np.abs(memoized[0].angles)
+                               > np.deg2rad(89.0)))
     assert endfire > 0, endfire
 
 
 def test_memoized_arrays_are_read_only():
     arrays = [*estimator._unitary_gather(5), *estimator._lag_powers(5),
-              estimator._scan_plan(5, 0.01, 0.5, 1.0)[2],
-              estimator._scan_plan(5, 0.01, 0.25, 1.0)[2]]
+              estimator._scan_plan(5, 0.01)[1]]
     for array in arrays:
         with pytest.raises(ValueError):
             array[0] = 1
 
 
 def test_scan_size_stops_at_its_ceiling():
-    # at d0 = wavelength / 2 a step of 2^-19 rad is 2^20 phases a cycle
+    # a step of 2^-19 rad is 2^20 phases a cycle
     assert estimator.scan_size(8, np.deg2rad(0.1)) == 2048
     assert estimator.scan_size(8, 2.0 ** -19) == estimator.MAX_SCAN_SIZE
-    assert estimator.scan_size(8, 2.0 ** -20, d0=1.0) \
-        == estimator.MAX_SCAN_SIZE
     assert estimator.scan_size(40, 1.0) == 128  # at least 2 mv phases
-    for step, d0 in ((np.nextafter(2.0 ** -19, 0.0), 0.5), (1e-300, 0.5),
-                     (2.0 ** -19, 0.25)):
+    for step in (np.nextafter(2.0 ** -19, 0.0), 1e-300):
         with pytest.raises(ValueError, match='scan phases'):
-            estimator.scan_size(8, step, d0=d0)
+            estimator.scan_size(8, step)
 
 
-@pytest.mark.parametrize('d0, wavelength', [
-    (0.0, 1.0), (-0.5, 1.0), (np.nan, 1.0), (0.5, 0.0), (1e300, 1e-300)])
-def test_a_bad_spacing_is_named_not_the_grid_step(d0, wavelength):
-    # every route to the scan rejects the spacing itself, whatever the
-    # grid step, with a ValueError rather than a ZeroDivisionError
-    options = {'grid_step': 0.01, 'd0': d0, 'wavelength': wavelength}
-    calls = [lambda: estimator.scan_size(8, **options),
-             lambda: estimator.estimate_doas(np.eye(8)[:, 2:], 2, **options),
-             lambda: estimator.run_music(np.ones(15), 8, 2, **options)]
-    for call in calls:
-        with pytest.raises(ValueError, match='spacing d0 / wavelength'):
-            call()
-
-
-# Dense references for estimate_doas at d0 = wavelength / 2: the null
+# Dense references for estimate_doas: the null
 # power ||E_n^H a||^2 with explicit steering vectors a, on a circle of
 # phases four times finer than the scan's and on a fine angle window
 # around each estimate. The estimator evaluates the same null spectrum

@@ -87,8 +87,6 @@ def test_constructor_rejections():
         geometry.coprime(5, 3)  # wrong order
     with pytest.raises(ValueError, match='available'):
         geometry.mra(42)
-    with pytest.raises(ValueError):
-        geometry.ula(2, d0=-0.5)
 
 
 def test_make_array_dispatch():
@@ -189,22 +187,3 @@ def test_selection_matrix_flip_transpose_symmetry():
         f3 = geometry.selection_matrix(co).reshape(2 * co.mv - 1, m, m)
         np.testing.assert_array_equal(np.flip(f3, axis=0),
                                       f3.transpose(0, 2, 1))
-
-
-def test_geometry_validation_of_spacing():
-    with pytest.raises(ValueError):
-        geometry.ArrayGeometry((0, 1, 2), d0=0.0)
-    with pytest.raises(ValueError):
-        geometry.ArrayGeometry((0, 1, 2), wavelength=-1.0)
-    geom = geometry.ArrayGeometry((0, 2, 5), d0=0.25, wavelength=2.0)
-    assert geom.aperture == 5
-    assert geom.n_sensors == 3
-
-
-def test_spacing_beyond_half_wavelength_is_rejected():
-    # at d0 = wavelength a +30 deg source would alias to -30 deg
-    with pytest.raises(ValueError, match='alias'):
-        geometry.custom([0, 1, 3], d0=1.0)
-    with pytest.raises(ValueError, match='alias'):
-        geometry.coprime(3, 5, d0=0.6, wavelength=1.0)
-    assert geometry.custom([0, 1, 3], d0=1.0, wavelength=2.0).d0 == 1.0

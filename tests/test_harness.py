@@ -236,17 +236,19 @@ def test_run_trials_blocks_are_draw_slices_shared_over_workers(monkeypatch):
 
 def test_trial_matches_direct_replay():
     # each row is reproducible from (seed, combo, trial) alone, for each
-    # method and whichever method is replayed first. On the quarter-
-    # wave arc a 2 degree pair at 0 dB is unresolved in some trials,
-    # and their rows are NaN
+    # method and whichever method is replayed first. mv - 1 sources at
+    # 0 dB from 10 snapshots leave some SS trials with fewer peaks than
+    # sources, unresolved, and their rows are NaN
     from coarray_lab import estimator
-    geom = geometry.coprime(2, d0=0.25)
-    sc = model.SourceScenario.with_snr(np.deg2rad([10.0, 12.0]), 0.0)
+    geom = geometry.nested(2, 3)
+    co = geometry.difference_coarray(geom)
+    k = co.mv - 1
+    sc = model.SourceScenario.with_snr(np.deg2rad(np.linspace(-50, 50, k)),
+                                       0.0)
     methods = ('da', 'ss')
-    est = harness.run_trials(geom, sc, 64, methods, master_seed=31,
+    est = harness.run_trials(geom, sc, 10, methods, master_seed=31,
                              combo_index=4, n_trials=8,
                              grid_step=np.deg2rad(0.5))
-    co = geometry.difference_coarray(geom)
     f = geometry.selection_matrix(co)
     chol = np.linalg.cholesky(model.true_covariance(geom, sc))
     resolved = set()
@@ -254,13 +256,12 @@ def test_trial_matches_direct_replay():
         for m in (1, 0):
             estimator._TRIAL_CACHE.clear()
             seed = np.random.SeedSequence(entropy=31, spawn_key=(4, trial))
-            r_hat = model.sample_covariance_draw(chol, 64, seed)
+            r_hat = model.sample_covariance_draw(chol, 10, seed)
             z = model.virtual_observation(f, r_hat)
-            replay = estimator.run_music(z, co.mv, 2, method=methods[m],
-                                         grid_step=np.deg2rad(0.5),
-                                         d0=geom.d0)
+            replay = estimator.run_music(z, co.mv, k, method=methods[m],
+                                         grid_step=np.deg2rad(0.5))
             resolved.add(replay.resolved)
-            want = replay.angles if replay.resolved else [np.nan] * 2
+            want = replay.angles if replay.resolved else [np.nan] * k
             np.testing.assert_array_equal(est[m, trial], want)
     assert resolved == {True, False}
 
@@ -289,23 +290,10 @@ def test_trials_past_a_draw_slice_match_direct_replay():
         for m, method in enumerate(methods):
             estimator._TRIAL_CACHE.clear()
             replay = estimator.run_music(z, co.mv, 2, method=method,
-                                         grid_step=np.deg2rad(0.5),
-                                         d0=geom.d0)
+                                         grid_step=np.deg2rad(0.5))
             want = replay.angles if replay.resolved else [np.nan] * 2
             np.testing.assert_array_equal(est[m, trial], want)
     assert np.all(np.isfinite(est[:, -3:]))
-
-
-def test_run_trials_uses_the_geometry_spacing():
-    # quarter-wavelength spacing: an estimator that assumed half a
-    # wavelength put a 20 deg source near 9.8 deg and still resolved it
-    geom = geometry.coprime(3, 5, d0=0.25)
-    sc = model.SourceScenario.with_snr(np.deg2rad([20.0]), 20.0)
-    est = harness.run_trials(geom, sc, 200, ('da', 'ss'), master_seed=1,
-                             combo_index=0, n_trials=2,
-                             grid_step=np.deg2rad(0.1))
-    assert est.shape == (2, 2, 1)
-    assert np.all(np.abs(np.rad2deg(est) - 20.0) < 0.5)
 
 
 def test_fifty_percent_crossing():
@@ -1200,6 +1188,54 @@ def test_cli_rejects_a_setting_its_kind_would_drop(tmp_path, capsys,
     assert printed == ''
     assert err.startswith('error: ') and err.count('\n') == 1, err
     assert mapping['kind'] in err and field in err, err
+    assert trial_calls == []
+    assert os.listdir(tmp_path) == ['cfg.json']
+
+
+# A string or a number where a list belongs, for each list field of
+# its kind: each is named as such, not read entry by entry
+SCALAR_LISTS = [
+    ({'kind': 'verify_mse', 'arrays': 'mra:10'}, 'arrays'),
+    ({'kind': 'verify_mse', 'snr_db': 5}, 'snr_db'),
+    ({'kind': 'verify_mse', 'n_snapshots': 100}, 'n_snapshots'),
+    ({'kind': 'verify_mse', 'doas_deg': '10'}, 'doas_deg'),
+    ({'kind': 'resolution', 'delta_deg': 1.0}, 'delta_deg'),
+    ({'kind': 'efficiency', 'k_sources': 3}, 'k_sources'),
+    ({'kind': 'scaling', 'q_range': 3}, 'q_range'),
+    ({'kind': 'scaling', 'families': 'mra'}, 'families'),
+    ({'kind': 'scaling', 'k_modes': 'm'}, 'k_modes'),
+]
+
+
+@pytest.mark.parametrize('mapping, field', SCALAR_LISTS,
+                         ids=[f for _, f in SCALAR_LISTS])
+def test_cli_names_a_scalar_where_a_list_belongs(tmp_path, capsys,
+                                                 trial_calls, mapping, field):
+    cfg = tmp_path / 'cfg.json'
+    cfg.write_text(json.dumps(mapping))
+    out = tmp_path / 'out' / 'run'
+    assert cli.main(['run', '--config', str(cfg), '--out', str(out)]) == 2
+    printed, err = capsys.readouterr()
+    assert printed == ''
+    assert err == f'error: {field} must be a list, got {mapping[field]!r}\n'
+    assert trial_calls == []
+    assert os.listdir(tmp_path) == ['cfg.json']
+
+
+@pytest.mark.parametrize('command', ['run', 'analyze'])
+def test_cli_rejects_a_scaling_sweep_with_no_point(tmp_path, capsys,
+                                                   trial_calls, command):
+    # no MRA has two sensors, so not one point is left: a header-only
+    # table and a plot script with no series are not written
+    cfg = tmp_path / 'cfg.json'
+    cfg.write_text(json.dumps({'kind': 'scaling', 'families': ['mra'],
+                               'q_range': [2]}))
+    out = tmp_path / ('out/run' if command == 'run' else 'analyze.csv')
+    assert cli.main([command, '--config', str(cfg), '--out', str(out)]) == 2
+    printed, err = capsys.readouterr()
+    assert printed == ''
+    assert err.startswith('error: scaling has no point') \
+        and err.count('\n') == 1, err
     assert trial_calls == []
     assert os.listdir(tmp_path) == ['cfg.json']
 

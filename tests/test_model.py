@@ -96,12 +96,11 @@ def test_scaled_scenario():
 
 
 def test_steering_vector_elements():
-    geom = geometry.custom([0, 2, 5], d0=0.25, wavelength=2.0)
+    geom = geometry.custom([0, 2, 5])
     theta = 0.3
     a = model.steering_vector(geom, theta)
-    rate = 2.0 * np.pi * 0.25 / 2.0
     for i, p in enumerate(geom.positions):
-        assert a[i] == pytest.approx(np.exp(1j * rate * p * np.sin(theta)))
+        assert a[i] == pytest.approx(np.exp(1j * np.pi * p * np.sin(theta)))
     assert a[0] == 1.0
 
 
@@ -389,7 +388,7 @@ def test_virtual_observation_follows_coarray_model():
     sc = model.SourceScenario((-0.45, 0.25), (1.3, 0.8), 0.6)
     z = model.virtual_observation(f, model.true_covariance(geom, sc))
     lags = np.arange(-(co.mv - 1), co.mv)
-    phi = np.pi * np.sin(np.asarray(sc.doas))  # d0 = lambda / 2
+    phi = np.pi * np.sin(np.asarray(sc.doas))
     a_virtual = np.exp(1j * np.outer(lags, phi))
     expected = a_virtual @ np.asarray(sc.powers)
     expected[co.mv - 1] += sc.noise_power

@@ -156,11 +156,11 @@ def separated_scenario(geom, seed, u):
 
     One source sits in each equal cell of sin(theta) over
     (-sin 70 deg, sin 70 deg), at least three virtual-array beamwidths
-    wavelength / (mv d0) from its neighbours.
+    2 / mv from its neighbours.
     """
     mv = geometry.difference_coarray(geom).mv
     span = 2.0 * np.sin(np.deg2rad(70.0))
-    gap = 3.0 * geom.wavelength / (mv * geom.d0)
+    gap = 6.0 / mv
     k = 1 + int(u * min(mv - 1, int(span / gap)))
     rng = np.random.default_rng(seed)
     width = span / k
@@ -172,20 +172,16 @@ def separated_scenario(geom, seed, u):
 
 
 @settings
-@hypothesis.given(arrays, st.booleans(), seeds,
-                  st.floats(0.0, 1.0, exclude_max=True))
-def test_exact_model_music_finds_every_source(geom, quarter_wave, seed, u):
-    # the phase scan and its FFT size follow mv and d0, so arbitrary
-    # arrays cover many polynomial degrees and grid sizes
-    if quarter_wave:
-        geom = dataclasses.replace(geom, d0=geom.wavelength / 4)
+@hypothesis.given(arrays, seeds, st.floats(0.0, 1.0, exclude_max=True))
+def test_exact_model_music_finds_every_source(geom, seed, u):
+    # the phase scan and its FFT size follow mv, so arbitrary arrays
+    # cover many polynomial degrees and grid sizes
     co, f = coarray_and_f(geom)
     hypothesis.assume(co.mv >= 2)
     sc = separated_scenario(geom, seed, u)
     z = model.virtual_observation(f, model.true_covariance(geom, sc))
     for method in ('da', 'ss'):
-        est = estimator.run_music(z, co.mv, sc.n_sources, method=method,
-                                  d0=geom.d0, wavelength=geom.wavelength)
+        est = estimator.run_music(z, co.mv, sc.n_sources, method=method)
         assert est.resolved
         np.testing.assert_allclose(est.angles, sc.doas, rtol=0, atol=1e-6)
 
