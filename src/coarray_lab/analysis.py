@@ -677,11 +677,6 @@ def _false_position(excess, a, b, ga, gb):
     twice in a row has its excess halved, so a curved excess does not
     pin one end. The invariant holds at every step.
 
-    Once b has an excess of exactly 0, every secant point is b itself.
-    The first time that happens, the step tries b's inner neighbour
-    float instead: where b is the root that ends the search, and
-    otherwise the midpoint steps follow as before.
-
     Any three steps at least halve the bracket, so this takes at most
     three times as many steps as bisection; on a smooth excess it takes
     a handful before it reaches the excess's rounding noise.
@@ -690,7 +685,6 @@ def _false_position(excess, a, b, ga, gb):
         The final (a, b), adjacent floats.
     """
     kept = None
-    nudged = False
     width2, width1 = np.inf, np.inf  # widths two steps and one step back
     while True:
         mid = 0.5 * (a + b)
@@ -699,8 +693,6 @@ def _false_position(excess, a, b, ga, gb):
         x = b - gb * (b - a) / (gb - ga)
         if b - a > 0.5 * width2:
             x = mid
-        elif gb == 0 and not nudged:
-            x, nudged = np.nextafter(b, a), True
         elif not a < x < b:
             x = mid
         width2, width1 = width1, b - a

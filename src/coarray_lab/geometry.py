@@ -160,11 +160,11 @@ def mra(m):
     return ArrayGeometry(_MRA_TABLE[m], name=f'mra({m})')
 
 
-def custom(positions, name=None):
+def custom(positions):
     """Array at explicitly given integer positions (half-wavelengths)."""
     geom = ArrayGeometry(tuple(positions))
     label = 'custom[' + ','.join(str(p) for p in geom.positions) + ']'
-    return ArrayGeometry(geom.positions, name=label if name is None else name)
+    return ArrayGeometry(geom.positions, name=label)
 
 
 _KINDS = {'ula': ula, 'nested': nested, 'coprime': coprime, 'mra': mra}

@@ -77,7 +77,8 @@ class ExperimentConfig:
     """Declarative description of one experiment sweep.
 
     Angles are in degrees and SNRs in dB; conversion to radians happens
-    inside the sweep. Each kind reads the fields :data:`_TABLES` lists
+    inside the sweep. Every source has unit power, so an SNR sets the
+    noise power alone. Each kind reads the fields :data:`_TABLES` lists
     for it, and a field it does not read must keep its default, so that
     no setting is silently dropped. ``efficiency`` takes ``doas_deg`` or
     ``k_sources``, not both; ``scaling`` takes one ``snr_db`` and one
@@ -87,7 +88,7 @@ class ExperimentConfig:
         kind: One of ``verify_mse``, ``resolution``, ``efficiency``,
             ``scaling``.
         arrays: Array specs like ``'coprime:3,5'`` or ``'mra:10'``.
-        snr_db: SNR grid, defined as 10*log10(min_k p_k / noise power).
+        snr_db: SNR grid, defined as 10*log10(1 / noise power).
         n_snapshots: Snapshot-count grid.
         n_trials: Monte Carlo trials per sweep point.
         seed: Master seed; all trial streams derive from it.
@@ -106,7 +107,6 @@ class ExperimentConfig:
         k_modes: ``'one'`` (single source at broadside) and/or ``'m'``
             (as many sources as sensors) for ``scaling``.
         grid_step_deg: MUSIC search step, as the angle step at broadside.
-        power: Per-source power.
         empirical: Whether ``efficiency`` and ``scaling`` also run
             Monte Carlo trials next to the closed forms.
     """
@@ -127,7 +127,6 @@ class ExperimentConfig:
     families: tuple[str, ...] = _FAMILIES
     k_modes: tuple[str, ...] = _K_MODES
     grid_step_deg: float = 0.1
-    power: float = 1.0
     empirical: bool = False
 
     def __post_init__(self):
@@ -164,8 +163,6 @@ class ExperimentConfig:
                               f'{self.seed!r}')
         if not _is_real(self.grid_step_deg) or not self.grid_step_deg > 0:
             raise ConfigError('grid_step_deg must be finite and positive')
-        if not _is_real(self.power) or not self.power > 0:
-            raise ConfigError('power must be finite and positive')
         if not isinstance(self.empirical, bool):
             raise ConfigError(f'empirical must be true or false, got '
                               f'{self.empirical!r}')
@@ -462,7 +459,7 @@ def _check_estimable(geom, mv, scenario, grid_step_deg):
 
 
 def _sweep(cfg):
-    """Points of a config's sweep and the skip notices.
+    """Points of a config's sweep and its skip notices, each once.
 
     A point's index in the list is its combo index, which keys the
     seeds of its trials. Every scenario is built and checked here, so a
@@ -476,7 +473,7 @@ def _sweep(cfg):
 
     def add(geom, mv, doas, snr, n, group, tags=()):
         try:
-            scenario = model.SourceScenario.with_snr(doas, snr, cfg.power)
+            scenario = model.SourceScenario.with_snr(doas, snr)
         except ValueError as exc:
             raise ConfigError(f'{geom.name}: {exc}') from exc
         if (geom, scenario.n_sources) not in estimable:
@@ -501,7 +498,8 @@ def _sweep(cfg):
             raise ConfigError(f'scaling has no point: no array of families '
                               f'{list(cfg.families)} has a size in '
                               f'{list(cfg.q_range)}')
-        return points, notices
+        # a size missing from a family is met once per k_mode
+        return points, list(dict.fromkeys(notices))
 
     if cfg.kind == 'efficiency' and cfg.doas_deg is None:
         fans = [_fan(k) for k in cfg.k_sources]
@@ -533,28 +531,23 @@ def _closed_forms(points, bound=True):
 
     Every kind's rows and ``analyze`` read them here. The sweeps vary
     SNR and N innermost, and the coefficients depend on neither. So
-    each fan, a run of points with the same geometry, DOAs and powers,
-    builds its coefficients once and evaluates all of its points in one
-    call. The DOA forms depend on the powers and the noise only through
-    their ratios, so each fan is evaluated with its powers and noise
-    powers divided by its smallest power, and a large finite power
-    cannot overflow them. With ``bound=False`` the CRB is never built.
+    each fan, a run of points with the same geometry and DOAs (every
+    power is 1), builds its coefficients once from its first point's
+    scenario and evaluates all of its points in one call. With
+    ``bound=False`` the CRB is never built.
 
     Yields:
         ``(combo, point, mse, report, kappa, crb_trace)`` per point in
         order, ``combo`` its index in ``points``. ``report`` is None
-        without the bound, and its FIM is in those scaled powers. Kappa
-        and the trace are NaN where the bound is missing or undefined.
+        without the bound. Kappa and the trace are NaN where the bound
+        is missing or undefined.
     """
-    def fan_key(p):
-        return p.geom, p.scenario.doas, p.scenario.powers
-
     combos = itertools.count()
-    for (geom, doas, powers), fan in itertools.groupby(points, key=fan_key):
+    for (geom, _), fan in itertools.groupby(
+            points, key=lambda p: (p.geom, p.scenario.doas)):
         fan = list(fan)
-        ref = min(powers)
-        scenario = model.SourceScenario(doas, [q / ref for q in powers], 1.0)
-        noise = [p.scenario.noise_power / ref for p in fan]
+        scenario = fan[0].scenario
+        noise = [p.scenario.noise_power for p in fan]
         n = [p.n for p in fan]
         mse = analysis.mse_coefficients(geom, scenario).mse(noise, n)
         reports = [None] * len(fan)
@@ -609,7 +602,7 @@ def _resolution_rows(cfg, points, pool):
             thresholds[p.group] = float(np.rad2deg(
                 analysis.resolution_threshold(
                     p.geom, p.n, center=np.deg2rad(cfg.center_deg), power=1.0,
-                    noise_power=p.scenario.noise_power / cfg.power)))
+                    noise_power=p.scenario.noise_power)))
         delta_deg, = p.tags
         successes = _trial_successes(cfg, combo, p, methods, pool,
                                      gate=np.deg2rad(delta_deg) / 2)
@@ -664,8 +657,7 @@ def _scaling_rows(cfg, points, pool):
 
 
 # The config fields every kind reads.
-_COMMON = ('kind', 'seed', 'n_trials', 'method', 'grid_step_deg', 'power',
-           'out_dir')
+_COMMON = ('kind', 'seed', 'n_trials', 'method', 'grid_step_deg', 'out_dir')
 
 # Per kind: the table header, the row function over the sweep points and
 # the config fields the kind reads; every other field keeps its default.

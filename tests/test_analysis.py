@@ -1124,7 +1124,7 @@ def test_false_position_ends_on_adjacent_floats(name):
         assert len(calls) == POLISH_STEPS[name]
 
 
-# Steps where a secant point lands on an end whose excess is exactly 0,
-# and the end's inner neighbour float ends the search (38 and 53 steps
-# when the rest of the bracket was bisected).
-POLISH_STEPS = {'smooth': 14, 'nan inside': 5}
+# Steps where a secant point lands on an end whose excess is exactly 0:
+# every later secant point is that end, so the midpoint rule bisects
+# what is left of the bracket.
+POLISH_STEPS = {'smooth': 38, 'nan inside': 53}

@@ -9,7 +9,6 @@ import dataclasses
 import json
 import os
 import pathlib
-import warnings
 
 import numpy as np
 import pytest
@@ -84,8 +83,8 @@ def test_config_validation():
     assert ExperimentConfig(kind='resolution', delta_deg=None).delta_deg is None
     # values of the wrong type or non-finite ones fail up front
     for field, bad in (('grid_step_deg', np.inf), ('grid_step_deg', np.nan),
-                       ('grid_step_deg', 0.0), ('power', np.inf),
-                       ('power', '1'), ('empirical', 'no'), ('empirical', 1),
+                       ('grid_step_deg', 0.0), ('empirical', 'no'),
+                       ('empirical', 1),
                        ('doas_deg', '10'), ('doas_deg', ('10',)),
                        ('doas_deg', (True,)), ('doas_deg', (np.inf,)),
                        ('delta_deg', ('0.5',)), ('delta_deg', (np.nan,)),
@@ -95,7 +94,7 @@ def test_config_validation():
         with pytest.raises(harness.ConfigError):
             ExperimentConfig(kind='efficiency', **{field: bad})
     for bad in ({'empirical': 'no'}, {'doas_deg': '10'},
-                {'power': float('inf')}, {'grid_step_deg': float('inf')},
+                {'grid_step_deg': float('inf')},
                 {'center_deg': True}, {'out_dir': 5}):
         with pytest.raises(harness.ConfigError):
             ExperimentConfig.from_mapping({'kind': 'efficiency', **bad})
@@ -131,7 +130,7 @@ def test_config_digest_tracks_every_field():
     # every field but the kind, each changed on a kind that reads it
     changed = {
         'verify_mse': dict(seed=1, n_trials=9, method='da',
-                           out_dir='elsewhere', grid_step_deg=0.5, power=2.0,
+                           out_dir='elsewhere', grid_step_deg=0.5,
                            arrays=('mra:10',), snr_db=(5.0,),
                            n_snapshots=(100,), doas_deg=(10.0, 20.0)),
         'resolution': dict(center_deg=10.0, delta_deg=(1.0,)),
@@ -450,6 +449,15 @@ def test_scaling_runner_schema_and_slope(trial_calls):
         dataclasses.replace(cfg, method='both')
 
 
+def test_scaling_notices_each_skipped_size_once():
+    # both k_modes meet the sizes that no MRA is tabulated for
+    cfg = ExperimentConfig(kind='scaling', q_range=tuple(range(2, 17)),
+                           snr_db=(0.0,), n_snapshots=(1000,))
+    notices = harness.run(cfg)['notices']
+    assert notices.rows == tuple(
+        (f'mra size {q} not available; skipped',) for q in (2, 13, 14, 15, 16))
+
+
 def test_scaling_rows_match_the_point_by_point_closed_form(monkeypatch):
     # the scaling rows read the fan route: a repeated size forms one
     # two-point fan, and every eps is the mean of the point's own
@@ -478,30 +486,6 @@ def test_scaling_rows_match_the_point_by_point_closed_form(monkeypatch):
                                      p.geom.n_sensors, co.mv)
         want = np.mean(np.diag(real_mse(p.geom, p.scenario, p.n)))
         np.testing.assert_array_equal(row[5], want)
-
-
-@pytest.mark.parametrize('kind, column', [
-    ('verify_mse', 'mse_an_rad2'), ('efficiency', 'kappa_analytic'),
-    ('resolution', 'predicted_threshold_deg')])
-def test_closed_forms_hold_at_a_large_finite_power(kind, column):
-    # the closed forms depend on the powers only through the SNR: a
-    # power of 1e200 gives the unit-power values, with no overflow
-    placement = (dict(delta_deg=(2.0,)) if kind == 'resolution'
-                 else dict(doas_deg=(-20.0, 25.0)))
-
-    def closed_form(power):
-        cfg = ExperimentConfig(kind=kind, arrays=('coprime:2',),
-                               snr_db=(0.0, 20.0), n_snapshots=(100,),
-                               n_trials=2, grid_step_deg=0.5, power=power,
-                               **placement)
-        table = harness.run(cfg)[kind]
-        return [row[table.header.index(column)] for row in table.rows]
-
-    with warnings.catch_warnings():
-        warnings.simplefilter('error')
-        big = closed_form(1e200)
-    assert np.all(np.isfinite(big))
-    np.testing.assert_allclose(big, closed_form(1.0), rtol=1e-12)
 
 
 def _synthetic_estimates(doas, errors):
@@ -1124,7 +1108,8 @@ def test_cli_run_rejects_bad_config(tmp_path, capsys):
 
 @pytest.mark.parametrize('bad, named', [
     ({'snr_db': [-4000.0]}, 'out of range'),  # the noise floor overflows
-    ({'snr_db': [-10.0], 'power': 1e308}, 'noise power'),  # infinite
+    # every source has unit power: the SNR alone sets the noise floor
+    ({'power': 1.0}, 'unknown config fields: power'),
     ({'kind': 'resolution', 'center_deg': True}, 'center_deg'),
     ({'out_dir': 5}, 'out_dir'),
     # an FFT far past the ceiling
@@ -1146,6 +1131,19 @@ def test_cli_run_rejects_bad_values_before_any_trial(tmp_path, capsys,
     assert named in err
     assert trial_calls == []
     assert not out_dir.parent.exists()
+
+
+def test_cli_analyze_refuses_a_power_field(tmp_path, capsys, trial_calls):
+    # run's half is a case of the test above
+    cfg = tmp_path / 'cfg.json'
+    cfg.write_text(json.dumps({'kind': 'efficiency', 'power': 2.0}))
+    out = tmp_path / 'analyze.csv'
+    assert cli.main(['analyze', '--config', str(cfg), '--out', str(out)]) == 2
+    printed, err = capsys.readouterr()
+    assert printed == ''
+    assert err == 'error: unknown config fields: power\n'
+    assert trial_calls == []
+    assert os.listdir(tmp_path) == ['cfg.json']
 
 
 # Settings that a kind would drop without notice, and the field each

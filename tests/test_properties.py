@@ -347,7 +347,6 @@ FIELD_VALUES = {
     'families': (['mra'], ['nested', 'coprime']),
     'k_modes': (['one'], ['m']),
     'grid_step_deg': (0.5, 0.01),
-    'power': (2.0, 0.25),
     'empirical': (True,),
 }
 field_settings = st.sampled_from(sorted(FIELD_VALUES)).flatmap(
