@@ -22,8 +22,9 @@ from . import __version__
 from . import analysis, geometry, model
 from .estimator import run_music
 from .harness import (ConfigError, Table, emit_outputs, load_config, run,
-                      _analyze_table, _check_estimable, _csv_text,
-                      _is_real, _parse_array, _read_json, _write_text)
+                      _POSITIVE, _REAL, _analyze_table, _check_estimable,
+                      _check_field, _count, _csv_text, _parse_array,
+                      _read_json, _write_text)
 
 
 def _load_scenario(path):
@@ -41,15 +42,10 @@ def _load_scenario(path):
         raise ConfigError(f'unknown scenario fields: {", ".join(unknown)}')
     if 'doas_deg' not in data:
         raise ConfigError("scenario must set 'doas_deg'")
-    for name, value in data.items():
-        if name in ('doas_deg', 'powers'):
-            if not (isinstance(value, list) and all(map(_is_real, value))):
-                raise ConfigError(f'bad scenario: {name} must be a list of '
-                                  f'finite numbers, got {value!r}')
-        elif not _is_real(value):
-            raise ConfigError(f'bad scenario: {name} must be a finite '
-                              f'number, got {value!r}')
     try:
+        for name, value in data.items():
+            shape = 'list' if name in ('doas_deg', 'powers') else 'value'
+            _check_field(name, value, shape, _REAL)
         doas = tuple(np.deg2rad(float(d)) for d in data['doas_deg'])
         if 'noise_power' in data:
             k = len(doas)
@@ -60,7 +56,7 @@ def _load_scenario(path):
             power = data.get('powers', data.get('power', 1.0))
             return model.SourceScenario.with_snr(doas, float(data['snr_db']),
                                                  power)
-    except ValueError as exc:
+    except ValueError as exc:  # a ConfigError among them
         raise ConfigError(f'bad scenario: {exc}') from exc
     raise ConfigError("scenario must set 'noise_power' or 'snr_db'")
 
@@ -86,9 +82,7 @@ def _cmd_geom(args):
 
 
 def _cmd_estimate(args):
-    if not _is_real(args.grid_step_deg) or not args.grid_step_deg > 0:
-        raise ConfigError(f'grid step must be finite and positive, got '
-                          f'{args.grid_step_deg!r} deg')
+    _check_field('--grid-step-deg', args.grid_step_deg, 'value', _POSITIVE)
     geom = _parse_array(args.array)
     scenario = _load_scenario(args.scenario)
     co = geometry.difference_coarray(geom)
@@ -133,18 +127,12 @@ def _cmd_analyze(args):
 
 
 def _cmd_run(args):
-    cores = os.cpu_count() or 1
-    if not 1 <= args.threads <= cores:
-        raise ConfigError(f'--threads must be 1 to {cores}, the CPU count, '
-                          f'got {args.threads}')
-    cfg = load_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides['seed'] = args.seed
-    if args.out is not None:
-        overrides['out_dir'] = args.out
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
+    _check_field('--threads', args.threads, 'value',
+                 _count(1, os.cpu_count() or 1))
+    # the overrides are checked by the config's own field rules
+    overrides = {'seed': args.seed, 'out_dir': args.out}
+    cfg = dataclasses.replace(load_config(args.config), **{
+        name: value for name, value in overrides.items() if value is not None})
     # making the directory checks, before any trial, that it can be
     # written; a run that raises anything, a bad sweep point or a
     # numerical failure among them, takes away the directories made

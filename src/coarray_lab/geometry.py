@@ -18,8 +18,12 @@ import numpy as np
 __all__ = [
     'ArrayGeometry', 'CoarrayStructure',
     'ula', 'nested', 'coprime', 'mra', 'custom', 'make_array',
-    'difference_coarray', 'selection_matrix',
+    'difference_coarray', 'selection_matrix', 'MAX_SENSORS',
 ]
+
+# The most sensors an array may have, far above the designs studied
+# here: difference_coarray's M x M int64 lag matrix stays within 8 MB.
+MAX_SENSORS = 1024
 
 # Minimum-redundancy arrays with hole-free coarrays, from the classic
 # published tables (Ishiguro 1980). Keys are sensor counts, values are
@@ -55,6 +59,7 @@ class ArrayGeometry:
     name: str = 'custom'
 
     def __post_init__(self):
+        _check_size(len(self.positions))  # before a ula's range is built
         pos = tuple(int(p) for p in self.positions)
         if len(pos) < 2:
             raise ValueError('an array needs at least two sensors')
@@ -98,9 +103,16 @@ class CoarrayStructure:
     mv: int = 0
 
 
+def _check_size(m):
+    """Refuse ``m`` sensors past the cap, before positions are built."""
+    if m > MAX_SENSORS:
+        raise ValueError(f'an array takes at most {MAX_SENSORS} sensors, '
+                         f'got {m}')
+
+
 def ula(m):
     """Uniform linear array with ``m`` sensors at 0, 1, ..., m - 1."""
-    return ArrayGeometry(tuple(range(m)), name=f'ula({m})')
+    return ArrayGeometry(range(m), name=f'ula({m})')
 
 
 def nested(n1, n2):
@@ -116,6 +128,7 @@ def nested(n1, n2):
     """
     if n1 < 1 or n2 < 1:
         raise ValueError('nested levels need n1 >= 1 and n2 >= 1')
+    _check_size(n1 + n2)
     pos = tuple(range(1, n1 + 1)) + tuple((n1 + 1) * k for k in range(1, n2 + 1))
     return ArrayGeometry(pos, name=f'nested({n1},{n2})')
 
@@ -142,6 +155,7 @@ def coprime(q, q2=None):
         raise ValueError('co-prime pair needs 2 <= q < q2')
     if gcd(q, q2) != 1:
         raise ValueError(f'({q}, {q2}) is not a co-prime pair')
+    _check_size(q2 + 2 * q - 1)  # the two grids share only 0 and q * q2
     grid_a = set(q * k for k in range(q2 + 1))
     grid_b = set(q2 * k for k in range(1, 2 * q))
     pos = tuple(sorted(grid_a | grid_b))

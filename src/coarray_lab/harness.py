@@ -14,6 +14,7 @@ so outputs do not depend on worker count or chunking.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import dataclasses
@@ -26,6 +27,7 @@ import math
 import multiprocessing
 import numbers
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -55,13 +57,50 @@ def _is_count(value):
 
 
 def _is_real(value):
-    """True for a finite real number, numpy ones included; not a bool."""
+    """True for a real number, numpy ones included, finite as a float."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
 
 
 class ConfigError(ValueError):
     """Raised when an experiment config is malformed."""
+
+
+# What each value of a config field must be: ``ok`` tests a value, and
+# ``what`` completes the message "<field> must be ...".
+_Rule = collections.namedtuple('_Rule', 'what ok')
+_REAL = _Rule('a finite number', _is_real)
+_POSITIVE = _Rule('a finite number > 0', lambda v: _is_real(v) and v > 0)
+
+
+def _one_of(choices):
+    return _Rule(f'one of {choices}', lambda v: v in choices)
+
+
+def _count(lo, hi=math.inf):
+    span = f'>= {lo}' if hi == math.inf else f'in [{lo}, {hi}]'
+    return _Rule(f'an integer {span}', lambda v: _is_count(v) and lo <= v <= hi)
+
+
+def _check_field(name, value, shape, rule):
+    """Raise :class:`ConfigError`, naming ``name``, unless ``value`` has
+    the shape and meets the rule of a :data:`_FIELDS` entry."""
+    subject = f'each {name} entry'
+    if shape == 'value':
+        value, subject = (value,), name
+    elif value is None and shape == 'list or None':
+        return
+    elif not isinstance(value, (tuple, list)):
+        raise ConfigError(f'{name} must be a list, got {value!r}')
+    elif not value:
+        raise ConfigError(f'{name} must not be an empty list')
+    for v in value:
+        try:
+            ok = rule.ok(v)
+        except ValueError as exc:  # an array spec that does not parse
+            raise ConfigError(f'{name}: {exc}') from exc
+        if not ok:
+            raise ConfigError(f'{subject} must be {rule.what}, got {v!r}')
 
 
 @dataclass(frozen=True)
@@ -78,15 +117,14 @@ class ExperimentConfig:
 
     Angles are in degrees and SNRs in dB; conversion to radians happens
     inside the sweep. Every source has unit power, so an SNR sets the
-    noise power alone. Each kind reads the fields :data:`_TABLES` lists
+    noise power alone. Each field's shape and value rule are in
+    :data:`_FIELDS`. Each kind reads the fields :data:`_TABLES` lists
     for it, and a field it does not read must keep its default, so that
-    no setting is silently dropped. ``efficiency`` takes ``doas_deg`` or
-    ``k_sources``, not both; ``scaling`` takes one ``snr_db`` and one
-    ``n_snapshots`` entry; and neither runs ``method='both'``.
+    no setting is silently dropped; :meth:`__post_init__` states the
+    few rules that join two fields.
 
     Attributes:
-        kind: One of ``verify_mse``, ``resolution``, ``efficiency``,
-            ``scaling``.
+        kind: The experiment, a key of :data:`_TABLES`.
         arrays: Array specs like ``'coprime:3,5'`` or ``'mra:10'``.
         snr_db: SNR grid, defined as 10*log10(1 / noise power).
         n_snapshots: Snapshot-count grid.
@@ -130,67 +168,8 @@ class ExperimentConfig:
     empirical: bool = False
 
     def __post_init__(self):
-        if self.kind not in _TABLES:
-            raise ConfigError(
-                f'kind must be one of {tuple(_TABLES)}, got {self.kind!r}')
-        if self.method not in _METHODS:
-            raise ConfigError(f'method must be one of {_METHODS}, got {self.method!r}')
-        # no string or scalar where a list belongs; a field whose default
-        # is None may stay None
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if (f.type.startswith('tuple')
-                    and not isinstance(value, (tuple, list))
-                    and not (value is None and f.default is None)):
-                raise ConfigError(f'{f.name} must be a list, got {value!r}')
-        if not self.arrays:
-            raise ConfigError('at least one array spec is required')
-        for spec in self.arrays:
-            _parse_array(spec)
-        if not self.snr_db or not all(_is_real(s) for s in self.snr_db):
-            raise ConfigError('snr_db must be a non-empty list of finite values')
-        for name in ('n_snapshots', 'k_sources', 'q_range'):
-            if not all(_is_count(v) for v in getattr(self, name)):
-                raise ConfigError(f'{name} entries must be integers, got '
-                                  f'{getattr(self, name)!r}')
-        if not self.n_snapshots or any(n < 1 for n in self.n_snapshots):
-            raise ConfigError('n_snapshots entries must be >= 1')
-        if not _is_count(self.n_trials) or self.n_trials < 1:
-            raise ConfigError(f'n_trials must be an integer >= 1, got '
-                              f'{self.n_trials!r}')
-        if not _is_count(self.seed) or self.seed < 0:
-            raise ConfigError(f'seed must be a non-negative integer, got '
-                              f'{self.seed!r}')
-        if not _is_real(self.grid_step_deg) or not self.grid_step_deg > 0:
-            raise ConfigError('grid_step_deg must be finite and positive')
-        if not isinstance(self.empirical, bool):
-            raise ConfigError(f'empirical must be true or false, got '
-                              f'{self.empirical!r}')
-        for name in ('doas_deg', 'delta_deg'):
-            values = getattr(self, name)
-            if values is not None and not all(_is_real(v) for v in values):
-                raise ConfigError(f'{name} must be a list of finite numbers, '
-                                  f'got {values!r}')
-        if not (_is_real(self.center_deg) and -90 < self.center_deg < 90):
-            raise ConfigError('center_deg must lie inside (-90, 90)')
-        if not isinstance(self.out_dir, str):
-            raise ConfigError(f'out_dir must be a str, got {self.out_dir!r}')
-        for name in ('k_sources', 'q_range', 'families', 'k_modes',
-                     'delta_deg'):
-            if getattr(self, name) is not None and not getattr(self, name):
-                raise ConfigError(f'{name} must not be an empty list')
-        if self.delta_deg is not None and any(d <= 0 for d in self.delta_deg):
-            raise ConfigError('delta_deg entries must be positive')
-        if any(k < 1 for k in self.k_sources):
-            raise ConfigError('k_sources entries must be >= 1')
-        if any(q < 2 for q in self.q_range):
-            raise ConfigError('q_range entries must be >= 2')
-        for fam in self.families:
-            if fam not in _FAMILIES:
-                raise ConfigError(f'families entries must be among {_FAMILIES}')
-        for mode in self.k_modes:
-            if mode not in _K_MODES:
-                raise ConfigError("k_modes entries must be 'one' or 'm'")
+        for name, (shape, rule) in _FIELDS.items():
+            _check_field(name, getattr(self, name), shape, rule)
         reads = _TABLES[self.kind][2]
         unread = [f.name for f in dataclasses.fields(self)
                   if f.name not in reads and getattr(self, f.name) != f.default]
@@ -216,23 +195,13 @@ class ExperimentConfig:
         """
         if not isinstance(mapping, dict):
             raise ConfigError('config root must be an object')
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        unknown = sorted(set(mapping) - set(fields))
+        unknown = sorted(set(mapping) - set(_FIELDS))
         if unknown:
             raise ConfigError(f'unknown config fields: {", ".join(unknown)}')
         if 'kind' not in mapping:
             raise ConfigError("config must set 'kind'")
-        kwargs = {}
-        for key, value in mapping.items():
-            if isinstance(value, list):
-                value = tuple(value)
-            kwargs[key] = value
-        try:
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(str(exc)) from exc
+        return cls(**{key: tuple(value) if isinstance(value, list) else value
+                      for key, value in mapping.items()})
 
 
 def _read_json(path, what):
@@ -260,7 +229,7 @@ def config_digest(cfg):
 
 def _parse_array(spec):
     """Turn ``'kind:p1,p2,...'`` into an :class:`ArrayGeometry`."""
-    kind, sep, rest = str(spec).partition(':')
+    kind, sep, rest = spec.partition(':')
     try:
         params = tuple(int(tok) for tok in rest.split(',') if tok.strip())
         if kind.strip().lower() == 'custom':
@@ -417,12 +386,13 @@ def _fan(k):
 
 
 def _family_member(family, q):
-    """Array for one scaling-family size, or None when not available."""
-    if family == 'coprime':
-        return geometry.coprime(q)
-    if family == 'nested':
-        return geometry.nested(q + 1, q)
+    """Array for one scaling-family size, or None when not available: an
+    MRA size without a tabulated design, or a size past the sensor cap."""
     try:
+        if family == 'coprime':
+            return geometry.coprime(q)
+        if family == 'nested':
+            return geometry.nested(q + 1, q)
         return geometry.mra(q)
     except ValueError:
         return None
@@ -681,6 +651,32 @@ _TABLES = {
                  'fitted_slope'), _scaling_rows,
                 _COMMON + ('families', 'k_modes', 'q_range', 'snr_db',
                            'n_snapshots', 'empirical')),
+}
+
+# Per config field: its shape, ``'value'``, ``'list'`` (never empty) or
+# ``'list or None'``, and the rule each of its values must meet. N stops
+# at 2**62, as the Wishart draw's shapes N - i are int64.
+_FIELDS = {
+    'kind': ('value', _one_of(tuple(_TABLES))),
+    'arrays': ('list', _Rule("an array spec like 'mra:10'", lambda v:
+                             isinstance(v, str) and bool(_parse_array(v)))),
+    'snr_db': ('list', _REAL),
+    'n_snapshots': ('list', _count(1, 2 ** 62)),
+    'n_trials': ('value', _count(1)),
+    'seed': ('value', _count(0)),
+    'method': ('value', _one_of(_METHODS)),
+    'out_dir': ('value', _Rule('a str', lambda v: isinstance(v, str))),
+    'doas_deg': ('list or None', _REAL),
+    'center_deg': ('value', _Rule('a finite number in (-90, 90)',
+                                  lambda v: _is_real(v) and -90 < v < 90)),
+    'delta_deg': ('list or None', _POSITIVE),
+    'k_sources': ('list', _count(1)),
+    'q_range': ('list', _count(2)),
+    'families': ('list', _one_of(_FAMILIES)),
+    'k_modes': ('list', _one_of(_K_MODES)),
+    'grid_step_deg': ('value', _POSITIVE),
+    'empirical': ('value', _Rule('true or false',
+                                 lambda v: isinstance(v, bool))),
 }
 
 

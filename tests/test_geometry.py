@@ -89,6 +89,27 @@ def test_constructor_rejections():
         geometry.mra(42)
 
 
+def test_sensor_count_is_capped_before_positions_are_built():
+    # every constructor, and a geometry built directly, refuses more
+    # than MAX_SENSORS sensors; the count is checked first, so a size
+    # past the cap allocates nothing
+    cap = geometry.MAX_SENSORS
+    assert geometry.ula(cap).n_sensors == cap
+    for build, m in ((lambda: geometry.ula(cap + 1), cap + 1),
+                     (lambda: geometry.ula(10 ** 18), 10 ** 18),
+                     (lambda: geometry.nested(cap // 2, cap // 2 + 1),
+                      cap + 1),
+                     (lambda: geometry.coprime(342), 1026),
+                     (lambda: geometry.coprime(10 ** 9, 10 ** 9 + 1),
+                      3 * 10 ** 9),
+                     (lambda: geometry.custom(range(cap + 1)), cap + 1),
+                     (lambda: geometry.make_array('ula', cap + 1), cap + 1)):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == (f'an array takes at most {cap} sensors, '
+                                  f'got {m}')
+
+
 def test_make_array_dispatch():
     assert geometry.make_array('mra', 10) == geometry.mra(10)
     assert geometry.make_array('coprime', 2) == geometry.coprime(2)

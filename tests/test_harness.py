@@ -76,7 +76,7 @@ def test_config_validation():
             ExperimentConfig(kind='verify_mse', **{field: (bad,)})
     # an empty sweep list fails whatever the kind reads
     for field in ('k_sources', 'delta_deg', 'families', 'q_range',
-                  'k_modes'):
+                  'k_modes', 'doas_deg'):
         for kind in ('verify_mse', 'resolution', 'efficiency', 'scaling'):
             with pytest.raises(harness.ConfigError, match='empty'):
                 ExperimentConfig(kind=kind, **{field: ()})
@@ -95,9 +95,23 @@ def test_config_validation():
             ExperimentConfig(kind='efficiency', **{field: bad})
     for bad in ({'empirical': 'no'}, {'doas_deg': '10'},
                 {'grid_step_deg': float('inf')},
-                {'center_deg': True}, {'out_dir': 5}):
+                {'center_deg': True}, {'out_dir': 5},
+                # an integer no float can hold is not a finite number
+                {'snr_db': [10 ** 400]}):
         with pytest.raises(harness.ConfigError):
             ExperimentConfig.from_mapping({'kind': 'efficiency', **bad})
+    # an array spec is a string, and nothing is read through str()
+    for bad in (5, None, ['mra:10']):
+        with pytest.raises(harness.ConfigError) as err:
+            ExperimentConfig.from_mapping({'kind': 'verify_mse',
+                                           'arrays': [bad]})
+        assert str(err.value) == (
+            f"each arrays entry must be an array spec like 'mra:10', "
+            f"got {bad!r}")
+    with pytest.raises(harness.ConfigError) as err:
+        ExperimentConfig(kind='verify_mse', arrays=('mra:42',))
+    assert str(err.value).startswith(
+        "arrays: bad array spec 'mra:42': no tabulated MRA with 42 sensors")
 
 
 def test_from_mapping_rejects_unknown_and_converts_lists():
@@ -447,6 +461,17 @@ def test_scaling_runner_schema_and_slope(trial_calls):
     # the table has no method column, so it cannot hold two methods
     with pytest.raises(harness.ConfigError, match="scaling runs one method"):
         dataclasses.replace(cfg, method='both')
+
+
+def test_scaling_skips_a_size_past_the_sensor_cap():
+    # coprime(342) would have 1026 sensors: refused before its positions
+    # are built, it is skipped as an untabulated MRA size is
+    cfg = ExperimentConfig(kind='scaling', families=('coprime',),
+                           q_range=(3, 342), k_modes=('one',))
+    tables = harness.run(cfg)
+    assert [row[2] for row in tables['scaling'].rows] == [3]
+    assert tables['notices'].rows == (
+        ('coprime size 342 not available; skipped',),)
 
 
 def test_scaling_notices_each_skipped_size_once():
@@ -1015,15 +1040,27 @@ def test_cli_estimate_rejects_bad_scenario(tmp_path, capsys):
                          '--scenario', str(scenario)]) == 2, bad
         out, err = capsys.readouterr()
         assert out == '' and 'bad scenario' in err, bad
+    # the config's field rules, read for the scenario: each names the key
+    for bad, message in (
+            ({'doas_deg': [], 'snr_db': 0}, 'doas_deg must not be an empty '
+                                            'list'),
+            ({'doas_deg': [10], 'snr_db': 0, 'powers': []},
+             'powers must not be an empty list'),
+            ({'doas_deg': [10, True], 'snr_db': 0},
+             'each doas_deg entry must be a finite number, got True')):
+        scenario.write_text(json.dumps(bad))
+        assert cli.main(['estimate', '--array', 'coprime:2',
+                         '--scenario', str(scenario)]) == 2, bad
+        assert capsys.readouterr().err == f'error: bad scenario: {message}\n'
     scenario.write_text(json.dumps({'doas_deg': [0.0], 'snr_db': 0.0}))
     for step in ('0', '-0.1', 'inf', 'nan'):
         assert cli.main(['estimate', '--array', 'coprime:2',
                          '--scenario', str(scenario),
                          '--grid-step-deg', step]) == 2, step
-        err = capsys.readouterr().err
-        assert 'grid step' in err
-        # reported as given, in degrees
-        assert f'got {float(step)!r} deg' in err
+        # reported as given, under the flag's name, which says degrees
+        assert capsys.readouterr().err == (
+            f'error: --grid-step-deg must be a finite number > 0, '
+            f'got {float(step)!r}\n')
 
 
 def test_cli_estimate_checks_source_count_before_simulating(tmp_path,
@@ -1216,6 +1253,49 @@ def test_cli_names_a_scalar_where_a_list_belongs(tmp_path, capsys,
     printed, err = capsys.readouterr()
     assert printed == ''
     assert err == f'error: {field} must be a list, got {mapping[field]!r}\n'
+    assert trial_calls == []
+    assert os.listdir(tmp_path) == ['cfg.json']
+
+
+# Values refused before any trial: an empty source list, an N past the
+# Wishart draw's int64 shapes, and arrays past geometry.MAX_SENSORS,
+# whose lag matrix alone would take terabytes
+REFUSED_VALUES = [
+    ('run', {'kind': 'verify_mse', 'doas_deg': []},
+     'doas_deg must not be an empty list'),
+    ('analyze', {'kind': 'efficiency', 'doas_deg': []},
+     'doas_deg must not be an empty list'),
+    ('run', {'kind': 'verify_mse', 'n_snapshots': [10 ** 30], 'n_trials': 2},
+     f'each n_snapshots entry must be an integer in [1, {2 ** 62}], '
+     f'got {10 ** 30}'),
+    # no family has an array of this size under the cap
+    ('run', {'kind': 'scaling', 'q_range': [1000000]},
+     "scaling has no point: no array of families ['coprime', 'nested', "
+     "'mra'] has a size in [1000000]"),
+    ('analyze', {'kind': 'scaling', 'families': ['nested'],
+                 'q_range': [1000000]},
+     "scaling has no point: no array of families ['nested'] has a size "
+     "in [1000000]"),
+    ('run', {'kind': 'verify_mse', 'arrays': ['ula:1000000'], 'n_trials': 2},
+     "arrays: bad array spec 'ula:1000000': an array takes at most 1024 "
+     "sensors, got 1000000"),
+]
+
+
+@pytest.mark.parametrize('command, mapping, message', REFUSED_VALUES,
+                         ids=['doas_deg-run', 'doas_deg-analyze',
+                              'n_snapshots', 'q_range-run', 'q_range-analyze',
+                              'arrays'])
+def test_cli_refuses_a_value_past_its_field_rule(tmp_path, capsys,
+                                                 trial_calls, command,
+                                                 mapping, message):
+    cfg = tmp_path / 'cfg.json'
+    cfg.write_text(json.dumps(mapping))
+    out = tmp_path / ('out/run' if command == 'run' else 'analyze.csv')
+    assert cli.main([command, '--config', str(cfg), '--out', str(out)]) == 2
+    printed, err = capsys.readouterr()
+    assert printed == ''
+    assert err == f'error: {message}\n'
     assert trial_calls == []
     assert os.listdir(tmp_path) == ['cfg.json']
 

@@ -7,13 +7,18 @@ and as nested arrays (hole-free coarrays). Each property must hold for
 every draw.
 """
 
+import contextlib
 import dataclasses
+import io
+import json
+import os
+import tempfile
 import unittest.mock
 
 import numpy as np
 import pytest
 
-from coarray_lab import (analysis, estimator, geometry, harness, model,
+from coarray_lab import (analysis, cli, estimator, geometry, harness, model,
                          reference)
 from test_analysis import check_threshold, outcome, recorded_brackets
 
@@ -328,27 +333,42 @@ def test_trial_records_do_not_depend_on_chunking(n_trials, cuts, methods,
     np.testing.assert_array_equal(np.concatenate(pieces, axis=1), serial)
 
 
-# Valid values other than the default for every config field but the
-# kind, as a JSON config gives them; method 'both' is left out, since
-# efficiency and scaling refuse it for running one method
-FIELD_VALUES = {
-    'arrays': (['mra:10'], ['coprime:2', 'ula:4']),
-    'snr_db': ([10.0], [-5]),
-    'n_snapshots': ([100], [2000]),
-    'n_trials': (3, 1000),
-    'seed': (0, 7),
-    'method': ('da',),
-    'out_dir': ('elsewhere', 'out/run'),
-    'doas_deg': ([10.0, 20.0], [-30]),
-    'center_deg': (10.0, -45),
-    'delta_deg': ([1.0], [0.5, 2.0]),
-    'k_sources': ([2], [1, 3]),
-    'q_range': ([3, 4], [5]),
-    'families': (['mra'], ['nested', 'coprime']),
-    'k_modes': (['one'], ['m']),
-    'grid_step_deg': (0.5, 0.01),
-    'empirical': (True,),
-}
+# JSON values a config field might be given, the strings each
+# one-of rule reads among them; the field table sorts them into the
+# valid and the invalid
+SCALARS = (None, True, False, 0, 1, 3, 7, -1, 2 ** 62, 2 ** 62 + 1, 10 ** 400,
+           0.5, -0.5, 10.0, -45.0, 90.0, float('nan'), float('inf'), '', 'x',
+           'out/run', 'mra:10', 'coprime:2', 'ula:4', 'spiral:4',
+           'ula:1000000', *harness._TABLES, *harness._METHODS,
+           *harness._FAMILIES, *harness._K_MODES)
+
+
+def meets_the_table(name, value):
+    """Whether ``value``, as a JSON config gives it, is valid for the
+    field ``name`` by the field table alone."""
+    value = tuple(value) if isinstance(value, list) else value
+    try:
+        harness._check_field(name, value, *harness._FIELDS[name])
+    except harness.ConfigError:
+        return False
+    return True
+
+
+def valid_settings(name):
+    """Valid values other than the default of a field: one scalar, or a
+    list of one. Method 'both' is left out, since efficiency and scaling
+    refuse it for running one method."""
+    shape, _ = harness._FIELDS[name]
+    default = harness.ExperimentConfig.__dataclass_fields__[name].default
+    candidates = SCALARS if shape == 'value' else [[v] for v in SCALARS]
+    return [v for v in candidates
+            if meets_the_table(name, v) and v != 'both'
+            and (tuple(v) if isinstance(v, list) else v) != default]
+
+
+# Every config field but the kind, with its valid non-default values
+FIELD_VALUES = {name: valid_settings(name)
+                for name in harness._FIELDS if name != 'kind'}
 field_settings = st.sampled_from(sorted(FIELD_VALUES)).flatmap(
     lambda name: st.tuples(st.just(name), st.sampled_from(FIELD_VALUES[name])))
 
@@ -360,6 +380,7 @@ def test_a_config_may_set_only_the_fields_its_kind_reads(kind, setting):
     # any other field is refused by name, and no trial runs either way
     assert set(FIELD_VALUES) | {'kind'} == {
         f.name for f in dataclasses.fields(harness.ExperimentConfig)}
+    assert all(FIELD_VALUES.values())
     name, value = setting
     mapping = {'kind': kind, name: value}
     if name in harness._TABLES[kind][2]:
@@ -370,3 +391,43 @@ def test_a_config_may_set_only_the_fields_its_kind_reads(kind, setting):
         with pytest.raises(harness.ConfigError) as info:
             harness.ExperimentConfig.from_mapping(mapping)
         assert str(info.value) == f'{kind} does not read {name}'
+
+
+# A JSON value of any type, or a list of up to three; a drawn invalid
+# value comes as often from the shaped SCALARS, where each rule's edges
+# lie, as from anywhere
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.floats(), st.text(max_size=6))
+SHAPED = SCALARS + ([],) + tuple([v] for v in SCALARS)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(st.sampled_from(sorted(harness._TABLES)),
+                  st.sampled_from(sorted(harness._FIELDS)), st.data())
+def test_a_value_against_its_field_rule_fails_before_any_trial(kind, name,
+                                                               data):
+    # any field, set on any kind, to a value its rule refuses: run exits
+    # 2 with one error line naming the field, before any trial, and
+    # leaves no output directory
+    invalid = [v for v in SHAPED if not meets_the_table(name, v)]
+    value = data.draw(st.one_of(
+        st.sampled_from(invalid),
+        st.one_of(json_scalars, st.lists(json_scalars, max_size=3)).filter(
+            lambda v: not meets_the_table(name, v))), label='value')
+    with tempfile.TemporaryDirectory() as tmp, \
+            unittest.mock.patch.object(
+                harness, 'run_trials',
+                side_effect=AssertionError('a trial ran')), \
+            contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        cfg = os.path.join(tmp, 'cfg.json')
+        with open(cfg, 'w', encoding='utf-8') as fh:
+            json.dump({'kind': kind, name: value}, fh)
+        code = cli.main(['run', '--config', cfg,
+                         '--out', os.path.join(tmp, 'out', 'run')])
+        assert os.listdir(tmp) == ['cfg.json']
+    assert code == 2
+    assert out.getvalue() == ''
+    err = err.getvalue()
+    assert err.startswith('error: ') and err.count('\n') == 1, err
+    assert name in err, err

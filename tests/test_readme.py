@@ -1,10 +1,11 @@
-"""The README's Quick-start block runs against the current API, and its
-list of config fields per kind is the harness's table."""
+"""The README's Quick-start block runs against the current API, its
+list of config fields per kind is the harness's table, and its list of
+field rules is the field table."""
 
 import pathlib
 import re
 
-from coarray_lab import harness
+from coarray_lab import geometry, harness
 
 README = pathlib.Path(__file__).resolve().parents[1] / 'README.md'
 
@@ -31,3 +32,19 @@ def test_config_kinds_list_the_fields_of_the_table():
             r'`(\w+)`', re.split(r'\):\s', bullet)[-1])
     assert listed == {kind: [f for f in fields if f not in harness._COMMON]
                       for kind, (_, _, fields) in harness._TABLES.items()}
+
+
+def test_field_rules_are_the_field_table():
+    text = README.read_text(encoding='utf-8')
+    section = text.split('with one error line that names the\nfield:\n\n',
+                         1)[1].split('\n\n', 1)[0]
+    rules = {}
+    for bullet in section[2:].split('\n- '):
+        name, shape, rule = re.match(
+            r'`(\w+)`(?: \(([\w ]+)\))?: (.*)', bullet, re.DOTALL).groups()
+        rules[name] = (shape or 'value', ' '.join(rule.split()))
+    assert list(rules) == list(harness._FIELDS)
+    for name, (shape, rule) in harness._FIELDS.items():
+        assert rules[name][0] == shape.replace('None', 'null'), name
+        assert rules[name][1].startswith(rule.what), name
+    assert f'at most {geometry.MAX_SENSORS} sensors' in rules['arrays'][1]
