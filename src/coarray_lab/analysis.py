@@ -25,7 +25,7 @@ along an SNR sweep, and R shares its eigenvectors U with S, so the
 model Jacobian is built once in that eigenbasis
 (:func:`crb_coefficients`). There the whitening by (R^T ox R)^(-1/2)
 is a scaling of the rows by products of (lam + sigma^2)^(-1/2), and a
-fan of noise powers costs one stacked real thin SVD of the scaled
+fan of noise powers costs one stacked QR, triangle only, of the scaled
 Jacobians (:meth:`CrbCoefficients.reports`). The null eigenvalues of S
 are exact zeros, so the noise eigenvalues of R keep full precision at
 any SNR. Both sets of coefficients evaluate a whole fan of SNR and N
@@ -232,22 +232,22 @@ class CrbCoefficients:
         d = (lam + sigma^2)^(-1/2), which whitens it. The power columns
         are scaled by p_k and the noise column by sigma^2, so that every
         column is invariant to a joint scaling of the powers and the
-        noise; one real thin SVD X = Q Sigma V^T of the result gives
-        the rank from Sigma, the FIM N V Sigma^2 V^T (unscaled back to
-        DOAs, powers and noise), and the DOA block of its inverse,
+        noise. One real QR X = Q R of the result gives the FIM N R^T R
+        (unscaled back to DOAs, powers and noise), the rank from the
+        singular values of R, and the DOA block of the inverse FIM,
 
-            CRB = (1 / N) * V[:K] Sigma^(-2) V[:K]^T,
+            CRB = (1 / N) * R^(-1)[:K] R^(-1)[:K]^T,
 
         which the column scaling leaves unchanged. This block is the
         inverse of the projected Gram matrix M_theta^H P_perp(M_s)
         M_theta of the whitened DOA columns M_theta and power/noise
-        columns M_s.
+        columns M_s. No singular vectors are formed.
 
-        The points are evaluated as one stack: one stacked SVD of the
-        S scaled Jacobians, then the FIMs, ranks, Gram inverses and
-        their eigenvalues on the stack. Each step acts on every point
-        on its own, so a point's report is that of its own length-1
-        call bit for bit.
+        The points are evaluated as one stack: one stacked QR of the S
+        scaled Jacobians, then the FIMs, ranks, Gram inverses and their
+        eigenvalues on the stack. Each step acts on every point on its
+        own, so a point's report is that of its own length-1 call bit
+        for bit.
 
         The bound requires full column rank 2K + 1; otherwise the report
         carries ``crb=None`` and the observed rank.
@@ -273,17 +273,17 @@ class CrbCoefficients:
         x = (d[:, self.rows[0]] * d[:, self.rows[1]])[:, :, None] \
             * col_scale[:, None, :]
         x *= self.jac
-        # drop the scaled stack and U, the fan's largest arrays, at once
-        sv, vt = np.linalg.svd(x, full_matrices=False)[1:]
-        del x
-        fim = (n * ((np.swapaxes(vt, 1, 2) * sv[:, None, :] ** 2) @ vt)
+        r = np.linalg.qr(x, mode='r')
+        del x  # the scaled stack is the fan's largest array
+        fim = (n * (np.swapaxes(r, 1, 2) @ r)
                / (col_scale[:, :, None] * col_scale[:, None, :]))
         fim = 0.5 * (fim + np.swapaxes(fim, 1, 2))
+        sv = np.linalg.svd(r, compute_uv=False)
         rank = np.sum(sv > _RANK_RCOND * sv[:, :1], axis=1)
         full = np.flatnonzero(rank >= required)
-        v_theta = np.swapaxes(vt[full][:, :, :k], 1, 2)
-        gram_inv = (v_theta / sv[full][:, None, :] ** 2) \
-            @ np.swapaxes(v_theta, 1, 2)
+        # R is wide only if M^2 < 2K + 1, and then no point is full rank
+        r_theta = np.linalg.inv(r[full][..., :r.shape[1]])[:, :k]
+        gram_inv = r_theta @ np.swapaxes(r_theta, 1, 2)
         gram_inv = 0.5 * (gram_inv + np.swapaxes(gram_inv, 1, 2))
         crbs, conds = [None] * s.size, [float('nan')] * s.size
         for i, ev, g in zip(full, np.linalg.eigvalsh(gram_inv),

@@ -23,8 +23,8 @@ from . import analysis, geometry, model
 from .estimator import run_music
 from .harness import (ConfigError, Table, emit_outputs, load_config, run,
                       _POSITIVE, _REAL, _analyze_table, _check_estimable,
-                      _check_field, _count, _csv_text, _parse_array,
-                      _read_json, _write_text)
+                      _check_field, _check_selection_size, _count,
+                      _csv_text, _parse_array, _read_json, _write_text)
 
 
 def _load_scenario(path):
@@ -65,6 +65,7 @@ def _cmd_geom(args):
     geom = _parse_array(args.array)
     co = geometry.difference_coarray(geom)
     if args.f_csv:
+        _check_selection_size(geom, co.mv)
         f = geometry.selection_matrix(co)
         _write_text(args.f_csv, ''.join(
             ','.join(repr(float(v)) for v in row) + '\n' for row in f))
@@ -87,6 +88,7 @@ def _cmd_estimate(args):
     scenario = _load_scenario(args.scenario)
     co = geometry.difference_coarray(geom)
     _check_estimable(geom, co.mv, scenario, args.grid_step_deg)
+    _check_selection_size(geom, co.mv)
     f = geometry.selection_matrix(co)
     seed = np.random.SeedSequence(args.seed)
     snapshots = model.simulate_snapshots(geom, scenario, args.n, seed)

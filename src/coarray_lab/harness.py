@@ -428,6 +428,21 @@ def _check_estimable(geom, mv, scenario, grid_step_deg):
         raise ConfigError(f'{geom.name}: {exc}') from exc
 
 
+# The most entries of the dense (2 mv - 1) x M^2 selection matrix F that
+# a trial block or ``geom --f-csv`` builds: 2**24 are 128 MiB as float64
+# and 256 MiB as the complex copy a trial block casts.
+_MAX_F_ENTRIES = 2 ** 24
+
+
+def _check_selection_size(geom, mv):
+    """Raise :class:`ConfigError` when the dense selection matrix F of
+    ``geom`` would hold more than :data:`_MAX_F_ENTRIES` entries."""
+    rows, cols = 2 * mv - 1, geom.n_sensors ** 2
+    if rows * cols > _MAX_F_ENTRIES:
+        raise ConfigError(f'{geom.name}: its selection matrix F would be '
+                          f'{rows} x {cols}, over {_MAX_F_ENTRIES} entries')
+
+
 def _sweep(cfg):
     """Points of a config's sweep and its skip notices, each once.
 
@@ -435,11 +450,13 @@ def _sweep(cfg):
     seeds of its trials. Every scenario is built and checked here, so a
     bad point raises :class:`ConfigError` before any trial runs.
     Estimability depends on the array and K alone, so each (array, K)
-    is checked once, at its first point.
+    is checked once, at its first point; a config that runs trials also
+    checks the size of each array's selection matrix there.
     """
     points, notices = [], []
     groups = itertools.count()
     estimable = set()
+    trials = cfg.kind in ('verify_mse', 'resolution') or cfg.empirical
 
     def add(geom, mv, doas, snr, n, group, tags=()):
         try:
@@ -448,6 +465,8 @@ def _sweep(cfg):
             raise ConfigError(f'{geom.name}: {exc}') from exc
         if (geom, scenario.n_sources) not in estimable:
             _check_estimable(geom, mv, scenario, cfg.grid_step_deg)
+            if trials:
+                _check_selection_size(geom, mv)
             estimable.add((geom, scenario.n_sources))
         points.append(_Point(geom, scenario, n, snr, tags, group))
 
@@ -524,13 +543,12 @@ def _closed_forms(points, bound=True):
         if bound:
             reports = analysis.crb_coefficients(geom, scenario).reports(
                 noise, n)
-        mse_trace = np.trace(mse, axis1=1, axis2=2)
-        for p, m, report, m_trace in zip(fan, mse, reports, mse_trace):
-            crb_trace = (float(np.trace(report.crb))
-                         if report is not None and report.defined
-                         else float('nan'))
-            yield (next(combos), p, m, report, crb_trace / float(m_trace),
-                   crb_trace)
+        for p, m, report in zip(fan, mse, reports):
+            kappa = crb_trace = float('nan')
+            if report is not None and report.defined:
+                kappa = analysis.efficiency_kappa(report, m)
+                crb_trace = float(np.trace(report.crb))
+            yield next(combos), p, m, report, kappa, crb_trace
 
 
 def _trial_successes(cfg, combo, p, methods, pool, gate=None):

@@ -453,6 +453,23 @@ def test_crb_undefined_when_parameters_outnumber_lags():
         np.testing.assert_array_equal(one.fim, point.fim)
 
 
+def test_crb_undefined_when_parameters_outnumber_jacobian_rows():
+    # a 2-sensor ULA gives M^2 = 4 Jacobian rows against the 7 columns
+    # of three sources: the QR's triangle is 4 x 7, and every point of
+    # a fan is reported undefined at rank 3 with its full 7 x 7 FIM
+    geom = geometry.ula(2)
+    sc = model.SourceScenario.with_snr((-0.5, 0.1, 0.6), 10.0)
+    fan = analysis.crb_coefficients(geom, sc).reports([0.1, 1.0], [50, 500])
+    want = [reference.crb_via_whitening(
+        geom, model.SourceScenario(sc.doas, sc.powers, s), n)
+        for s, n in ((0.1, 50), (1.0, 500))]
+    for got, ref in zip(fan, want):
+        assert not got.defined and not ref.defined
+        assert got.jacobian_rank == ref.jacobian_rank == 3
+        assert got.required_rank == 7 and np.isnan(got.gram_condition)
+        assert relative_gap(got.fim, ref.fim) <= 1e-12
+
+
 def test_efficiency_kappa_plausible_range():
     geom = geometry.coprime(3, 5)
     sc = model.SourceScenario.with_snr(np.deg2rad([-15.0, 20.0]), 10.0)
@@ -911,10 +928,14 @@ def crb_trace_form(geom, scenario, n_snapshots, digits=40):
 
 
 @pytest.mark.parametrize('spec, k', [('mra:10', 6), ('coprime:3,5', 8),
-                                     ('coprime:3,5', 1)])
+                                     ('coprime:3,5', 1), ('mra:10', 12),
+                                     ('coprime:3,5', 14), ('nested:4,6', 12)])
 def test_crb_matches_high_precision_trace_form(spec, k):
     # at 60 dB the noise eigenvalues of R are 1e-6 of a source power;
-    # the exact null eigenvalues of A P A^H keep them to full precision
+    # the exact null eigenvalues of A P A^H keep them to full precision.
+    # The last three have more sources than sensors (M = 10): there a
+    # thin SVD of the whitened Jacobian in place of its QR is off by
+    # 1.1e-11 to 7.8e-11
     geom = harness._parse_array(spec)
     sc = model.SourceScenario.with_snr(harness._fan(k), 60.0)
     want = crb_trace_form(geom, sc, 500)

@@ -693,6 +693,52 @@ def test_sweep_checks_estimability_once_per_array_and_k(monkeypatch):
                                               'mra(10)') for k in (1, 2, 4)]
 
 
+NESTED_64 = dict(arrays=('coprime:3,5', 'nested:64,64'))
+
+
+@pytest.mark.parametrize('overrides, refused', [
+    (dict(kind='verify_mse', **NESTED_64), 'nested(64,64)'),
+    (dict(kind='resolution', **NESTED_64), 'nested(64,64)'),
+    (dict(kind='efficiency', empirical=True, **NESTED_64), 'nested(64,64)'),
+    (dict(kind='scaling', families=('nested',), q_range=(2, 63),
+          k_modes=('one',), empirical=True), 'nested(64,63)'),
+], ids=['verify_mse', 'resolution', 'efficiency', 'scaling'])
+def test_sweep_refuses_a_selection_matrix_over_the_size_limit(overrides,
+                                                              refused):
+    # nested(64,64) has 128 sensors and mv = 4160: the trial path's
+    # dense F would be 8319 x 16384, 1.09 GB as float64, so a config
+    # that runs trials is refused before any is built; the closed
+    # forms build no F, so the same sweep without trials is accepted
+    cfg = ExperimentConfig(snr_db=(0.0,), n_snapshots=(100,), **overrides)
+    size = {'nested(64,64)': '8319 x 16384', 'nested(64,63)': '8189 x 16129'}
+    with pytest.raises(harness.ConfigError) as info:
+        harness._sweep(cfg)
+    assert str(info.value) == (f'{refused}: its selection matrix F would be '
+                               f'{size[refused]}, over 16777216 entries')
+    if cfg.kind in ('efficiency', 'scaling'):
+        closed = harness._sweep(dataclasses.replace(cfg, empirical=False))[0]
+        assert closed[-1].geom.name == refused
+
+
+def test_cli_refuses_a_selection_matrix_over_the_size_limit(
+        tmp_path, capsys, monkeypatch):
+    # mra(10)'s F is 71 x 100: one entry under its size refuses it
+    monkeypatch.setattr(harness, '_MAX_F_ENTRIES', 71 * 100 - 1)
+    f_csv = tmp_path / 'f.csv'
+    scenario = tmp_path / 'scenario.json'
+    scenario.write_text(json.dumps({'doas_deg': [-20.0, 15.0],
+                                    'snr_db': 0.0}))
+    message = ('error: mra(10): its selection matrix F would be 71 x 100, '
+               'over 7099 entries\n')
+    for argv in (['geom', '--array', 'mra:10', '--f-csv', str(f_csv)],
+                 ['estimate', '--array', 'mra:10', '--scenario',
+                  str(scenario), '--out', str(tmp_path / 'est.csv')]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ('', message)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ['scenario.json']
+    assert cli.main(['geom', '--array', 'mra:10']) == 0
+
+
 def test_csv_text_formats_python_and_numpy_cells():
     table = harness.Table(('a', 'b', 'c', 'd', 'e', 'f', 'g', 'h'), (
         (0.1, 3, True, 'coprime(3,5)', np.float64(0.1), np.int64(7),
@@ -815,6 +861,7 @@ def test_resolution_plot_keeps_snrs_apart(tmp_path):
 # series and the threshold arrows spliced in ahead of 'plot \'. The
 # resolution series are keyed on SNR and N too, with one arrow per
 # (array, SNR, N) threshold, and the efficiency series on N.
+
 
 def reference_series_filter(header, row, keys):
     clauses = []

@@ -287,6 +287,57 @@ def test_crb_coefficients_match_whitening_reference(geom, seed, u, snrs, n):
             np.testing.assert_array_equal(again.crb, got.crb)
 
 
+# The CRB depends on the sensor differences alone, and negating every
+# DOA conjugates the model covariance, so its trace is exactly invariant
+# to each move below. Each tolerance is about 20 times the worst
+# relative deviation measured over 20000 draws of these strategies:
+# shift 6.0e-14, mirror 3.4e-14, negated DOAs 6.6e-15.
+CRB_TRACE_RTOL = {'shift': 1e-12, 'mirror': 1e-12, 'negate': 2e-13}
+
+
+def assert_crb_trace_kept(geom, sc, moved_geom, moved_sc, rtol):
+    """The moved array and scenario keep the CRB's definedness, the
+    Jacobian rank and, to ``rtol``, the trace."""
+    base = analysis.crb(geom, sc, 500)
+    moved = analysis.crb(moved_geom, moved_sc, 500)
+    assert moved.defined == base.defined
+    assert moved.jacobian_rank == base.jacobian_rank
+    if base.defined:
+        np.testing.assert_allclose(np.trace(moved.crb), np.trace(base.crb),
+                                   rtol=rtol, atol=0)
+
+
+@settings
+@hypothesis.given(arrays, seeds, st.floats(0.0, 1.0, exclude_max=True),
+                  st.integers(1, 39))
+def test_crb_trace_is_invariant_to_shifting_the_array(geom, seed, u, c):
+    hypothesis.assume(geometry.difference_coarray(geom).mv >= 2)
+    sc = random_scenario(geom, seed, u)
+    shifted = geometry.custom([p + c for p in geom.positions])
+    assert_crb_trace_kept(geom, sc, shifted, sc, CRB_TRACE_RTOL['shift'])
+
+
+@settings
+@hypothesis.given(arrays, seeds, st.floats(0.0, 1.0, exclude_max=True))
+def test_crb_trace_is_invariant_to_mirroring_the_array(geom, seed, u):
+    hypothesis.assume(geometry.difference_coarray(geom).mv >= 2)
+    sc = random_scenario(geom, seed, u)
+    end = geom.positions[-1]
+    mirrored = geometry.custom(sorted(end - p for p in geom.positions))
+    assert_crb_trace_kept(geom, sc, mirrored, sc, CRB_TRACE_RTOL['mirror'])
+
+
+@settings
+@hypothesis.given(arrays, seeds, st.floats(0.0, 1.0, exclude_max=True))
+def test_crb_trace_is_invariant_to_negating_the_doas(geom, seed, u):
+    hypothesis.assume(geometry.difference_coarray(geom).mv >= 2)
+    sc = random_scenario(geom, seed, u)
+    negated = model.SourceScenario(tuple(-t for t in reversed(sc.doas)),
+                                   tuple(reversed(sc.powers)),
+                                   sc.noise_power)
+    assert_crb_trace_kept(geom, sc, geom, negated, CRB_TRACE_RTOL['negate'])
+
+
 @settings
 @hypothesis.given(
     holey.filter(lambda geom: geometry.difference_coarray(geom).mv >= 3),
