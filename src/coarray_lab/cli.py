@@ -22,9 +22,10 @@ from . import __version__
 from . import analysis, geometry, model
 from .estimator import run_music
 from .harness import (ConfigError, Table, emit_outputs, load_config, run,
-                      _POSITIVE, _REAL, _analyze_table, _check_estimable,
-                      _check_field, _check_selection_size, _count,
-                      _csv_text, _parse_array, _read_json, _write_text)
+                      _FIELDS, _POSITIVE, _REAL, _analyze_table,
+                      _check_entries, _check_estimable, _check_field,
+                      _check_music_size, _count, _csv_text, _parse_array,
+                      _read_json, _write_text)
 
 
 def _load_scenario(path):
@@ -65,7 +66,8 @@ def _cmd_geom(args):
     geom = _parse_array(args.array)
     co = geometry.difference_coarray(geom)
     if args.f_csv:
-        _check_selection_size(geom, co.mv)
+        _check_entries(geom, 'selection matrix F',
+                       (2 * co.mv - 1, geom.n_sensors ** 2))
         f = geometry.selection_matrix(co)
         _write_text(args.f_csv, ''.join(
             ','.join(repr(float(v)) for v in row) + '\n' for row in f))
@@ -84,17 +86,18 @@ def _cmd_geom(args):
 
 def _cmd_estimate(args):
     _check_field('--grid-step-deg', args.grid_step_deg, 'value', _POSITIVE)
+    _check_field('--n', args.n, 'value', _FIELDS['n_snapshots'][1])
     geom = _parse_array(args.array)
     scenario = _load_scenario(args.scenario)
     co = geometry.difference_coarray(geom)
     _check_estimable(geom, co.mv, scenario, args.grid_step_deg)
-    _check_selection_size(geom, co.mv)
-    f = geometry.selection_matrix(co)
+    _check_music_size(geom, co.mv, f'snapshot matrix at --n {args.n}',
+                      (geom.n_sensors, args.n))
     seed = np.random.SeedSequence(args.seed)
     snapshots = model.simulate_snapshots(geom, scenario, args.n, seed)
     if args.dump_snapshots:
         model.dump_snapshots_csv(snapshots, args.dump_snapshots)
-    z = model.virtual_observation(f, model.sample_covariance(snapshots))
+    z = model.virtual_observation(co, model.sample_covariance(snapshots))
     est = run_music(z, co.mv, scenario.n_sources, method=args.method,
                     grid_step=np.deg2rad(args.grid_step_deg))
     if not est.resolved:

@@ -238,8 +238,9 @@ def _lag_gather(co):
 
     Column p + q * M of F holds diff[p, q] as its lag; it has a single
     nonzero, 1 / w(lag) in row lag + mv - 1, when the lag lies in the
-    central segment, and none otherwise. So F^T y is a gather:
-    ``out[cols] = y[rows] * vals`` and zero elsewhere.
+    central segment, and none otherwise. So F^T y is a gather,
+    ``out[cols] = y[rows] * vals`` and zero elsewhere, and F r sums
+    ``r[cols]`` by ``rows`` (:func:`model.virtual_observation`).
 
     Memoized like :func:`difference_coarray`: a coarray hashes and
     compares by its geometry and mv, which the geometry fixes, and the

@@ -270,8 +270,6 @@ def _trial_block(geom, scenario, n_snapshots, methods, master_seed,
     holds its ascending angles, an unresolved one's is NaN.
     """
     co = geometry.difference_coarray(geom)
-    # cast once: a real F would be promoted to complex in every product
-    f = geometry.selection_matrix(co).astype(complex)
     chol = np.linalg.cholesky(model.true_covariance(geom, scenario))
     mv, k = co.mv, scenario.n_sources
     seeds = [np.random.SeedSequence(entropy=master_seed,
@@ -279,8 +277,7 @@ def _trial_block(geom, scenario, n_snapshots, methods, master_seed,
              for trial in trials]
     draws = model.sample_covariance_draws(chol, n_snapshots, seeds)
     estimates = np.full((len(methods), len(trials), k), np.nan)
-    for i, r_hat in enumerate(draws):
-        z = model.virtual_observation(f, r_hat)
+    for i, z in enumerate(model.virtual_observation(co, draws)):
         for row, method in zip(estimates, methods):
             est = run_music(z, mv, k, method, grid_step=grid_step)
             if est.resolved:
@@ -428,19 +425,30 @@ def _check_estimable(geom, mv, scenario, grid_step_deg):
         raise ConfigError(f'{geom.name}: {exc}') from exc
 
 
-# The most entries of the dense (2 mv - 1) x M^2 selection matrix F that
-# a trial block or ``geom --f-csv`` builds: 2**24 are 128 MiB as float64
-# and 256 MiB as the complex copy a trial block casts.
-_MAX_F_ENTRIES = 2 ** 24
+# The most entries of any one array that a trial, ``estimate`` or
+# ``geom --f-csv`` builds: 2**24 are 128 MiB as float64 and 256 MiB as
+# complex.
+_MAX_ENTRIES = 2 ** 24
 
 
-def _check_selection_size(geom, mv):
-    """Raise :class:`ConfigError` when the dense selection matrix F of
-    ``geom`` would hold more than :data:`_MAX_F_ENTRIES` entries."""
-    rows, cols = 2 * mv - 1, geom.n_sensors ** 2
-    if rows * cols > _MAX_F_ENTRIES:
-        raise ConfigError(f'{geom.name}: its selection matrix F would be '
-                          f'{rows} x {cols}, over {_MAX_F_ENTRIES} entries')
+def _check_entries(geom, what, shape):
+    """Raise :class:`ConfigError` when the array ``what`` of ``geom``,
+    of ``shape``, would hold more than :data:`_MAX_ENTRIES` entries."""
+    if math.prod(shape) > _MAX_ENTRIES:
+        raise ConfigError(f'{geom.name}: its {what} would be '
+                          f'{" x ".join(map(str, shape))}, over '
+                          f'{_MAX_ENTRIES} entries')
+
+
+def _check_music_size(geom, mv, data, shape):
+    """:func:`_check_entries` on the data array ``data`` of ``shape``
+    that coarray MUSIC at ``geom`` starts from, then on the largest
+    arrays :func:`estimator.run_music` builds at ``mv``: its real-form
+    gather of Rv1 and its null-polynomial buffer."""
+    for what, dims in ((data, shape),
+                       ('real-form gather', (2, mv, mv)),
+                       ('null-polynomial buffer', (mv, 2 * mv + 1))):
+        _check_entries(geom, what, dims)
 
 
 def _sweep(cfg):
@@ -451,7 +459,7 @@ def _sweep(cfg):
     bad point raises :class:`ConfigError` before any trial runs.
     Estimability depends on the array and K alone, so each (array, K)
     is checked once, at its first point; a config that runs trials also
-    checks the size of each array's selection matrix there.
+    checks there the size of the arrays that a block of trials builds.
     """
     points, notices = [], []
     groups = itertools.count()
@@ -466,7 +474,9 @@ def _sweep(cfg):
         if (geom, scenario.n_sources) not in estimable:
             _check_estimable(geom, mv, scenario, cfg.grid_step_deg)
             if trials:
-                _check_selection_size(geom, mv)
+                m = geom.n_sensors
+                _check_music_size(geom, mv, 'block of sample covariances',
+                                  (_DRAW_SLICE, m, m))
             estimable.add((geom, scenario.n_sources))
         points.append(_Point(geom, scenario, n, snr, tags, group))
 
@@ -680,7 +690,10 @@ _FIELDS = {
                              isinstance(v, str) and bool(_parse_array(v)))),
     'snr_db': ('list', _REAL),
     'n_snapshots': ('list', _count(1, 2 ** 62)),
-    'n_trials': ('value', _count(1)),
+    # 2**24 trials at one point are hours of work, over 8000 times the
+    # acceptance gates' 2000, and run_trials lists their 2**18 blocks
+    # before the first trial
+    'n_trials': ('value', _count(1, 2 ** 24)),
     'seed': ('value', _count(0)),
     'method': ('value', _one_of(_METHODS)),
     'out_dir': ('value', _Rule('a str', lambda v: isinstance(v, str))),

@@ -19,8 +19,9 @@ reference the draw is tested against.
 Covariances are plain M x M Hermitian arrays. The vectorization
 convention throughout the package is column-major stacking:
 ``vec(R)[p + q * M] = R[p, q]`` with zero-based indices; it is applied
-here, in :func:`virtual_observation`, and in the selection matrix of
-:mod:`geometry`.
+here and in the selection matrix F of :mod:`geometry`, whose product
+z = F vec(R) :func:`virtual_observation` forms as a lag average, with
+no F, for one covariance or a block's whole stack.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import geometry
 
 __all__ = [
     'SourceScenario',
@@ -286,24 +289,38 @@ def sample_covariance_draw(chol, n_snapshots, seed):
     return sample_covariance_draws(chol, n_snapshots, [seed])[0]
 
 
-def virtual_observation(f, r_mat):
-    """Coarray-domain observation z = F vec(R).
+def virtual_observation(co, r_mat):
+    """Coarray-domain observation z = F vec(R), as a lag average.
+
+    Entry mv - 1 + l of z averages the entries R[p, q] whose positions
+    differ by the lag l, |l| < mv. They are summed per lag over
+    :func:`geometry._lag_gather`, in column-major order, and each sum
+    is divided once by its weight w(l); no F is formed. Slice b of a
+    stack is summed in the same order as its own call, so the two are
+    equal bit for bit.
 
     Args:
-        f: Selection matrix from :func:`geometry.selection_matrix`, of
-            shape (2 * mv - 1, M^2).
-        r_mat: M x M covariance of the same array.
+        co: :class:`geometry.CoarrayStructure` of the array.
+        r_mat: M x M covariance of that array, or a B x M x M stack.
 
     Returns:
-        Complex vector z of length 2 * mv - 1. For a Hermitian R the
-        result is conjugate-symmetric about its central entry.
+        Complex z of length 2 * mv - 1, or B x (2 * mv - 1) for a stack.
+        For a Hermitian R the result is conjugate-symmetric about its
+        central entry.
     """
     r_mat = np.asarray(r_mat)
-    m = r_mat.shape[0] if r_mat.ndim == 2 else 0
-    if r_mat.shape != (m, m) or m * m != f.shape[1]:
-        raise ValueError(f'selection matrix expects an M x M covariance '
-                         f'with M^2 = {f.shape[1]}, got shape {r_mat.shape}')
-    return f @ vec(r_mat)
+    m = co.geometry.n_sensors
+    if r_mat.ndim not in (2, 3) or r_mat.shape[-2:] != (m, m):
+        raise ValueError(f'{co.geometry.name} takes an M x M covariance or '
+                         f'a B x M x M stack with M = {m}, got shape '
+                         f'{r_mat.shape}')
+    cols, rows, _ = geometry._lag_gather(co)
+    lead = r_mat.shape[:-2]
+    r_vec = np.swapaxes(r_mat, -1, -2).reshape(lead + (m * m,))
+    z = np.zeros(lead + (2 * co.mv - 1,), dtype=complex)
+    np.add.at(z, (..., rows), r_vec[..., cols])
+    z /= np.bincount(rows)
+    return z
 
 
 def dump_snapshots_csv(snapshots, path):

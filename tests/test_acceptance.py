@@ -37,9 +37,8 @@ def _random_scenario(rng, k, span=1.2, min_sep=0.12):
 
 def _exact_z(geom, scenario):
     co = geometry.difference_coarray(geom)
-    f = geometry.selection_matrix(co)
     return model.virtual_observation(
-        f, model.true_covariance(geom, scenario)), co.mv
+        co, model.true_covariance(geom, scenario)), co.mv
 
 
 def test_criterion_1_augmentation_identity(acceptance_report):
@@ -157,13 +156,12 @@ def _smoothed_music_deviation(draws, snr_db, n):
     worst, differ = 0.0, 0
     for _, geom in BENCH_ARRAYS:
         co = geometry.difference_coarray(geom)
-        f = geometry.selection_matrix(co)
         mv = co.mv
         chol = np.linalg.cholesky(model.true_covariance(geom, sc))
         for trial in range(draws):
             seed = np.random.SeedSequence(entropy=303, spawn_key=(trial,))
             z = model.virtual_observation(
-                f, model.sample_covariance_draw(chol, n, seed))
+                co, model.sample_covariance_draw(chol, n, seed))
             subs = np.stack([reference.subarray_select(z, i, mv)
                              for i in range(1, mv + 1)], axis=1)
             rv_ss = subs @ subs.conj().T / mv

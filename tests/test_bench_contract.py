@@ -54,7 +54,7 @@ def test_estimator_results_feed_the_observers():
     co = geometry.difference_coarray(geom)
     r_hat = model.sample_covariance(
         model.simulate_snapshots(geom, sc, 300, seed=4711))
-    z = model.virtual_observation(geometry.selection_matrix(co), r_hat)
+    z = model.virtual_observation(co, r_hat)
     original = estimator.run_music
     tracer = tracing.Tracer()
     tracer.patch(coarray_lab, MODULES)

@@ -17,16 +17,14 @@ from coarray_lab import estimator, geometry, harness, model, reference
 def exact_virtual(geom, scenario):
     """Exact z, mv for a scenario on the given array."""
     co = geometry.difference_coarray(geom)
-    f = geometry.selection_matrix(co)
-    z = model.virtual_observation(f, model.true_covariance(geom, scenario))
+    z = model.virtual_observation(co, model.true_covariance(geom, scenario))
     return z, co.mv
 
 
 def sampled_virtual(geom, scenario, n, seed):
     co = geometry.difference_coarray(geom)
-    f = geometry.selection_matrix(co)
     y = model.simulate_snapshots(geom, scenario, n, seed=seed)
-    return model.virtual_observation(f, model.sample_covariance(y)), co.mv
+    return model.virtual_observation(co, model.sample_covariance(y)), co.mv
 
 
 def test_subarray_select_slices():
@@ -441,7 +439,6 @@ EQUIVALENCE_SCENES = {
 def test_polynomial_estimator_matches_scalar_reference(spec):
     geom = harness._parse_array(spec)
     co = geometry.difference_coarray(geom)
-    f = geometry.selection_matrix(co)
     mv = co.mv
     # the scanned phases 2 pi i / n and their angles: at the default
     # 0.1 deg step the broadside phase step is 2 pi / 1146, so n = 2048
@@ -455,7 +452,7 @@ def test_polynomial_estimator_matches_scalar_reference(spec):
                 for seed in (11, 12, 13):
                     y = model.simulate_snapshots(geom, sc, n, seed=seed)
                     z = model.virtual_observation(
-                        f, model.sample_covariance(y))
+                        co, model.sample_covariance(y))
                     for method in ('da', 'ss'):
                         aug = (estimator.augment_direct(z, mv)
                                if method == 'da' else
@@ -489,7 +486,6 @@ SHARED_ARRAYS = ('coprime:3,5', 'nested:4,6', 'mra:10')
 def test_shared_eigensystem_matches_separate_decompositions(spec):
     geom = harness._parse_array(spec)
     co = geometry.difference_coarray(geom)
-    f = geometry.selection_matrix(co)
     mv = co.mv
     shared = differing = 0
     for k in (1, 2, mv // 2, mv - 1):
@@ -498,7 +494,7 @@ def test_shared_eigensystem_matches_separate_decompositions(spec):
             sc = model.SourceScenario.with_snr(doas, snr)
             for n, seed in itertools.product((10, 50, 500), (7, 8)):
                 y = model.simulate_snapshots(geom, sc, n, seed=seed)
-                z = model.virtual_observation(f,
+                z = model.virtual_observation(co,
                                               model.sample_covariance(y))
                 da = estimator.run_music(z, mv, k, method='da')
                 ss = estimator.run_music(z, mv, k, method='ss')

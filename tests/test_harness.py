@@ -262,7 +262,6 @@ def test_trial_matches_direct_replay():
     est = harness.run_trials(geom, sc, 10, methods, master_seed=31,
                              combo_index=4, n_trials=8,
                              grid_step=np.deg2rad(0.5))
-    f = geometry.selection_matrix(co)
     chol = np.linalg.cholesky(model.true_covariance(geom, sc))
     resolved = set()
     for trial in reversed(range(8)):
@@ -270,7 +269,7 @@ def test_trial_matches_direct_replay():
             estimator._TRIAL_CACHE.clear()
             seed = np.random.SeedSequence(entropy=31, spawn_key=(4, trial))
             r_hat = model.sample_covariance_draw(chol, 10, seed)
-            z = model.virtual_observation(f, r_hat)
+            z = model.virtual_observation(co, r_hat)
             replay = estimator.run_music(z, co.mv, k, method=methods[m],
                                          grid_step=np.deg2rad(0.5))
             resolved.add(replay.resolved)
@@ -282,7 +281,7 @@ def test_trial_matches_direct_replay():
 def test_trials_past_a_draw_slice_match_direct_replay():
     # a block draws its trials in stacks of harness._DRAW_SLICE; the
     # three trials past the first stack replay from their own seeds too,
-    # through the one-seed draw and the real selection matrix
+    # through the one-seed draw and the one-covariance lag average
     from coarray_lab import estimator
     geom = geometry.nested(2, 3)
     sc = model.SourceScenario.with_snr(np.deg2rad([-5.0, 20.0]), 0.0)
@@ -293,13 +292,11 @@ def test_trials_past_a_draw_slice_match_direct_replay():
                              grid_step=np.deg2rad(0.5))
     assert est.shape == (2, n_trials, 2)
     co = geometry.difference_coarray(geom)
-    f = geometry.selection_matrix(co)
-    assert f.dtype == float
     chol = np.linalg.cholesky(model.true_covariance(geom, sc))
     for trial in range(n_trials):
         seed = np.random.SeedSequence(entropy=5, spawn_key=(2, trial))
         z = model.virtual_observation(
-            f, model.sample_covariance_draw(chol, 40, seed))
+            co, model.sample_covariance_draw(chol, 40, seed))
         for m, method in enumerate(methods):
             estimator._TRIAL_CACHE.clear()
             replay = estimator.run_music(z, co.mv, 2, method=method,
@@ -703,40 +700,129 @@ NESTED_64 = dict(arrays=('coprime:3,5', 'nested:64,64'))
     (dict(kind='scaling', families=('nested',), q_range=(2, 63),
           k_modes=('one',), empirical=True), 'nested(64,63)'),
 ], ids=['verify_mse', 'resolution', 'efficiency', 'scaling'])
-def test_sweep_refuses_a_selection_matrix_over_the_size_limit(overrides,
-                                                              refused):
-    # nested(64,64) has 128 sensors and mv = 4160: the trial path's
-    # dense F would be 8319 x 16384, 1.09 GB as float64, so a config
-    # that runs trials is refused before any is built; the closed
-    # forms build no F, so the same sweep without trials is accepted
+def test_sweep_refuses_trial_arrays_over_the_size_limit(overrides, refused):
+    # nested(64,64) has 128 sensors and mv = 4160: the real-form gather
+    # run_music would build is 2 x 4160 x 4160, 277 MB as float64, so a
+    # config that runs trials is refused before any is built; the closed
+    # forms run no estimator, so the same sweep without trials is accepted
     cfg = ExperimentConfig(snr_db=(0.0,), n_snapshots=(100,), **overrides)
-    size = {'nested(64,64)': '8319 x 16384', 'nested(64,63)': '8189 x 16129'}
+    mv = {'nested(64,64)': 4160, 'nested(64,63)': 4095}[refused]
     with pytest.raises(harness.ConfigError) as info:
         harness._sweep(cfg)
-    assert str(info.value) == (f'{refused}: its selection matrix F would be '
-                               f'{size[refused]}, over 16777216 entries')
+    assert str(info.value) == (f'{refused}: its real-form gather would be '
+                               f'2 x {mv} x {mv}, over 16777216 entries')
     if cfg.kind in ('efficiency', 'scaling'):
         closed = harness._sweep(dataclasses.replace(cfg, empirical=False))[0]
         assert closed[-1].geom.name == refused
 
 
+@pytest.mark.parametrize('limit, message', [
+    (64 * 22 * 22 - 1, 'block of sample covariances would be 64 x 22 x 22'),
+    (2 * 132 * 132 - 1, 'real-form gather would be 2 x 132 x 132'),
+    (132 * 265 - 1, 'null-polynomial buffer would be 132 x 265'),
+], ids=['draws', 'gather', 'buffer'])
+def test_sweep_checks_each_array_a_trial_block_builds(monkeypatch, limit,
+                                                      message):
+    # nested(11,11) has 22 sensors and mv = 132, so its three arrays are
+    # in ascending size: one entry under each size refuses it, and at
+    # the largest size the sweep is accepted
+    cfg = ExperimentConfig(kind='verify_mse', arrays=('nested:11,11',),
+                           doas_deg=(0.0,))
+    monkeypatch.setattr(harness, '_MAX_ENTRIES', limit)
+    with pytest.raises(harness.ConfigError) as info:
+        harness._sweep(cfg)
+    assert str(info.value) == (f'nested(11,11): its {message}, '
+                               f'over {limit} entries')
+    monkeypatch.setattr(harness, '_MAX_ENTRIES', 132 * 265)
+    assert len(harness._sweep(cfg)[0]) == 1
+
+
 def test_cli_refuses_a_selection_matrix_over_the_size_limit(
         tmp_path, capsys, monkeypatch):
-    # mra(10)'s F is 71 x 100: one entry under its size refuses it
-    monkeypatch.setattr(harness, '_MAX_F_ENTRIES', 71 * 100 - 1)
+    # mra(10)'s F is 71 x 100: one entry under its size refuses it in
+    # geom --f-csv, the one command that builds F; estimate, which needs
+    # no F, is held to the arrays it does build
+    monkeypatch.setattr(harness, '_MAX_ENTRIES', 71 * 100 - 1)
     f_csv = tmp_path / 'f.csv'
+    assert cli.main(['geom', '--array', 'mra:10', '--f-csv', str(f_csv)]) == 2
+    assert capsys.readouterr() == (
+        '', 'error: mra(10): its selection matrix F would be 71 x 100, '
+        'over 7099 entries\n')
+    assert list(tmp_path.iterdir()) == []
+    assert cli.main(['geom', '--array', 'mra:10']) == 0
+
+
+@pytest.mark.parametrize('n, limit, message', [
+    (100000000000, 2 ** 24,
+     'mra(10): its snapshot matrix at --n 100000000000 would be '
+     '10 x 100000000000, over 16777216 entries'),
+    (9223372036854775807, 2 ** 24,
+     '--n must be an integer in [1, 4611686018427387904], '
+     'got 9223372036854775807'),
+    (0, 2 ** 24, '--n must be an integer in [1, 4611686018427387904], got 0'),
+    (100, 36 * 73 - 1,
+     'mra(10): its null-polynomial buffer would be 36 x 73, over 2627 '
+     'entries'),
+], ids=['size', 'rule', 'zero', 'estimator'])
+def test_cli_estimate_refuses_arrays_over_the_size_limit(
+        tmp_path, capsys, monkeypatch, n, limit, message):
+    # --n is checked by the n_snapshots rule, and the M x N snapshot
+    # matrix and the estimator's arrays by the size limit, before any
+    # snapshot is drawn: one error line and no output file
+    monkeypatch.setattr(harness, '_MAX_ENTRIES', limit)
     scenario = tmp_path / 'scenario.json'
     scenario.write_text(json.dumps({'doas_deg': [-20.0, 15.0],
                                     'snr_db': 0.0}))
-    message = ('error: mra(10): its selection matrix F would be 71 x 100, '
-               'over 7099 entries\n')
-    for argv in (['geom', '--array', 'mra:10', '--f-csv', str(f_csv)],
-                 ['estimate', '--array', 'mra:10', '--scenario',
-                  str(scenario), '--out', str(tmp_path / 'est.csv')]):
-        assert cli.main(argv) == 2
-        assert capsys.readouterr() == ('', message)
+    assert cli.main(['estimate', '--array', 'mra:10', '--scenario',
+                     str(scenario), '--n', str(n),
+                     '--out', str(tmp_path / 'est.csv'),
+                     '--dump-snapshots', str(tmp_path / 'y.csv')]) == 2
+    assert capsys.readouterr() == ('', f'error: {message}\n')
     assert sorted(p.name for p in tmp_path.iterdir()) == ['scenario.json']
-    assert cli.main(['geom', '--array', 'mra:10']) == 0
+
+
+def test_trials_and_estimate_build_no_selection_matrix(tmp_path, capsys,
+                                                       monkeypatch):
+    # z = F vec(R) is a lag average: no trial and no estimate builds F
+    def refuse(co):
+        raise AssertionError('the dense selection matrix was built')
+
+    monkeypatch.setattr(geometry, 'selection_matrix', refuse)
+    cfg = tmp_path / 'cfg.json'
+    cfg.write_text(json.dumps({'kind': 'verify_mse', 'arrays': ['mra:5'],
+                               'doas_deg': [-20.0, 15.0], 'snr_db': [10.0],
+                               'n_snapshots': [100], 'n_trials': 3,
+                               'method': 'both'}))
+    scenario = tmp_path / 'scenario.json'
+    scenario.write_text(json.dumps({'doas_deg': [-20.0, 15.0],
+                                    'snr_db': 10.0}))
+    assert cli.main(['run', '--config', str(cfg), '--out',
+                     str(tmp_path / 'out')]) == 0
+    assert cli.main(['estimate', '--array', 'mra:5', '--scenario',
+                     str(scenario), '--out', str(tmp_path / 'est.csv')]) == 0
+    assert capsys.readouterr().err == ''
+
+
+def test_cli_run_refuses_n_trials_past_its_bound(tmp_path, capsys,
+                                                 monkeypatch):
+    # 2**24 trials are accepted; one more exits 2 with the field table's
+    # message, before any trial and with no directory left
+    def refuse(*args, **kwargs):
+        raise AssertionError('a trial ran')
+
+    monkeypatch.setattr(harness, 'run_trials', refuse)
+    fields = {'kind': 'verify_mse', 'arrays': ['coprime:2'],
+              'doas_deg': [0.0]}
+    ExperimentConfig.from_mapping(dict(fields, n_trials=2 ** 24))
+    out_dir = tmp_path / 'out' / 'nested'
+    cfg = tmp_path / 'cfg.json'
+    cfg.write_text(json.dumps(dict(fields, n_trials=2 ** 24 + 1)))
+    assert cli.main(['run', '--config', str(cfg), '--out',
+                     str(out_dir)]) == 2
+    assert capsys.readouterr() == (
+        '', 'error: n_trials must be an integer in [1, 16777216], '
+        'got 16777217\n')
+    assert sorted(p.name for p in tmp_path.iterdir()) == ['cfg.json']
 
 
 def test_csv_text_formats_python_and_numpy_cells():

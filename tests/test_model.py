@@ -348,10 +348,9 @@ def test_sample_covariance_draws_checks_snapshots_before_any_stream(
 def test_virtual_observation_averages_lag_entries():
     geom = geometry.custom([0, 1, 4])
     co = geometry.difference_coarray(geom)
-    f = geometry.selection_matrix(co)
     sc = model.SourceScenario((-0.2, 0.35), (1.0, 2.0), 0.5)
     r_mat = model.true_covariance(geom, sc)
-    z = model.virtual_observation(f, r_mat)
+    z = model.virtual_observation(co, r_mat)
     assert z.shape == (2 * co.mv - 1,)
     # mv = 2 here: rows are lags -1, 0, +1 of R
     np.testing.assert_allclose(z[0], r_mat[0, 1], rtol=1e-15)
@@ -362,21 +361,20 @@ def test_virtual_observation_averages_lag_entries():
 def test_virtual_observation_conjugate_symmetry_and_identity():
     geom = geometry.mra(6)
     co = geometry.difference_coarray(geom)
-    f = geometry.selection_matrix(co)
     sc = model.SourceScenario.with_snr((-0.5, 0.1, 0.7), 3.0)
-    z = model.virtual_observation(f, model.true_covariance(geom, sc))
+    z = model.virtual_observation(co, model.true_covariance(geom, sc))
     np.testing.assert_allclose(z, np.conj(z[::-1]), rtol=0, atol=1e-14)
     e_center = np.zeros(2 * co.mv - 1)
     e_center[co.mv - 1] = 1.0
     np.testing.assert_allclose(
-        model.virtual_observation(f, np.eye(geom.n_sensors)),
+        model.virtual_observation(co, np.eye(geom.n_sensors)),
         e_center, rtol=0, atol=0)
     m = geom.n_sensors
     # vec(R) is formed inside; a vector or a matrix of another array fails
     for bad in (np.zeros(m * m), np.zeros((m - 1, m - 1)),
                 np.zeros((m, m + 1)), np.zeros((m * m, 1))):
         with pytest.raises(ValueError, match='M x M'):
-            model.virtual_observation(f, bad)
+            model.virtual_observation(co, bad)
 
 
 def test_virtual_observation_follows_coarray_model():
@@ -384,9 +382,8 @@ def test_virtual_observation_follows_coarray_model():
     # at the central lag only
     geom = geometry.coprime(2)
     co = geometry.difference_coarray(geom)
-    f = geometry.selection_matrix(co)
     sc = model.SourceScenario((-0.45, 0.25), (1.3, 0.8), 0.6)
-    z = model.virtual_observation(f, model.true_covariance(geom, sc))
+    z = model.virtual_observation(co, model.true_covariance(geom, sc))
     lags = np.arange(-(co.mv - 1), co.mv)
     phi = np.pi * np.sin(np.asarray(sc.doas))
     a_virtual = np.exp(1j * np.outer(lags, phi))
