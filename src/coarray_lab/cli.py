@@ -100,11 +100,13 @@ def _cmd_estimate(args):
     z = model.virtual_observation(co, model.sample_covariance(snapshots))
     est = run_music(z, co.mv, scenario.n_sources, method=args.method,
                     grid_step=np.deg2rad(args.grid_step_deg))
+    estimates = est.angles
     if not est.resolved:
         print(f'unresolved: found {len(est.angles)} of '
               f'{scenario.n_sources} sources', file=sys.stderr)
-    estimates = list(est.angles) + [float('nan')] * (
-        scenario.n_sources - len(est.angles))
+        # which source a found peak belongs to is unknown, so every
+        # source reads NaN, as an unresolved trial does
+        estimates = np.full(scenario.n_sources, np.nan)
     rows = tuple((i, float(np.rad2deg(true)), float(np.rad2deg(est_i)),
                   float(np.rad2deg(est_i - true)))
                  for i, (true, est_i) in enumerate(zip(scenario.doas,

@@ -26,12 +26,10 @@ once. The virtual array has half-wavelength spacing, so phi = pi sin
 theta, and only the final angles are mapped back through
 theta = arcsin(phi / pi).
 
-What a call needs besides its data is memoized on scalars: the scan
-plan (phase count and grid indices) per (mv, grid step), and per mv
-the gather of Rv1's real form and the Newton steps' lags, as the vector
-j l of their exponents and the (mv, 2) stack of l and l^2 that weighs
-the coefficients. Each memo returns read-only
-arrays.
+What a call needs besides its data is memoized per mv: the gather of
+Rv1's real form and the Newton steps' lags, as the vector j l of their
+exponents and the (mv, 2) stack of l and l^2 that weighs the
+coefficients. Each memo returns read-only arrays.
 
 The subarray, Gamma-matrix and steering-vector routes that the tests
 check this module against live in :mod:`coarray_lab.reference`.
@@ -234,13 +232,17 @@ def _null_polynomial(en):
 
 
 def _null_scan(coef, n):
-    """Null spectrum d(2 pi i / n), i = 0 .. n - 1, by one real FFT.
+    """Null spectrum d(2 pi i / n), i = -n / 2 .. n / 2 + 1, by one real FFT.
 
-    The inverse transform is taken unscaled (``norm='forward'``). That
-    is n times the default 1 / n scaled one to the bit, since n is a
-    power of two (:func:`scan_size`) and so the scale is exact.
+    That is the whole circle, ascending in phase from -pi, with one
+    point repeated past each end, so that every point on it has both
+    neighbours. The inverse transform is taken unscaled
+    (``norm='forward'``). That is n times the default 1 / n scaled one
+    to the bit, since n is a power of two (:func:`scan_size`) and so the
+    scale is exact.
     """
-    return np.fft.irfft(coef, n, norm='forward')
+    d = np.fft.irfft(coef, n, norm='forward')
+    return np.concatenate((d[n // 2:], d[:n // 2 + 2]))
 
 
 def _newton_minima(coef, phi, step):
@@ -311,22 +313,6 @@ def scan_size(mv, grid_step):
     return 1 << int(np.ceil(np.log2(max(2.0 / grid_step, 2.0 * mv))))
 
 
-@lru_cache(maxsize=32)
-def _scan_plan(mv, grid_step):
-    """What :func:`estimate_doas` scans, by mv and float grid step.
-
-    Returns ``(n, gather)``: the scan covers the grid indices
-    ``i = -n / 2, ..., n / 2 + 1`` of the phases 2 pi i / n, ascending,
-    and ``gather`` holds each i modulo n. That is the whole circle with
-    one point repeated past each end, so that every point on it has
-    both neighbours.
-    """
-    n = scan_size(mv, grid_step)
-    gather = np.arange(-(n // 2), n // 2 + 2) % n
-    gather.setflags(write=False)
-    return n, gather
-
-
 def estimate_doas(en, k, grid_step=np.deg2rad(0.1)):
     """MUSIC on a noise-subspace basis: a phase-grid scan, then Newton.
 
@@ -342,10 +328,7 @@ def estimate_doas(en, k, grid_step=np.deg2rad(0.1)):
     estimate is unresolved and holds the peaks that were found.
 
     The basis is scanned as given, never decomposed: from an augmented
-    covariance ``rv`` pass ``noise_subspace(rv, k)``. The scan plan (n
-    and the scanned grid indices) is memoized per (mv, grid step), keyed
-    on the step's float value, so a float, an ``np.float64`` and a 0-d
-    array step share one plan.
+    covariance ``rv`` pass ``noise_subspace(rv, k)``.
 
     Args:
         en: mv x (mv - k) noise-subspace basis with orthonormal columns.
@@ -360,14 +343,9 @@ def estimate_doas(en, k, grid_step=np.deg2rad(0.1)):
     if not 1 <= k < mv or en.shape != (mv, mv - k):
         raise ValueError(f'need an mv x (mv - k) basis with 1 <= k < mv, '
                          f'got shape {en.shape} and k = {k}')
-    try:
-        n, gather = _scan_plan(mv, float(grid_step))
-    except (TypeError, ValueError):
-        # the message names the step as the caller gave it
-        scan_size(mv, grid_step)
-        raise
+    n = scan_size(mv, grid_step)
     coef = _null_polynomial(en)
-    d = _null_scan(coef, n).take(gather)
+    d = _null_scan(coef, n)
     peaks = _find_peaks(d)
     # scan indices ascend, so a stable sort breaks ties toward the
     # smaller angle

@@ -425,9 +425,9 @@ def _check_estimable(geom, mv, scenario, grid_step_deg):
         raise ConfigError(f'{geom.name}: {exc}') from exc
 
 
-# The most entries of any one array that a trial, ``estimate`` or
-# ``geom --f-csv`` builds: 2**24 are 128 MiB as float64 and 256 MiB as
-# complex.
+# The most entries of any one array that a sweep point's trials,
+# ``estimate`` or ``geom --f-csv`` builds: 2**24 are 128 MiB as float64
+# and 256 MiB as complex.
 _MAX_ENTRIES = 2 ** 24
 
 
@@ -459,12 +459,14 @@ def _sweep(cfg):
     bad point raises :class:`ConfigError` before any trial runs.
     Estimability depends on the array and K alone, so each (array, K)
     is checked once, at its first point; a config that runs trials also
-    checks there the size of the arrays that a block of trials builds.
+    checks there the size of the arrays that a block of trials builds,
+    and of the point's estimate array, methods x trials x K.
     """
     points, notices = [], []
     groups = itertools.count()
     estimable = set()
     trials = cfg.kind in ('verify_mse', 'resolution') or cfg.empirical
+    n_methods = len(_methods(cfg.method))
 
     def add(geom, mv, doas, snr, n, group, tags=()):
         try:
@@ -477,6 +479,8 @@ def _sweep(cfg):
                 m = geom.n_sensors
                 _check_music_size(geom, mv, 'block of sample covariances',
                                   (_DRAW_SLICE, m, m))
+                _check_entries(geom, 'estimate array',
+                               (n_methods, cfg.n_trials, scenario.n_sources))
             estimable.add((geom, scenario.n_sources))
         points.append(_Point(geom, scenario, n, snr, tags, group))
 

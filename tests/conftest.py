@@ -1,8 +1,9 @@
 """Shared fixtures: empty caches and acceptance verdict reporting.
 
-Every test starts with the package's ``functools.lru_cache`` memos
-empty, so that no test reads an entry that another built, such as a
-threshold scan from a stand-in MSE builder.
+Every test starts with the package's ``functools.lru_cache`` memos and
+the estimator's trial cache empty, so that no test reads an entry that
+another built, such as a threshold scan from a stand-in MSE builder or
+a trial's eigensystem.
 
 The acceptance tests each report one PASS/FAIL line with measured
 margins. Captured stdout only surfaces on failure, so the lines are
@@ -18,14 +19,17 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def clear_package_caches():
-    """Empty every ``lru_cache`` of the package's modules, before and
-    after the test."""
+    """Empty every ``lru_cache`` of the package's modules and the dict
+    ``estimator._TRIAL_CACHE``, before and after the test."""
     def clear():
         for name, mod in list(sys.modules.items()):
             if name == 'coarray_lab' or name.startswith('coarray_lab.'):
                 for value in vars(mod).values():
                     if callable(getattr(value, 'cache_clear', None)):
                         value.cache_clear()
+        estimator = sys.modules.get('coarray_lab.estimator')
+        if estimator is not None:
+            estimator._TRIAL_CACHE.clear()
 
     clear()
     yield

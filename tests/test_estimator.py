@@ -334,11 +334,10 @@ def test_estimate_doas_raises_on_every_call_with_a_bad_grid_step():
 
 
 # Every memo of the estimator module: each is a function of scalars.
-ESTIMATOR_MEMOS = (estimator._scan_plan, estimator._unitary_gather,
-                   estimator._lag_powers)
+ESTIMATOR_MEMOS = (estimator._unitary_gather, estimator._lag_powers)
 
 
-def test_memoized_plans_give_the_estimates_of_fresh_ones():
+def test_memoized_arrays_give_the_estimates_of_fresh_ones():
     arrays = (geometry.coprime(3, 5), geometry.nested(2, 3))
     # each step as a float, an np.float64 or a 0-d array
     fine, coarse = np.deg2rad(0.1), np.deg2rad(0.5)
@@ -362,29 +361,32 @@ def test_memoized_plans_give_the_estimates_of_fresh_ones():
                 *(estimator.run_music(z, mv, 2, method, grid_step=step)
                   for method in ('da', 'ss'))]
 
+    def assert_same(ests, others):
+        for est, other in zip(ests, others, strict=True):
+            assert other.resolved == est.resolved
+            np.testing.assert_array_equal(other.angles, est.angles)
+            np.testing.assert_array_equal(other.refined, est.refined)
+
     for memo in ESTIMATOR_MEMOS:
         memo.cache_clear()
     warm = [estimates(*call) for call in calls]
-    # one plan per (mv, step value), whatever the type
-    info = estimator._scan_plan.cache_info()
-    assert info.misses == len(arrays) * 2 and info.hits >= len(calls)
     endfire = 0
-    for call, memoized in zip(calls, warm):
+    for (z, mv, step), memoized in zip(calls, warm):
+        # the step as each other type gives the same estimates
+        for typed in (float, np.float64, np.asarray):
+            estimator._TRIAL_CACHE.clear()
+            assert_same(memoized, estimates(z, mv, typed(step)))
         for memo in ESTIMATOR_MEMOS:
             memo.cache_clear()
         estimator._TRIAL_CACHE.clear()
-        for fresh, est in zip(estimates(*call), memoized):
-            assert fresh.resolved == est.resolved
-            np.testing.assert_array_equal(fresh.angles, est.angles)
-            np.testing.assert_array_equal(fresh.refined, est.refined)
+        assert_same(memoized, estimates(z, mv, step))
         endfire += bool(np.any(np.abs(memoized[0].angles)
                                > np.deg2rad(89.0)))
     assert endfire > 0, endfire
 
 
 def test_memoized_arrays_are_read_only():
-    arrays = [*estimator._unitary_gather(5), *estimator._lag_powers(5),
-              estimator._scan_plan(5, 0.01)[1]]
+    arrays = [*estimator._unitary_gather(5), *estimator._lag_powers(5)]
     for array in arrays:
         with pytest.raises(ValueError):
             array[0] = 1
@@ -398,6 +400,19 @@ def test_scan_size_stops_at_its_ceiling():
     for step in (np.nextafter(2.0 ** -19, 0.0), 1e-300):
         with pytest.raises(ValueError, match='scan phases'):
             estimator.scan_size(8, step)
+
+
+def test_null_scan_reads_the_circle_from_minus_half_to_half_plus_one():
+    rng = np.random.default_rng(41)
+    for mv, step in ((2, 1.0), (5, 0.01), (8, np.deg2rad(0.1)), (40, 1.0),
+                     (13, 2.0 ** -19)):
+        n = estimator.scan_size(mv, step)
+        basis, _ = np.linalg.qr(rng.standard_normal((mv, mv))
+                                + 1j * rng.standard_normal((mv, mv)))
+        coef = estimator._null_polynomial(basis[:, :mv - 1])
+        wrapped = np.fft.irfft(coef, n, norm='forward')[
+            np.arange(-(n // 2), n // 2 + 2) % n]
+        np.testing.assert_array_equal(estimator._null_scan(coef, n), wrapped)
 
 
 # Dense references for estimate_doas: the null
@@ -440,10 +455,11 @@ def test_polynomial_estimator_matches_scalar_reference(spec):
     geom = harness._parse_array(spec)
     co = geometry.difference_coarray(geom)
     mv = co.mv
-    # the scanned phases 2 pi i / n and their angles: at the default
-    # 0.1 deg step the broadside phase step is 2 pi / 1146, so n = 2048
+    # the scanned phases 2 pi i / n, i = -n / 2 .. n / 2 + 1, and their
+    # angles: at the default 0.1 deg step the broadside phase step is
+    # 2 pi / 1146, so n = 2048
     n_grid = 2048
-    phi = 2.0 * np.pi * np.arange(n_grid) / n_grid
+    phi = 2.0 * np.pi * np.arange(-(n_grid // 2), n_grid // 2 + 2) / n_grid
     grid = np.arcsin((np.pi - (np.pi - phi) % (2.0 * np.pi)) / np.pi)
     for scene, doas_deg in EQUIVALENCE_SCENES.items():
         for snr in (-5.0, 0.0, 10.0):

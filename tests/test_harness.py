@@ -825,6 +825,36 @@ def test_cli_run_refuses_n_trials_past_its_bound(tmp_path, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ['cfg.json']
 
 
+def test_cli_run_refuses_an_estimate_array_over_the_size_limit(
+        tmp_path, capsys, monkeypatch):
+    # a point's estimates, methods x trials x K, are one array: the
+    # default eleven-source fan at 2**24 trials of both methods would be
+    # 2.95 GB, and at 1000 trials one entry under 2 x 1000 x 11 refuses
+    # it, before any trial and with no directory left
+    def refuse(*args, **kwargs):
+        raise AssertionError('a trial ran')
+
+    monkeypatch.setattr(harness, 'run_trials', refuse)
+    cfg = tmp_path / 'cfg.json'
+    out_dir = tmp_path / 'out'
+    for fields, limit, message in (
+            ({'n_trials': 2 ** 24}, 2 ** 24,
+             'coprime(3,5): its estimate array would be 2 x 16777216 x 11, '
+             'over 16777216 entries'),
+            ({'arrays': ['nested:4,6'], 'n_trials': 1000}, 2 * 1000 * 11 - 1,
+             'nested(4,6): its estimate array would be 2 x 1000 x 11, over '
+             '21999 entries')):
+        monkeypatch.setattr(harness, '_MAX_ENTRIES', limit)
+        cfg.write_text(json.dumps(dict(fields, kind='verify_mse',
+                                       method='both')))
+        assert cli.main(['run', '--config', str(cfg), '--out',
+                         str(out_dir)]) == 2
+        assert capsys.readouterr() == ('', f'error: {message}\n')
+        assert sorted(p.name for p in tmp_path.iterdir()) == ['cfg.json']
+    monkeypatch.setattr(harness, '_MAX_ENTRIES', 2 * 1000 * 11)
+    assert len(harness._sweep(harness.load_config(str(cfg)))[0]) == 1
+
+
 def test_csv_text_formats_python_and_numpy_cells():
     table = harness.Table(('a', 'b', 'c', 'd', 'e', 'f', 'g', 'h'), (
         (0.1, 3, True, 'coprime(3,5)', np.float64(0.1), np.int64(7),
@@ -1143,6 +1173,22 @@ def test_cli_estimate(tmp_path, capsys):
     assert float(first[1]) == pytest.approx(-20.0)
     assert abs(float(first[3])) < 1.0
     assert snaps_csv.read_text().startswith('t,sensor,re,im')
+
+
+def test_cli_estimate_writes_nan_for_every_source_when_unresolved(tmp_path,
+                                                                  capsys):
+    # seven peaks for eight sources: which source each belongs to is
+    # unknown, so none is paired by position
+    scenario = tmp_path / 'scenario.json'
+    scenario.write_text(json.dumps(
+        {'doas_deg': list(np.linspace(-60.0, 60.0, 8)), 'snr_db': 10.0}))
+    assert cli.main(['estimate', '--array', 'coprime:3,5', '--scenario',
+                     str(scenario), '--n', '10', '--seed', '27']) == 0
+    captured = capsys.readouterr()
+    assert captured.err == 'unresolved: found 7 of 8 sources\n'
+    rows = [line.split(',') for line in captured.out.splitlines()[1:]]
+    assert [row[0] for row in rows] == [str(i) for i in range(8)]
+    assert all(row[2] == row[3] == 'nan' for row in rows)
 
 
 def test_cli_estimate_rejects_bad_scenario(tmp_path, capsys):

@@ -255,8 +255,8 @@ def assert_mirrored(est, other, en, k, negate=True):
     ``negate``) or unchanged. Only where the k-th and (k + 1)-th minima
     of the scan of ``en`` tie to rounding may the pick, and so the
     flags, differ."""
-    n, gather = estimator._scan_plan(en.shape[0], np.deg2rad(0.1))
-    d = estimator._null_scan(estimator._null_polynomial(en), n).take(gather)
+    n = estimator.scan_size(en.shape[0], np.deg2rad(0.1))
+    d = estimator._null_scan(estimator._null_polynomial(en), n)
     depths = np.sort(d[estimator._find_peaks(d)])
     if depths.size > k and depths[k] - depths[k - 1] <= 1e-12 * en.shape[0]:
         return
