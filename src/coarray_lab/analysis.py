@@ -710,15 +710,15 @@ def _false_position(excess, a, b, ga, gb):
 
 
 @lru_cache(maxsize=128)
-def _scan_stack(geom, center, power):
+def _scan_stack(geom, center):
     """The separations of :func:`_threshold_scan`, their S x 2 DOA pairs
     center -/+ delta / 2, the stacked :class:`MseCoefficients` of two
-    sources of ``power`` at those pairs, and the rows whose curvature is
+    unit-power sources at those pairs, and the rows whose curvature is
     not positive, all read-only. The coefficients depend on neither the
     noise power nor N, so one build serves every SNR and N."""
     scan = _threshold_scan(geom, center)
     pairs = np.stack((center - scan / 2.0, center + scan / 2.0), axis=-1)
-    terms, coeffs = _mse_stack(geom, pairs, (power, power))
+    terms, coeffs = _mse_stack(geom, pairs, (1.0, 1.0))
     failed = np.any(terms.gamma <= 0, axis=1)
     for a in (scan, pairs, failed, coeffs.q0, coeffs.q1, coeffs.q2,
               coeffs.scale):
@@ -736,10 +736,12 @@ def resolution_threshold(geom, n_snapshots, center=np.deg2rad(30.0),
     is the first turn of :func:`resolution_predict` from False to True
     (an exact tie of RMS sum and separation is True) between
     neighbouring points of a log-spaced scan from 1e-3 degrees to 6
-    degrees or four virtual beamwidths.
+    degrees or four virtual beamwidths. The MSE depends on the SNR
+    alone, so the pair has unit powers at ``noise_power / power``: the
+    ``power`` keyword stays only while a caller still passes it.
 
     The scan is evaluated as one stack (:func:`_scan_stack`), shared by
-    every SNR and N at the same array, centre and power. A pair whose
+    every SNR and N at the same array and centre. A pair whose
     first-order analysis fails raises :class:`NumericalFailure` only
     where a read of the scan in order, stopping at the first turn,
     would meet it.
@@ -756,17 +758,18 @@ def resolution_threshold(geom, n_snapshots, center=np.deg2rad(30.0),
         Threshold separation in radians.
 
     Raises:
-        ValueError: If the centre, power or noise power is invalid, as
-            in a :class:`SourceScenario`, or N is not finite and
-            positive.
+        ValueError: If the centre, power, noise power or their ratio is
+            invalid, as in a :class:`SourceScenario`, or N is not finite
+            and positive.
         NumericalFailure: If no crossing is found inside the scan, or a
             pair the scan reads has a nonpositive curvature.
     """
     SourceScenario((center,), (power,), noise_power)  # ValueError if bad
-    scan, pairs, coeffs, failed = _scan_stack(geom, center, power)
+    noise = SourceScenario((center,), (1.0,), noise_power / power).noise_power
+    scan, pairs, coeffs, failed = _scan_stack(geom, center)
     # a failed row may divide by a zero curvature; it is never read
     with np.errstate(divide='ignore', invalid='ignore'):
-        mse = coeffs.mse(noise_power, n_snapshots)
+        mse = coeffs.mse(noise, n_snapshots)
     sums = np.sqrt(mse[:, 0, 0]) + np.sqrt(mse[:, 1, 1])
     ok = sums - scan <= 0
     # neighbours (i, i + 1) where the verdict turns, and where a read in
@@ -787,8 +790,7 @@ def resolution_threshold(geom, n_snapshots, center=np.deg2rad(30.0),
         doas = center - delta / 2.0, center + delta / 2.0
         if doas not in rms:
             rms[doas] = _rms_sum(analytical_mse(
-                geom, SourceScenario(doas, (power, power), noise_power),
-                n_snapshots))
+                geom, SourceScenario(doas, (1.0, 1.0), noise), n_snapshots))
         return rms[doas] - delta
 
     a, b = _false_position(excess, scan[i], scan[i + 1],

@@ -28,38 +28,38 @@ from .harness import (ConfigError, Table, emit_outputs, load_config, run,
                       _read_json, _write_text)
 
 
-def _load_scenario(path):
-    """Read a scenario JSON file.
+# Per scenario key: whether a scenario must set it, then its shape and
+# the rule each of its values must meet, as in ``harness._FIELDS``.
+_SCENARIO_KEYS = {
+    'doas_deg': (True, 'list', _REAL),
+    'snr_db': (True, 'value', _REAL),
+    'powers': (False, 'list', _POSITIVE),
+}
 
-    Expected keys: ``doas_deg`` (required), then either ``noise_power``
-    or ``snr_db``, optionally ``powers`` (list) or ``power`` (scalar).
+
+def _load_scenario(path):
+    """Read a scenario JSON file, set by SNR alone: the ``doas_deg``,
+    the weakest source's ``snr_db`` and, optionally, relative ``powers``
+    (unit powers without it). Returns the ``doas_deg`` as given and the
+    :class:`model.SourceScenario`. Any other key is an error.
     """
     data = _read_json(path, 'scenario')
     if not isinstance(data, dict):
         raise ConfigError('scenario root must be an object')
-    known = {'doas_deg', 'powers', 'power', 'noise_power', 'snr_db'}
-    unknown = sorted(set(data) - known)
+    unknown = sorted(set(data) - set(_SCENARIO_KEYS))
     if unknown:
         raise ConfigError(f'unknown scenario fields: {", ".join(unknown)}')
-    if 'doas_deg' not in data:
-        raise ConfigError("scenario must set 'doas_deg'")
     try:
-        for name, value in data.items():
-            shape = 'list' if name in ('doas_deg', 'powers') else 'value'
-            _check_field(name, value, shape, _REAL)
+        for name, (required, shape, rule) in _SCENARIO_KEYS.items():
+            if name in data:
+                _check_field(name, data[name], shape, rule)
+            elif required:
+                raise ConfigError(f'{name} must be set')
         doas = tuple(np.deg2rad(float(d)) for d in data['doas_deg'])
-        if 'noise_power' in data:
-            k = len(doas)
-            powers = data.get('powers', [data.get('power', 1.0)] * k)
-            return model.SourceScenario(doas, tuple(powers),
-                                        float(data['noise_power']))
-        if 'snr_db' in data:
-            power = data.get('powers', data.get('power', 1.0))
-            return model.SourceScenario.with_snr(doas, float(data['snr_db']),
-                                                 power)
+        return data['doas_deg'], model.SourceScenario.with_snr(
+            doas, float(data['snr_db']), data.get('powers'))
     except ValueError as exc:  # a ConfigError among them
         raise ConfigError(f'bad scenario: {exc}') from exc
-    raise ConfigError("scenario must set 'noise_power' or 'snr_db'")
 
 
 def _cmd_geom(args):
@@ -88,7 +88,7 @@ def _cmd_estimate(args):
     _check_field('--grid-step-deg', args.grid_step_deg, 'value', _POSITIVE)
     _check_field('--n', args.n, 'value', _FIELDS['n_snapshots'][1])
     geom = _parse_array(args.array)
-    scenario = _load_scenario(args.scenario)
+    doas_deg, scenario = _load_scenario(args.scenario)
     co = geometry.difference_coarray(geom)
     _check_estimable(geom, co.mv, scenario, args.grid_step_deg)
     _check_music_size(geom, co.mv, f'snapshot matrix at --n {args.n}',
@@ -107,10 +107,10 @@ def _cmd_estimate(args):
         # which source a found peak belongs to is unknown, so every
         # source reads NaN, as an unresolved trial does
         estimates = np.full(scenario.n_sources, np.nan)
-    rows = tuple((i, float(np.rad2deg(true)), float(np.rad2deg(est_i)),
+    rows = tuple((i, float(deg), float(np.rad2deg(est_i)),
                   float(np.rad2deg(est_i - true)))
-                 for i, (true, est_i) in enumerate(zip(scenario.doas,
-                                                       estimates)))
+                 for i, (deg, true, est_i) in enumerate(zip(
+                     doas_deg, scenario.doas, estimates)))
     _write_table(Table(('source', 'theta_true_deg', 'theta_est_deg',
                         'error_deg'), rows), args.out)
     return 0

@@ -603,7 +603,7 @@ def _resolution_rows(cfg, points, pool):
         if p.group not in thresholds:
             thresholds[p.group] = float(np.rad2deg(
                 analysis.resolution_threshold(
-                    p.geom, p.n, center=np.deg2rad(cfg.center_deg), power=1.0,
+                    p.geom, p.n, center=np.deg2rad(cfg.center_deg),
                     noise_power=p.scenario.noise_power)))
         delta_deg, = p.tags
         successes = _trial_successes(cfg, combo, p, methods, pool,

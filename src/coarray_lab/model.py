@@ -101,13 +101,11 @@ class SourceScenario:
         object.__setattr__(self, 'noise_power', float(self.noise_power))
 
     @classmethod
-    def with_snr(cls, doas, snr_db, power=1.0):
-        """Scenario with unit-reference powers and a noise floor set by SNR.
-
-        The SNR convention is ``10 log10(min_k p_k / noise_power)``.
-        DOAs and powers are converted to floats once, by the scenario.
-        """
-        powers = (power,) * len(doas) if np.isscalar(power) else power
+    def with_snr(cls, doas, snr_db, powers=None):
+        """Scenario whose noise floor gives the weakest of ``powers`` (None:
+        unit powers) the SNR ``10 log10(min_k p_k / noise_power)``; the
+        scenario converts DOAs and powers to floats once."""
+        powers = (1.0,) * len(doas) if powers is None else powers
         try:
             noise = float(min(powers)) * 10.0 ** (-float(snr_db) / 10.0)
         except OverflowError:

@@ -218,14 +218,13 @@ def resolution_threshold(geom, n_snapshots, center=np.deg2rad(30.0),
     """
     # RMS sum per DOA pair: near the end of the polish center -/+
     # delta / 2 stops changing before delta does, so a pair can come back
-    rms = {}
+    rms, noise = {}, noise_power / power
 
     def excess(delta):
         doas = (center - delta / 2.0, center + delta / 2.0)
         if doas not in rms:
             rms[doas] = _rms_sum(analytical_mse(
-                geom, SourceScenario(doas, (power, power), noise_power),
-                n_snapshots))
+                geom, SourceScenario(doas, (1.0, 1.0), noise), n_snapshots))
         return rms[doas] - delta
 
     scan = _threshold_scan(geom, center)

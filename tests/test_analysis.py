@@ -1060,6 +1060,19 @@ def test_resolution_threshold_equals_the_sequential_reference():
                                     **kwargs))
     assert got == want
     assert analysis.NumericalFailure in want
+    # the MSE depends on the SNR alone: on both routes power only
+    # divides the noise power, and the ratio is checked as one
+    geom = geometry.coprime(3, 5)
+    for power in (0.25, 4.0):
+        folded = analysis.resolution_threshold(geom, 500,
+                                               noise_power=1.0 / power)
+        for route in (analysis.resolution_threshold,
+                      reference.resolution_threshold):
+            assert route(geom, 500, power=power, noise_power=1.0) == folded
+    for power, noise in ((-1.0, -1.0), (0.0, 1.0), (1e-300, 1e10)):
+        with pytest.raises(ValueError, match='must be finite and positive'):
+            analysis.resolution_threshold(geom, 500, power=power,
+                                          noise_power=noise)
 
 
 @pytest.mark.parametrize('geom', [geometry.coprime(3, 5),

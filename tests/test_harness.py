@@ -1204,16 +1204,20 @@ def test_cli_estimate_rejects_bad_scenario(tmp_path, capsys):
     # mistyped values are config errors, not tracebacks
     # JSON booleans are not numbers: true would put a source at 1 deg
     for bad in ({'doas_deg': 5, 'snr_db': 0},
-                {'doas_deg': [10, 40], 'noise_power': None},
+                {'doas_deg': [10, 40], 'snr_db': 0, 'powers': [None, 1]},
                 {'doas_deg': [True, 40], 'snr_db': 0},
                 {'doas_deg': [10, 40], 'snr_db': False},
                 {'doas_deg': [10, 40], 'snr_db': 0, 'powers': [True, 2]},
-                {'doas_deg': [10, 40], 'snr_db': 0, 'power': True},
-                {'doas_deg': [10, 40], 'noise_power': True},
+                {'doas_deg': [10, 40], 'snr_db': 0, 'powers': [2, True]},
+                {'doas_deg': [10, 40], 'snr_db': 0, 'powers': True},
+                {'doas_deg': [10, 40], 'snr_db': 0, 'powers': None},
                 {'doas_deg': ['10'], 'snr_db': 0},
+                # a source power that is not positive, or one per source
+                {'doas_deg': [10, 40], 'snr_db': 0, 'powers': [1, 0]},
+                {'doas_deg': [10, 40], 'snr_db': 0, 'powers': [1]},
                 # noise floors that overflow or come out infinite
                 {'doas_deg': [10.0], 'snr_db': -4000.0},
-                {'doas_deg': [10.0], 'snr_db': -10.0, 'power': 1e308}):
+                {'doas_deg': [10.0], 'snr_db': -10.0, 'powers': [1e308]}):
         scenario.write_text(json.dumps(bad))
         assert cli.main(['estimate', '--array', 'coprime:2',
                          '--scenario', str(scenario)]) == 2, bad
@@ -1226,7 +1230,10 @@ def test_cli_estimate_rejects_bad_scenario(tmp_path, capsys):
             ({'doas_deg': [10], 'snr_db': 0, 'powers': []},
              'powers must not be an empty list'),
             ({'doas_deg': [10, True], 'snr_db': 0},
-             'each doas_deg entry must be a finite number, got True')):
+             'each doas_deg entry must be a finite number, got True'),
+            ({'doas_deg': [10, 40], 'snr_db': 0, 'powers': [1, -2]},
+             'each powers entry must be a finite number > 0, got -2'),
+            ({'doas_deg': [10, 40]}, 'snr_db must be set')):
         scenario.write_text(json.dumps(bad))
         assert cli.main(['estimate', '--array', 'coprime:2',
                          '--scenario', str(scenario)]) == 2, bad
@@ -1240,6 +1247,43 @@ def test_cli_estimate_rejects_bad_scenario(tmp_path, capsys):
         assert capsys.readouterr().err == (
             f'error: --grid-step-deg must be a finite number > 0, '
             f'got {float(step)!r}\n')
+
+
+@pytest.mark.parametrize('extra, unknown', [
+    ({'noise_power': 100}, 'noise_power'),
+    ({'power': 5, 'powers': [1, 1]}, 'power'),
+], ids=['noise_power', 'power'])
+def test_cli_estimate_sets_a_scenario_by_snr_alone(tmp_path, capsys, extra,
+                                                   unknown):
+    # a scenario is set by its SNR and relative powers; an absolute
+    # noise power or scalar power is an unknown key, not a setting that
+    # overrides snr_db or is overridden by powers
+    scenario = tmp_path / 'scenario.json'
+    scenario.write_text(json.dumps({'doas_deg': [-20, 30], 'snr_db': 0,
+                                    **extra}))
+    out = tmp_path / 'est.csv'
+    assert cli.main(['estimate', '--array', 'coprime:3,5', '--scenario',
+                     str(scenario), '--n', '200', '--seed', '1',
+                     '--out', str(out)]) == 2
+    assert capsys.readouterr() == (
+        '', f'error: unknown scenario fields: {unknown}\n')
+    assert not out.exists()
+
+
+def test_cli_estimate_writes_the_true_angles_as_given(tmp_path, capsys):
+    # 30 degrees through radians and back reads 29.999999999999996
+    scenario = tmp_path / 'scenario.json'
+    scenario.write_text(json.dumps({'doas_deg': [-20, 30], 'snr_db': 0,
+                                    'powers': [1, 2]}))
+    assert cli.main(['estimate', '--array', 'coprime:3,5', '--scenario',
+                     str(scenario), '--n', '200', '--seed', '1']) == 0
+    rows = [line.split(',')
+            for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[1] for row in rows] == ['-20.0', '30.0']
+    for row in rows:
+        # the error is the estimate's, read in radians
+        assert float(row[3]) == pytest.approx(
+            float(row[2]) - float(row[1]), abs=1e-12)
 
 
 def test_cli_estimate_checks_source_count_before_simulating(tmp_path,

@@ -77,7 +77,7 @@ def test_with_snr_noise_floor():
     assert sc.noise_power == pytest.approx(0.1)
     assert sc.snr_db() == pytest.approx(10.0)
     # the floor references the weakest source
-    sc = model.SourceScenario.with_snr((-0.3, 0.4), 0.0, power=(4.0, 0.25))
+    sc = model.SourceScenario.with_snr((-0.3, 0.4), 0.0, powers=(4.0, 0.25))
     assert sc.noise_power == pytest.approx(0.25)
     assert sc.snr_db() == pytest.approx(0.0)
     # a noise floor out of float range is a ValueError, not an
@@ -85,7 +85,7 @@ def test_with_snr_noise_floor():
     with pytest.raises(ValueError, match='out of range'):
         model.SourceScenario.with_snr((0.1,), -4000.0)
     with pytest.raises(ValueError, match='finite and positive'):
-        model.SourceScenario.with_snr((0.1,), -10.0, power=1e308)
+        model.SourceScenario.with_snr((0.1,), -10.0, powers=(1e308,))
 
 
 def test_scaled_scenario():

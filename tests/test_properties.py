@@ -402,6 +402,28 @@ def assert_crb_trace_kept(geom, sc, moved_geom, moved_sc, rtol):
                                    rtol=rtol, atol=0)
 
 
+# Neither move of the array changes mv, the virtual-ULA terms or gamma,
+# so the closed-form MSE is exactly invariant to both too. Each
+# tolerance, relative to the largest diagonal entry, is about 50 times
+# the worst deviation measured over 2000 draws of these strategies:
+# shift 2.1e-14, mirror 1.4e-14.
+MSE_RTOL = {'shift': 1e-12, 'mirror': 1e-12}
+
+
+def assert_mse_kept(geom, moved_geom, sc, rtol):
+    """The moved array keeps :func:`analysis.analytical_mse` to ``rtol``
+    of its largest diagonal entry, or its NumericalFailure."""
+    try:
+        base = analysis.analytical_mse(geom, sc, 500)
+    except analysis.NumericalFailure:
+        with pytest.raises(analysis.NumericalFailure):
+            analysis.analytical_mse(moved_geom, sc, 500)
+        return
+    np.testing.assert_allclose(analysis.analytical_mse(moved_geom, sc, 500),
+                               base, rtol=0,
+                               atol=rtol * np.max(np.diag(base)))
+
+
 @settings
 @hypothesis.given(arrays, seeds, st.floats(0.0, 1.0, exclude_max=True),
                   st.integers(1, 39))
@@ -410,6 +432,7 @@ def test_crb_trace_is_invariant_to_shifting_the_array(geom, seed, u, c):
     sc = random_scenario(geom, seed, u)
     shifted = geometry.custom([p + c for p in geom.positions])
     assert_crb_trace_kept(geom, sc, shifted, sc, CRB_TRACE_RTOL['shift'])
+    assert_mse_kept(geom, shifted, sc, MSE_RTOL['shift'])
 
 
 @settings
@@ -420,6 +443,7 @@ def test_crb_trace_is_invariant_to_mirroring_the_array(geom, seed, u):
     end = geom.positions[-1]
     mirrored = geometry.custom(sorted(end - p for p in geom.positions))
     assert_crb_trace_kept(geom, sc, mirrored, sc, CRB_TRACE_RTOL['mirror'])
+    assert_mse_kept(geom, mirrored, sc, MSE_RTOL['mirror'])
 
 
 @settings

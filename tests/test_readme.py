@@ -1,11 +1,11 @@
 """The README's Quick-start block runs against the current API, its
-list of config fields per kind is the harness's table, and its list of
-field rules is the field table."""
+list of config fields per kind is the harness's table, and its lists of
+config field rules and of scenario keys are the field and key tables."""
 
 import pathlib
 import re
 
-from coarray_lab import geometry, harness
+from coarray_lab import cli, geometry, harness
 
 README = pathlib.Path(__file__).resolve().parents[1] / 'README.md'
 
@@ -48,3 +48,20 @@ def test_field_rules_are_the_field_table():
         assert rules[name][0] == shape.replace('None', 'null'), name
         assert rules[name][1].startswith(rule.what), name
     assert f'at most {geometry.MAX_SENSORS} sensors' in rules['arrays'][1]
+
+
+def test_scenario_keys_are_the_key_table():
+    text = README.read_text(encoding='utf-8')
+    section = text.split("before any snapshot is drawn:\n\n", 1)[1].split(
+        '\n\n', 1)[0]
+    keys = {}
+    for bullet in section[2:].split('\n- '):
+        name, shape, rule, need = re.match(
+            r'`(\w+)`(?: \(([\w ]+)\))?: (.*?); (required|optional)\.',
+            bullet, re.DOTALL).groups()
+        keys[name] = (shape or 'value', ' '.join(rule.split()), need)
+    assert keys == {name: (shape, rule.what,
+                           'required' if required else 'optional')
+                    for name, (required, shape, rule)
+                    in cli._SCENARIO_KEYS.items()}
+    assert list(keys) == list(cli._SCENARIO_KEYS)
